@@ -10,12 +10,12 @@ unresolved and are reported as leftovers.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ._jsonl import append_log, read_log
 from .corpus import Review
 from .errors import ValidationError
 from .evaluation import KappaReport, cohen_kappa
@@ -128,12 +128,9 @@ class SessionState:
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
         self.labels: dict[tuple[str, str], str] = {}
-        if self.path is not None and self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        record = json.loads(line)
-                        self.labels[(record["annotator"], record["review_id"])] = record["label"]
+        if self.path is not None:
+            for record in read_log(self.path):
+                self.labels[(record["annotator"], record["review_id"])] = record["label"]
 
     def get(self, annotator: str, review_id: str) -> str | None:
         return self.labels.get((annotator, review_id))
@@ -141,10 +138,7 @@ class SessionState:
     def put(self, annotator: str, review_id: str, label: str) -> None:
         self.labels[(annotator, review_id)] = label
         if self.path is not None:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps({"annotator": annotator, "review_id": review_id, "label": label}) + "\n"
-                )
+            append_log(self.path, [{"annotator": annotator, "review_id": review_id, "label": label}])
 
 
 def run_annotation(

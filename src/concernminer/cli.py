@@ -13,30 +13,30 @@ import sys
 from pathlib import Path
 
 from .annotation import interactive_responder, scripted_responder
-from .config import PipelineConfig, load_config, make_llm_backend, make_nli_backend
-from .corpus import filter_by_rating, ingest_reviews, normalize_corpus, write_corpus
+from .config import PipelineConfig, load_config
+from .corpus import ingest_reviews, write_corpus
 from .errors import BackendError, ValidationError
 from .hypotheses import resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
-from .llm.classify import classify_corpus
-from .nli.labeling import explain_labels
-from .nli.scoring import ScoreCache, save_matrix, score_corpus
+from .nli.scoring import ScoreCache, load_matrix
 from .pipeline import (
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
     VOTES_FILE,
     annotate_run,
-    append_votes,
     evaluate_run,
     export_dataset,
+    llm_classify,
+    matrix_path,
+    nli_label,
+    nli_score,
+    prepare_corpus,
     read_pseudo_labels,
-    read_votes,
     run_extraction,
     run_selection,
     write_json,
     write_pseudo_labels,
-    _slug,
 )
 
 
@@ -63,15 +63,6 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _stage_corpus(config: PipelineConfig, role: str):
-    path = config.labeled_path if role == "labeled" else config.unlabeled_path
-    if path is None:
-        raise ValidationError(f"config has no corpus.{role} path")
-    corpus = ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
-    filtered = filter_by_rating(corpus, config.rating_min, config.rating_max)
-    return corpus, normalize_corpus(filtered)
-
-
 def cmd_ingest(args) -> int:
     config = _load(args)
     config.workdir.mkdir(parents=True, exist_ok=True)
@@ -89,64 +80,41 @@ def cmd_ingest(args) -> int:
 
 def cmd_nli_score(args) -> int:
     config = _load(args)
-    config.workdir.mkdir(parents=True, exist_ok=True)
-    _, corpus = _stage_corpus(config, args.role)
+    _, _, corpus = prepare_corpus(config, args.role)
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-    backend_cfg = config.nli_backends[0]
-    backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
-    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
-    matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    cache.close()
-    out = config.workdir / f"matrix_{_slug(backend.name)}_{hset.version_hash[:8]}.bin"
-    save_matrix(matrix, out)
-    print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {backend.name} -> {out}")
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+        matrix = nli_score(config, config.nli_backends[0], corpus, hset, cache)
+    out = matrix_path(config.workdir, matrix.backend, hset)
+    print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {out}")
     return 0
 
 
 def cmd_nli_label(args) -> int:
     config = _load(args)
-    config.workdir.mkdir(parents=True, exist_ok=True)
-    _, corpus = _stage_corpus(config, args.role)
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-    backend_cfg = config.nli_backends[0]
-    backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
-    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
-    matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    cache.close()
-    explained = explain_labels(matrix, hset.heuristics)
-    rows = [
-        (review_id, label, threshold, triggered)
-        for review_id, (label, threshold, triggered) in zip(matrix.review_ids, explained)
-    ]
+    path = matrix_path(config.workdir, config.nli_backends[0].name, hset)
+    if not path.exists():
+        raise ValidationError(f"no score matrix at {path}; run nli-score first")
+    rows = nli_label(load_matrix(path), hset)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
-    tally = {label.value: 0 for label in PseudoLabel}
-    for _, label, _, _ in rows:
-        tally[label.value] += 1
     print(f"pseudo-labels -> {config.workdir / PSEUDO_LABELS_FILE}")
-    for value, count in tally.items():
-        print(f"  {value}: {count}")
+    for label in PseudoLabel:
+        print(f"  {label.value}: {sum(1 for row in rows if row[1] is label)}")
     return 0
 
 
 def cmd_llm_classify(args) -> int:
     config = _load(args)
-    config.workdir.mkdir(parents=True, exist_ok=True)
-    _, corpus = _stage_corpus(config, args.role)
-    pseudo = read_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE)
+    pseudo_path = config.workdir / PSEUDO_LABELS_FILE
+    if not pseudo_path.exists():
+        raise ValidationError(f"no pseudo-labels at {pseudo_path}; run nli-label first")
+    pseudo = read_pseudo_labels(pseudo_path)
+    _, _, corpus = prepare_corpus(config, args.role)
     maybe = [r for r in corpus if pseudo.get(r.id) is PseudoLabel.MAYBE_PRIVACY]
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-    votes_path = config.workdir / VOTES_FILE
-    existing = read_votes(votes_path)
-    todo = [r for r in maybe if r.id not in existing]
-    backend = make_llm_backend(config.llm_backend, config.llm_script)
-    records, failures = classify_corpus(
-        backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight
-    )
-    append_votes(votes_path, records)
-    merged = {**{r.review_id: r for r in records}, **existing}
-    yes = sum(1 for r in merged.values() if r.decision is BinaryLabel.YES)
-    no = sum(1 for r in merged.values() if r.decision is BinaryLabel.NO)
-    print(f"classified {len(maybe)} maybe-privacy reviews: yes={yes} no={no} failed={len(failures)}")
+    records, failures = llm_classify(config, maybe, hset)
+    yes = sum(1 for r in records if r.decision is BinaryLabel.YES)
+    print(f"classified {len(maybe)} maybe-privacy reviews: yes={yes} no={len(records) - yes} failed={len(failures)}")
     return 0
 
 
@@ -246,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (handler, help_text) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd)
-        if name in ("nli-score", "nli-label", "llm-classify"):
+        if name in ("nli-score", "llm-classify"):
             cmd.add_argument("--role", choices=("labeled", "unlabeled"), default="unlabeled")
         if name == "evaluate":
             cmd.add_argument("--pseudo", help="pseudo-labels JSONL (default: workdir file)")

@@ -15,8 +15,20 @@ from .nli.backends import DEFAULT_TRIGGER_TABLE, HttpNliBackend, MockNliBackend,
 MOCK_ENDPOINT = "mock"
 
 
+class _BackendLimits:
+    """Connection limits both backend config types check on creation."""
+
+    def __post_init__(self) -> None:
+        if self.timeout <= 0:
+            raise ValidationError(f"backend {self.name!r}: timeout must be > 0")
+        if self.max_inflight < 1:
+            raise ValidationError(f"backend {self.name!r}: max_inflight must be >= 1")
+        if self.max_retries < 0:
+            raise ValidationError(f"backend {self.name!r}: max_retries must be >= 0")
+
+
 @dataclass(frozen=True)
-class NliBackendConfig:
+class NliBackendConfig(_BackendLimits):
     name: str
     endpoint: str
     timeout: float = 30.0
@@ -27,7 +39,7 @@ class NliBackendConfig:
 
 
 @dataclass(frozen=True)
-class LlmBackendConfig:
+class LlmBackendConfig(_BackendLimits):
     name: str
     endpoint: str
     timeout: float = 60.0

@@ -15,6 +15,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
+from ._jsonl import write_jsonl
 from .errors import SchemaMismatchError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -238,9 +239,7 @@ def ingest_reviews(
 
     if rejects_path is not None or rejects:
         target = Path(rejects_path) if rejects_path else source.with_name(source.name + ".rejects.jsonl")
-        with target.open("w", encoding="utf-8") as handle:
-            for entry in rejects:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        write_jsonl(target, rejects)
         if rejects:
             logger.warning("%s: rejected %d record(s), see %s", source.name, len(rejects), target)
 
@@ -295,9 +294,7 @@ def write_corpus(corpus: ReviewCorpus, path: str | Path, fmt: str = "jsonl") -> 
     """Write a corpus back out in the ingestion schema (csv or jsonl)."""
     path = Path(path)
     if fmt == "jsonl":
-        with path.open("w", encoding="utf-8") as handle:
-            for review in corpus:
-                handle.write(json.dumps(review_to_record(review), sort_keys=True) + "\n")
+        write_jsonl(path, (review_to_record(review) for review in corpus))
     elif fmt == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)

@@ -5,7 +5,6 @@ from .backends import (
     DEFAULT_TRIGGER_TABLE,
     HttpNliBackend,
     MockNliBackend,
-    NliBackendDescriptor,
     infer_pair,
     load_trigger_table,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "EntailmentScore",
     "HttpNliBackend",
     "MockNliBackend",
-    "NliBackendDescriptor",
     "PseudoLabel",
     "ScoreCache",
     "apply_heuristics",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -25,26 +24,6 @@ DEFAULT_RESPONSE_FIELDS = {
     "neutral": "neutral",
     "contradiction": "contradiction",
 }
-
-
-@dataclass(frozen=True)
-class NliBackendDescriptor:
-    """Identity plus connection settings for one scoring backend.
-
-    ``name`` is the model identity (it keys the score cache); ``endpoint``
-    is a URL, or ``"mock"`` for the offline backend.
-    """
-
-    name: str
-    endpoint: str
-    timeout: float = 30.0
-    max_inflight: int = 8
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValidationError("timeout must be > 0")
-        if self.max_inflight < 1:
-            raise ValidationError("max_inflight must be >= 1")
 
 
 def infer_pair(backend, premise: str, hypothesis: Hypothesis) -> EntailmentScore:

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .._jsonl import append_log, read_log
 from ..errors import BackendError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,8 +112,9 @@ class ScoreCache:
     """Append-only entailment score cache.
 
     All writes go through :meth:`put` on the thread that drives scoring, so
-    the file sees a single writer. Passing ``path=None`` keeps the cache
-    purely in memory.
+    the file sees a single writer; new records reach the file in batches of
+    ``FLUSH_EVERY`` and on :meth:`flush`. Passing ``path=None`` keeps the
+    cache purely in memory.
     """
 
     FLUSH_EVERY = 512
@@ -120,20 +122,11 @@ class ScoreCache:
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, EntailmentScore] = {}
-        self._handle = None
-        self._unflushed = 0
-        if self.path is not None and self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    record = json.loads(line)
-                    key = self._key(
-                        record["backend"], record["set_hash"], record["review_id"], record["hypothesis_id"]
-                    )
-                    self._entries[key] = EntailmentScore(
-                        record["entail"], record.get("neutral"), record.get("contradict")
-                    )
+        self._pending: list[dict] = []
+        if self.path is not None:
+            for record in read_log(self.path):
+                key = self._key(record["backend"], record["set_hash"], record["review_id"], record["hypothesis_id"])
+                self._entries[key] = EntailmentScore(record["entail"], record.get("neutral"), record.get("contradict"))
 
     @staticmethod
     def _key(backend: str, set_hash: str, review_id: str, hypothesis_id: int) -> str:
@@ -151,39 +144,30 @@ class ScoreCache:
             return
         self._entries[key] = score
         if self.path is not None:
-            if self._handle is None:
-                self._handle = self.path.open("a", encoding="utf-8")
-            record = {
-                "backend": backend,
-                "set_hash": set_hash,
-                "review_id": review_id,
-                "hypothesis_id": hypothesis_id,
-                "entail": score.entail,
-                "neutral": score.neutral,
-                "contradict": score.contradict,
-            }
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._unflushed += 1
-            if self._unflushed >= self.FLUSH_EVERY:
-                self._handle.flush()
-                self._unflushed = 0
+            self._pending.append(
+                {
+                    "backend": backend,
+                    "set_hash": set_hash,
+                    "review_id": review_id,
+                    "hypothesis_id": hypothesis_id,
+                    "entail": score.entail,
+                    "neutral": score.neutral,
+                    "contradict": score.contradict,
+                }
+            )
+            if len(self._pending) >= self.FLUSH_EVERY:
+                self.flush()
 
     def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            self._unflushed = 0
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self._unflushed = 0
+        if self._pending:
+            append_log(self.path, self._pending)
+            self._pending = []
 
     def __enter__(self) -> "ScoreCache":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.flush()
 
 
 # An empty normalized review entails nothing; scoring it remotely would be
@@ -239,8 +223,7 @@ def score_corpus(
     if jobs:
         with ThreadPoolExecutor(max_workers=max_inflight) as executor:
             try:
-                chunk = max(1, min(64, len(jobs) // (max_inflight * 4) or 1))
-                for i, j, review_id, hyp_id, score in executor.map(work, jobs, chunksize=chunk):
+                for i, j, review_id, hyp_id, score in executor.map(work, jobs):
                     grid[i, j] = score.entail
                     cache.put(backend.name, hset.version_hash, review_id, hyp_id, score)
                     completed += 1

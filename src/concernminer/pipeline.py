@@ -18,9 +18,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._jsonl import append_log, read_log, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
-from .config import PipelineConfig, make_llm_backend, make_nli_backend
+from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
+    Review,
     ReviewCorpus,
     filter_by_rating,
     ingest_reviews,
@@ -43,7 +45,7 @@ from .hypotheses import HypothesisSet, resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel, Vote
 from .llm.classify import VoteRecord, classify_corpus
 from .nli.labeling import explain_labels
-from .nli.scoring import ScoreCache, save_matrix, score_corpus
+from .nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -172,21 +174,19 @@ class StageTimer:
         self._stage = None
 
 
-def write_pseudo_labels(path: Path, rows: list[tuple[str, PseudoLabel, float | None, tuple[int, ...]]]) -> None:
-    with path.open("w", encoding="utf-8") as handle:
-        for review_id, label, threshold, triggered in rows:
-            handle.write(
-                json.dumps(
-                    {
-                        "review_id": review_id,
-                        "label": label.value,
-                        "threshold": threshold,
-                        "triggered": list(triggered),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+# (review id, pseudo-label, threshold of the clause that fired, hypothesis
+# ids above that threshold)
+LabelRow = tuple[str, PseudoLabel, float | None, tuple[int, ...]]
+
+
+def write_pseudo_labels(path: Path, rows: list[LabelRow]) -> None:
+    write_jsonl(
+        path,
+        (
+            {"review_id": review_id, "label": label.value, "threshold": threshold, "triggered": list(triggered)}
+            for review_id, label, threshold, triggered in rows
+        ),
+    )
 
 
 def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
@@ -220,20 +220,81 @@ def _vote_record_from_dict(raw: dict) -> VoteRecord:
 
 
 def read_votes(path: Path) -> dict[str, VoteRecord]:
-    votes: dict[str, VoteRecord] = {}
-    if path.exists():
-        with path.open(encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    record = _vote_record_from_dict(json.loads(line))
-                    votes[record.review_id] = record
-    return votes
+    return {raw["review_id"]: _vote_record_from_dict(raw) for raw in read_log(path)}
 
 
 def append_votes(path: Path, records: list[VoteRecord]) -> None:
-    with path.open("a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(_vote_record_to_dict(record), sort_keys=True) + "\n")
+    append_log(path, [_vote_record_to_dict(record) for record in records])
+
+
+def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
+    return workdir / f"matrix_{_slug(backend_name)}_{hset.version_hash[:8]}.bin"
+
+
+def prepare_corpus(config: PipelineConfig, role: str) -> tuple[ReviewCorpus, ReviewCorpus, ReviewCorpus]:
+    """Ingest the ``labeled`` or ``unlabeled`` corpus into the workdir, then
+    filter it by rating and normalize it; returns all three stages."""
+    path = config.labeled_path if role == "labeled" else config.unlabeled_path
+    if path is None:
+        raise ValidationError(f"config has no corpus.{role} path")
+    config.workdir.mkdir(parents=True, exist_ok=True)
+    corpus = ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
+    filtered = filter_by_rating(corpus, config.rating_min, config.rating_max)
+    return corpus, filtered, normalize_corpus(filtered)
+
+
+def nli_score(
+    config: PipelineConfig,
+    backend_cfg: NliBackendConfig,
+    corpus: ReviewCorpus,
+    hset: HypothesisSet,
+    cache: ScoreCache,
+) -> EntailmentMatrix:
+    """Score every review against every hypothesis through ``cache`` (the
+    workdir's entailment cache, opened once per run and shared by every
+    scoring pass), and save the matrix under :func:`matrix_path`."""
+    backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
+    matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
+    save_matrix(matrix, matrix_path(config.workdir, backend.name, hset))
+    return matrix
+
+
+def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
+    """Pseudo-label every row of the matrix with the set's heuristics."""
+    explained = explain_labels(matrix, hset.heuristics)
+    return [
+        (review_id, label, threshold, triggered)
+        for review_id, (label, threshold, triggered) in zip(matrix.review_ids, explained)
+    ]
+
+
+def llm_classify(
+    config: PipelineConfig, maybe_reviews: list[Review], hset: HypothesisSet
+) -> tuple[list[VoteRecord], list[tuple[str, str]]]:
+    """Classify the maybe-privacy reviews with the LLM, resuming from the
+    vote log.
+
+    Logged records of reviews outside ``maybe_reviews`` are left out; the
+    reviews without a record are classified and their records appended to
+    the log. Writes the ``(review_id, reason)`` failures to
+    ``llm_failures.jsonl`` and returns them with the records, in
+    ``maybe_reviews`` order.
+    """
+    votes_path = config.workdir / VOTES_FILE
+    maybe_ids = {r.id for r in maybe_reviews}
+    records = {rid: rec for rid, rec in read_votes(votes_path).items() if rid in maybe_ids}
+    todo = [r for r in maybe_reviews if r.id not in records]
+    backend = make_llm_backend(config.llm_backend, config.llm_script)
+    new_records, failures = classify_corpus(
+        backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight
+    )
+    append_votes(votes_path, new_records)
+    records.update((rec.review_id, rec) for rec in new_records)
+    write_jsonl(
+        config.workdir / LLM_FAILURES_FILE,
+        ({"review_id": review_id, "reason": reason} for review_id, reason in failures),
+    )
+    return [records[r.id] for r in maybe_reviews if r.id in records], failures
 
 
 @dataclass
@@ -242,28 +303,7 @@ class SelectionResult:
     hypothesis_table: ComparisonTable
     best_model: str
     best_set_id: str
-    pseudo_labels: list[tuple[str, PseudoLabel, float | None, tuple[int, ...]]]
-
-
-def _evaluate_labeled(
-    backend,
-    corpus: ReviewCorpus,
-    hset: HypothesisSet,
-    gold: dict[str, int],
-    cache: ScoreCache,
-    max_inflight: int,
-    workdir: Path,
-) -> tuple[MetricsReport, list[tuple[str, PseudoLabel, float | None, tuple[int, ...]]]]:
-    matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=max_inflight)
-    save_matrix(matrix, workdir / f"matrix_{_slug(backend.name)}_{hset.version_hash[:8]}.bin")
-    explained = explain_labels(matrix, hset.heuristics)
-    rows = [
-        (review_id, label, threshold, triggered)
-        for review_id, (label, threshold, triggered) in zip(matrix.review_ids, explained)
-    ]
-    pseudo = {review_id: label for review_id, label, _, _ in rows}
-    report = metrics(confusion_from_nli(gold, pseudo))
-    return report, rows
+    pseudo_labels: list[LabelRow]
 
 
 def run_selection(config: PipelineConfig) -> SelectionResult:
@@ -287,16 +327,17 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
     cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
 
+    def evaluate(backend_cfg: NliBackendConfig, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
+        rows = nli_label(nli_score(config, backend_cfg, labeled, hset, cache), hset)
+        report = metrics(confusion_from_nli(gold, {review_id: label for review_id, label, _, _ in rows}))
+        logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", backend_cfg.name, hset.set_id, report.precision, report.recall, report.f1)
+        return report, rows
+
     candidates: list[tuple[str, MetricsReport]] = []
-    rows_by_model: dict[str, list] = {}
+    rows_by_model: dict[str, list[LabelRow]] = {}
     for backend_cfg in config.nli_backends:
-        backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
-        report, rows = _evaluate_labeled(
-            backend, labeled, generic, gold, cache, backend_cfg.max_inflight, config.workdir
-        )
-        candidates.append((backend.name, report))
-        rows_by_model[backend.name] = rows
-        logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", backend.name, generic.set_id, report.precision, report.recall, report.f1)
+        report, rows_by_model[backend_cfg.name] = evaluate(backend_cfg, generic)
+        candidates.append((backend_cfg.name, report))
 
     model_table = select_best(candidates)
     best_model = model_table.winner_id
@@ -308,11 +349,7 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
         winning_rows = rows_by_model[best_model]
         best_set_id = generic.set_id
     else:
-        backend = make_nli_backend(best_cfg, config.seed, config.base_dir)
-        domain_report, domain_rows = _evaluate_labeled(
-            backend, labeled, domain, gold, cache, best_cfg.max_inflight, config.workdir
-        )
-        logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", best_model, domain.set_id, domain_report.precision, domain_report.recall, domain_report.f1)
+        domain_report, domain_rows = evaluate(best_cfg, domain)
         hypothesis_table = select_best(
             [(generic.set_id, best_generic_report), (domain.set_id, domain_report)],
             baseline_id=generic.set_id,
@@ -320,7 +357,7 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
         best_set_id = hypothesis_table.winner_id
         winning_rows = domain_rows if best_set_id == domain.set_id else rows_by_model[best_model]
 
-    cache.close()
+    cache.flush()
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, winning_rows)
     write_json(
         config.workdir / SELECTION_REPORT_FILE,
@@ -332,6 +369,15 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
         },
     )
     return SelectionResult(model_table, hypothesis_table, best_model, best_set_id, winning_rows)
+
+
+def _extracted_record(review: Review, threshold: float | None, triggered: tuple[int, ...], vote: VoteRecord) -> dict:
+    record = review_to_record(review)
+    record["provenance"] = {
+        "nli": {"threshold": threshold, "triggered": list(triggered)},
+        "llm": {"votes": [v.value for v in vote.votes], "decision": vote.decision.value, "tie_flag": vote.tie_flag},
+    }
+    return record
 
 
 @dataclass
@@ -346,88 +392,49 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify
     the maybe-privacy subset with the LLM, and queue yes-decisions for
     annotation. Writes the manifest plus every stage artifact."""
-    if config.unlabeled_path is None:
-        raise ValidationError("extraction needs corpus.unlabeled in the config")
-    config.workdir.mkdir(parents=True, exist_ok=True)
     timer = StageTimer()
 
     timer.begin("ingest")
-    corpus = ingest_reviews(
-        config.unlabeled_path, config.corpus_format, rejects_path=config.workdir / "rejects_unlabeled.jsonl"
-    )
-    ingested = len(corpus)
-    filtered = filter_by_rating(corpus, config.rating_min, config.rating_max)
-    normalized = normalize_corpus(filtered)
+    corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
     timer.end()
 
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
     backend_cfg = config.nli_backends[0]
-    nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
 
     timer.begin("nli")
-    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
-    matrix = score_corpus(nli_backend, normalized, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    cache.close()
-    save_matrix(matrix, config.workdir / f"matrix_{_slug(nli_backend.name)}_{hset.version_hash[:8]}.bin")
-    explained = explain_labels(matrix, hset.heuristics)
-    rows = [
-        (review_id, label, threshold, triggered)
-        for review_id, (label, threshold, triggered) in zip(matrix.review_ids, explained)
-    ]
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+        matrix = nli_score(config, backend_cfg, normalized, hset, cache)
+    rows = nli_label(matrix, hset)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
-    label_by_id = {review_id: label for review_id, label, _, _ in rows}
-    maybe_reviews = [r for r in normalized if label_by_id[r.id] is PseudoLabel.MAYBE_PRIVACY]
+    maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
+    maybe_reviews = [r for r in normalized if r.id in maybe_ids]
     timer.end()
 
     timer.begin("llm")
-    votes_path = config.workdir / VOTES_FILE
-    existing = read_votes(votes_path)
-    existing = {rid: rec for rid, rec in existing.items() if rid in {r.id for r in maybe_reviews}}
-    todo = [r for r in maybe_reviews if r.id not in existing]
-    llm_backend = make_llm_backend(config.llm_backend, config.llm_script)
-    new_records, failures = classify_corpus(
-        llm_backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight
-    )
-    append_votes(votes_path, new_records)
-    records = {rec.review_id: rec for rec in new_records}
-    records.update(existing)
-    ordered_records = [records[r.id] for r in maybe_reviews if r.id in records]
-    with (config.workdir / LLM_FAILURES_FILE).open("w", encoding="utf-8") as handle:
-        for review_id, reason in failures:
-            handle.write(json.dumps({"review_id": review_id, "reason": reason}, sort_keys=True) + "\n")
+    records, failures = llm_classify(config, maybe_reviews, hset)
     timer.end()
 
     timer.begin("emit")
-    yes_ids = {rec.review_id for rec in ordered_records if rec.decision is BinaryLabel.YES}
-    yes_reviews = [r for r in maybe_reviews if r.id in yes_ids]
+    yes_votes = {rec.review_id: rec for rec in records if rec.decision is BinaryLabel.YES}
+    yes_reviews = [r for r in maybe_reviews if r.id in yes_votes]
     queue_path = config.workdir / QUEUE_FILE
     write_corpus(normalized.derive(tuple(yes_reviews)), queue_path)
 
     trigger_by_id = {review_id: (threshold, triggered) for review_id, _, threshold, triggered in rows}
     extracted_path = config.workdir / EXTRACTED_FILE
-    with extracted_path.open("w", encoding="utf-8") as handle:
-        for review in yes_reviews:
-            record = review_to_record(review)
-            threshold, triggered = trigger_by_id[review.id]
-            vote = records[review.id]
-            record["provenance"] = {
-                "nli": {"threshold": threshold, "triggered": list(triggered)},
-                "llm": {
-                    "votes": [v.value for v in vote.votes],
-                    "decision": vote.decision.value,
-                    "tie_flag": vote.tie_flag,
-                },
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(
+        extracted_path,
+        (_extracted_record(r, *trigger_by_id[r.id], yes_votes[r.id]) for r in yes_reviews),
+    )
     timer.end()
 
     counts = {
-        "ingested": ingested,
+        "ingested": len(corpus),
         "rating_filtered": len(filtered),
         "nli_scored": len(normalized),
         "maybe_privacy": len(maybe_reviews),
         "llm_yes": len(yes_reviews),
-        "llm_no": sum(1 for rec in ordered_records if rec.decision is BinaryLabel.NO),
+        "llm_no": sum(1 for rec in records if rec.decision is BinaryLabel.NO),
         "llm_failed": len(failures),
         "human_confirmed": 0,
         "human_rejected": 0,
@@ -530,9 +537,7 @@ def export_dataset(config: PipelineConfig, out_path: Path, fmt: str = "csv") -> 
             rows.append(record)
 
     if fmt == "jsonl":
-        with out_path.open("w", encoding="utf-8") as handle:
-            for record in rows:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        write_jsonl(out_path, rows)
     elif fmt == "csv":
         import csv as _csv
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from concernminer.cli import main
-from concernminer.pipeline import MANIFEST_FILE, PSEUDO_LABELS_FILE, QUEUE_FILE, VOTES_FILE
+from concernminer.pipeline import LLM_FAILURES_FILE, MANIFEST_FILE, PSEUDO_LABELS_FILE, QUEUE_FILE, VOTES_FILE
 
 from httpserver import serve
 from synth import build_extraction_fixture, build_labeled_fixture, extraction_config, selection_config, write_weak_table
@@ -47,6 +47,46 @@ def test_stage_commands_compose(extraction_setup, capsys):
     assert f"yes={ledger.llm_yes} no={ledger.llm_no} failed=0" in out
     assert (workdir / PSEUDO_LABELS_FILE).exists()
     assert (workdir / VOTES_FILE).exists()
+
+
+def test_llm_classify_ignores_votes_of_demoted_reviews(extraction_setup, capsys):
+    ledger, config_path, workdir = extraction_setup
+    for command in ("nli-score", "nli-label", "llm-classify"):
+        assert main([command, "--config", str(config_path)]) == 0
+    pseudo_path = workdir / PSEUDO_LABELS_FILE
+    demoted = {ledger.yes_ids[0], ledger.no_ids[0]}
+    rows = [json.loads(line) for line in pseudo_path.read_text().splitlines()]
+    for row in rows:
+        if row["review_id"] in demoted:
+            row["label"] = "maybe-not-privacy"
+    pseudo_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    (workdir / LLM_FAILURES_FILE).unlink()
+    capsys.readouterr()
+
+    assert main(["llm-classify", "--config", str(config_path)]) == 0
+    out = capsys.readouterr().out
+    maybe = ledger.maybe_privacy - 2
+    assert f"classified {maybe} maybe-privacy reviews: yes={ledger.llm_yes - 1} no={ledger.llm_no - 1} failed=0" in out
+    assert (workdir / LLM_FAILURES_FILE).read_text() == ""
+
+
+@pytest.mark.parametrize("command, previous", [("nli-label", "nli-score"), ("llm-classify", "nli-label")])
+def test_stage_command_needs_previous_stage_output(extraction_setup, capsys, command, previous):
+    _, config_path, _ = extraction_setup
+    assert main([command, "--config", str(config_path)]) == 2
+    assert f"run {previous} first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ingest", "nli-score", "nli-label", "llm-classify", "evaluate", "select", "extract", "annotate", "export"],
+)
+def test_zero_max_inflight_rejected_at_config_load(extraction_setup, capsys, command):
+    _, config_path, workdir = extraction_setup
+    extra = ["--output", str(workdir.parent / "out.csv")] if command == "export" else []
+    assert main([command, "--config", str(config_path), "--max-inflight", "0", *extra]) == 2
+    assert "max_inflight must be >= 1" in capsys.readouterr().err
+    assert not workdir.exists()
 
 
 def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):

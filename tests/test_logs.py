@@ -1,0 +1,131 @@
+"""Append-only JSONL logs: torn-line repair, corruption, and resume through them."""
+
+from __future__ import annotations
+
+import inspect
+import json
+import logging
+
+import pytest
+
+from concernminer._jsonl import append_log, read_log
+from concernminer.cli import main
+from concernminer.errors import ValidationError
+from concernminer.pipeline import (
+    ANNOTATION_REPORT_FILE,
+    ANNOTATION_STATE_FILE,
+    EXTRACTED_FILE,
+    MANIFEST_FILE,
+    NLI_CACHE_FILE,
+    VOTES_FILE,
+)
+
+from synth import build_extraction_fixture, extraction_config
+
+
+def write_lines(path, lines):
+    path.write_bytes("".join(lines).encode("utf-8"))
+
+
+class TestReadLog:
+    def test_missing_file_yields_nothing(self, tmp_path):
+        assert list(read_log(tmp_path / "absent.jsonl")) == []
+
+    def test_records_in_order_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, ['{"a": 1}\n', "\n", "   \n", '{"a": 2}\n'])
+        assert list(read_log(path)) == [{"a": 1}, {"a": 2}]
+
+    def test_reader_is_lazy(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, ['{"a": 1}\n', "not json\n"])
+        records = read_log(path)
+        assert inspect.isgenerator(records)
+        assert next(records) == {"a": 1}  # the corrupt line is not read yet
+
+    @pytest.mark.parametrize("tail", ['{"a": 3, "b"', '{"a": 3}', "{", "  "])
+    def test_torn_last_line_dropped_and_truncated(self, tmp_path, caplog, tail):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, ['{"a": 1}\n', '{"a": 2}\n', tail])
+        with caplog.at_level(logging.WARNING):
+            assert list(read_log(path)) == [{"a": 1}, {"a": 2}]
+        assert f"{path}:3: dropping torn last line" in caplog.text
+        assert path.read_bytes() == b'{"a": 1}\n{"a": 2}\n'
+        append_log(path, [{"a": 3}])
+        assert list(read_log(path)) == [{"a": 1}, {"a": 2}, {"a": 3}]
+
+    @pytest.mark.parametrize("lines", [['{"a": 1}\n', "{oops\n", '{"a": 3}\n'], ['{"a": 1}\n', "{oops\n"]])
+    def test_corrupt_complete_line_names_path_and_line(self, tmp_path, lines):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(ValidationError, match=f"{path}:2: corrupt log line"):
+            list(read_log(path))
+        assert path.read_bytes() == "".join(lines).encode("utf-8")  # corruption is never truncated away
+
+    def test_append_writes_sorted_keys_one_line_each(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        append_log(path, [{"b": 1, "a": 2}])
+        append_log(path, [{"c": None}, {"d": [1, 2]}])
+        assert path.read_text() == '{"a": 2, "b": 1}\n{"c": null}\n{"d": [1, 2]}\n'
+
+
+@pytest.fixture()
+def extraction(tmp_path):
+    data_dir = tmp_path / "data"
+    ledger = build_extraction_fixture(data_dir, n_privacy=8, n_benign_low=22, n_high=3, n_yes=4)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(extraction_config(data_dir, tmp_path / "run")))
+    responses = {annotator: {rid: "privacy" for rid in ledger.yes_ids} for annotator in ("lead", "ann-b", "ann-c", "ann-d")}
+    responses["ann-b"][ledger.yes_ids[0]] = "non_privacy"  # one tiebreak
+    responses_path = tmp_path / "responses.json"
+    responses_path.write_text(json.dumps(responses))
+    return config_path, responses_path
+
+
+def run_all(config_path, responses_path, workdir):
+    """Extract then annotate into ``workdir``; returns both exit codes."""
+    common = ["--config", str(config_path), "--workdir", str(workdir)]
+    return main(["extract", *common]), main(["annotate", *common, "--responses", str(responses_path)])
+
+
+def outputs(workdir):
+    return {name: (workdir / name).read_bytes() for name in (MANIFEST_FILE, EXTRACTED_FILE, ANNOTATION_REPORT_FILE)}
+
+
+LOGS = (NLI_CACHE_FILE, VOTES_FILE, ANNOTATION_STATE_FILE)
+
+
+@pytest.mark.parametrize("log_name", LOGS)
+def test_torn_last_line_resumes_to_uninterrupted_outputs(extraction, tmp_path, caplog, log_name):
+    config_path, responses_path = extraction
+    assert run_all(config_path, responses_path, tmp_path / "clean") == (0, 0)
+
+    workdir = tmp_path / "torn"
+    assert run_all(config_path, responses_path, workdir) == (0, 0)
+    log = workdir / log_name
+    whole = log.read_bytes()
+    last_start = whole.rstrip(b"\n").rfind(b"\n") + 1
+    log.write_bytes(whole[: last_start + (len(whole) - last_start) // 2])  # half of the last line, no newline
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert run_all(config_path, responses_path, workdir) == (0, 0)
+    assert f"{log}:" in caplog.text and "dropping torn last line" in caplog.text
+    assert outputs(workdir) == outputs(tmp_path / "clean")
+    assert log.read_bytes() == whole  # the lost record was redone and appended on a clean line
+
+
+@pytest.mark.parametrize("log_name", LOGS)
+def test_corrupt_middle_line_exits_2(extraction, tmp_path, capsys, log_name):
+    config_path, responses_path = extraction
+    workdir = tmp_path / "run"
+    assert run_all(config_path, responses_path, workdir) == (0, 0)
+    log = workdir / log_name
+    lines = log.read_text().splitlines(keepends=True)
+    assert len(lines) >= 3
+    lines[1] = "{garbage\n"
+    log.write_text("".join(lines))
+    capsys.readouterr()
+
+    assert 2 in run_all(config_path, responses_path, workdir)
+    assert f"{log}:2: corrupt log line" in capsys.readouterr().err

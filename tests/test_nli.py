@@ -16,7 +16,6 @@ from concernminer.nli import (
     EntailmentScore,
     HttpNliBackend,
     MockNliBackend,
-    NliBackendDescriptor,
     ScoreCache,
     apply_heuristics,
     explain_labels,
@@ -114,15 +113,6 @@ class TestMockBackend:
     def test_empty_premise_rejected(self):
         with pytest.raises(ValidationError):
             infer_pair(MockNliBackend(), "", DOMAIN.by_id(1))
-
-
-class TestDescriptor:
-    def test_validation(self):
-        NliBackendDescriptor("m", "mock")
-        with pytest.raises(ValidationError):
-            NliBackendDescriptor("m", "mock", timeout=0)
-        with pytest.raises(ValidationError):
-            NliBackendDescriptor("m", "mock", max_inflight=0)
 
 
 class TestHttpBackend:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from concernminer.annotation import NON_PRIVACY, PRIVACY, scripted_responder
-from concernminer.config import load_config, parse_config
+from concernminer.config import LlmBackendConfig, NliBackendConfig, load_config, parse_config
 from concernminer.corpus import ingest_reviews
 from concernminer.errors import ValidationError
 from concernminer.evaluation import ConfusionMatrix, metrics
@@ -364,6 +364,16 @@ class TestAnnotateAndExport:
         }
         with pytest.raises(ValidationError):
             annotate_run(config_from_dict(raw, tmp_path), scripted_responder({}))
+
+
+class TestBackendConfig:
+    def test_validation(self):
+        for config_type in (NliBackendConfig, LlmBackendConfig):
+            config_type("m", "mock")
+            config_type("m", "mock", max_retries=0)
+            for bad in ({"timeout": 0}, {"max_inflight": 0}, {"max_retries": -1}):
+                with pytest.raises(ValidationError):
+                    config_type("m", "mock", **bad)
 
 
 class TestConfig:
