@@ -24,16 +24,17 @@ def post_json(
     """POST ``payload`` and return the decoded JSON body.
 
     Retries transport errors and 5xx/429 responses ``max_retries`` times with
-    exponential backoff, then raises :class:`BackendError`.
+    exponential backoff, then raises :class:`BackendError`; any other 4xx
+    raises it at once.
     """
     sess = session or requests
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
         try:
             response = sess.post(url, json=payload, timeout=timeout)
-            if response.status_code >= 500 or response.status_code == 429:
-                raise requests.HTTPError(f"HTTP {response.status_code}", response=response)
-            response.raise_for_status()
+            if 400 <= response.status_code < 500 and response.status_code != 429:
+                raise BackendError(f"POST {url} rejected with HTTP {response.status_code}, not retried")
+            response.raise_for_status()  # 5xx and 429: retried below
             return response.json()
         except (requests.RequestException, ValueError) as exc:
             last_error = exc

@@ -129,8 +129,7 @@ class SessionState:
         self.path = Path(path) if path is not None else None
         self.labels: dict[tuple[str, str], str] = {}
         if self.path is not None:
-            for record in read_log(self.path):
-                self.labels[(record["annotator"], record["review_id"])] = record["label"]
+            self.labels.update(read_log(self.path, lambda r: ((r["annotator"], r["review_id"]), r["label"])))
 
     def get(self, annotator: str, review_id: str) -> str | None:
         return self.labels.get((annotator, review_id))

@@ -1,22 +1,25 @@
 """Entailment score types, the review × hypothesis matrix, caching, and scoring.
 
-The score cache is append-only JSONL keyed by (backend name, hypothesis-set
-content hash, review id, hypothesis id); a rerun over a warm cache issues
-zero backend calls and reproduces the matrix bit for bit.
+A review's row is the unit of scoring work and of cache record; cells are keyed by
+(backend name, hypothesis-set content hash, review id, hypothesis id), so a rerun
+resumes cell by cell; a warm rerun calls no backend and reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .._jsonl import append_log, read_log
+from .._jsonl import append_log, read_log, replace_file
 from ..errors import BackendError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,7 +82,7 @@ def save_matrix(matrix: EntailmentMatrix, path: str | Path) -> None:
         "backend": matrix.backend,
         "set_hash": matrix.set_hash,
     }
-    with Path(path).open("wb") as handle:
+    with replace_file(Path(path), "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         handle.write(matrix.scores.astype(MATRIX_DTYPE, copy=False).tobytes())
 
@@ -109,65 +112,65 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
 
 
 class ScoreCache:
-    """Append-only entailment score cache.
+    """Append-only entailment score cache, one JSONL record per scored row:
+    ``{backend, set_hash, review_id, row: [[hypothesis_id, entail, neutral,
+    contradict], ...]}``. Older one-cell records still load.
 
-    All writes go through :meth:`put` on the thread that drives scoring, so
-    the file sees a single writer; new records reach the file in batches of
-    ``FLUSH_EVERY`` and on :meth:`flush`. Passing ``path=None`` keeps the
-    cache purely in memory.
+    All writes go through :meth:`put_row` on the thread that drives scoring,
+    so the file sees a single writer; records reach the file once
+    ``FLUSH_EVERY`` cells are pending and on :meth:`flush`. Passing
+    ``path=None`` keeps the cache purely in memory. ``len()`` counts cells.
     """
 
     FLUSH_EVERY = 512
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
-        self._entries: dict[str, EntailmentScore] = {}
+        self._entries: dict[tuple[str, str, str, int], EntailmentScore] = {}
         self._pending: list[dict] = []
+        self._pending_cells = 0
         if self.path is not None:
-            for record in read_log(self.path):
-                key = self._key(record["backend"], record["set_hash"], record["review_id"], record["hypothesis_id"])
-                self._entries[key] = EntailmentScore(record["entail"], record.get("neutral"), record.get("contradict"))
-
-    @staticmethod
-    def _key(backend: str, set_hash: str, review_id: str, hypothesis_id: int) -> str:
-        return json.dumps([backend, set_hash, review_id, hypothesis_id], separators=(",", ":"))
+            self._entries.update(cell for cells in read_log(self.path, _record_cells) for cell in cells)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, backend: str, set_hash: str, review_id: str, hypothesis_id: int) -> EntailmentScore | None:
-        return self._entries.get(self._key(backend, set_hash, review_id, hypothesis_id))
+        return self._entries.get((backend, set_hash, review_id, hypothesis_id))
 
-    def put(self, backend: str, set_hash: str, review_id: str, hypothesis_id: int, score: EntailmentScore) -> None:
-        key = self._key(backend, set_hash, review_id, hypothesis_id)
-        if key in self._entries:
-            return
-        self._entries[key] = score
-        if self.path is not None:
-            self._pending.append(
-                {
-                    "backend": backend,
-                    "set_hash": set_hash,
-                    "review_id": review_id,
-                    "hypothesis_id": hypothesis_id,
-                    "entail": score.entail,
-                    "neutral": score.neutral,
-                    "contradict": score.contradict,
-                }
-            )
-            if len(self._pending) >= self.FLUSH_EVERY:
+    def put_row(self, backend: str, set_hash: str, review_id: str, scores: Iterable) -> None:
+        """Add one review's ``(hypothesis_id, score)`` cells, skipping cached ones."""
+        row = []
+        for hypothesis_id, score in scores:
+            key = (backend, set_hash, review_id, hypothesis_id)
+            if key not in self._entries:
+                self._entries[key] = score
+                row.append([hypothesis_id, score.entail, score.neutral, score.contradict])
+        if row and self.path is not None:
+            self._pending.append({"backend": backend, "set_hash": set_hash, "review_id": review_id, "row": row})
+            self._pending_cells += len(row)
+            if self._pending_cells >= self.FLUSH_EVERY:
                 self.flush()
 
     def flush(self) -> None:
         if self._pending:
             append_log(self.path, self._pending)
-            self._pending = []
+            self._pending, self._pending_cells = [], 0
 
     def __enter__(self) -> "ScoreCache":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.flush()
+
+
+def _record_cells(record: dict) -> list[tuple[tuple[str, str, str, int], EntailmentScore]]:
+    """The cache entries of one row record or one older cell record."""
+    prefix = (record["backend"], record["set_hash"], record["review_id"])
+    if "row" in record:
+        return [(prefix + (hyp_id,), EntailmentScore(e, n, c)) for hyp_id, e, n, c in record["row"]]
+    score = EntailmentScore(record["entail"], record.get("neutral"), record.get("contradict"))
+    return [(prefix + (record["hypothesis_id"],), score)]
 
 
 # An empty normalized review entails nothing; scoring it remotely would be
@@ -185,11 +188,11 @@ def score_corpus(
 ) -> EntailmentMatrix:
     """Score every (review, hypothesis) pair, consulting the cache first.
 
-    Requires normalized reviews. Bounded concurrency (``max_inflight``
-    worker threads); results are committed to the cache in completion order
-    by the calling thread. On backend failure the raised
-    :class:`BackendError` carries the completed-cell count; everything
-    already written to the cache survives for the rerun.
+    Requires normalized reviews. A review's uncached cells are one job for
+    ``max_inflight`` worker threads, at most ``2 * max_inflight`` rows ahead
+    of the calling thread, which commits rows in review order. On backend
+    failure the raised :class:`BackendError` carries the completed-cell
+    count; everything committed survives in the cache for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
@@ -198,50 +201,60 @@ def score_corpus(
     if max_inflight < 1:
         raise ValidationError("max_inflight must be >= 1")
 
-    review_ids = tuple(r.id for r in reviews)
+    name, set_hash = backend.name, hset.version_hash
     hyp_ids = tuple(h.id for h in hset.hypotheses)
     grid = np.zeros((len(reviews), len(hyp_ids)), dtype=MATRIX_DTYPE)
     cache = cache if cache is not None else ScoreCache(None)
 
-    jobs: list[tuple[int, int, str, object, str]] = []
+    jobs = []  # (row index, review, uncached column indices, list the worker fills with their scores)
     for i, review in enumerate(reviews):
-        for j, hyp in enumerate(hset.hypotheses):
-            hit = cache.get(backend.name, hset.version_hash, review.id, hyp.id)
-            if hit is not None:
-                grid[i, j] = hit.entail
-            elif review.text_norm == "":
-                cache.put(backend.name, hset.version_hash, review.id, hyp.id, EMPTY_PREMISE_SCORE)
-                grid[i, j] = 0.0
+        columns = []
+        for j, hyp_id in enumerate(hyp_ids):
+            hit = cache.get(name, set_hash, review.id, hyp_id)
+            if hit is None:
+                columns.append(j)
             else:
-                jobs.append((i, j, review.id, hyp, review.text_norm))
+                grid[i, j] = hit.entail
+        if not review.text_norm:
+            cache.put_row(name, set_hash, review.id, [(hyp_ids[j], EMPTY_PREMISE_SCORE) for j in columns])
+        elif columns:
+            jobs.append((i, review, columns, []))
+    total = sum(len(columns) for _, _, columns, _ in jobs)
+    stop = threading.Event()  # set when the run ends, so workers score no further cells
 
-    def work(job):
-        i, j, review_id, hyp, premise = job
-        return i, j, review_id, hyp.id, backend.score_pair(premise, hyp)
+    def work(premise: str, columns: list[int], scores: list[EntailmentScore]) -> None:
+        for j in columns:
+            if stop.is_set():
+                return
+            scores.append(backend.score_pair(premise, hset.hypotheses[j]))
 
     completed = 0
-    if jobs:
-        with ThreadPoolExecutor(max_workers=max_inflight) as executor:
-            try:
-                for i, j, review_id, hyp_id, score in executor.map(work, jobs):
-                    grid[i, j] = score.entail
-                    cache.put(backend.name, hset.version_hash, review_id, hyp_id, score)
-                    completed += 1
-            except BackendError as exc:
-                raise BackendError(
-                    f"scoring aborted after {completed} of {len(jobs)} uncached cells: {exc}",
-                    completed=completed,
-                    total=len(jobs),
-                ) from exc
-            finally:
-                cache.flush()
+    with ThreadPoolExecutor(max_workers=max_inflight) as executor:
+        submitted = ((i, r, cols, out, executor.submit(work, r.text_norm, cols, out)) for i, r, cols, out in jobs)
+        window = deque(islice(submitted, 2 * max_inflight))
+        try:
+            while window:
+                i, review, columns, scores, future = window.popleft()
+                error = future.exception()  # the cells scored before an error are committed too
+                grid[i, columns[: len(scores)]] = [score.entail for score in scores]
+                cache.put_row(name, set_hash, review.id, [(hyp_ids[j], score) for j, score in zip(columns, scores)])
+                completed += len(scores)
+                if error is not None:
+                    raise error
+                window.extend(islice(submitted, 1))
+        except BackendError as exc:
+            message = f"scoring aborted after {completed} of {total} uncached cells: {exc}"
+            raise BackendError(message, completed=completed, total=total) from exc
+        finally:
+            stop.set()
+            cache.flush()
 
     logger.info(
         "scored %d reviews x %d hypotheses with %s (%d backend calls, %d cache hits)",
         len(reviews),
         len(hyp_ids),
-        backend.name,
+        name,
         completed,
-        len(reviews) * len(hyp_ids) - completed,
+        grid.size - completed,
     )
-    return EntailmentMatrix(review_ids, hyp_ids, hset.version_hash, backend.name, grid)
+    return EntailmentMatrix(tuple(r.id for r in reviews), hyp_ids, set_hash, name, grid)

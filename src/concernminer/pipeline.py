@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._jsonl import append_log, read_log, write_jsonl
+from ._jsonl import append_log, read_log, replace_file, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
@@ -79,7 +79,8 @@ def _slug(name: str) -> str:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with replace_file(path) as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 @dataclass
@@ -220,7 +221,7 @@ def _vote_record_from_dict(raw: dict) -> VoteRecord:
 
 
 def read_votes(path: Path) -> dict[str, VoteRecord]:
-    return {raw["review_id"]: _vote_record_from_dict(raw) for raw in read_log(path)}
+    return {record.review_id: record for record in read_log(path, _vote_record_from_dict)}
 
 
 def append_votes(path: Path, records: list[VoteRecord]) -> None:

@@ -11,13 +11,16 @@ import pytest
 from concernminer._jsonl import append_log, read_log
 from concernminer.cli import main
 from concernminer.errors import ValidationError
+from concernminer.labels import PseudoLabel
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,
     EXTRACTED_FILE,
     MANIFEST_FILE,
     NLI_CACHE_FILE,
+    PSEUDO_LABELS_FILE,
     VOTES_FILE,
+    write_pseudo_labels,
 )
 
 from synth import build_extraction_fixture, extraction_config
@@ -61,6 +64,14 @@ class TestReadLog:
         with pytest.raises(ValidationError, match=f"{path}:2: corrupt log line"):
             list(read_log(path))
         assert path.read_bytes() == "".join(lines).encode("utf-8")  # corruption is never truncated away
+
+    def test_parse_error_names_path_and_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, ['{"a": 1}\n', '{"b": 2}\n'])
+        records = read_log(path, lambda record: record["a"])
+        assert next(records) == 1
+        with pytest.raises(ValidationError, match=f"{path}:2: corrupt log line: KeyError"):
+            next(records)
 
     def test_append_writes_sorted_keys_one_line_each(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -129,3 +140,36 @@ def test_corrupt_middle_line_exits_2(extraction, tmp_path, capsys, log_name):
 
     assert 2 in run_all(config_path, responses_path, workdir)
     assert f"{log}:2: corrupt log line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "log_name, record",
+    [(NLI_CACHE_FILE, {"backend": "mock-nli"}), (VOTES_FILE, {"review_id": "x"}), (ANNOTATION_STATE_FILE, {"review_id": "x"})],
+)
+def test_record_missing_a_field_exits_2(extraction, tmp_path, capsys, log_name, record):
+    config_path, responses_path = extraction
+    workdir = tmp_path / "run"
+    assert run_all(config_path, responses_path, workdir) == (0, 0)
+    log = workdir / log_name
+    append_log(log, [record])
+    lines = len(log.read_text().splitlines())
+    capsys.readouterr()
+
+    assert 2 in run_all(config_path, responses_path, workdir)
+    assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+
+
+class TestWholeFileOutputs:
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        path = tmp_path / PSEUDO_LABELS_FILE
+        write_pseudo_labels(path, [("r1", PseudoLabel.MAYBE_PRIVACY, 0.85, (14,))])
+        before = path.read_bytes()
+
+        def rows():
+            yield ("r1", PseudoLabel.MAYBE_NOT_PRIVACY, None, ())
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_pseudo_labels(path, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [PSEUDO_LABELS_FILE]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from concernminer._jsonl import append_log
 from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic
@@ -147,6 +150,29 @@ class TestHttpBackend:
             backend = HttpNliBackend("remote", url, max_retries=1, backoff=0.01)
             with pytest.raises(BackendError):
                 backend.score_pair("p", DOMAIN.by_id(1))
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_client_error_fails_fast(self, status):
+        def respond(path, payload, n):
+            return status, {"error": "bad request"}
+
+        with serve(respond) as (server, url):
+            backend = HttpNliBackend("remote", url, max_retries=3, backoff=0.01)
+            with pytest.raises(BackendError, match=f"HTTP {status}"):
+                backend.score_pair("p", DOMAIN.by_id(1))
+        assert len(server.requests) == 1
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_unavailable_then_ok_is_retried(self, status):
+        def respond(path, payload, n):
+            if n == 1:
+                return status, {"error": "busy"}
+            return 200, {"entailment": 0.4, "neutral": 0.4, "contradiction": 0.2}
+
+        with serve(respond) as (server, url):
+            backend = HttpNliBackend("remote", url, max_retries=3, backoff=0.01)
+            assert backend.score_pair("p", DOMAIN.by_id(1)).entail == 0.4
         assert len(server.requests) == 2
 
     def test_malformed_response(self):
@@ -357,6 +383,124 @@ class TestScoreCorpus:
         assert np.array_equal(matrix.scores, clean.scores)
 
 
+    def test_old_cell_records_give_a_warm_run(self, tmp_path):
+        reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
+        clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN)
+        cache_path = tmp_path / "cache.jsonl"
+        fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "neutral": None, "contradict": None}
+        old_records = [
+            dict(fields, review_id=review.id, hypothesis_id=hyp.id, entail=float(clean.scores[i, j]))
+            for i, review in enumerate(reviews)
+            for j, hyp in enumerate(DOMAIN.hypotheses)
+        ]
+        append_log(cache_path, old_records)
+        backend = MockNliBackend(seed=0)
+        with ScoreCache(cache_path) as cache:
+            assert len(cache) == 63
+            warm = score_corpus(backend, reviews, DOMAIN, cache=cache)
+        assert backend.calls == 0
+        assert np.array_equal(warm.scores, clean.scores)
+
+    def test_mixed_cell_and_row_records_all_load(self, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        cell = {"backend": "b", "set_hash": "h", "review_id": "r0", "hypothesis_id": 1, "entail": 0.5}
+        row = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[2, 0.25, 0.5, 0.25], [3, 0.75, None, None]]}
+        other = {"backend": "b", "set_hash": "h", "review_id": "r1", "row": [[1, 0.125, 0.875, 0.0]]}
+        cache_path.write_text("".join(json.dumps(r) + "\n" for r in (cell, row, other)))
+        cache = ScoreCache(cache_path)
+        assert len(cache) == 4
+        assert cache.get("b", "h", "r0", 1) == EntailmentScore(0.5)
+        assert cache.get("b", "h", "r0", 2) == EntailmentScore(0.25, 0.5, 0.25)
+        assert cache.get("b", "h", "r0", 3) == EntailmentScore(0.75)
+        assert cache.get("b", "h", "r1", 1) == EntailmentScore(0.125, 0.875, 0.0)
+        assert cache.get("b", "h", "r1", 2) is None
+
+    def test_one_record_per_row_in_review_order(self, tmp_path):
+        reviews = make_reviews([f"review number {k}" for k in range(30)] + ["!!!"])
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache:
+            score_corpus(MockNliBackend(seed=0), reviews[:25], DOMAIN, cache=cache)
+            score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache)
+            assert len(cache) == 31 * 21
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        # The empty premise is stored while the cache is scanned, before any scored row.
+        order = [f"r{k}" for k in range(25)] + ["r30"] + [f"r{k}" for k in range(25, 30)]
+        assert [r["review_id"] for r in records] == order
+        assert all([cell[0] for cell in r["row"]] == [h.id for h in DOMAIN.hypotheses] for r in records)
+        assert records[25]["row"][0] == [1, 0.0, 1.0, 0.0]
+
+    def test_flush_by_cell_count(self, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        cache = ScoreCache(cache_path)
+        row = [(hyp_id, EntailmentScore(0.5)) for hyp_id in range(1, 22)]
+        for k in range(24):  # 504 cells
+            cache.put_row("b", "h", f"r{k}", row)
+        cache.put_row("b", "h", "r0", row)  # already cached: adds nothing
+        assert not cache_path.exists()
+        cache.put_row("b", "h", "r24", row)
+        assert len(cache_path.read_text().splitlines()) == 25
+        assert len(ScoreCache(cache_path)) == len(cache) == 525
+
+    def test_cache_file_and_matrix_are_deterministic(self, tmp_path):
+        texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(120)]
+        reviews = make_reviews(texts + ["!!!"])
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches: more chances for a lost update to show
+        try:
+            for run, max_inflight in enumerate((1, 1, 4, 8)):
+                cache_path = tmp_path / f"cache{run}.jsonl"
+                backend = MockNliBackend(seed=3)
+                with ScoreCache(cache_path) as cache:
+                    matrix = score_corpus(backend, reviews, DOMAIN, cache=cache, max_inflight=max_inflight)
+                runs.append((cache_path.read_bytes(), matrix.scores.tobytes(), backend.calls))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0][2] == 120 * 21
+        assert runs.count(runs[0]) == len(runs)
+
+    @pytest.mark.parametrize("max_inflight", [1, 2, 3])
+    def test_in_flight_rows_are_bounded(self, max_inflight):
+        bound = 2 * max_inflight
+        lock = threading.Lock()
+        started: set[str] = set()
+        committed = 0
+        peak = 0
+        overrun = threading.Event()
+
+        class RecordingBackend:
+            name = "recording"
+
+            def __init__(self):
+                self.inner = MockNliBackend(name="recording", seed=0)
+
+            def score_pair(self, premise, hypothesis):
+                nonlocal peak
+                with lock:
+                    started.add(premise)
+                    peak = max(peak, len(started) - committed)
+                    if len(started) - committed > bound:
+                        overrun.set()
+                if premise == "review 0" and hypothesis.id == DOMAIN.hypotheses[0].id:
+                    # Hold the first row back: the main thread waits on it, so
+                    # any row submitted beyond the window would start now.
+                    overrun.wait(0.2)
+                return self.inner.score_pair(premise, hypothesis)
+
+        class RecordingCache(ScoreCache):
+            def put_row(self, *args):
+                nonlocal committed
+                with lock:
+                    committed += 1
+                super().put_row(*args)
+
+        reviews = make_reviews([f"review {k}" for k in range(5 * bound)])
+        matrix = score_corpus(RecordingBackend(), reviews, DOMAIN, cache=RecordingCache(None), max_inflight=max_inflight)
+        assert committed == len(reviews)
+        assert peak <= bound
+        assert np.array_equal(matrix.scores, score_corpus(MockNliBackend(name="recording", seed=0), reviews, DOMAIN).scores)
+
+
 class TestMatrixFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -371,8 +515,6 @@ class TestMatrixFile:
         assert np.array_equal(loaded.scores, matrix.scores)
 
     def test_on_disk_layout(self, tmp_path):
-        import json
-
         matrix = matrix_from_rows([[0.25, 0.5], [0.75, 1.0]], 2)
         path = tmp_path / "matrix.bin"
         save_matrix(matrix, path)
