@@ -218,10 +218,13 @@ def run_annotation(
 
 def scripted_responder(script: dict[str, dict[str, str]]) -> Responder:
     """Responder backed by ``{annotator: {review_id: label}}``; missing
-    entries skip."""
+    entries skip. A script of another shape raises here, before any answer."""
+    answers = {
+        (annotator, review_id): label for annotator, labels in script.items() for review_id, label in labels.items()
+    }
 
     def respond(annotator: str, review: Review) -> str:
-        return script.get(annotator, {}).get(review.id, SKIP)
+        return answers.get((annotator, review.id), SKIP)
 
     return respond
 

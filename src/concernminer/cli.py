@@ -7,11 +7,11 @@ Exit codes: 0 success, 2 validation error, 3 backend failure,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
+from ._jsonl import read_json, write_json
 from .annotation import interactive_responder, scripted_responder
 from .config import PipelineConfig, load_config
 from .corpus import ingest_reviews, write_corpus
@@ -35,7 +35,6 @@ from .pipeline import (
     read_pseudo_labels,
     run_extraction,
     run_selection,
-    write_json,
     write_pseudo_labels,
 )
 
@@ -171,11 +170,7 @@ def cmd_extract(args) -> int:
 
 def cmd_annotate(args) -> int:
     config = _load(args)
-    if args.responses:
-        script = json.loads(Path(args.responses).read_text(encoding="utf-8"))
-        responder = scripted_responder(script)
-    else:
-        responder = interactive_responder()
+    responder = read_json(Path(args.responses), scripted_responder) if args.responses else interactive_responder()
     report = annotate_run(config, responder)
     kappa = f"{report.kappa.kappa:.3f}" if report.kappa else "n/a"
     print(

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._jsonl import read_json
 from .errors import ValidationError
 from .llm.backends import HttpLlmBackend, MockLlmBackend, load_llm_script
 from .llm.classify import SamplingSettings
@@ -84,16 +85,20 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def _given(raw: dict, **casts) -> dict:
+    """The keys of ``raw`` named in ``casts``, each converted by its cast;
+    absent keys are left out, so the dataclass defaults apply."""
+    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+
+
 def _parse_nli_backend(raw: dict) -> NliBackendConfig:
     try:
         return NliBackendConfig(
             name=str(raw["name"]),
             endpoint=str(raw["endpoint"]),
-            timeout=float(raw.get("timeout", 30.0)),
-            max_inflight=int(raw.get("max_inflight", 8)),
-            max_retries=int(raw.get("max_retries", 3)),
             mock_table=raw.get("mock_table"),
             response_fields=raw.get("response_fields"),
+            **_given(raw, timeout=float, max_inflight=int, max_retries=int),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed NLI backend config: {exc}") from None
@@ -116,15 +121,10 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         llm_backend = LlmBackendConfig(
             name=str(backend_raw.get("name", "llm")),
             endpoint=str(backend_raw.get("endpoint", MOCK_ENDPOINT)),
-            timeout=float(backend_raw.get("timeout", 60.0)),
-            max_inflight=int(backend_raw.get("max_inflight", 4)),
-            max_retries=int(backend_raw.get("max_retries", 3)),
+            **_given(backend_raw, timeout=float, max_inflight=int, max_retries=int),
         )
         sampling = SamplingSettings(
-            temperature=float(sampling_raw.get("temperature", 0.3)),
-            top_p=float(sampling_raw.get("top_p", 0.9)),
-            num_samples=int(sampling_raw.get("num_samples", 5)),
-            max_response_tokens=int(sampling_raw.get("max_response_tokens", 64)),
+            **_given(sampling_raw, temperature=float, top_p=float, num_samples=int, max_response_tokens=int)
         )
         hypothesis_refs = {
             "generic": "builtin:generic",
@@ -165,13 +165,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Read a config file, apply CLI overrides, and recompute the digest."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from None
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return parse_config(raw, path.parent.resolve())
+    return read_json(path, lambda raw: parse_config(apply_overrides(raw, overrides or {}), path.parent.resolve()))
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:

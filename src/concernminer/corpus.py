@@ -15,7 +15,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from ._jsonl import write_jsonl
+from ._jsonl import write_csv, write_jsonl
 from .errors import SchemaMismatchError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -110,7 +110,8 @@ class ReviewCorpus:
         return ReviewCorpus(reviews, replace(self.provenance, counts=counts))
 
 
-def _parse_record(raw: dict, line_no: int) -> Review:
+def parse_record(raw: dict) -> Review:
+    """Read one record of the ingestion schema into a review."""
     for key in _REQUIRED:
         value = raw.get(key)
         if value is None or (isinstance(value, str) and not value.strip()):
@@ -227,7 +228,7 @@ def ingest_reviews(
             rejects.append({"line_no": line_no, "reason": str(record)})
             continue
         try:
-            review = _parse_record(record, line_no)
+            review = parse_record(record)
         except ValidationError as exc:
             rejects.append({"line_no": line_no, "reason": str(exc)})
             continue
@@ -296,12 +297,6 @@ def write_corpus(corpus: ReviewCorpus, path: str | Path, fmt: str = "jsonl") -> 
     if fmt == "jsonl":
         write_jsonl(path, (review_to_record(review) for review in corpus))
     elif fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for review in corpus:
-                record = review_to_record(review)
-                record = {k: ("" if v is None else v) for k, v in record.items()}
-                writer.writerow(record)
+        write_csv(path, CSV_COLUMNS, (review_to_record(review) for review in corpus))
     else:
         raise ValidationError(f"unknown format {fmt!r} (expected csv or jsonl)")

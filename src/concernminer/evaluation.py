@@ -9,6 +9,7 @@ is a yes decision.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -62,6 +63,20 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     return MetricsReport(precision, recall, f1_score(precision, recall))
 
 
+def _confusion(gold: Mapping[str, int], predictions: Mapping, positive, missing: str) -> ConfusionMatrix:
+    """Confusion over gold labels vs predictions; a prediction counts as
+    positive when it is ``positive``, and every gold review must have one."""
+    cells: Counter[tuple[bool, bool]] = Counter()
+    for review_id, label in gold.items():
+        if label not in (0, 1):
+            raise ValidationError(f"gold label for {review_id!r} must be 0/1, got {label!r}")
+        prediction = predictions.get(review_id)
+        if prediction is None:
+            raise ValidationError(f"review {review_id!r} has no {missing}")
+        cells[label == 1, prediction is positive] += 1
+    return ConfusionMatrix(tp=cells[True, True], fp=cells[False, True], tn=cells[False, False], fn=cells[True, False])
+
+
 def confusion_from_nli(
     gold: Mapping[str, int], pseudo: Mapping[str, PseudoLabel]
 ) -> ConfusionMatrix:
@@ -70,46 +85,14 @@ def confusion_from_nli(
     Positive prediction <=> maybe-privacy. Every gold review must carry a
     pseudo-label.
     """
-    tp = fp = tn = fn = 0
-    for review_id, label in gold.items():
-        if label not in (0, 1):
-            raise ValidationError(f"gold label for {review_id!r} must be 0/1, got {label!r}")
-        prediction = pseudo.get(review_id)
-        if prediction is None:
-            raise ValidationError(f"review {review_id!r} has no pseudo-label")
-        positive = prediction is PseudoLabel.MAYBE_PRIVACY
-        if label == 1 and positive:
-            tp += 1
-        elif label == 1:
-            fn += 1
-        elif positive:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp, fp, tn, fn)
+    return _confusion(gold, pseudo, PseudoLabel.MAYBE_PRIVACY, "pseudo-label")
 
 
 def confusion_from_llm(
     gold: Mapping[str, int], decisions: Mapping[str, BinaryLabel]
 ) -> ConfusionMatrix:
     """Confusion over gold labels vs yes/no decisions (positive <=> yes)."""
-    tp = fp = tn = fn = 0
-    for review_id, label in gold.items():
-        if label not in (0, 1):
-            raise ValidationError(f"gold label for {review_id!r} must be 0/1, got {label!r}")
-        decision = decisions.get(review_id)
-        if decision is None:
-            raise ValidationError(f"review {review_id!r} has no decision")
-        positive = decision is BinaryLabel.YES
-        if label == 1 and positive:
-            tp += 1
-        elif label == 1:
-            fn += 1
-        elif positive:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp, fp, tn, fn)
+    return _confusion(gold, decisions, BinaryLabel.YES, "decision")
 
 
 def random_baseline(n_pos: int, n_total: int) -> MetricsReport:

@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from ._jsonl import read_json, write_json
 from .errors import ValidationError
 from .labels import PseudoLabel
 
@@ -258,18 +259,28 @@ def hypothesis_set_to_dict(hset: HypothesisSet) -> dict:
 
 
 def save_hypothesis_set(hset: HypothesisSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(hypothesis_set_to_dict(hset), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(Path(path), hypothesis_set_to_dict(hset))
 
 
 def _parse_heuristics(raw: dict) -> HeuristicRuleSet:
-    try:
-        positive = tuple(ThresholdRule(float(t), int(k)) for t, k in raw["positive_rules"])
-        negative_raw = raw.get("negative_rule")
-        negative = float(negative_raw[0]) if negative_raw else None
-        default = PseudoLabel(raw["default_label"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed heuristics block: {exc}") from None
-    return HeuristicRuleSet(positive, negative, default)
+    positive = tuple(ThresholdRule(float(t), int(k)) for t, k in raw["positive_rules"])
+    negative_raw = raw.get("negative_rule")
+    negative = float(negative_raw[0]) if negative_raw else None
+    return HeuristicRuleSet(positive, negative, PseudoLabel(raw["default_label"]))
+
+
+def _parse_hypothesis_set(raw: dict) -> HypothesisSet:
+    hypotheses = tuple(
+        Hypothesis(
+            id=int(h["id"]),
+            concept=str(h.get("concept", "")),
+            text=str(h["text"]),
+            source=HypothesisSource(h.get("source", "custom")),
+        )
+        for h in raw["hypotheses"]
+    )
+    set_id = str(raw["set_id"])
+    return HypothesisSet(set_id, str(raw.get("name", set_id)), hypotheses, _parse_heuristics(raw["heuristics"]))
 
 
 def load_hypothesis_set(path: str | Path) -> HypothesisSet:
@@ -279,37 +290,14 @@ def load_hypothesis_set(path: str | Path) -> HypothesisSet:
     flagged in the log so accidental copy-paste is visible.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read hypothesis set {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-
-    try:
-        hypotheses = tuple(
-            Hypothesis(
-                id=int(h["id"]),
-                concept=str(h.get("concept", "")),
-                text=str(h["text"]),
-                source=HypothesisSource(h.get("source", "custom")),
-            )
-            for h in raw["hypotheses"]
-        )
-        set_id = str(raw["set_id"])
-        name = str(raw.get("name", set_id))
-        heuristics = _parse_heuristics(raw["heuristics"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed hypothesis set: {exc}") from None
-
+    hset = read_json(path, _parse_hypothesis_set)
     texts: dict[str, list[int]] = {}
-    for h in hypotheses:
+    for h in hset.hypotheses:
         texts.setdefault(h.text, []).append(h.id)
     for text, ids in texts.items():
         if len(ids) > 1:
             logger.warning("%s: hypotheses %s share the same text %r", path.name, ids, text)
-
-    return HypothesisSet(set_id, name, hypotheses, heuristics)
+    return hset
 
 
 def resolve_hypothesis_set(ref: str, base_dir: Path | None = None) -> HypothesisSet:

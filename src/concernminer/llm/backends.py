@@ -6,7 +6,6 @@ and read ``choices[0].message.content`` from the response.
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -14,7 +13,8 @@ from typing import TYPE_CHECKING
 import requests
 
 from .._http import post_json
-from ..errors import BackendError, ValidationError
+from .._jsonl import read_json
+from ..errors import BackendError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .classify import PromptMessages, SamplingSettings
@@ -75,11 +75,7 @@ class HttpLlmBackend:
 
 def load_llm_script(path: str | Path) -> dict[str, list[str]]:
     """Read a mock script: JSON object mapping review id -> canned responses."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return {str(k): [str(v) for v in vs] for k, vs in raw.items()}
-    except (OSError, AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot read LLM script {path}: {exc}") from None
+    return read_json(Path(path), lambda raw: {str(k): [str(v) for v in vs] for k, vs in raw.items()})
 
 
 class MockLlmBackend:

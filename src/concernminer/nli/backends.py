@@ -8,13 +8,13 @@ use different field names can be adapted through ``response_fields``.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from pathlib import Path
 
 import requests
 
 from .._http import post_json
+from .._jsonl import read_json
 from ..errors import BackendError, ValidationError
 from ..hypotheses import Hypothesis
 from .scoring import EntailmentScore
@@ -101,17 +101,17 @@ DEFAULT_TRIGGER_TABLE: tuple[tuple[str, tuple[int, ...], float], ...] = (
 DEFAULT_LOW_SCORE = 0.05
 
 
-def load_trigger_table(path: str | Path) -> tuple[tuple[str, tuple[int, ...], float], ...]:
-    """Read a mock trigger table: JSON list of ``[phrase, [ids...], score]``."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        table = tuple((str(phrase), tuple(int(i) for i in ids), float(score)) for phrase, ids, score in raw)
-    except (OSError, TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot read trigger table {path}: {exc}") from None
+def _parse_trigger_table(raw: list) -> tuple[tuple[str, tuple[int, ...], float], ...]:
+    table = tuple((str(phrase), tuple(int(i) for i in ids), float(score)) for phrase, ids, score in raw)
     for phrase, _, score in table:
         if not phrase or not 0.0 < score < 1.0:
             raise ValidationError(f"bad trigger row ({phrase!r}, {score})")
     return table
+
+
+def load_trigger_table(path: str | Path) -> tuple[tuple[str, tuple[int, ...], float], ...]:
+    """Read a mock trigger table: JSON list of ``[phrase, [ids...], score]``."""
+    return read_json(Path(path), _parse_trigger_table)
 
 
 class MockNliBackend:

@@ -18,15 +18,17 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._jsonl import append_log, read_log, replace_file, write_jsonl
+from ._jsonl import append_log, read_json, read_jsonl, read_log, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
+    CSV_COLUMNS,
     Review,
     ReviewCorpus,
     filter_by_rating,
     ingest_reviews,
     normalize_corpus,
+    parse_record,
     partition_gold,
     review_to_record,
     write_corpus,
@@ -34,6 +36,7 @@ from .corpus import (
 from .errors import ValidationError
 from .evaluation import (
     ComparisonTable,
+    ConfusionMatrix,
     MetricsReport,
     confusion_from_llm,
     confusion_from_nli,
@@ -76,11 +79,6 @@ SELECTION_REPORT_FILE = "selection_report.json"
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "backend"
-
-
-def write_json(path: Path, payload: dict) -> None:
-    with replace_file(path) as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 @dataclass
@@ -136,15 +134,21 @@ class RunManifest:
 
     @classmethod
     def read(cls, path: Path) -> "RunManifest":
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return cls(
-            run_id=raw["run_id"],
-            config_digest=raw["config_digest"],
-            seed=raw["seed"],
-            hypothesis_set=raw["hypothesis_set"],
-            backends=raw["backends"],
-            counts=dict(raw["counts"]),
-        )
+        """Read a manifest and check its counts (see :meth:`validate`)."""
+
+        def parse(raw: dict) -> "RunManifest":
+            manifest = cls(
+                run_id=raw["run_id"],
+                config_digest=raw["config_digest"],
+                seed=raw["seed"],
+                hypothesis_set=raw["hypothesis_set"],
+                backends=raw["backends"],
+                counts=dict(raw["counts"]),
+            )
+            manifest.validate()
+            return manifest
+
+        return read_json(path, parse)
 
 
 def _file_sha256(path: Path) -> str:
@@ -191,13 +195,7 @@ def write_pseudo_labels(path: Path, rows: list[LabelRow]) -> None:
 
 
 def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
-    labels: dict[str, PseudoLabel] = {}
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                record = json.loads(line)
-                labels[record["review_id"]] = PseudoLabel(record["label"])
-    return labels
+    return dict(read_jsonl(path, lambda record: (record["review_id"], PseudoLabel(record["label"]))))
 
 
 def _vote_record_to_dict(record: VoteRecord) -> dict:
@@ -464,12 +462,18 @@ def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationRepo
     queue_path = config.workdir / QUEUE_FILE
     if not queue_path.exists():
         raise ValidationError(f"no annotation queue at {queue_path}; run extraction first")
-    queue_corpus = ingest_reviews(queue_path, "jsonl")
+    queue = list(read_jsonl(queue_path, parse_record))
     if not config.annotators or len(config.annotators) < 2:
         raise ValidationError("config must list at least two annotators")
+    manifest_path = config.workdir / MANIFEST_FILE
+    manifest = RunManifest.read(manifest_path) if manifest_path.exists() else None
+    if manifest is not None and manifest.counts["llm_yes"] != len(queue):
+        raise ValidationError(
+            f"{queue_path} holds {len(queue)} reviews but {manifest_path} counts {manifest.counts['llm_yes']}"
+        )
 
     report = run_annotation(
-        list(queue_corpus),
+        queue,
         config.annotators,
         responder,
         state_path=config.workdir / ANNOTATION_STATE_FILE,
@@ -488,9 +492,7 @@ def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationRepo
     ]
     write_json(config.workdir / ANNOTATION_REPORT_FILE, payload)
 
-    manifest_path = config.workdir / MANIFEST_FILE
-    if manifest_path.exists():
-        manifest = RunManifest.read(manifest_path)
+    if manifest is not None:
         manifest.counts["human_confirmed"] = report.confirmed
         manifest.counts["human_rejected"] = report.rejected
         manifest.validate(annotation_complete=not report.leftover_ids)
@@ -511,49 +513,42 @@ def export_dataset(config: PipelineConfig, out_path: Path, fmt: str = "csv") -> 
     if not report_path.exists():
         raise ValidationError(f"no annotation report at {report_path}; run annotation first")
 
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    finals = report.get("final_labels", {})
-    tasks = {t["review_id"]: t for t in report.get("tasks", [])}
+    finals, tasks = read_json(
+        report_path,
+        lambda report: (report.get("final_labels", {}), {t["review_id"]: t for t in report.get("tasks", [])}),
+    )
 
-    rows = []
-    with extracted_path.open(encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            review_id = record["id"]
-            if finals.get(review_id) != PRIVACY:
-                continue
-            task = tasks.get(review_id, {})
-            record["label"] = 1
-            record["provenance"] = dict(
-                record.get("provenance", {}),
-                annotation={
-                    "labels": task.get("labels", {}),
-                    "tiebreak_by": task.get("tiebreak_by"),
-                    "tiebreak_label": task.get("tiebreak_label"),
-                    "final_label": task.get("final_label"),
-                },
-            )
-            rows.append(record)
+    def confirmed(record: dict) -> dict | None:
+        """The export row of a confirmed extracted record, else None."""
+        if finals.get(record["id"]) != PRIVACY:
+            return None
+        task = tasks.get(record["id"], {})
+        annotation = {
+            "labels": task.get("labels", {}),
+            "tiebreak_by": task.get("tiebreak_by"),
+            "tiebreak_label": task.get("tiebreak_label"),
+            "final_label": task.get("final_label"),
+        }
+        return dict(record, label=1, provenance=dict(record.get("provenance", {}), annotation=annotation))
 
+    rows = [row for row in read_jsonl(extracted_path, confirmed) if row is not None]
     if fmt == "jsonl":
         write_jsonl(out_path, rows)
     elif fmt == "csv":
-        import csv as _csv
-
-        fieldnames = ["id", "app", "store", "rating", "text", "label", "date", "provenance"]
-        with out_path.open("w", newline="", encoding="utf-8") as handle:
-            writer = _csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for record in rows:
-                flat = {k: record.get(k) for k in fieldnames}
-                flat["provenance"] = json.dumps(record.get("provenance", {}), sort_keys=True)
-                flat = {k: ("" if v is None else v) for k, v in flat.items()}
-                writer.writerow(flat)
+        write_csv(
+            out_path,
+            (*CSV_COLUMNS, "provenance"),
+            (dict(row, provenance=json.dumps(row["provenance"], sort_keys=True)) for row in rows),
+        )
     else:
         raise ValidationError(f"unknown export format {fmt!r}")
     return len(rows)
+
+
+def _metrics_block(cm: ConfusionMatrix) -> dict:
+    """Confusion counts and P/R/F1 of one stage, as ``metrics.json`` holds them."""
+    rep = metrics(cm)
+    return {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn, "p": rep.precision, "r": rep.recall, "f1": rep.f1}
 
 
 def evaluate_run(
@@ -574,37 +569,14 @@ def evaluate_run(
 
     result: dict = {"gold_size": len(gold)}
     if pseudo_path is not None:
-        pseudo = read_pseudo_labels(pseudo_path)
-        cm = confusion_from_nli(gold, pseudo)
-        rep = metrics(cm)
-        result["nli"] = {
-            "tp": cm.tp,
-            "fp": cm.fp,
-            "tn": cm.tn,
-            "fn": cm.fn,
-            "p": rep.precision,
-            "r": rep.recall,
-            "f1": rep.f1,
-        }
+        result["nli"] = _metrics_block(confusion_from_nli(gold, read_pseudo_labels(pseudo_path)))
     if votes_path is not None:
-        votes = read_votes(votes_path)
-        decisions = {rid: rec.decision for rid, rec in votes.items()}
+        decisions = {rid: rec.decision for rid, rec in read_votes(votes_path).items()}
         subset = {rid: label for rid, label in gold.items() if rid in decisions}
         if not subset:
             raise ValidationError("no overlap between gold labels and vote records")
-        cm = confusion_from_llm(subset, decisions)
-        rep = metrics(cm)
+        result["llm"] = dict(_metrics_block(confusion_from_llm(subset, decisions)), evaluated=len(subset))
         n_pos = sum(subset.values())
-        result["llm"] = {
-            "tp": cm.tp,
-            "fp": cm.fp,
-            "tn": cm.tn,
-            "fn": cm.fn,
-            "p": rep.precision,
-            "r": rep.recall,
-            "f1": rep.f1,
-            "evaluated": len(subset),
-        }
         if n_pos > 0:
             baseline = random_baseline(n_pos, len(subset))
             result["random_baseline"] = {

@@ -1,4 +1,5 @@
-"""Append-only JSONL logs: torn-line repair, corruption, and resume through them."""
+"""JSON, JSONL and CSV files: torn-line repair of the append-only logs, damage
+to every other file read back, and atomic whole-file writes."""
 
 from __future__ import annotations
 
@@ -8,10 +9,15 @@ import logging
 
 import pytest
 
-from concernminer._jsonl import append_log, read_log
+from concernminer._jsonl import append_log, read_json, read_jsonl, read_log, write_csv
 from concernminer.cli import main
+from concernminer.config import load_config
+from concernminer.corpus import CSV_COLUMNS
 from concernminer.errors import ValidationError
+from concernminer.hypotheses import load_hypothesis_set
 from concernminer.labels import PseudoLabel
+from concernminer.llm import load_llm_script
+from concernminer.nli import load_trigger_table
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,
@@ -19,6 +25,7 @@ from concernminer.pipeline import (
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
+    QUEUE_FILE,
     VOTES_FILE,
     write_pseudo_labels,
 )
@@ -78,6 +85,35 @@ class TestReadLog:
         append_log(path, [{"b": 1, "a": 2}])
         append_log(path, [{"c": None}, {"d": [1, 2]}])
         assert path.read_text() == '{"a": 2, "b": 1}\n{"c": null}\n{"d": [1, 2]}\n'
+
+
+class TestReadWholeFile:
+    @pytest.mark.parametrize("tail", ['{"a": 3, "b"', '{"a": 3}'])
+    def test_missing_final_newline_is_damage_not_truncated(self, tmp_path, tail):
+        path = tmp_path / "out.jsonl"
+        write_lines(path, ['{"a": 1}\n', "\n", tail])
+        with pytest.raises(ValidationError, match=f"{path}:3: corrupt line"):
+            list(read_jsonl(path))
+        assert path.read_bytes() == ('{"a": 1}\n\n' + tail).encode("utf-8")
+
+    def test_records_and_parse_errors(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_lines(path, ['{"a": 1}\n', "\n", '{"b": 2}\n'])
+        assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
+        with pytest.raises(ValidationError, match=f"{path}:3: corrupt line: KeyError"):
+            list(read_jsonl(path, lambda record: record["a"]))
+
+    def test_missing_file_names_path(self, tmp_path):
+        with pytest.raises(ValidationError, match=f"{tmp_path / 'absent.jsonl'}: "):
+            list(read_jsonl(tmp_path / "absent.jsonl"))
+
+    @pytest.mark.parametrize("content", [None, "", '{"a": 1', '{"a": 1} x', "[1]"])
+    def test_read_json_names_path(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ValidationError, match=f"{path}: "):
+            read_json(path, lambda doc: doc["a"])
 
 
 @pytest.fixture()
@@ -173,3 +209,101 @@ class TestWholeFileOutputs:
             write_pseudo_labels(path, rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [PSEUDO_LABELS_FILE]
+
+    def test_failed_csv_rewrite_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "export.csv"
+        write_csv(path, CSV_COLUMNS, [{"id": "r1", "app": "a", "text": "x, \"y\"", "label": None}])
+        before = path.read_bytes()
+        assert before == b'id,app,store,rating,text,label,date\r\nr1,a,,,"x, ""y""",,\r\n'
+
+        def rows():
+            yield {"id": "r2"}
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, CSV_COLUMNS, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["export.csv"]
+
+
+def snapshot(workdir):
+    return {p.relative_to(workdir): p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
+def cut(path, n=20):
+    """Cut the last ``n`` bytes off ``path``, as an outside edit or a copy
+    cut short would."""
+    path.write_bytes(path.read_bytes()[:-n])
+
+
+@pytest.mark.parametrize(
+    "damaged, command, drop_manifest",
+    [
+        (PSEUDO_LABELS_FILE, "llm-classify", False),
+        (MANIFEST_FILE, "annotate", False),
+        (QUEUE_FILE, "annotate", False),
+        (QUEUE_FILE, "annotate", True),
+        ("responses", "annotate", False),
+        (EXTRACTED_FILE, "export", False),
+        (ANNOTATION_REPORT_FILE, "export", False),
+    ],
+)
+def test_damaged_file_exits_2_and_changes_nothing(extraction, tmp_path, capsys, damaged, command, drop_manifest):
+    config_path, responses_path = extraction
+    workdir = tmp_path / "run"
+    common = ["--config", str(config_path), "--workdir", str(workdir)]
+    assert main(["extract", *common]) == 0
+    if command == "export":
+        assert main(["annotate", *common, "--responses", str(responses_path)]) == 0
+    if drop_manifest:
+        (workdir / MANIFEST_FILE).unlink()
+    path = responses_path if damaged == "responses" else workdir / damaged
+    cut(path)
+    before = snapshot(workdir)
+    capsys.readouterr()
+
+    extra = {
+        "annotate": ["--responses", str(responses_path)],
+        "export": ["--output", str(tmp_path / "export.csv")],
+    }.get(command, [])
+    assert main([command, *common, *extra]) == 2  # an uncaught error would propagate out of main
+    err = capsys.readouterr().err
+    assert f"error: {path}:" in err
+    if path.suffix == ".jsonl":
+        last_line = len(path.read_bytes().splitlines())
+        assert f"{path}:{last_line}: corrupt line" in err
+    assert snapshot(workdir) == before
+    assert not (tmp_path / "export.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "load, content",
+    [
+        (load_fn, content)
+        for load_fn in (load_config, load_hypothesis_set, load_llm_script, load_trigger_table)
+        for content in (None, "{not json", "[[1]]")
+    ],
+)
+def test_unreadable_user_input_names_path(tmp_path, load, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ValidationError, match=str(path)):
+        load(path)
+
+
+def test_queue_not_matching_manifest_exits_2_and_changes_nothing(extraction, tmp_path, capsys):
+    config_path, responses_path = extraction
+    workdir = tmp_path / "run"
+    common = ["--config", str(config_path), "--workdir", str(workdir)]
+    assert main(["extract", *common]) == 0
+    queue = workdir / QUEUE_FILE
+    lines = queue.read_text().splitlines(keepends=True)
+    queue.write_text("".join(lines[:-1]))  # well-formed, one review short
+    before = snapshot(workdir)
+    capsys.readouterr()
+
+    assert main(["annotate", *common, "--responses", str(responses_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{queue} holds {len(lines) - 1} reviews but {workdir / MANIFEST_FILE} counts {len(lines)}" in err
+    assert snapshot(workdir) == before

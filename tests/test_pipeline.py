@@ -12,6 +12,7 @@ from concernminer.corpus import ingest_reviews
 from concernminer.errors import ValidationError
 from concernminer.evaluation import ConfusionMatrix, metrics
 from concernminer.labels import PseudoLabel
+from concernminer.llm import SamplingSettings
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     EXTRACTED_FILE,
@@ -404,6 +405,16 @@ class TestConfig:
     def test_needs_backend(self, tmp_path):
         with pytest.raises(ValidationError):
             parse_config({"workdir": "w"}, tmp_path)
+
+    def test_empty_blocks_take_dataclass_defaults(self, tmp_path):
+        raw = {
+            "nli": {"backends": [{"name": "m", "endpoint": "mock"}]},
+            "llm": {"backend": {}, "sampling": {}},
+        }
+        config = parse_config(raw, tmp_path)
+        assert config.nli_backends == (NliBackendConfig("m", "mock"),)
+        assert config.llm_backend == LlmBackendConfig("llm", "mock")
+        assert config.sampling == SamplingSettings()
 
     def test_response_field_remap_reaches_backend(self, tmp_path):
         from concernminer.config import NliBackendConfig, make_nli_backend
