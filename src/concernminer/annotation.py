@@ -96,6 +96,7 @@ class AnnotationReport:
                 else None
             ),
             "final_labels": self.final_labels(),
+            "tasks": [vars(task) for task in self.tasks],
         }
 
 

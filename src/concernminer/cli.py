@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ._jsonl import read_json, write_json
 from .annotation import interactive_responder, scripted_responder
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, make_llm_backend, make_nli_backend
 from .corpus import ingest_reviews, write_corpus
 from .errors import BackendError, ValidationError
 from .hypotheses import resolve_hypothesis_set
@@ -79,10 +79,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_nli_score(args) -> int:
     config = _load(args)
-    _, _, corpus = prepare_corpus(config, args.role)
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+    backend_cfg = config.nli_backends[0]
+    backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
+    _, _, corpus = prepare_corpus(config, args.role)
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        matrix = nli_score(config, config.nli_backends[0], corpus, hset, cache)
+        matrix = nli_score(config, backend_cfg, backend, corpus, hset, cache)
     out = matrix_path(config.workdir, matrix.backend, hset)
     print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {out}")
     return 0
@@ -104,14 +106,15 @@ def cmd_nli_label(args) -> int:
 
 def cmd_llm_classify(args) -> int:
     config = _load(args)
+    hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+    backend = make_llm_backend(config.llm_backend, config.llm_script)
     pseudo_path = config.workdir / PSEUDO_LABELS_FILE
     if not pseudo_path.exists():
         raise ValidationError(f"no pseudo-labels at {pseudo_path}; run nli-label first")
     pseudo = read_pseudo_labels(pseudo_path)
     _, _, corpus = prepare_corpus(config, args.role)
     maybe = [r for r in corpus if pseudo.get(r.id) is PseudoLabel.MAYBE_PRIVACY]
-    hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-    records, failures = llm_classify(config, maybe, hset)
+    records, failures = llm_classify(config, backend, maybe, hset)
     yes = sum(1 for r in records if r.decision is BinaryLabel.YES)
     print(f"classified {len(maybe)} maybe-privacy reviews: yes={yes} no={len(records) - yes} failed={len(failures)}")
     return 0
@@ -119,7 +122,6 @@ def cmd_llm_classify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
-    config.workdir.mkdir(parents=True, exist_ok=True)
     pseudo_path = Path(args.pseudo) if args.pseudo else config.workdir / PSEUDO_LABELS_FILE
     votes_path = Path(args.votes) if args.votes else config.workdir / VOTES_FILE
     result = evaluate_run(

@@ -44,10 +44,6 @@ class MetricsReport:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} {value} outside [0, 1]")
 
-    @classmethod
-    def from_pr(cls, precision: float, recall: float) -> "MetricsReport":
-        return cls(precision, recall, f1_score(precision, recall))
-
 
 def f1_score(precision: float, recall: float) -> float:
     """Harmonic mean of precision and recall; 0 when both are 0."""

@@ -10,9 +10,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import requests
-
-from .._http import post_json
+from .._http import HttpBackend, post_json
 from .._jsonl import read_json
 from ..errors import BackendError
 
@@ -20,35 +18,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .classify import PromptMessages, SamplingSettings
 
 
-class HttpLlmBackend:
+class HttpLlmBackend(HttpBackend):
     """Client for any chat-completions-compatible serving endpoint."""
 
-    def __init__(
-        self,
-        name: str,
-        endpoint: str,
-        *,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-    ):
-        self.name = name
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self._local = threading.local()
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def _session(self) -> requests.Session:
-        if getattr(self._local, "session", None) is None:
-            self._local.session = requests.Session()
-        return self._local.session
+    def __init__(self, name: str, endpoint: str, *, timeout: float = 60.0, max_retries: int = 3, backoff: float = 0.5):
+        super().__init__(name, endpoint, timeout=timeout, max_retries=max_retries, backoff=backoff)
 
     def complete(self, prompt: "PromptMessages", settings: "SamplingSettings", *, tag: str | None = None) -> str:
-        with self._lock:
-            self.calls += 1
         payload = {
             "model": self.name,
             "messages": [
@@ -59,14 +35,7 @@ class HttpLlmBackend:
             "top_p": settings.top_p,
             "max_tokens": settings.max_response_tokens,
         }
-        body = post_json(
-            self.endpoint,
-            payload,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            session=self._session(),
-        )
+        body = post_json(self.endpoint, payload, **self._post_options())
         try:
             return str(body["choices"][0]["message"]["content"])
         except (KeyError, IndexError, TypeError) as exc:

@@ -63,6 +63,8 @@ class VoteRecord:
     votes: tuple[Vote, ...]
     decision: BinaryLabel
     tie_flag: bool
+    backend: str | None = None  # the LLM backend's name
+    set_hash: str | None = None  # version_hash of the hypothesis set in the prompt
 
     def __post_init__(self) -> None:
         if len(self.raw_responses) != len(self.votes):
@@ -115,12 +117,15 @@ def majority_vote(votes: Sequence[Vote]) -> tuple[BinaryLabel, bool]:
     return BinaryLabel.NO, True
 
 
-def classify_review(backend, review_id: str, prompt: PromptMessages, settings: SamplingSettings) -> VoteRecord:
-    """Request ``num_samples`` independent completions and take the majority."""
+def classify_review(
+    backend, review_id: str, prompt: PromptMessages, settings: SamplingSettings, set_hash: str | None = None
+) -> VoteRecord:
+    """Request ``num_samples`` independent completions and take the majority;
+    the record names the backend and the prompt's hypothesis ``set_hash``."""
     raw = tuple(backend.complete(prompt, settings, tag=review_id) for _ in range(settings.num_samples))
     votes = tuple(parse_response(r) for r in raw)
     decision, tie_flag = majority_vote(votes)
-    return VoteRecord(review_id, raw, votes, decision, tie_flag)
+    return VoteRecord(review_id, raw, votes, decision, tie_flag, backend.name, set_hash)
 
 
 def classify_corpus(
@@ -143,7 +148,7 @@ def classify_corpus(
     prompts = [build_prompt(hset, review) for review in reviews]
 
     def work(index: int):
-        return classify_review(backend, reviews[index].id, prompts[index], settings)
+        return classify_review(backend, reviews[index].id, prompts[index], settings, hset.version_hash)
 
     results: dict[int, VoteRecord] = {}
     failures: list[tuple[str, str]] = []

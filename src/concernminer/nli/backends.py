@@ -11,9 +11,7 @@ import hashlib
 import threading
 from pathlib import Path
 
-import requests
-
-from .._http import post_json
+from .._http import HttpBackend, post_json
 from .._jsonl import read_json
 from ..errors import BackendError, ValidationError
 from ..hypotheses import Hypothesis
@@ -33,7 +31,7 @@ def infer_pair(backend, premise: str, hypothesis: Hypothesis) -> EntailmentScore
     return backend.score_pair(premise, hypothesis)
 
 
-class HttpNliBackend:
+class HttpNliBackend(HttpBackend):
     """Client for a zero-shot entailment serving endpoint."""
 
     def __init__(
@@ -46,33 +44,11 @@ class HttpNliBackend:
         backoff: float = 0.5,
         response_fields: dict[str, str] | None = None,
     ):
-        self.name = name
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
+        super().__init__(name, endpoint, timeout=timeout, max_retries=max_retries, backoff=backoff)
         self.response_fields = dict(DEFAULT_RESPONSE_FIELDS, **(response_fields or {}))
-        self._local = threading.local()
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def _session(self) -> requests.Session:
-        if getattr(self._local, "session", None) is None:
-            self._local.session = requests.Session()
-        return self._local.session
 
     def score_pair(self, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
-        with self._lock:
-            self.calls += 1
-        payload = {"premise": premise, "hypothesis": hypothesis.text}
-        body = post_json(
-            self.endpoint,
-            payload,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            session=self._session(),
-        )
+        body = post_json(self.endpoint, {"premise": premise, "hypothesis": hypothesis.text}, **self._post_options())
         try:
             entail = float(body[self.response_fields["entailment"]])
             neutral_raw = body.get(self.response_fields["neutral"])

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._jsonl import append_log, read_json, read_jsonl, read_log, write_csv, write_json, write_jsonl
+from ._jsonl import append_log, read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
@@ -119,32 +119,15 @@ class RunManifest:
             if not ok:
                 raise ValidationError(f"manifest conservation violated: {message}")
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "hypothesis_set": self.hypothesis_set,
-            "backends": self.backends,
-            "counts": {k: self.counts[k] for k in STAGE_KEYS},
-        }
-
     def write(self, path: Path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, dict(vars(self), counts={k: self.counts[k] for k in STAGE_KEYS}))
 
     @classmethod
     def read(cls, path: Path) -> "RunManifest":
         """Read a manifest and check its counts (see :meth:`validate`)."""
 
         def parse(raw: dict) -> "RunManifest":
-            manifest = cls(
-                run_id=raw["run_id"],
-                config_digest=raw["config_digest"],
-                seed=raw["seed"],
-                hypothesis_set=raw["hypothesis_set"],
-                backends=raw["backends"],
-                counts=dict(raw["counts"]),
-            )
+            manifest = cls(**raw)
             manifest.validate()
             return manifest
 
@@ -198,32 +181,27 @@ def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
     return dict(read_jsonl(path, lambda record: (record["review_id"], PseudoLabel(record["label"]))))
 
 
-def _vote_record_to_dict(record: VoteRecord) -> dict:
+def _vote_record_from_dict(raw: dict) -> VoteRecord:
+    """A vote record from its log line; ``backend`` and ``set_hash`` are
+    ``None`` when the line lacks them."""
+    responses, votes = tuple(raw["raw_responses"]), tuple(Vote(v) for v in raw["votes"])
+    return VoteRecord(**dict(raw, raw_responses=responses, votes=votes, decision=BinaryLabel(raw["decision"])))
+
+
+def read_votes(path: Path, backend: str, set_hash: str, *, log: bool = True) -> dict[str, VoteRecord]:
+    """The records of the vote log at ``path`` that ``backend`` cast on the
+    hypothesis set ``set_hash``, by review id; a record that lacks either
+    field is left out. ``log=False`` reads the file as a whole-file output
+    (see :func:`read_jsonl`): damage raises, and nothing is truncated."""
     return {
-        "review_id": record.review_id,
-        "raw_responses": list(record.raw_responses),
-        "votes": [v.value for v in record.votes],
-        "decision": record.decision.value,
-        "tie_flag": record.tie_flag,
+        record.review_id: record
+        for record in read_jsonl(path, _vote_record_from_dict, log=log)
+        if record.backend == backend and record.set_hash == set_hash
     }
 
 
-def _vote_record_from_dict(raw: dict) -> VoteRecord:
-    return VoteRecord(
-        review_id=raw["review_id"],
-        raw_responses=tuple(raw["raw_responses"]),
-        votes=tuple(Vote(v) for v in raw["votes"]),
-        decision=BinaryLabel(raw["decision"]),
-        tie_flag=bool(raw["tie_flag"]),
-    )
-
-
-def read_votes(path: Path) -> dict[str, VoteRecord]:
-    return {record.review_id: record for record in read_log(path, _vote_record_from_dict)}
-
-
 def append_votes(path: Path, records: list[VoteRecord]) -> None:
-    append_log(path, [_vote_record_to_dict(record) for record in records])
+    append_log(path, [vars(record) for record in records])
 
 
 def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
@@ -245,14 +223,14 @@ def prepare_corpus(config: PipelineConfig, role: str) -> tuple[ReviewCorpus, Rev
 def nli_score(
     config: PipelineConfig,
     backend_cfg: NliBackendConfig,
+    backend,
     corpus: ReviewCorpus,
     hset: HypothesisSet,
     cache: ScoreCache,
 ) -> EntailmentMatrix:
-    """Score every review against every hypothesis through ``cache`` (the
-    workdir's entailment cache, opened once per run and shared by every
-    scoring pass), and save the matrix under :func:`matrix_path`."""
-    backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
+    """Score every review against every hypothesis with ``backend`` through
+    ``cache`` (the workdir's entailment cache, opened once per run and shared
+    by every scoring pass), and save the matrix under :func:`matrix_path`."""
     matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
     save_matrix(matrix, matrix_path(config.workdir, backend.name, hset))
     return matrix
@@ -268,22 +246,22 @@ def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
 
 
 def llm_classify(
-    config: PipelineConfig, maybe_reviews: list[Review], hset: HypothesisSet
+    config: PipelineConfig, backend, maybe_reviews: list[Review], hset: HypothesisSet
 ) -> tuple[list[VoteRecord], list[tuple[str, str]]]:
-    """Classify the maybe-privacy reviews with the LLM, resuming from the
-    vote log.
+    """Classify the maybe-privacy reviews with the LLM ``backend``, resuming
+    from the vote log.
 
-    Logged records of reviews outside ``maybe_reviews`` are left out; the
-    reviews without a record are classified and their records appended to
-    the log. Writes the ``(review_id, reason)`` failures to
-    ``llm_failures.jsonl`` and returns them with the records, in
+    Only logged records that ``backend`` cast on ``hset`` for reviews in
+    ``maybe_reviews`` are reused; the reviews without one are classified and
+    their records appended to the log. Writes the ``(review_id, reason)``
+    failures to ``llm_failures.jsonl`` and returns them with the records, in
     ``maybe_reviews`` order.
     """
     votes_path = config.workdir / VOTES_FILE
     maybe_ids = {r.id for r in maybe_reviews}
-    records = {rid: rec for rid, rec in read_votes(votes_path).items() if rid in maybe_ids}
+    logged = read_votes(votes_path, backend.name, hset.version_hash)
+    records = {rid: rec for rid, rec in logged.items() if rid in maybe_ids}
     todo = [r for r in maybe_reviews if r.id not in records]
-    backend = make_llm_backend(config.llm_backend, config.llm_script)
     new_records, failures = classify_corpus(
         backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight
     )
@@ -311,6 +289,9 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     emit the pseudo-labeled corpus from the winning pair."""
     if config.labeled_path is None:
         raise ValidationError("selection needs corpus.labeled in the config")
+    generic = resolve_hypothesis_set(config.hypothesis_refs["generic"], config.base_dir)
+    domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
+    backends = {cfg.name: make_nli_backend(cfg, config.seed, config.base_dir) for cfg in config.nli_backends}
     config.workdir.mkdir(parents=True, exist_ok=True)
 
     corpus = ingest_reviews(
@@ -321,13 +302,10 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
         raise ValidationError("labeled corpus contains no gold labels")
     labeled = normalize_corpus(labeled)
     gold = {r.id: r.gold_label for r in labeled}
-
-    generic = resolve_hypothesis_set(config.hypothesis_refs["generic"], config.base_dir)
-    domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
     cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
 
     def evaluate(backend_cfg: NliBackendConfig, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
-        rows = nli_label(nli_score(config, backend_cfg, labeled, hset, cache), hset)
+        rows = nli_label(nli_score(config, backend_cfg, backends[backend_cfg.name], labeled, hset, cache), hset)
         report = metrics(confusion_from_nli(gold, {review_id: label for review_id, label, _, _ in rows}))
         logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", backend_cfg.name, hset.set_id, report.precision, report.recall, report.f1)
         return report, rows
@@ -391,18 +369,19 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify
     the maybe-privacy subset with the LLM, and queue yes-decisions for
     annotation. Writes the manifest plus every stage artifact."""
+    hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+    backend_cfg = config.nli_backends[0]
+    nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
+    llm_backend = make_llm_backend(config.llm_backend, config.llm_script)
     timer = StageTimer()
 
     timer.begin("ingest")
     corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
     timer.end()
 
-    hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-    backend_cfg = config.nli_backends[0]
-
     timer.begin("nli")
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        matrix = nli_score(config, backend_cfg, normalized, hset, cache)
+        matrix = nli_score(config, backend_cfg, nli_backend, normalized, hset, cache)
     rows = nli_label(matrix, hset)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
@@ -410,7 +389,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     timer.end()
 
     timer.begin("llm")
-    records, failures = llm_classify(config, maybe_reviews, hset)
+    records, failures = llm_classify(config, llm_backend, maybe_reviews, hset)
     timer.end()
 
     timer.begin("emit")
@@ -478,19 +457,7 @@ def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationRepo
         responder,
         state_path=config.workdir / ANNOTATION_STATE_FILE,
     )
-    payload = report.to_dict()
-    payload["tasks"] = [
-        {
-            "review_id": t.review_id,
-            "assigned": list(t.assigned),
-            "labels": t.labels,
-            "tiebreak_by": t.tiebreak_by,
-            "tiebreak_label": t.tiebreak_label,
-            "final_label": t.final_label,
-        }
-        for t in report.tasks
-    ]
-    write_json(config.workdir / ANNOTATION_REPORT_FILE, payload)
+    write_json(config.workdir / ANNOTATION_REPORT_FILE, report.to_dict())
 
     if manifest is not None:
         manifest.counts["human_confirmed"] = report.confirmed
@@ -558,20 +525,30 @@ def evaluate_run(
     votes_path: Path | None = None,
 ) -> dict:
     """Score pseudo-labels and/or LLM decisions against the gold corpus,
-    with the random-classifier baseline for whichever subsets apply."""
+    with the random-classifier baseline for whichever subsets apply. Only
+    the votes of the configured LLM on the extraction set count; both files
+    are read strictly and left as they are."""
     if config.labeled_path is None:
         raise ValidationError("evaluation needs corpus.labeled in the config")
-    corpus = ingest_reviews(config.labeled_path, config.corpus_format)
+    pseudo = read_pseudo_labels(pseudo_path) if pseudo_path is not None else None
+    votes = None
+    if votes_path is not None:
+        hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+        votes = read_votes(votes_path, config.llm_backend.name, hset.version_hash, log=False)
+    config.workdir.mkdir(parents=True, exist_ok=True)
+    corpus = ingest_reviews(
+        config.labeled_path, config.corpus_format, rejects_path=config.workdir / "rejects_labeled.jsonl"
+    )
     labeled, _ = partition_gold(corpus)
     gold = {r.id: r.gold_label for r in labeled}
     if not gold:
         raise ValidationError("labeled corpus contains no gold labels")
 
     result: dict = {"gold_size": len(gold)}
-    if pseudo_path is not None:
-        result["nli"] = _metrics_block(confusion_from_nli(gold, read_pseudo_labels(pseudo_path)))
-    if votes_path is not None:
-        decisions = {rid: rec.decision for rid, rec in read_votes(votes_path).items()}
+    if pseudo is not None:
+        result["nli"] = _metrics_block(confusion_from_nli(gold, pseudo))
+    if votes is not None:
+        decisions = {rid: rec.decision for rid, rec in votes.items()}
         subset = {rid: label for rid, label in gold.items() if rid in decisions}
         if not subset:
             raise ValidationError("no overlap between gold labels and vote records")

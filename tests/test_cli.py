@@ -111,7 +111,8 @@ def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):
     assert out_path.exists()
 
 
-def test_select_and_evaluate(tmp_path, capsys):
+@pytest.fixture()
+def selection_setup(tmp_path):
     build_labeled_fixture(
         tmp_path / "labeled.csv",
         n_pos_strong=20,
@@ -124,7 +125,11 @@ def test_select_and_evaluate(tmp_path, capsys):
     raw = selection_config(tmp_path / "labeled.csv", tmp_path / "run", weak)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
+    return config_path
 
+
+def test_select_and_evaluate(selection_setup, tmp_path, capsys):
+    config_path = selection_setup
     assert main(["select", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "best: mock-nli-a + mh-domain-21" in out
@@ -134,6 +139,76 @@ def test_select_and_evaluate(tmp_path, capsys):
     assert "nli: P=" in out
     metrics_payload = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert metrics_payload["nli"]["tp"] == 20
+
+
+def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, capsys):
+    config_path = selection_setup
+    assert main(["select", "--config", str(config_path)]) == 0
+    assert main(["llm-classify", "--config", str(config_path), "--role", "labeled"]) == 0
+    votes = tmp_path / "votes_copy.jsonl"
+    votes.write_bytes((tmp_path / "run" / VOTES_FILE).read_bytes()[:-15])
+    before = votes.read_bytes()
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(config_path), "--votes", str(votes)]) == 2
+    assert f"error: {votes}:{len(before.splitlines())}: corrupt line" in capsys.readouterr().err
+    assert votes.read_bytes() == before
+
+
+def test_evaluate_writes_labeled_rejects_into_the_workdir(selection_setup, tmp_path):
+    config_path = selection_setup
+    labeled = tmp_path / "labeled.csv"
+    with labeled.open("a") as handle:
+        handle.write("bad-row,app,google_play,9,a rating out of range,1,\n")
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert not (tmp_path / "labeled.csv.rejects.jsonl").exists()
+    rejects = (tmp_path / "run" / "rejects_labeled.jsonl").read_text().splitlines()
+    assert len(rejects) == 1
+
+
+def snapshot(workdir):
+    """Bytes and modification time of every workdir file, so a rewrite with
+    the same bytes also shows."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("extract", "hypotheses"),
+        ("extract", "mock_table"),
+        ("extract", "script"),
+        ("select", "hypotheses"),
+        ("select", "mock_table"),
+        ("nli-score", "hypotheses"),
+        ("nli-score", "mock_table"),
+        ("llm-classify", "hypotheses"),
+        ("llm-classify", "script"),
+    ],
+)
+def test_bad_input_file_exits_2_before_any_workdir_write(extraction_setup, tmp_path, capsys, command, bad):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    raw["corpus"]["labeled"] = raw["corpus"]["unlabeled"]
+    if command == "llm-classify":
+        assert main(["nli-score", "--config", str(config_path)]) == 0
+        assert main(["nli-label", "--config", str(config_path)]) == 0
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    if bad == "hypotheses":
+        raw["hypotheses"] = {"generic": str(garbage), "domain": str(garbage), "extraction": str(garbage)}
+    elif bad == "mock_table":
+        raw["nli"]["backends"][0]["mock_table"] = str(garbage)
+    else:
+        raw["llm"]["script"] = str(garbage)
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps(raw))
+    before = snapshot(workdir) if workdir.exists() else None
+    capsys.readouterr()
+
+    assert main([command, "--config", str(bad_config)]) == 2
+    assert f"error: {garbage}:" in capsys.readouterr().err
+    assert (snapshot(workdir) if workdir.exists() else None) == before
 
 
 def test_seed_override_changes_digest(extraction_setup):

@@ -6,13 +6,15 @@ import json
 
 import pytest
 
+from concernminer import pipeline
 from concernminer.annotation import NON_PRIVACY, PRIVACY, scripted_responder
 from concernminer.config import LlmBackendConfig, NliBackendConfig, load_config, parse_config
 from concernminer.corpus import ingest_reviews
 from concernminer.errors import ValidationError
 from concernminer.evaluation import ConfusionMatrix, metrics
-from concernminer.labels import PseudoLabel
-from concernminer.llm import SamplingSettings
+from concernminer.hypotheses import builtin_domain_mh
+from concernminer.labels import BinaryLabel, PseudoLabel, Vote
+from concernminer.llm import SamplingSettings, VoteRecord
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     EXTRACTED_FILE,
@@ -25,6 +27,7 @@ from concernminer.pipeline import (
     TIMINGS_FILE,
     VOTES_FILE,
     annotate_run,
+    append_votes,
     evaluate_run,
     export_dataset,
     run_extraction,
@@ -254,6 +257,88 @@ class TestExtraction:
         manifest_b = run_extraction(config_from_dict(raw_b, tmp_path)).manifest
         assert manifest_a.run_id != manifest_b.run_id
         assert manifest_a.config_digest != manifest_b.config_digest
+
+
+def record_llm_backends(monkeypatch) -> list:
+    """Keep every LLM backend ``run_extraction`` builds, to read its call count."""
+    built = []
+    make = pipeline.make_llm_backend
+
+    def recording(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "make_llm_backend", recording)
+    return built
+
+
+class TestVoteLog:
+    """A logged vote is reused and scored only for the LLM backend and the
+    hypothesis set that cast it."""
+
+    def other_llm(self, data_dir, workdir, tmp_path):
+        raw = extraction_config(data_dir, workdir)
+        raw["llm"] = {"backend": {"name": "other-llm", "endpoint": "mock"}}  # no script: every answer is no
+        return config_from_dict(raw, tmp_path)
+
+    def test_model_switch_matches_fresh_run_and_switching_back_calls_nothing(self, small_extraction, monkeypatch):
+        ledger, first = small_extraction
+        tmp_path = first.workdir.parent
+        run_extraction(first)
+        switched = run_extraction(self.other_llm(tmp_path / "data", first.workdir, tmp_path))
+        fresh = run_extraction(self.other_llm(tmp_path / "data", tmp_path / "fresh", tmp_path))
+        assert switched.manifest.counts == fresh.manifest.counts
+        assert switched.manifest.counts["llm_yes"] == 0
+        for name in (MANIFEST_FILE, EXTRACTED_FILE, QUEUE_FILE, PSEUDO_LABELS_FILE):
+            assert (first.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+        built = record_llm_backends(monkeypatch)
+        back = run_extraction(first)
+        assert built[0].calls == 0
+        assert back.manifest.counts["llm_yes"] == ledger.llm_yes
+
+    def test_record_without_backend_and_set_is_reclassified(self, small_extraction, monkeypatch):
+        ledger, config = small_extraction
+        run_extraction(config)
+        manifest = (config.workdir / MANIFEST_FILE).read_bytes()
+        votes_path = config.workdir / VOTES_FILE
+        records = [json.loads(line) for line in votes_path.read_text().splitlines()]
+        votes_path.write_text(
+            "".join(json.dumps({k: v for k, v in r.items() if k not in ("backend", "set_hash")}) + "\n" for r in records)
+        )
+
+        built = record_llm_backends(monkeypatch)
+        run_extraction(config)
+        assert built[0].calls == ledger.maybe_privacy * SamplingSettings().num_samples
+        assert (config.workdir / MANIFEST_FILE).read_bytes() == manifest
+
+    def test_evaluate_scores_only_the_configured_model(self, tmp_path):
+        build_labeled_fixture(
+            tmp_path / "small.csv", n_pos_strong=6, n_pos_benign=2, n_neg_strong=2, n_neg_weak=0, n_neg_benign=10
+        )
+        raw = {
+            "workdir": str(tmp_path / "run"),
+            "corpus": {"labeled": str(tmp_path / "small.csv")},
+            "nli": {"backends": [{"name": "mock-nli-a", "endpoint": "mock"}]},
+            "llm": {"backend": {"name": "mock-llm", "endpoint": "mock"}},
+        }
+        config = config_from_dict(raw, tmp_path)
+        gold = {r.id: r.gold_label for r in ingest_reviews(tmp_path / "small.csv")}
+        set_hash = builtin_domain_mh().version_hash
+
+        def record(review_id, yes, backend, record_set_hash=set_hash):
+            decision = BinaryLabel.YES if yes else BinaryLabel.NO
+            return VoteRecord(review_id, ("x",), (Vote(decision.value),), decision, False, backend, record_set_hash)
+
+        votes_path = tmp_path / "votes.jsonl"
+        append_votes(votes_path, [record(rid, label == 1, "mock-llm") for rid, label in gold.items()])
+        append_votes(votes_path, [record(rid, label == 0, "other-llm") for rid, label in gold.items()])
+        append_votes(votes_path, [record(rid, label == 0, "mock-llm", "other-set") for rid, label in gold.items()])
+        append_votes(votes_path, [record(rid, label == 0, None, None) for rid, label in gold.items()])
+
+        result = evaluate_run(config, votes_path=votes_path)
+        assert result["llm"]["evaluated"] == len(gold) == 20
+        assert (result["llm"]["tp"], result["llm"]["fp"], result["llm"]["fn"]) == (8, 0, 0)
 
 
 class TestManifestValidation:
