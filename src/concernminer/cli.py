@@ -1,13 +1,15 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Exit codes: 0 success, 2 validation error, 3 backend failure,
-4 backend failure with a resumable checkpoint already on disk.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 validation error, 3 backend failure, 4 backend failure with a resumable
+checkpoint already on disk.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -232,7 +234,16 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The recipe of the Python docs (signal module, "Note on SIGPIPE"):
+        # point stdout at devnull, so the flush at interpreter exit is quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

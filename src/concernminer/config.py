@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._http import split_endpoint
 from ._jsonl import read_json
 from .errors import ValidationError
 from .llm.backends import HttpLlmBackend, MockLlmBackend, load_llm_script
@@ -17,9 +18,15 @@ MOCK_ENDPOINT = "mock"
 
 
 class _BackendLimits:
-    """Connection limits both backend config types check on creation."""
+    """Endpoint and connection limits both backend config types check on
+    creation."""
 
     def __post_init__(self) -> None:
+        if self.endpoint != MOCK_ENDPOINT and split_endpoint(self.endpoint) is None:
+            raise ValidationError(
+                f"backend {self.name!r}: endpoint must be {MOCK_ENDPOINT!r} or an http:// or https:// URL"
+                f" with a host, not {self.endpoint!r}"
+            )
         if self.timeout <= 0:
             raise ValidationError(f"backend {self.name!r}: timeout must be > 0")
         if self.max_inflight < 1:

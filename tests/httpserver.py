@@ -8,14 +8,18 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
-class _Handler(BaseHTTPRequestHandler):
+class Handler(BaseHTTPRequestHandler):
+    """HTTP/1.0: one request per connection. A ``bytes`` body goes out as
+    ``text/plain``, anything else as JSON."""
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length)) if length else {}
-        status, body = self.server.handle_request(self.path, payload)
-        data = json.dumps(body).encode("utf-8")
+        status, body = self.server.handle_request(self.path, payload, self.headers)
+        plain = isinstance(body, bytes)
+        data = body if plain else json.dumps(body).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", "text/plain" if plain else "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -24,28 +28,65 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveHandler(Handler):
+    """HTTP/1.1: the connection stays open for the next request. Nagle's
+    algorithm is off, or the split header and body writes of each response
+    wait on the client's delayed ACK."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+
+class SilentCloseHandler(KeepAliveHandler):
+    """HTTP/1.1 that closes the connection after each response without a
+    ``Connection: close`` header, as a server's idle timeout does."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
 class RecordingServer(ThreadingHTTPServer):
-    """Records every request and delegates the response to ``respond``.
+    """Records every request, its headers and every connection, and
+    delegates the response to ``respond``.
 
     ``respond(path, payload, n)`` gets the 1-based request counter so tests
-    can script fail-then-succeed sequences.
+    can script fail-then-succeed sequences. ``closed`` is released once per
+    connection the server has closed.
     """
 
-    def __init__(self, respond):
-        super().__init__(("127.0.0.1", 0), _Handler)
+    # Handler threads of kept-alive connections wait for the client's next
+    # request; daemon threads let the server close without joining them.
+    daemon_threads = True
+
+    def __init__(self, respond, handler=Handler):
+        super().__init__(("127.0.0.1", 0), handler)
         self._respond = respond
         self.requests: list[tuple[str, dict]] = []
+        self.headers: list = []
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
         self._lock = threading.Lock()
 
-    def handle_request(self, path, payload):
+    def handle_request(self, path, payload, headers):
         with self._lock:
             self.requests.append((path, payload))
+            self.headers.append(headers)
             return self._respond(path, payload, len(self.requests))
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
 
 
 @contextmanager
-def serve(respond):
-    server = RecordingServer(respond)
+def serve(respond, handler=Handler):
+    server = RecordingServer(respond, handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

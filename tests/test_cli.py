@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -209,6 +210,39 @@ def test_bad_input_file_exits_2_before_any_workdir_write(extraction_setup, tmp_p
     assert main([command, "--config", str(bad_config)]) == 2
     assert f"error: {garbage}:" in capsys.readouterr().err
     assert (snapshot(workdir) if workdir.exists() else None) == before
+
+
+@pytest.mark.parametrize("flag, backend", [("--nli-endpoint", "mock-nli-a"), ("--llm-endpoint", "mock-llm")])
+def test_bad_endpoint_exits_2_before_any_workdir_write(extraction_setup, capsys, flag, backend):
+    _, config_path, workdir = extraction_setup
+    assert main(["nli-score", "--config", str(config_path)]) == 0
+    before = snapshot(workdir)
+    capsys.readouterr()
+
+    assert main(["extract", "--config", str(config_path), flag, "localhost:8000/nli"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"backend {backend!r}: endpoint must be" in err
+    assert snapshot(workdir) == before
+
+
+def test_closed_stdout_exits_quietly(extraction_setup, tmp_path, monkeypatch, capsys):
+    _, config_path, _ = extraction_setup
+    with open(tmp_path / "stdout", "w") as target:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["extract", "--config", str(config_path)]) == 1
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 def test_seed_override_changes_digest(extraction_setup):

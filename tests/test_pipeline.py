@@ -461,6 +461,15 @@ class TestBackendConfig:
                 with pytest.raises(ValidationError):
                     config_type("m", "mock", **bad)
 
+    def test_endpoint_must_be_mock_or_an_http_url_with_a_host(self):
+        for config_type in (NliBackendConfig, LlmBackendConfig):
+            for good in ("mock", "http://localhost:8000/nli", "https://host.example/v1/chat?x=1", "http://[::1]:8001"):
+                assert config_type("m", good).endpoint == good
+            for bad in ("localhost:8000/nli", "ftp://host/nli", "http://", "http:///nli", "http://host:port/nli",
+                        "http://host:0/nli", "http://host:70000/", "http://[::1/", "Mock", ""):
+                with pytest.raises(ValidationError, match="backend 'm': endpoint must be"):
+                    config_type("m", bad)
+
 
 class TestConfig:
     def test_load_and_digest_stability(self, tmp_path):
