@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
+from copy import copy
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -36,9 +38,7 @@ def normalize_text(text_raw: str) -> str:
 
     Idempotent: ``normalize_text(normalize_text(x)) == normalize_text(x)``.
     """
-    lowered = text_raw.lower()
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in lowered)
-    return " ".join(cleaned.split())
+    return " ".join(re.sub(r"[\W_]+", " ", text_raw.lower()).split())  # \w: isalnum or _
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,10 @@ class Review:
             raise ValidationError("text_norm is not in normalized form")
 
     def normalized(self) -> "Review":
-        """Return a copy with ``text_norm`` derived from ``text_raw``."""
-        return replace(self, text_norm=normalize_text(self.text_raw))
+        """Return a copy with ``text_norm`` derived from ``text_raw``, so in normal form."""
+        review = copy(self)
+        object.__setattr__(review, "text_norm", normalize_text(self.text_raw))
+        return review
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
+from .._window import run_ordered
 from ..errors import BackendError, ValidationError
 from ..labels import BinaryLabel, Vote
 
@@ -40,8 +41,8 @@ class SamplingSettings:
     max_response_tokens: int = 64
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValidationError("temperature must be a finite number >= 0")
         if not 0.0 < self.top_p <= 1.0:
             raise ValidationError("top_p must be in (0, 1]")
         if self.num_samples < 1 or self.num_samples % 2 == 0:
@@ -135,32 +136,34 @@ def classify_corpus(
     settings: SamplingSettings,
     *,
     max_inflight: int = 4,
+    on_record: Callable[[VoteRecord], None] = lambda record: None,
 ) -> tuple[list[VoteRecord], list[tuple[str, str]]]:
     """Classify a batch of candidate reviews (callers pass the maybe-privacy
     subset), preserving input order.
 
+    A review is one job of :func:`run_ordered`: ``max_inflight`` workers, the
+    calling thread among them, classify at most ``2 * max_inflight`` reviews
+    ahead of the one the calling thread commits and hands to ``on_record``.
     Returns ``(records, failures)`` where failures are ``(review_id, reason)``
     pairs for reviews whose backend calls kept failing; those are never
     silently labeled.
     """
-    if not reviews:
-        return [], []
-    prompts = [build_prompt(hset, review) for review in reviews]
-
-    def work(index: int):
-        return classify_review(backend, reviews[index].id, prompts[index], settings, hset.version_hash)
-
-    results: dict[int, VoteRecord] = {}
+    records: list[VoteRecord] = []
     failures: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as executor:
-        futures = {executor.submit(work, i): i for i in range(len(reviews))}
-        for future, index in futures.items():
-            try:
-                results[index] = future.result()
-            except BackendError as exc:
-                failures.append((reviews[index].id, str(exc)))
 
-    records = [results[i] for i in sorted(results)]
+    def work(review: "Review", stop) -> VoteRecord:
+        return classify_review(backend, review.id, build_prompt(hset, review), settings, hset.version_hash)
+
+    def commit(review: "Review", record: VoteRecord | None, error: Exception | None) -> None:
+        if error is None:
+            records.append(record)
+            on_record(record)
+        elif isinstance(error, BackendError):
+            failures.append((review.id, str(error)))
+        else:
+            raise error
+
+    run_ordered(work, reviews, commit, max_inflight)
     if failures:
         logger.warning("LLM classification failed for %d of %d reviews", len(failures), len(reviews))
     return records, failures

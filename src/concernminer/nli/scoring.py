@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .._jsonl import append_log, read_log, replace_file
+from .._window import run_ordered
 from ..errors import BackendError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,18 +185,17 @@ def score_corpus(
 ) -> EntailmentMatrix:
     """Score every (review, hypothesis) pair, consulting the cache first.
 
-    Requires normalized reviews. A review's uncached cells are one job for
-    ``max_inflight`` worker threads, at most ``2 * max_inflight`` rows ahead
-    of the calling thread, which commits rows in review order. On backend
-    failure the raised :class:`BackendError` carries the completed-cell
-    count; everything committed survives in the cache for the rerun.
+    Requires normalized reviews. A review's uncached cells are one job of
+    :func:`run_ordered`: ``max_inflight`` workers, the calling thread among
+    them, score at most ``2 * max_inflight`` rows ahead of the row the
+    calling thread commits, in review order. On backend failure the raised
+    :class:`BackendError` carries the completed-cell count; every committed
+    cell, the failing row's included, survives in the cache for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
         if review.text_norm is None:
             raise ValidationError(f"review {review.id!r} is not normalized; run normalization first")
-    if max_inflight < 1:
-        raise ValidationError("max_inflight must be >= 1")
 
     name, set_hash = backend.name, hset.version_hash
     hyp_ids = tuple(h.id for h in hset.hypotheses)
@@ -220,34 +216,32 @@ def score_corpus(
         elif columns:
             jobs.append((i, review, columns, []))
     total = sum(len(columns) for _, _, columns, _ in jobs)
-    stop = threading.Event()  # set when the run ends, so workers score no further cells
 
-    def work(premise: str, columns: list[int], scores: list[EntailmentScore]) -> None:
+    def work(job, stop) -> None:
+        _, review, columns, scores = job
         for j in columns:
             if stop.is_set():
                 return
-            scores.append(backend.score_pair(premise, hset.hypotheses[j]))
+            scores.append(backend.score_pair(review.text_norm, hset.hypotheses[j]))
 
     completed = 0
-    with ThreadPoolExecutor(max_workers=max_inflight) as executor:
-        submitted = ((i, r, cols, out, executor.submit(work, r.text_norm, cols, out)) for i, r, cols, out in jobs)
-        window = deque(islice(submitted, 2 * max_inflight))
-        try:
-            while window:
-                i, review, columns, scores, future = window.popleft()
-                error = future.exception()  # the cells scored before an error are committed too
-                grid[i, columns[: len(scores)]] = [score.entail for score in scores]
-                cache.put_row(name, set_hash, review.id, [(hyp_ids[j], score) for j, score in zip(columns, scores)])
-                completed += len(scores)
-                if error is not None:
-                    raise error
-                window.extend(islice(submitted, 1))
-        except BackendError as exc:
-            message = f"scoring aborted after {completed} of {total} uncached cells: {exc}"
-            raise BackendError(message, completed=completed, total=total) from exc
-        finally:
-            stop.set()
-            cache.flush()
+
+    def commit(job, _, error: Exception | None) -> None:
+        nonlocal completed
+        i, review, columns, scores = job  # the cells scored before an error are committed too
+        grid[i, columns[: len(scores)]] = [score.entail for score in scores]
+        cache.put_row(name, set_hash, review.id, [(hyp_ids[j], score) for j, score in zip(columns, scores)])
+        completed += len(scores)
+        if error is not None:
+            raise error
+
+    try:
+        run_ordered(work, jobs, commit, max_inflight)
+    except BackendError as exc:
+        message = f"scoring aborted after {completed} of {total} uncached cells: {exc}"
+        raise BackendError(message, completed=completed, total=total) from exc
+    finally:
+        cache.flush()
 
     logger.info(
         "scored %d reviews x %d hypotheses with %s (%d backend calls, %d cache hits)",

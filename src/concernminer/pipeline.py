@@ -253,19 +253,20 @@ def llm_classify(
 
     Only logged records that ``backend`` cast on ``hset`` for reviews in
     ``maybe_reviews`` are reused; the reviews without one are classified and
-    their records appended to the log. Writes the ``(review_id, reason)``
-    failures to ``llm_failures.jsonl`` and returns them with the records, in
-    ``maybe_reviews`` order.
+    each record is appended to the log as it is committed. Writes the
+    ``(review_id, reason)`` failures to ``llm_failures.jsonl`` and returns
+    them with the records, in ``maybe_reviews`` order.
     """
     votes_path = config.workdir / VOTES_FILE
     maybe_ids = {r.id for r in maybe_reviews}
     logged = read_votes(votes_path, backend.name, hset.version_hash)
     records = {rid: rec for rid, rec in logged.items() if rid in maybe_ids}
     todo = [r for r in maybe_reviews if r.id not in records]
+    votes_path.touch()  # the stage leaves a vote log, even with nothing to classify
     new_records, failures = classify_corpus(
-        backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight
+        backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight,
+        on_record=lambda record: append_votes(votes_path, [record]),
     )
-    append_votes(votes_path, new_records)
     records.update((rec.review_id, rec) for rec in new_records)
     write_jsonl(
         config.workdir / LLM_FAILURES_FILE,

@@ -87,7 +87,8 @@ class RecordingServer(ThreadingHTTPServer):
 @contextmanager
 def serve(respond, handler=Handler):
     server = RecordingServer(respond, handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval for serve_forever to notice.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_address[1]}/"

@@ -225,6 +225,19 @@ def test_bad_endpoint_exits_2_before_any_workdir_write(extraction_setup, capsys,
     assert snapshot(workdir) == before
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_non_finite_temperature_exits_2_before_any_workdir_write(extraction_setup, tmp_path, capsys, temperature):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    raw["llm"].setdefault("sampling", {})["temperature"] = temperature
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps(raw))
+
+    assert main(["extract", "--config", str(bad_config)]) == 2
+    assert "temperature must be a finite number" in capsys.readouterr().err
+    assert not workdir.exists()
+
+
 def test_closed_stdout_exits_quietly(extraction_setup, tmp_path, monkeypatch, capsys):
     _, config_path, _ = extraction_setup
     with open(tmp_path / "stdout", "w") as target:

@@ -55,6 +55,15 @@ class TestNormalizeText:
         assert out == out.strip()
         assert "  " not in out
 
+    def test_matches_the_isalnum_form_on_every_code_point(self):
+        def isalnum_form(text):
+            return " ".join("".join(ch if ch.isalnum() else " " for ch in text.lower()).split())
+
+        every = "".join(map(chr, range(0x110000)))
+        once = normalize_text(every)
+        assert once == isalnum_form(every)
+        assert normalize_text(once) == once
+
 
 class TestReviewInvariants:
     def test_rating_bounds(self):
@@ -70,6 +79,16 @@ class TestReviewInvariants:
     def test_text_norm_must_be_normalized(self):
         with pytest.raises(ValidationError):
             Review("r1", "app", Store.OTHER, 1, "X", text_norm="Has Upper")
+
+    def test_normalized_derives_text_norm_without_a_second_normalization(self, monkeypatch):
+        review = make_review(text="Won't LET me sign-up!!")
+        calls = []
+        monkeypatch.setattr("concernminer.corpus.normalize_text", lambda text: calls.append(text) or normalize_text(text))
+        derived = review.normalized()
+        assert calls == [review.text_raw]
+        assert derived.text_norm == "won t let me sign up"
+        assert derived == Review(review.id, "app", Store.GOOGLE_PLAY, 1, review.text_raw, text_norm="won t let me sign up")
+        assert review.text_norm is None
 
     def test_duplicate_ids_rejected_in_corpus(self):
         with pytest.raises(ValidationError):

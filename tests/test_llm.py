@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 
 import pytest
 
@@ -52,6 +53,11 @@ class TestSamplingSettings:
             SamplingSettings(num_samples=4)  # even
         with pytest.raises(ValidationError):
             SamplingSettings(max_response_tokens=0)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(ValidationError, match="temperature"):
+            SamplingSettings(temperature=temperature)
 
 
 class TestBuildPrompt:
@@ -197,6 +203,38 @@ class TestClassifyCorpus:
         assert [r.review_id for r in records] == ["r0", "r2"]
         assert len(failures) == 1 and failures[0][0] == "r1"
         assert len(records) + len(failures) == len(reviews)
+
+    @pytest.mark.parametrize("max_inflight", [1, 2, 4])
+    def test_in_flight_reviews_are_bounded(self, max_inflight):
+        # The first review is held until more than 2 x max_inflight reviews
+        # have started, or 0.2 s have passed. Nothing commits before it, so
+        # every review started meanwhile is in flight.
+        bound = 2 * max_inflight
+        lock = threading.Lock()
+        started: set[str] = set()
+        held_started: set[str] = set()
+        overrun = threading.Event()
+
+        class RecordingBackend(MockLlmBackend):
+            def complete(self, prompt, settings, *, tag=None):
+                with lock:
+                    started.add(tag)
+                    if len(started) > bound:
+                        overrun.set()
+                if tag == "r0" and not held_started:
+                    overrun.wait(0.2)
+                    with lock:
+                        held_started.update(started)
+                return super().complete(prompt, settings, tag=tag)
+
+        reviews = [make_review(f"r{i}", f"review text {i}") for i in range(5 * bound)]
+        script = {f"r{i}": ["yes", "no", "yes"] if i % 2 else ["no"] for i in range(len(reviews))}
+        records, failures = classify_corpus(
+            RecordingBackend(script), reviews, DOMAIN, SamplingSettings(), max_inflight=max_inflight
+        )
+        assert failures == [] and [r.review_id for r in records] == [r.id for r in reviews]
+        assert 0 < len(held_started) <= bound
+        assert records == classify_corpus(MockLlmBackend(script), reviews, DOMAIN, SamplingSettings())[0]
 
 
 class TestHttpBackend:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concernminer
 from concernminer import pipeline
 from concernminer.annotation import NON_PRIVACY, PRIVACY, scripted_responder
 from concernminer.config import LlmBackendConfig, NliBackendConfig, load_config, parse_config
@@ -235,6 +241,26 @@ class TestExtraction:
             )
         assert outputs[0] == outputs[1]
 
+    def test_outputs_do_not_depend_on_max_inflight(self, tmp_path):
+        data_dir = tmp_path / "data"
+        build_extraction_fixture(data_dir, n_privacy=12, n_benign_low=48, n_high=5, n_yes=5)
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches: more chances for an ordering fault to show
+        try:
+            for max_inflight in (1, 4, 8):
+                raw = extraction_config(data_dir, tmp_path / f"run{max_inflight}")
+                raw["nli"]["backends"][0]["max_inflight"] = max_inflight
+                raw["llm"]["backend"]["max_inflight"] = max_inflight
+                config = config_from_dict(raw, tmp_path)
+                run_extraction(config)
+                files = [NLI_CACHE_FILE, VOTES_FILE, EXTRACTED_FILE, *sorted(p.name for p in config.workdir.glob("matrix_*"))]
+                outputs.append({name: (config.workdir / name).read_bytes() for name in files})
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_rerun_same_workdir_resumes_from_caches(self, small_extraction):
         _, config = small_extraction
         first = run_extraction(config)
@@ -270,6 +296,78 @@ def record_llm_backends(monkeypatch) -> list:
 
     monkeypatch.setattr(pipeline, "make_llm_backend", recording)
     return built
+
+
+# Runs the CLI with argv[3:]. Every LLM call is first logged by its review id
+# to the file argv[2]; call number argv[1] of the process then sends SIGKILL
+# to the process.
+KILLING_MAIN = """
+import os, signal, sys, threading
+from concernminer import pipeline
+from concernminer.cli import main
+
+kill_at, calls_log = int(sys.argv[1]), sys.argv[2]
+make, lock, calls = pipeline.make_llm_backend, threading.Lock(), [0]
+
+def make_llm_backend(*args, **kwargs):
+    backend = make(*args, **kwargs)
+    complete = backend.complete
+
+    def killing(prompt, settings, *, tag=None):
+        with lock:
+            with open(calls_log, "a") as log:
+                log.write(tag + "\\n")
+            calls[0] += 1
+            if calls[0] == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return complete(prompt, settings, tag=tag)
+
+    backend.complete = killing
+    return backend
+
+pipeline.make_llm_backend = make_llm_backend
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("max_inflight", [1, 3])
+def test_sigkill_in_llm_stage_loses_at_most_one_window_and_rerun_matches(tmp_path, max_inflight):
+    data_dir = tmp_path / "data"
+    build_extraction_fixture(data_dir, n_privacy=20, n_benign_low=10, n_high=2, n_yes=8)
+    raw = extraction_config(data_dir, tmp_path / "run")
+    raw["llm"]["backend"]["max_inflight"] = max_inflight
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    script = tmp_path / "killing_main.py"
+    script.write_text(KILLING_MAIN)
+    env = dict(os.environ, PYTHONPATH=str(Path(concernminer.__file__).parents[1]))
+
+    def extract(workdir, kill_at=0):
+        calls_log = tmp_path / f"calls_{workdir.name}_{kill_at}.txt"
+        command = [sys.executable, str(script), str(kill_at), str(calls_log)]
+        command += ["extract", "--config", str(config_path), "--workdir", str(workdir)]
+        code = subprocess.run(command, env=env, capture_output=True, timeout=120).returncode
+        return code, set(calls_log.read_text().split()) if calls_log.exists() else set()
+
+    def logged_ids(workdir):
+        return [json.loads(line)["review_id"] for line in (workdir / VOTES_FILE).read_text().splitlines()]
+
+    kill_at = 37  # at max_inflight 1, the second sample of the eighth review
+    assert extract(tmp_path / "clean")[0] == 0
+    order = logged_ids(tmp_path / "clean")
+    code, called = extract(tmp_path / "run", kill_at)
+    assert code == -signal.SIGKILL
+    committed = logged_ids(tmp_path / "run")
+    assert committed == order[: len(committed)]
+    assert len(called - set(committed)) <= 2 * max_inflight
+    if max_inflight == 1:
+        assert len(committed) == (kill_at - 1) // 5
+
+    code, called = extract(tmp_path / "run")
+    assert code == 0
+    assert called == set(order) - set(committed)
+    for name in (MANIFEST_FILE, EXTRACTED_FILE, VOTES_FILE):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
 
 
 class TestVoteLog:
