@@ -23,7 +23,7 @@ import csv
 import json
 import logging
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -87,11 +87,18 @@ def read_json(path: Path, parse: Callable[[object], T] = _identity) -> T:
         raise ValidationError(f"{path}: {exc!r}") from None
 
 
-def append_log(path: Path, records: Iterable[dict]) -> None:
+def open_log(path: Path) -> IO:
+    """Open the log for appending, creating it if needed."""
+    return path.open("a", encoding="utf-8")
+
+
+def append_log(log: Path | IO, records: Iterable[dict]) -> None:
     """Append a batch of records to the log and flush once, when the batch
-    is written; creates the file if needed."""
-    with path.open("a", encoding="utf-8") as handle:
+    is written. ``log`` is a path, opened for this batch only, or a handle
+    from :func:`open_log` that stays open across batches."""
+    with open_log(log) if isinstance(log, Path) else nullcontext(log) as handle:
         handle.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        handle.flush()
 
 
 def read_log(path: Path, parse: Callable[[dict], T] = _identity) -> Iterator[T]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -50,6 +51,11 @@ class SamplingSettings:
         if self.max_response_tokens < 1:
             raise ValidationError("max_response_tokens must be >= 1")
 
+    @property
+    def digest(self) -> str:
+        """12 hex characters naming these settings and the prompt version (a vote record's ``sampling``)."""
+        return hashlib.sha256(repr((self, PROMPT_TEMPLATE_VERSION)).encode("utf-8")).hexdigest()[:12]
+
 
 @dataclass(frozen=True)
 class PromptMessages:
@@ -66,6 +72,7 @@ class VoteRecord:
     tie_flag: bool
     backend: str | None = None  # the LLM backend's name
     set_hash: str | None = None  # version_hash of the hypothesis set in the prompt
+    sampling: str | None = None  # SamplingSettings.digest of the settings that cast the votes
 
     def __post_init__(self) -> None:
         if len(self.raw_responses) != len(self.votes):
@@ -122,11 +129,11 @@ def classify_review(
     backend, review_id: str, prompt: PromptMessages, settings: SamplingSettings, set_hash: str | None = None
 ) -> VoteRecord:
     """Request ``num_samples`` independent completions and take the majority;
-    the record names the backend and the prompt's hypothesis ``set_hash``."""
+    the record names the backend, the prompt's ``set_hash`` and ``settings``."""
     raw = tuple(backend.complete(prompt, settings, tag=review_id) for _ in range(settings.num_samples))
     votes = tuple(parse_response(r) for r in raw)
     decision, tie_flag = majority_vote(votes)
-    return VoteRecord(review_id, raw, votes, decision, tie_flag, backend.name, set_hash)
+    return VoteRecord(review_id, raw, votes, decision, tie_flag, backend.name, set_hash, settings.digest)
 
 
 def classify_corpus(

@@ -1,14 +1,18 @@
 """Entailment score types, the review × hypothesis matrix, caching, and scoring.
 
-A review's row is the unit of scoring work and of cache record; cells are keyed by
-(backend name, hypothesis-set content hash, review id, hypothesis id), so a rerun
-resumes cell by cell; a warm rerun calls no backend and reproduces the matrix bit for bit.
+A review's row is the unit of scoring work, of cache record, and of what the cache
+holds in memory: one float64 array; cells are keyed by (backend name, hypothesis-set
+content hash, review id, hypothesis id), so a rerun resumes cell by cell; a warm
+rerun calls no backend and reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -30,7 +34,8 @@ MATRIX_DTYPE = np.dtype("<f4")  # little-endian 32-bit reals, row-major on disk
 
 @dataclass(frozen=True)
 class EntailmentScore:
-    """Probability mass over entailment / neutral / contradiction.
+    """Probability mass over entailment / neutral / contradiction, built
+    where a backend response enters and by :meth:`ScoreCache.get`.
 
     Only ``entail`` feeds the heuristics; the other two are kept for
     diagnostics and validated when the backend reports them.
@@ -41,13 +46,18 @@ class EntailmentScore:
     contradict: float | None = None
 
     def __post_init__(self) -> None:
-        for name, value in (("entail", self.entail), ("neutral", self.neutral), ("contradict", self.contradict)):
+        _check_score(self.entail, self.neutral, self.contradict)
+
+
+def _check_score(entail, neutral, contradict) -> None:
+    """Each given probability in [0, 1], and a full distribution summing to ~1."""
+    others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
+    if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per cell on load; the loop names the value
+        for name, value in (("entail", entail), ("neutral", neutral), ("contradict", contradict)):
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} probability {value} outside [0, 1]")
-        if self.neutral is not None and self.contradict is not None:
-            total = self.entail + self.neutral + self.contradict
-            if not 0.99 <= total <= 1.01:
-                raise ValidationError(f"score distribution sums to {total:.4f}, expected ~1")
+    if neutral is not None and contradict is not None and not 0.99 <= (total := entail + neutral + contradict) <= 1.01:
+        raise ValidationError(f"score distribution sums to {total:.4f}, expected ~1")
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,9 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
 class ScoreCache:
     """Append-only entailment score cache, one JSONL record per scored row:
     ``{backend, set_hash, review_id, row: [[hypothesis_id, entail, neutral,
-    contradict], ...]}``. Older one-cell records still load.
+    contradict], ...]}``. Older one-cell records still load; a later record
+    wins a cell an earlier one holds. In memory a review's cells are one
+    float64 array of those columns, NaN for ``None`` (see :meth:`row`).
 
     All writes go through :meth:`put_row` on the thread that drives scoring,
     so the file sees a single writer; records reach the file once
@@ -123,26 +135,38 @@ class ScoreCache:
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
-        self._entries: dict[tuple[str, str, str, int], EntailmentScore] = {}
+        self._rows: dict[tuple[str, str, str], np.ndarray] = {}
         self._pending: list[dict] = []
         self._pending_cells = 0
-        if self.path is not None:
-            self._entries.update(cell for cells in read_log(self.path, _record_cells) for cell in cells)
+        for key, cells in read_log(self.path, _record_row) if self.path is not None else ():
+            old = self._rows.get(key)
+            self._rows[key] = cells if old is None else np.concatenate((old[(old[:, :1] != cells[:, 0]).all(1)], cells))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(row) for row in self._rows.values())
+
+    def row(self, backend: str, set_hash: str, review_id: str) -> np.ndarray | None:
+        """One review's cached cells, ``(k, 4)`` as described above, or ``None``."""
+        return self._rows.get((backend, set_hash, review_id))
 
     def get(self, backend: str, set_hash: str, review_id: str, hypothesis_id: int) -> EntailmentScore | None:
-        return self._entries.get((backend, set_hash, review_id, hypothesis_id))
+        row = self.row(backend, set_hash, review_id)
+        for hyp_id, entail, neutral, contradict in row.tolist() if row is not None else ():
+            if hyp_id == hypothesis_id:
+                return EntailmentScore(entail, *(None if math.isnan(v) else v for v in (neutral, contradict)))
+        return None
 
     def put_row(self, backend: str, set_hash: str, review_id: str, scores: Iterable) -> None:
         """Add one review's ``(hypothesis_id, score)`` cells, skipping cached ones."""
+        cached = self.row(backend, set_hash, review_id)
+        seen = set() if cached is None else set(cached[:, 0].tolist())
         row = []
         for hypothesis_id, score in scores:
-            key = (backend, set_hash, review_id, hypothesis_id)
-            if key not in self._entries:
-                self._entries[key] = score
+            if hypothesis_id not in seen:
+                seen.add(hypothesis_id)
                 row.append([hypothesis_id, score.entail, score.neutral, score.contradict])
+        if row:
+            self._rows[backend, set_hash, review_id] = _as_array(row if cached is None else [*cached.tolist(), *row])
         if row and self.path is not None:
             self._pending.append({"backend": backend, "set_hash": set_hash, "review_id": review_id, "row": row})
             self._pending_cells += len(row)
@@ -161,13 +185,24 @@ class ScoreCache:
         self.flush()
 
 
-def _record_cells(record: dict) -> list[tuple[tuple[str, str, str, int], EntailmentScore]]:
-    """The cache entries of one row record or one older cell record."""
-    prefix = (record["backend"], record["set_hash"], record["review_id"])
-    if "row" in record:
-        return [(prefix + (hyp_id,), EntailmentScore(e, n, c)) for hyp_id, e, n, c in record["row"]]
-    score = EntailmentScore(record["entail"], record.get("neutral"), record.get("contradict"))
-    return [(prefix + (record["hypothesis_id"],), score)]
+def _as_array(cells: Iterable) -> np.ndarray:
+    """``[hypothesis_id, entail, neutral, contradict]`` cells as one (k, 4) float64 array, NaN for ``None``."""
+    nan, flat = math.nan, []
+    for hyp_id, entail, neutral, contradict in cells:
+        flat += (hyp_id, entail, nan if neutral is None else neutral, nan if contradict is None else contradict)
+    array = np.array(flat, dtype=np.float64)
+    array.shape = (-1, 4)  # in place: a reshaped view would keep a second array object alive
+    return array
+
+
+def _record_row(record: dict) -> tuple[tuple[str, str, str], np.ndarray]:
+    """The key and checked cells of one row record or one older cell record."""
+    cells = record["row"] if "row" in record else [
+        (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
+    for _, entail, neutral, contradict in cells:
+        _check_score(entail, neutral, contradict)
+    # Every record repeats the backend and set hash: intern them, so rows share one copy.
+    return (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"]), _as_array(cells)
 
 
 # An empty normalized review entails nothing; scoring it remotely would be
@@ -202,15 +237,15 @@ def score_corpus(
     grid = np.zeros((len(reviews), len(hyp_ids)), dtype=MATRIX_DTYPE)
     cache = cache if cache is not None else ScoreCache(None)
 
-    jobs = []  # (row index, review, uncached column indices, list the worker fills with their scores)
+    jobs = deque()  # (row index, review, uncached column indices, list the worker fills with their scores)
     for i, review in enumerate(reviews):
-        columns = []
-        for j, hyp_id in enumerate(hyp_ids):
-            hit = cache.get(name, set_hash, review.id, hyp_id)
-            if hit is None:
-                columns.append(j)
-            else:
-                grid[i, j] = hit.entail
+        row = cache.row(name, set_hash, review.id)
+        if row is not None and row[:, 0].tolist() == list(hyp_ids):  # the usual warm row: every cell, in order
+            grid[i] = row[:, 1]
+            continue
+        hits = {} if row is None else dict(row[:, :2].tolist())  # hypothesis id -> entail
+        grid[i] = [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids]
+        columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
         if not review.text_norm:
             cache.put_row(name, set_hash, review.id, [(hyp_ids[j], EMPTY_PREMISE_SCORE) for j in columns])
         elif columns:
@@ -236,7 +271,7 @@ def score_corpus(
             raise error
 
     try:
-        run_ordered(work, jobs, commit, max_inflight)
+        run_ordered(work, (jobs.popleft() for _ in range(len(jobs))), commit, max_inflight)  # a committed job is let go
     except BackendError as exc:
         message = f"scoring aborted after {completed} of {total} uncached cells: {exc}"
         raise BackendError(message, completed=completed, total=total) from exc

@@ -17,8 +17,9 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
-from ._jsonl import append_log, read_json, read_jsonl, write_csv, write_json, write_jsonl
+from ._jsonl import append_log, open_log, read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
@@ -182,26 +183,27 @@ def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
 
 
 def _vote_record_from_dict(raw: dict) -> VoteRecord:
-    """A vote record from its log line; ``backend`` and ``set_hash`` are
-    ``None`` when the line lacks them."""
+    """A vote record from its log line; ``backend``, ``set_hash`` and
+    ``sampling`` are ``None`` when the line lacks them."""
     responses, votes = tuple(raw["raw_responses"]), tuple(Vote(v) for v in raw["votes"])
     return VoteRecord(**dict(raw, raw_responses=responses, votes=votes, decision=BinaryLabel(raw["decision"])))
 
 
-def read_votes(path: Path, backend: str, set_hash: str, *, log: bool = True) -> dict[str, VoteRecord]:
+def read_votes(path: Path, backend: str, set_hash: str, sampling: str, *, log: bool = True) -> dict[str, VoteRecord]:
     """The records of the vote log at ``path`` that ``backend`` cast on the
-    hypothesis set ``set_hash``, by review id; a record that lacks either
-    field is left out. ``log=False`` reads the file as a whole-file output
-    (see :func:`read_jsonl`): damage raises, and nothing is truncated."""
+    hypothesis set ``set_hash`` with the ``sampling`` digest, by review id; a
+    record that lacks a field is left out. ``log=False`` reads the file as a
+    whole-file output (see :func:`read_jsonl`): damage raises, nothing is cut."""
     return {
         record.review_id: record
         for record in read_jsonl(path, _vote_record_from_dict, log=log)
-        if record.backend == backend and record.set_hash == set_hash
+        if (record.backend, record.set_hash, record.sampling) == (backend, set_hash, sampling)
     }
 
 
-def append_votes(path: Path, records: list[VoteRecord]) -> None:
-    append_log(path, [vars(record) for record in records])
+def append_votes(log: Path | IO, records: list[VoteRecord]) -> None:
+    """Append the records to the vote log, a path or a handle from :func:`open_log`."""
+    append_log(log, [vars(record) for record in records])
 
 
 def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
@@ -259,14 +261,14 @@ def llm_classify(
     """
     votes_path = config.workdir / VOTES_FILE
     maybe_ids = {r.id for r in maybe_reviews}
-    logged = read_votes(votes_path, backend.name, hset.version_hash)
+    logged = read_votes(votes_path, backend.name, hset.version_hash, config.sampling.digest)
     records = {rid: rec for rid, rec in logged.items() if rid in maybe_ids}
     todo = [r for r in maybe_reviews if r.id not in records]
-    votes_path.touch()  # the stage leaves a vote log, even with nothing to classify
-    new_records, failures = classify_corpus(
-        backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight,
-        on_record=lambda record: append_votes(votes_path, [record]),
-    )
+    with open_log(votes_path) as log:  # the stage leaves a vote log, even with nothing to classify
+        new_records, failures = classify_corpus(
+            backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight,
+            on_record=lambda record: append_votes(log, [record]),
+        )
     records.update((rec.review_id, rec) for rec in new_records)
     write_jsonl(
         config.workdir / LLM_FAILURES_FILE,
@@ -527,15 +529,15 @@ def evaluate_run(
 ) -> dict:
     """Score pseudo-labels and/or LLM decisions against the gold corpus,
     with the random-classifier baseline for whichever subsets apply. Only
-    the votes of the configured LLM on the extraction set count; both files
-    are read strictly and left as they are."""
+    the votes of the configured LLM and sampling on the extraction set
+    count; both files are read strictly and left as they are."""
     if config.labeled_path is None:
         raise ValidationError("evaluation needs corpus.labeled in the config")
     pseudo = read_pseudo_labels(pseudo_path) if pseudo_path is not None else None
     votes = None
     if votes_path is not None:
         hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-        votes = read_votes(votes_path, config.llm_backend.name, hset.version_hash, log=False)
+        votes = read_votes(votes_path, config.llm_backend.name, hset.version_hash, config.sampling.digest, log=False)
     config.workdir.mkdir(parents=True, exist_ok=True)
     corpus = ingest_reviews(
         config.labeled_path, config.corpus_format, rejects_path=config.workdir / "rejects_labeled.jsonl"

@@ -195,6 +195,32 @@ def test_record_missing_a_field_exits_2(extraction, tmp_path, capsys, log_name, 
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        [1, 1.5, None, None],  # entail above 1
+        [1, 0.5, -0.1, 0.6],  # neutral below 0
+        [1, 0.2, 0.2, 0.1],  # a distribution that sums to 0.5
+        [1, "0.5", 0.25, 0.25],  # a number in a string
+        [1, None, 0.5, 0.5],  # no entail
+        ["x", 0.5, 0.25, 0.25],  # a hypothesis id that is not a number
+    ],
+    ids=["entail-above-1", "neutral-below-0", "sum-0.5", "entail-string", "entail-null", "id-string"],
+)
+def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell):
+    config_path, _ = extraction
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    log = tmp_path / "run" / NLI_CACHE_FILE
+    first = json.loads(log.read_text().splitlines()[0])
+    append_log(log, [dict(first, review_id="appended", row=[cell])])
+    lines = len(log.read_text().splitlines())
+    capsys.readouterr()
+
+    assert main(["extract", *common]) == 2
+    assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+
+
 class TestWholeFileOutputs:
     def test_failed_rewrite_keeps_previous_file(self, tmp_path):
         path = tmp_path / PSEUDO_LABELS_FILE

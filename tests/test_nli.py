@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +417,21 @@ class TestScoreCorpus:
         assert cache.get("b", "h", "r1", 1) == EntailmentScore(0.125, 0.875, 0.0)
         assert cache.get("b", "h", "r1", 2) is None
 
+    def test_a_later_record_wins_a_cell(self, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        key = {"backend": "b", "set_hash": "h", "review_id": "r0"}
+        records = [
+            dict(key, row=[[1, 0.5, None, None], [2, 0.25, 0.5, 0.25]]),
+            dict(key, hypothesis_id=2, entail=0.75),
+            dict(key, row=[[3, 0.125, None, None], [1, 0.0, 1.0, 0.0]]),
+        ]
+        append_log(cache_path, records)
+        cache = ScoreCache(cache_path)
+        assert len(cache) == 3
+        assert [cache.get("b", "h", "r0", h) for h in (1, 2, 3)] == [
+            EntailmentScore(0.0, 1.0, 0.0), EntailmentScore(0.75), EntailmentScore(0.125)
+        ]
+
     def test_one_record_per_row_in_review_order(self, tmp_path):
         reviews = make_reviews([f"review number {k}" for k in range(30)] + ["!!!"])
         cache_path = tmp_path / "cache.jsonl"
@@ -458,6 +475,42 @@ class TestScoreCorpus:
             sys.setswitchinterval(interval)
         assert runs[0][2] == 120 * 21
         assert runs.count(runs[0]) == len(runs)
+
+    def test_any_cut_of_the_cache_resumes_to_the_clean_matrix(self, tmp_path):
+        texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(6)]
+        reviews = make_reviews(texts + ["!!!"])
+        clean_path = tmp_path / "clean.jsonl"
+        with ScoreCache(clean_path) as cache:
+            save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache), tmp_path / "clean.bin")
+        whole = clean_path.read_bytes()
+        ends = [k + 1 for k, byte in enumerate(whole) if byte == ord("\n")]
+        assert len(ends) == len(reviews)
+        records = [json.loads(line) for line in whole.splitlines()]
+        for cut in sorted({0, *ends, *((start + end) // 2 for start, end in zip([0, *ends], ends))}):
+            path = tmp_path / "cut.jsonl"
+            path.write_bytes(whole[:cut])
+            lost = records[whole[:cut].count(b"\n") :]  # a torn last line is dropped and its row rescored
+            backend = MockNliBackend(seed=3)
+            with ScoreCache(path) as cache:
+                save_matrix(score_corpus(backend, reviews, DOMAIN, cache=cache), tmp_path / "cut.bin")
+            assert backend.calls == sum(len(r["row"]) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
+            assert (tmp_path / "cut.bin").read_bytes() == (tmp_path / "clean.bin").read_bytes(), cut
+            assert path.read_bytes() == whole, cut
+
+    def test_loaded_cache_retains_at_most_80_bytes_per_cell(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        row = [[h.id, 0.125, 0.625, 0.25] for h in DOMAIN.hypotheses]
+        fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "row": row}
+        append_log(path, [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cache = ScoreCache(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 2000 * 21
+        assert retained / len(cache) <= 80  # an object per cell took about 280
 
     @pytest.mark.parametrize("max_inflight", [1, 2, 3])
     def test_in_flight_rows_are_bounded(self, max_inflight):

@@ -30,6 +30,7 @@ from concernminer.pipeline import (
     QUEUE_FILE,
     RunManifest,
     SELECTION_REPORT_FILE,
+    ScoreCache,
     TIMINGS_FILE,
     VOTES_FILE,
     annotate_run,
@@ -370,9 +371,77 @@ def test_sigkill_in_llm_stage_loses_at_most_one_window_and_rerun_matches(tmp_pat
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
 
 
+# Runs the CLI with argv[3:], counting NLI calls in the file argv[2]; call
+# number argv[1] of the process sends SIGKILL to the process.
+KILLING_NLI_MAIN = """
+import os, signal, sys, threading
+from concernminer import pipeline
+from concernminer.cli import main
+
+kill_at, calls_log = int(sys.argv[1]), sys.argv[2]
+make, lock, calls = pipeline.make_nli_backend, threading.Lock(), [0]
+
+def make_nli_backend(*args, **kwargs):
+    backend = make(*args, **kwargs)
+    score_pair = backend.score_pair
+
+    def killing(premise, hypothesis):
+        with lock:
+            calls[0] += 1
+            with open(calls_log, "w") as log:
+                log.write(str(calls[0]))
+            if calls[0] == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return score_pair(premise, hypothesis)
+
+    backend.score_pair = killing
+    return backend
+
+pipeline.make_nli_backend = make_nli_backend
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("max_inflight", [1, 3])
+def test_sigkill_in_nli_stage_rescores_only_lost_cells_and_rerun_matches(tmp_path, max_inflight):
+    data_dir = tmp_path / "data"
+    build_extraction_fixture(data_dir, n_privacy=20, n_benign_low=60, n_high=2, n_yes=8)
+    raw = extraction_config(data_dir, tmp_path / "run")
+    raw["nli"]["backends"][0]["max_inflight"] = max_inflight
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    script = tmp_path / "killing_nli_main.py"
+    script.write_text(KILLING_NLI_MAIN)
+    env = dict(os.environ, PYTHONPATH=str(Path(concernminer.__file__).parents[1]))
+
+    def extract(workdir, kill_at=0):
+        calls_log = tmp_path / f"calls_{workdir.name}_{kill_at}.txt"
+        command = [sys.executable, str(script), str(kill_at), str(calls_log)]
+        command += ["extract", "--config", str(config_path), "--workdir", str(workdir)]
+        code = subprocess.run(command, env=env, capture_output=True, timeout=120).returncode
+        return code, int(calls_log.read_text()) if calls_log.exists() else 0
+
+    def outputs(workdir):
+        names = [MANIFEST_FILE, EXTRACTED_FILE, NLI_CACHE_FILE, *sorted(p.name for p in workdir.glob("matrix_*"))]
+        return {name: (workdir / name).read_bytes() for name in names}
+
+    code, cells = extract(tmp_path / "clean")
+    assert code == 0 and cells == 80 * 21
+    kill_at = 1000  # after the cache's first flush
+    assert extract(tmp_path / "run", kill_at)[0] == -signal.SIGKILL
+    kept = len(ScoreCache(tmp_path / "run" / NLI_CACHE_FILE))  # a torn last line is dropped, as the rerun would
+    assert 0 < kept < kill_at
+    assert kill_at - kept <= ScoreCache.FLUSH_EVERY + 2 * max_inflight * 21  # one flush and one window at most
+
+    code, called = extract(tmp_path / "run")
+    assert code == 0
+    assert called == cells - kept
+    assert outputs(tmp_path / "run") == outputs(tmp_path / "clean")
+
+
 class TestVoteLog:
-    """A logged vote is reused and scored only for the LLM backend and the
-    hypothesis set that cast it."""
+    """A logged vote is reused and scored only for the LLM backend, the
+    hypothesis set and the sampling settings that cast it."""
 
     def other_llm(self, data_dir, workdir, tmp_path):
         raw = extraction_config(data_dir, workdir)
@@ -410,6 +479,36 @@ class TestVoteLog:
         assert built[0].calls == ledger.maybe_privacy * SamplingSettings().num_samples
         assert (config.workdir / MANIFEST_FILE).read_bytes() == manifest
 
+    def test_sampling_change_matches_fresh_run(self, small_extraction, monkeypatch):
+        ledger, config = small_extraction
+        tmp_path = config.workdir.parent
+        run_extraction(config)
+
+        def three_samples(workdir):
+            raw = extraction_config(tmp_path / "data", workdir)
+            raw["llm"]["sampling"] = {"num_samples": 3}
+            return config_from_dict(raw, tmp_path)
+
+        built = record_llm_backends(monkeypatch)
+        run_extraction(three_samples(config.workdir))
+        assert built[0].calls == ledger.maybe_privacy * 3
+        run_extraction(three_samples(tmp_path / "fresh"))
+        for name in (MANIFEST_FILE, EXTRACTED_FILE, QUEUE_FILE, PSEUDO_LABELS_FILE):
+            assert (config.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_record_without_sampling_is_reclassified(self, small_extraction, monkeypatch):
+        ledger, config = small_extraction
+        run_extraction(config)
+        manifest = (config.workdir / MANIFEST_FILE).read_bytes()
+        votes_path = config.workdir / VOTES_FILE
+        records = [json.loads(line) for line in votes_path.read_text().splitlines()]
+        votes_path.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "sampling"}) + "\n" for r in records))
+
+        built = record_llm_backends(monkeypatch)
+        run_extraction(config)
+        assert built[0].calls == ledger.maybe_privacy * SamplingSettings().num_samples
+        assert (config.workdir / MANIFEST_FILE).read_bytes() == manifest
+
     def test_evaluate_scores_only_the_configured_model(self, tmp_path):
         build_labeled_fixture(
             tmp_path / "small.csv", n_pos_strong=6, n_pos_benign=2, n_neg_strong=2, n_neg_weak=0, n_neg_benign=10
@@ -424,15 +523,19 @@ class TestVoteLog:
         gold = {r.id: r.gold_label for r in ingest_reviews(tmp_path / "small.csv")}
         set_hash = builtin_domain_mh().version_hash
 
-        def record(review_id, yes, backend, record_set_hash=set_hash):
+        sampling = SamplingSettings().digest
+
+        def record(review_id, yes, backend, record_set_hash=set_hash, record_sampling=sampling):
             decision = BinaryLabel.YES if yes else BinaryLabel.NO
-            return VoteRecord(review_id, ("x",), (Vote(decision.value),), decision, False, backend, record_set_hash)
+            votes = (Vote(decision.value),)
+            return VoteRecord(review_id, ("x",), votes, decision, False, backend, record_set_hash, record_sampling)
 
         votes_path = tmp_path / "votes.jsonl"
         append_votes(votes_path, [record(rid, label == 1, "mock-llm") for rid, label in gold.items()])
         append_votes(votes_path, [record(rid, label == 0, "other-llm") for rid, label in gold.items()])
         append_votes(votes_path, [record(rid, label == 0, "mock-llm", "other-set") for rid, label in gold.items()])
-        append_votes(votes_path, [record(rid, label == 0, None, None) for rid, label in gold.items()])
+        append_votes(votes_path, [record(rid, label == 0, "mock-llm", set_hash, "other-sampling") for rid, label in gold.items()])
+        append_votes(votes_path, [record(rid, label == 0, None, None, None) for rid, label in gold.items()])
 
         result = evaluate_run(config, votes_path=votes_path)
         assert result["llm"]["evaluated"] == len(gold) == 20
