@@ -25,7 +25,7 @@ class _BackendLimits:
         if self.endpoint != MOCK_ENDPOINT and split_endpoint(self.endpoint) is None:
             raise ValidationError(
                 f"backend {self.name!r}: endpoint must be {MOCK_ENDPOINT!r} or an http:// or https:// URL"
-                f" with a host, not {self.endpoint!r}"
+                f" with a host, in printable ASCII, not {self.endpoint!r}"
             )
         if self.timeout <= 0:
             raise ValidationError(f"backend {self.name!r}: timeout must be > 0")

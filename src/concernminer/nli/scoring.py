@@ -138,9 +138,24 @@ class ScoreCache:
         self._rows: dict[tuple[str, str, str], np.ndarray] = {}
         self._pending: list[dict] = []
         self._pending_cells = 0
-        for key, cells in read_log(self.path, _record_row) if self.path is not None else ():
+        # Consecutive records of one review (the older format has one per
+        # cell) are merged by hypothesis id, then become one array.
+        key, cells = None, {}
+        for record_key, record_cells in read_log(self.path, _record_row) if self.path is not None else ():
+            if record_key != key:
+                self._merge(key, cells)
+                key, cells = record_key, {}
+            for cell in record_cells:
+                cells.pop(cell[0], None)  # a later record wins the cell, and moves it last
+                cells[cell[0]] = cell
+        self._merge(key, cells)
+
+    def _merge(self, key: tuple[str, str, str] | None, cells: dict) -> None:
+        """Put ``cells`` into ``key``'s row; they win the cells it holds."""
+        if cells:
             old = self._rows.get(key)
-            self._rows[key] = cells if old is None else np.concatenate((old[(old[:, :1] != cells[:, 0]).all(1)], cells))
+            kept = [] if old is None else [cell for cell in old.tolist() if cell[0] not in cells]
+            self._rows[key] = _as_array([*kept, *cells.values()])
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._rows.values())
@@ -195,14 +210,16 @@ def _as_array(cells: Iterable) -> np.ndarray:
     return array
 
 
-def _record_row(record: dict) -> tuple[tuple[str, str, str], np.ndarray]:
+def _record_row(record: dict) -> tuple[tuple[str, str, str], list]:
     """The key and checked cells of one row record or one older cell record."""
     cells = record["row"] if "row" in record else [
         (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
-    for _, entail, neutral, contradict in cells:
+    for hyp_id, entail, neutral, contradict in cells:
+        if not isinstance(hyp_id, int):
+            raise ValueError(f"hypothesis id {hyp_id!r} is not an integer")
         _check_score(entail, neutral, contradict)
     # Every record repeats the backend and set hash: intern them, so rows share one copy.
-    return (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"]), _as_array(cells)
+    return (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"]), cells
 
 
 # An empty normalized review entails nothing; scoring it remotely would be

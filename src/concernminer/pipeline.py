@@ -385,6 +385,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     timer.begin("nli")
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
         matrix = nli_score(config, backend_cfg, nli_backend, normalized, hset, cache)
+    del cache  # nothing reads it after scoring: its rows leave memory before the LLM stage
     rows = nli_label(matrix, hset)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}

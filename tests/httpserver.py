@@ -13,9 +13,7 @@ class Handler(BaseHTTPRequestHandler):
     ``text/plain``, anything else as JSON."""
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length)) if length else {}
-        status, body = self.server.handle_request(self.path, payload, self.headers)
+        status, body = self.dispatch()
         plain = isinstance(body, bytes)
         data = body if plain else json.dumps(body).encode("utf-8")
         self.send_response(status)
@@ -23,6 +21,12 @@ class Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    def dispatch(self):
+        """Read the request body and return what ``respond`` makes of it."""
+        length = int(self.headers.get("Content-Length", 0))
+        payload = json.loads(self.rfile.read(length)) if length else {}
+        return self.server.handle_request(self.path, payload, self.headers)
 
     def log_message(self, *args):
         pass
@@ -44,6 +48,21 @@ class SilentCloseHandler(KeepAliveHandler):
     def do_POST(self):
         super().do_POST()
         self.close_connection = True
+
+
+class RawHandler(KeepAliveHandler):
+    """HTTP/1.1 that sends raw bytes: ``respond`` returns ``(close, data)``,
+    ``data`` goes out in one write as the whole response, status line and
+    headers included, and the connection closes after it when ``close`` is
+    true."""
+
+    def do_POST(self):
+        close, data = self.dispatch()
+        try:
+            self.wfile.write(data)
+        except OSError:  # the client stopped reading, as it does after a line too long
+            close = True
+        self.close_connection = close
 
 
 class RecordingServer(ThreadingHTTPServer):

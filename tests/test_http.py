@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from concernminer.hypotheses import builtin_domain_mh
 from concernminer.llm import HttpLlmBackend, PromptMessages, SamplingSettings
 from concernminer.nli import HttpNliBackend
 
-from httpserver import KeepAliveHandler, SilentCloseHandler, serve
+from httpserver import KeepAliveHandler, RawHandler, SilentCloseHandler, serve
 
 NLI = (
     HttpNliBackend,
@@ -128,6 +129,18 @@ def test_url_credentials_go_out_as_basic_auth(backend_type, call, body):
     assert server.headers[0]["Authorization"] == "Basic dXNlcjpwQHNz"  # base64 of "user:p@ss"
 
 
+def test_request_headers():
+    with serve(lambda path, payload, n: (200, NLI[2])) as (server, url):
+        NLI[1](HttpNliBackend("remote", url, backoff=0.01))
+    (path, payload), headers = server.requests[0], server.headers[0]
+    assert dict(headers) == {
+        "Host": url.split("/")[2],
+        "Accept-Encoding": "identity",
+        "Content-Type": "application/json",
+        "Content-Length": str(len(json.dumps(payload))),
+    }
+
+
 def test_https_endpoint_speaks_tls(sleeps):
     with serve(lambda path, payload, n: (200, NLI[2])) as (server, url):
         backend = HttpNliBackend("remote", url.replace("http://", "https://"), max_retries=1, backoff=0.01)
@@ -138,5 +151,94 @@ def test_https_endpoint_speaks_tls(sleeps):
 
 
 def test_cli_imports_no_third_party_http_library():
-    code = "import concernminer.cli, sys; assert 'requests' not in sys.modules and 'urllib3' not in sys.modules"
+    modules = ("requests", "urllib3", "http.client", "email")
+    code = f"import concernminer.cli, sys; loaded = set({modules}) & set(sys.modules); assert not loaded, loaded"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+SCORE = json.dumps(NLI[2]).encode()
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(SCORE), SCORE)
+
+
+def raw_nli(url, **options):
+    """An NLI backend whose timeout is short enough that a client waiting
+    for bytes a response does not promise fails the test quickly."""
+    return HttpNliBackend("remote", url, timeout=5.0, backoff=0.01, **options)
+
+
+@pytest.mark.parametrize(
+    "close, data, connections",
+    [
+        (False, b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5;name=value\r\n%s\r\n%x\r\n%s\r\n0;last\r\nX-Trailer: 1\r\n\r\n"
+                % (SCORE[:5], len(SCORE) - 5, SCORE[5:]), 1),
+        (True, b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + SCORE, 3),
+        (False, b"HTTP/1.1 100 Continue\r\n\r\n" + OK, 1),
+        (True, OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1), 3),
+        (False, OK.replace(b"\r\n", b"\r\n" + b"X: %s\r\n" % (b"x" * (_http.MAX_LINE - 5)), 1), 1),
+        (False, OK.replace(b"\r\n", b"\r\n" + b"X: 1\r\n" * (_http.MAX_HEADERS - 1), 1), 1),
+    ],
+    ids=["chunked", "http10-until-close", "100-continue", "connection-close", "longest-line", "most-headers"],
+)
+def test_response_framings(sleeps, close, data, connections):
+    with serve(lambda path, payload, n: (close, data), RawHandler) as (server, url):
+        backend = raw_nli(url)
+        for _ in range(3):
+            assert NLI[1](backend).entail == 0.4
+    assert sleeps == []
+    assert len(server.requests) == 3
+    assert server.connections == connections
+
+
+def test_204_is_a_malformed_response_without_a_body(sleeps):
+    with serve(lambda path, payload, n: (False, b"HTTP/1.1 204 No Content\r\n\r\n"), RawHandler) as (server, url):
+        with pytest.raises(BackendError, match="malformed response"):
+            NLI[1](raw_nli(url))
+    assert len(server.requests) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (OK.replace(b"Length: %d" % len(SCORE), b"Length: -1"), "bad Content-Length b'-1'"),
+        (OK.replace(b"Length: %d" % len(SCORE), b"Length: 1e2"), "bad Content-Length b'1e2'"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n", "bad chunk size b'-5'"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\n", "bad chunk size b'0x5'"),
+        (b"HTTP/1.1 200 OK\r\nX: " + b"x" * _http.MAX_LINE, "a line longer than 65536 bytes"),
+        (OK.replace(b"\r\n", b"\r\n" + b"X: 1\r\n" * _http.MAX_HEADERS, 1), "more than 100 header lines"),
+        (b"HTTP/1.1 2OO OK\r\n\r\n", "bad status line"),
+    ],
+    ids=["negative-length", "non-numeric-length", "negative-chunk", "hex-prefixed-chunk", "long-line",
+         "many-headers", "bad-status"],
+)
+def test_framing_errors_raise_without_waiting(sleeps, data, message):
+    """The server keeps the connection open after each of these responses,
+    so a client that read on to the end of the stream would time out."""
+    with serve(lambda path, payload, n: (False, data), RawHandler) as (server, url):
+        start = time.monotonic()
+        with pytest.raises(BackendError, match=f"after 2 attempts: {message}"):
+            NLI[1](raw_nli(url, max_retries=1))
+        assert time.monotonic() - start < 2.0
+    assert len(server.requests) == 2
+    assert len(sleeps) == 1
+
+
+def test_body_cut_short_is_retried_as_a_transport_error(sleeps):
+    short = OK[: -len(SCORE) // 2]
+    with serve(lambda path, payload, n: (n == 1, short if n == 1 else OK), RawHandler) as (server, url):
+        assert NLI[1](raw_nli(url)).entail == 0.4
+    assert len(server.requests) == 2
+    assert len(sleeps) == 1
+    assert server.connections == 2
+
+
+def test_bytes_after_a_framed_response_are_not_the_next_response(sleeps):
+    stray = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+    with serve(lambda path, payload, n: (False, OK + stray), RawHandler) as (server, url):
+        backend = raw_nli(url)
+        for _ in range(3):
+            assert NLI[1](backend).entail == 0.4
+    assert sleeps == []
+    assert len(server.requests) == 3
+    assert server.connections == 3

@@ -667,7 +667,8 @@ class TestBackendConfig:
             for good in ("mock", "http://localhost:8000/nli", "https://host.example/v1/chat?x=1", "http://[::1]:8001"):
                 assert config_type("m", good).endpoint == good
             for bad in ("localhost:8000/nli", "ftp://host/nli", "http://", "http:///nli", "http://host:port/nli",
-                        "http://host:0/nli", "http://host:70000/", "http://[::1/", "Mock", ""):
+                        "http://host:0/nli", "http://host:70000/", "http://[::1/", "Mock", "", "http://host/a b",
+                        "http://h\u00f6st/nli"):
                 with pytest.raises(ValidationError, match="backend 'm': endpoint must be"):
                     config_type("m", bad)
 
