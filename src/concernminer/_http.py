@@ -34,10 +34,12 @@ import weakref
 from typing import TYPE_CHECKING
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-from .errors import BackendError, ValidationError
+from .errors import BackendError
 
 if TYPE_CHECKING:
     import ssl
+
+    from .config import LlmBackendConfig, NliBackendConfig
 
 logger = logging.getLogger(__name__)
 
@@ -173,32 +175,25 @@ class Connection:
         return bool(data)
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    *,
-    connection: Connection,
-    head: bytes,
-    max_retries: int = 3,
-    backoff: float = 0.5,
-) -> dict:
-    """POST ``payload`` as JSON over ``connection`` and return the decoded
-    JSON object. ``head`` is the request line and headers up to the value of
-    ``Content-Length``, which is added with the body; ``url`` names the
-    endpoint in errors.
+def post_json(backend: HttpBackend, payload: dict) -> dict:
+    """POST ``payload`` as JSON to ``backend``'s endpoint over this thread's
+    connection, count the call, and return the decoded JSON object.
 
     Retries transport errors (a socket error, a timeout, a response that
     breaks the framing rules of this module or ends early) and 5xx/429
-    responses ``max_retries`` times, sleeping a uniform draw from
-    ``[0, backoff * 2**attempt]`` between attempts, then raises
+    responses ``backend.max_retries`` times, sleeping a uniform draw from
+    ``[0, backend.backoff * 2**attempt]`` between attempts, then raises
     :class:`BackendError`. Any other non-2xx status and a 2xx body that is
     not a JSON object raise it at once.
     """
+    with backend._lock:
+        backend.calls += 1
+    url, max_retries, connection = backend.endpoint, backend.max_retries, backend.connection()
     try:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:
         raise BackendError(f"POST {url}: payload is not valid JSON: {exc}") from None
-    request = b"%s%d\r\n\r\n%s" % (head, len(body), body)
+    request = b"%s%d\r\n\r\n%s" % (backend.head, len(body), body)
     failure: object = None
     for attempt in range(max_retries + 1):
         try:
@@ -219,7 +214,7 @@ def post_json(
                 raise BackendError(f"POST {url} rejected with HTTP {status}, not retried")
             failure = f"HTTP {status}"
         if attempt < max_retries:
-            delay = _jitter.uniform(0, backoff * 2**attempt)
+            delay = _jitter.uniform(0, backend.backoff * 2**attempt)
             logger.debug("POST %s failed (%s), retrying in %.2fs", url, failure, delay)
             time.sleep(delay)
     raise BackendError(f"POST {url} failed after {max_retries + 1} attempts: {failure}")
@@ -231,25 +226,24 @@ def _close_all(connections: list[Connection]) -> None:
 
 
 class HttpBackend:
-    """Endpoint, retry policy, per-thread connection and call count of an
-    HTTP model backend."""
+    """The name, endpoint, retry policy, per-thread connection and call
+    count of an HTTP model backend, built from its config block
+    (:class:`~concernminer.config.NliBackendConfig` or
+    :class:`~concernminer.config.LlmBackendConfig`), whose endpoint that
+    block has checked; ``backoff`` is the first retry's delay bound."""
 
-    def __init__(self, name: str, endpoint: str, *, timeout: float, max_retries: int, backoff: float):
-        parts = split_endpoint(endpoint)
-        if parts is None:
-            raise ValidationError(
-                f"backend {name!r}: {endpoint!r} is not an http:// or https:// URL with a host, in printable ASCII"
-            )
-        self.name = name
-        self.endpoint = endpoint
+    def __init__(self, config: NliBackendConfig | LlmBackendConfig, *, backoff: float = 0.5):
+        self.name, self.endpoint = config.name, config.endpoint
+        self.max_retries, self.backoff = config.max_retries, backoff
         self.calls = 0
+        parts = urlsplit(config.endpoint)
         host, default_port = parts.hostname, 443 if parts.scheme == "https" else 80
         port, tls = parts.port or default_port, None
         if parts.scheme == "https":
             import ssl  # here, so that only an https endpoint loads the TLS library
 
             tls = ssl.create_default_context()
-        self._address = (host, port, timeout, tls)
+        self._address = (host, port, config.timeout, tls)
         authority = f"[{host}]" if ":" in host else host  # an IPv6 literal
         lines = [
             f"POST {urlunsplit(('', '', parts.path or '/', parts.query, ''))} HTTP/1.1",
@@ -260,8 +254,9 @@ class HttpBackend:
         if parts.username is not None:  # credentials in the URL go out as HTTP Basic auth
             credentials = f"{unquote(parts.username)}:{unquote(parts.password or '')}".encode("latin-1")
             lines.append("Authorization: Basic " + base64.b64encode(credentials).decode("ascii"))
-        head = "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
-        self._options = {"head": head, "max_retries": max_retries, "backoff": backoff}
+        # The request line and headers up to the value of Content-Length,
+        # which post_json adds with the body.
+        self.head = "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
         self._lock = threading.Lock()
         self._local = threading.local()
         self._connections: list[Connection] = []
@@ -269,14 +264,10 @@ class HttpBackend:
         # not left to the socket's own finalizer, which warns under -X dev.
         weakref.finalize(self, _close_all, self._connections)
 
-    def _post_options(self) -> dict:
-        """Count one call and return the keyword arguments of
-        :func:`post_json` for it: the retry policy, the request head and
-        this thread's connection."""
-        with self._lock:
-            self.calls += 1
+    def connection(self) -> Connection:
+        """This thread's connection to the endpoint."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
             connection = self._local.connection = Connection(*self._address)
             self._connections.append(connection)
-        return {"connection": connection, **self._options}
+        return connection

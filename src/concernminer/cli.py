@@ -16,7 +16,7 @@ from pathlib import Path
 from ._jsonl import read_json, write_json
 from .annotation import interactive_responder, scripted_responder
 from .config import PipelineConfig, load_config, make_llm_backend, make_nli_backend
-from .corpus import ingest_reviews, write_corpus
+from .corpus import write_corpus
 from .errors import BackendError, ValidationError
 from .hypotheses import resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
@@ -29,6 +29,7 @@ from .pipeline import (
     annotate_run,
     evaluate_run,
     export_dataset,
+    ingest_corpus,
     llm_classify,
     matrix_path,
     nli_label,
@@ -53,25 +54,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        "hypotheses": args.hypotheses,
-        "nli_endpoint": args.nli_endpoint,
-        "llm_endpoint": args.llm_endpoint,
-        "seed": args.seed,
-        "max_inflight": args.max_inflight,
-        "workdir": args.workdir,
-    }
-    return load_config(args.config, overrides)
+    return load_config(args.config, vars(args))
 
 
 def cmd_ingest(args) -> int:
     config = _load(args)
     config.workdir.mkdir(parents=True, exist_ok=True)
-    for role in ("labeled", "unlabeled"):
-        path = config.labeled_path if role == "labeled" else config.unlabeled_path
+    for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)):
         if path is None:
             continue
-        corpus = ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
+        corpus = ingest_corpus(config, role, path)
         out = config.workdir / f"corpus_{role}.jsonl"
         write_corpus(corpus, out)
         rejected = corpus.provenance.counts.get("rejected", 0)
@@ -124,12 +116,15 @@ def cmd_llm_classify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
-    pseudo_path = Path(args.pseudo) if args.pseudo else config.workdir / PSEUDO_LABELS_FILE
-    votes_path = Path(args.votes) if args.votes else config.workdir / VOTES_FILE
+
+    def chosen(named: str | None, default: Path) -> Path | None:
+        """A file named on the command line, which must exist, else the workdir's, if it exists."""
+        return Path(named) if named else default if default.exists() else None
+
     result = evaluate_run(
         config,
-        pseudo_path=pseudo_path if pseudo_path.exists() else None,
-        votes_path=votes_path if votes_path.exists() else None,
+        pseudo_path=chosen(args.pseudo, config.workdir / PSEUDO_LABELS_FILE),
+        votes_path=chosen(args.votes, config.workdir / VOTES_FILE),
     )
     write_json(config.workdir / "metrics.json", result)
     for stage in ("nli", "llm", "random_baseline"):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ._http import split_endpoint
@@ -19,7 +20,7 @@ MOCK_ENDPOINT = "mock"
 
 class _BackendLimits:
     """Endpoint and connection limits both backend config types check on
-    creation."""
+    creation: the one check of each backend setting."""
 
     def __post_init__(self) -> None:
         if self.endpoint != MOCK_ENDPOINT and split_endpoint(self.endpoint) is None:
@@ -27,8 +28,8 @@ class _BackendLimits:
                 f"backend {self.name!r}: endpoint must be {MOCK_ENDPOINT!r} or an http:// or https:// URL"
                 f" with a host, in printable ASCII, not {self.endpoint!r}"
             )
-        if self.timeout <= 0:
-            raise ValidationError(f"backend {self.name!r}: timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValidationError(f"backend {self.name!r}: timeout must be a finite number > 0")
         if self.max_inflight < 1:
             raise ValidationError(f"backend {self.name!r}: max_inflight must be >= 1")
         if self.max_retries < 0:
@@ -37,6 +38,9 @@ class _BackendLimits:
 
 @dataclass(frozen=True)
 class NliBackendConfig(_BackendLimits):
+    """One NLI backend: the only place its defaults are written. An
+    ``HttpNliBackend`` is built from this block."""
+
     name: str
     endpoint: str
     timeout: float = 30.0
@@ -48,8 +52,11 @@ class NliBackendConfig(_BackendLimits):
 
 @dataclass(frozen=True)
 class LlmBackendConfig(_BackendLimits):
-    name: str
-    endpoint: str
+    """The LLM backend: the only place its defaults are written. An
+    ``HttpLlmBackend`` is built from this block."""
+
+    name: str = "llm"
+    endpoint: str = MOCK_ENDPOINT
     timeout: float = 60.0
     max_inflight: int = 4
     max_retries: int = 3
@@ -92,23 +99,17 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _given(raw: dict, **casts) -> dict:
-    """The keys of ``raw`` named in ``casts``, each converted by its cast;
-    absent keys are left out, so the dataclass defaults apply."""
-    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+# Field types as written: both modules that declare config blocks postpone
+# annotations, so a dataclass field's type is its source text.
+_CASTS = {"str": str, "int": int, "float": float}
 
 
-def _parse_nli_backend(raw: dict) -> NliBackendConfig:
-    try:
-        return NliBackendConfig(
-            name=str(raw["name"]),
-            endpoint=str(raw["endpoint"]),
-            mock_table=raw.get("mock_table"),
-            response_fields=raw.get("response_fields"),
-            **_given(raw, timeout=float, max_inflight=int, max_retries=int),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed NLI backend config: {exc}") from None
+def _block(config_type, raw: dict):
+    """``config_type`` built from the keys of the JSON object ``raw`` that
+    name its fields, each cast to the field's declared type when that is
+    ``str``, ``int`` or ``float``; absent fields take their defaults."""
+    types = {f.name: f.type for f in fields(config_type)}
+    return config_type(**{key: _CASTS.get(types[key], lambda v: v)(value) for key, value in raw.items() if key in types})
 
 
 def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
@@ -118,21 +119,12 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         corpus = raw.get("corpus", {})
         nli = raw.get("nli", {})
         llm = raw.get("llm", {})
-        backend_raw = llm.get("backend", {})
-        sampling_raw = llm.get("sampling", {})
 
-        backends = tuple(_parse_nli_backend(b) for b in nli.get("backends", []))
+        backends = tuple(_block(NliBackendConfig, b) for b in nli.get("backends", []))
         if not backends:
             raise ValidationError("config needs at least one NLI backend")
-
-        llm_backend = LlmBackendConfig(
-            name=str(backend_raw.get("name", "llm")),
-            endpoint=str(backend_raw.get("endpoint", MOCK_ENDPOINT)),
-            **_given(backend_raw, timeout=float, max_inflight=int, max_retries=int),
-        )
-        sampling = SamplingSettings(
-            **_given(sampling_raw, temperature=float, top_p=float, num_samples=int, max_response_tokens=int)
-        )
+        llm_backend = _block(LlmBackendConfig, llm.get("backend", {}))
+        sampling = _block(SamplingSettings, llm.get("sampling", {}))
         hypothesis_refs = {
             "generic": "builtin:generic",
             "domain": "builtin:domain-mh",
@@ -165,7 +157,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             digest=config_digest(raw),
             base_dir=base_dir,
         )
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed config: {exc}") from None
 
 
@@ -176,7 +168,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
-    """Fold CLI override flags into the raw config dict."""
+    """Fold the CLI override flags into the raw config dict: the one map
+    from a flag to the config keys it sets. ``overrides`` holds the parsed
+    arguments by destination; a ``None`` or unknown entry is ignored."""
     raw = json.loads(json.dumps(raw))  # deep copy
     if overrides.get("seed") is not None:
         raw["seed"] = overrides["seed"]
@@ -197,30 +191,17 @@ def apply_overrides(raw: dict, overrides: dict) -> dict:
 
 
 def make_nli_backend(cfg: NliBackendConfig, seed: int, base_dir: Path | None = None):
-    """Instantiate the scoring backend an NLI config block describes."""
-    if cfg.endpoint == MOCK_ENDPOINT:
-        triggers = DEFAULT_TRIGGER_TABLE
-        if cfg.mock_table:
-            table_path = _resolve(base_dir or Path(), cfg.mock_table)
-            triggers = load_trigger_table(table_path)
-        return MockNliBackend(cfg.name, seed=seed, triggers=triggers)
-    return HttpNliBackend(
-        cfg.name,
-        cfg.endpoint,
-        timeout=cfg.timeout,
-        max_retries=cfg.max_retries,
-        response_fields=cfg.response_fields,
-    )
+    """The scoring backend an NLI config block describes: the mock or HTTP."""
+    if cfg.endpoint != MOCK_ENDPOINT:
+        return HttpNliBackend(cfg)
+    triggers = DEFAULT_TRIGGER_TABLE
+    if cfg.mock_table:
+        triggers = load_trigger_table(_resolve(base_dir or Path(), cfg.mock_table))
+    return MockNliBackend(cfg.name, seed=seed, triggers=triggers)
 
 
 def make_llm_backend(cfg: LlmBackendConfig, script_path: Path | None):
-    """Instantiate the chat backend an LLM config block describes."""
-    if cfg.endpoint == MOCK_ENDPOINT:
-        script = load_llm_script(script_path) if script_path else None
-        return MockLlmBackend(script, name=cfg.name)
-    return HttpLlmBackend(
-        cfg.name,
-        cfg.endpoint,
-        timeout=cfg.timeout,
-        max_retries=cfg.max_retries,
-    )
+    """The chat backend an LLM config block describes: the mock or HTTP."""
+    if cfg.endpoint != MOCK_ENDPOINT:
+        return HttpLlmBackend(cfg)
+    return MockLlmBackend(load_llm_script(script_path) if script_path else None, name=cfg.name)

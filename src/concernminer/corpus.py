@@ -148,10 +148,7 @@ def parse_record(raw: dict) -> Review:
         try:
             submitted_at = datetime.fromisoformat(text).date()
         except ValueError:
-            try:
-                submitted_at = date.fromisoformat(text)
-            except ValueError:
-                raise ValidationError(f"date {text!r} is not ISO-8601") from None
+            raise ValidationError(f"date {text!r} is not ISO-8601") from None
 
     return Review(
         id=str(raw["id"]).strip(),

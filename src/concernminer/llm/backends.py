@@ -21,9 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class HttpLlmBackend(HttpBackend):
     """Client for any chat-completions-compatible serving endpoint."""
 
-    def __init__(self, name: str, endpoint: str, *, timeout: float = 60.0, max_retries: int = 3, backoff: float = 0.5):
-        super().__init__(name, endpoint, timeout=timeout, max_retries=max_retries, backoff=backoff)
-
     def complete(self, prompt: "PromptMessages", settings: "SamplingSettings", *, tag: str | None = None) -> str:
         payload = {
             "model": self.name,
@@ -35,7 +32,7 @@ class HttpLlmBackend(HttpBackend):
             "top_p": settings.top_p,
             "max_tokens": settings.max_response_tokens,
         }
-        body = post_json(self.endpoint, payload, **self._post_options())
+        body = post_json(self, payload)
         try:
             return str(body["choices"][0]["message"]["content"])
         except (KeyError, IndexError, TypeError) as exc:

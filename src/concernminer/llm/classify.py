@@ -82,8 +82,6 @@ class VoteRecord:
 def build_prompt(hset: "HypothesisSet", review: "Review") -> PromptMessages:
     """System message = fixed instructions + numbered hypotheses; user message
     = the normalized review text, verbatim."""
-    if not hset.hypotheses:
-        raise ValidationError("hypothesis set is empty")
     if review.text_norm is None:
         raise ValidationError(f"review {review.id!r} is not normalized")
     numbered = "\n".join(f"{h.id}. {h.text}" for h in hset.hypotheses)
@@ -142,7 +140,7 @@ def classify_corpus(
     hset: "HypothesisSet",
     settings: SamplingSettings,
     *,
-    max_inflight: int = 4,
+    max_inflight: int,
     on_record: Callable[[VoteRecord], None] = lambda record: None,
 ) -> tuple[list[VoteRecord], list[tuple[str, str]]]:
     """Classify a batch of candidate reviews (callers pass the maybe-privacy

@@ -2,7 +2,8 @@
 
 Wire contract: POST ``{"premise": ..., "hypothesis": ...}`` to the endpoint,
 expect ``{"entailment": p, "neutral": p, "contradiction": p}``. Servers that
-use different field names can be adapted through ``response_fields``.
+use different field names can be adapted through the config block's
+``response_fields``.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 import hashlib
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .._http import HttpBackend, post_json
 from .._jsonl import read_json
 from ..errors import BackendError, ValidationError
 from ..hypotheses import Hypothesis
 from .scoring import EntailmentScore
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..config import NliBackendConfig
 
 DEFAULT_RESPONSE_FIELDS = {
     "entailment": "entailment",
@@ -34,21 +39,12 @@ def infer_pair(backend, premise: str, hypothesis: Hypothesis) -> EntailmentScore
 class HttpNliBackend(HttpBackend):
     """Client for a zero-shot entailment serving endpoint."""
 
-    def __init__(
-        self,
-        name: str,
-        endpoint: str,
-        *,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        response_fields: dict[str, str] | None = None,
-    ):
-        super().__init__(name, endpoint, timeout=timeout, max_retries=max_retries, backoff=backoff)
-        self.response_fields = dict(DEFAULT_RESPONSE_FIELDS, **(response_fields or {}))
+    def __init__(self, config: NliBackendConfig, **options):
+        super().__init__(config, **options)
+        self.response_fields = dict(DEFAULT_RESPONSE_FIELDS, **(config.response_fields or {}))
 
     def score_pair(self, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
-        body = post_json(self.endpoint, {"premise": premise, "hypothesis": hypothesis.text}, **self._post_options())
+        body = post_json(self, {"premise": premise, "hypothesis": hypothesis.text})
         try:
             entail = float(body[self.response_fields["entailment"]])
             neutral_raw = body.get(self.response_fields["neutral"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -37,55 +38,32 @@ def _check_rules(rules: HeuristicRuleSet, n_hypotheses: int) -> None:
         )
 
 
-def apply_heuristics(matrix: EntailmentMatrix, rules: HeuristicRuleSet) -> list[PseudoLabel]:
-    """One pseudo-label per matrix row.
-
-    Positive clauses are checked first (any satisfied clause wins), then the
-    negative clause, then the rule set's default. Deterministic: the same
-    matrix and rules always produce the same label vector.
-    """
-    _check_rules(rules, len(matrix.hypothesis_ids))
-    scores = matrix.scores.astype(np.float64)  # keep thresholds float64, see n_above
-    n = scores.shape[0]
-
-    positive = np.zeros(n, dtype=bool)
-    for threshold, min_count in rules.positive_rules:
-        positive |= np.count_nonzero(EXCEEDS(scores, threshold), axis=1) >= min_count
-
-    if rules.negative_threshold is not None:
-        negative = np.count_nonzero(EXCEEDS(scores, rules.negative_threshold), axis=1) == 0
-    else:
-        negative = np.zeros(n, dtype=bool)
-
-    out: list[PseudoLabel] = []
-    for is_pos, is_neg in zip(positive, negative):
-        if is_pos:
-            out.append(PseudoLabel.MAYBE_PRIVACY)
-        elif is_neg:
-            out.append(PseudoLabel.MAYBE_NOT_PRIVACY)
-        else:
-            out.append(rules.default_label)
-    return out
-
-
 def explain_labels(
     matrix: EntailmentMatrix, rules: HeuristicRuleSet
 ) -> list[tuple[PseudoLabel, float | None, tuple[int, ...]]]:
-    """Labels plus, for each maybe-privacy row, the threshold of the first
-    satisfied clause and the hypothesis ids scoring above it."""
-    labels = apply_heuristics(matrix, rules)
-    out: list[tuple[PseudoLabel, float | None, tuple[int, ...]]] = []
-    for row, label in zip(matrix.scores, labels):
-        if label is PseudoLabel.MAYBE_PRIVACY:
-            for threshold, min_count in rules.positive_rules:
-                if n_above(row, threshold) >= min_count:
-                    triggered = tuple(
-                        hyp_id
-                        for hyp_id, score in zip(matrix.hypothesis_ids, row)
-                        if EXCEEDS(float(score), threshold)
-                    )
-                    out.append((label, threshold, triggered))
-                    break
-        else:
-            out.append((label, None, ()))
+    """One ``(label, threshold, triggered)`` per matrix row.
+
+    Positive clauses are checked first (any satisfied clause wins), then the
+    negative clause, then the rule set's default. A maybe-privacy row names
+    the threshold of its first satisfied clause and the hypothesis ids
+    scoring above it; any other row has ``(None, ())``. Deterministic: the
+    same matrix and rules always produce the same output.
+    """
+    _check_rules(rules, len(matrix.hypothesis_ids))
+    scores = matrix.scores.astype(np.float64)  # keep thresholds float64, see n_above
+    out = [(rules.default_label, None, ())] * scores.shape[0]
+    if rules.negative_threshold is not None:
+        for i in np.flatnonzero(np.count_nonzero(EXCEEDS(scores, rules.negative_threshold), axis=1) == 0):
+            out[i] = (PseudoLabel.MAYBE_NOT_PRIVACY, None, ())
+    # Positive clauses last to first, so that a row keeps its first satisfied
+    # clause, which overrides the negative clause and the default.
+    for threshold, min_count in reversed(rules.positive_rules):
+        above = EXCEEDS(scores, threshold)
+        for i in np.flatnonzero(np.count_nonzero(above, axis=1) >= min_count):
+            out[i] = (PseudoLabel.MAYBE_PRIVACY, threshold, tuple(compress(matrix.hypothesis_ids, above[i])))
     return out
+
+
+def apply_heuristics(matrix: EntailmentMatrix, rules: HeuristicRuleSet) -> list[PseudoLabel]:
+    """One pseudo-label per matrix row: the labels of :func:`explain_labels`."""
+    return [label for label, _, _ in explain_labels(matrix, rules)]

@@ -233,7 +233,7 @@ def score_corpus(
     hset: "HypothesisSet",
     *,
     cache: ScoreCache | None = None,
-    max_inflight: int = 8,
+    max_inflight: int,
 ) -> EntailmentMatrix:
     """Score every (review, hypothesis) pair, consulting the cache first.
 

@@ -210,16 +210,30 @@ def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
     return workdir / f"matrix_{_slug(backend_name)}_{hset.version_hash[:8]}.bin"
 
 
-def prepare_corpus(config: PipelineConfig, role: str) -> tuple[ReviewCorpus, ReviewCorpus, ReviewCorpus]:
-    """Ingest the ``labeled`` or ``unlabeled`` corpus into the workdir, then
-    filter it by rating and normalize it; returns all three stages."""
-    path = config.labeled_path if role == "labeled" else config.unlabeled_path
+def ingest_corpus(config: PipelineConfig, role: str, path: Path | None) -> ReviewCorpus:
+    """Ingest the ``labeled`` or ``unlabeled`` corpus at ``path``, writing
+    its rejected rows into the workdir."""
     if path is None:
         raise ValidationError(f"config has no corpus.{role} path")
     config.workdir.mkdir(parents=True, exist_ok=True)
-    corpus = ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
+    return ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
+
+
+def prepare_corpus(config: PipelineConfig, role: str) -> tuple[ReviewCorpus, ReviewCorpus, ReviewCorpus]:
+    """Ingest the ``labeled`` or ``unlabeled`` corpus into the workdir, then
+    filter it by rating and normalize it; returns all three stages."""
+    corpus = ingest_corpus(config, role, config.labeled_path if role == "labeled" else config.unlabeled_path)
     filtered = filter_by_rating(corpus, config.rating_min, config.rating_max)
     return corpus, filtered, normalize_corpus(filtered)
+
+
+def gold_corpus(config: PipelineConfig) -> ReviewCorpus:
+    """The reviews of the labeled corpus that carry a gold label, ingested
+    into the workdir."""
+    labeled, _ = partition_gold(ingest_corpus(config, "labeled", config.labeled_path))
+    if not len(labeled):
+        raise ValidationError("labeled corpus contains no gold labels")
+    return labeled
 
 
 def nli_score(
@@ -295,15 +309,7 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     generic = resolve_hypothesis_set(config.hypothesis_refs["generic"], config.base_dir)
     domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
     backends = {cfg.name: make_nli_backend(cfg, config.seed, config.base_dir) for cfg in config.nli_backends}
-    config.workdir.mkdir(parents=True, exist_ok=True)
-
-    corpus = ingest_reviews(
-        config.labeled_path, config.corpus_format, rejects_path=config.workdir / "rejects_labeled.jsonl"
-    )
-    labeled, _ = partition_gold(corpus)
-    if not len(labeled):
-        raise ValidationError("labeled corpus contains no gold labels")
-    labeled = normalize_corpus(labeled)
+    labeled = normalize_corpus(gold_corpus(config))
     gold = {r.id: r.gold_label for r in labeled}
     cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
 
@@ -539,14 +545,7 @@ def evaluate_run(
     if votes_path is not None:
         hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
         votes = read_votes(votes_path, config.llm_backend.name, hset.version_hash, config.sampling.digest, log=False)
-    config.workdir.mkdir(parents=True, exist_ok=True)
-    corpus = ingest_reviews(
-        config.labeled_path, config.corpus_format, rejects_path=config.workdir / "rejects_labeled.jsonl"
-    )
-    labeled, _ = partition_gold(corpus)
-    gold = {r.id: r.gold_label for r in labeled}
-    if not gold:
-        raise ValidationError("labeled corpus contains no gold labels")
+    gold = {r.id: r.gold_label for r in gold_corpus(config)}
 
     result: dict = {"gold_size": len(gold)}
     if pseudo is not None:

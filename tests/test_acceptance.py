@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from concernminer.annotation import NON_PRIVACY, PRIVACY, scripted_responder, run_annotation
-from concernminer.config import parse_config
+from concernminer.config import NliBackendConfig, parse_config
 from concernminer.corpus import Review, Store
 from concernminer.evaluation import MetricsReport, cohen_kappa, f1_score, random_baseline, select_best
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic
@@ -238,9 +238,11 @@ def test_criterion_09_optional_live_nli_smoke():
     # private labeled corpus; this smoke test only checks that a configured
     # live endpoint speaks the wire contract and returns valid distributions.
     backend = HttpNliBackend(
-        os.environ.get("NLI_SMOKE_MODEL", "live-nli"),
-        os.environ["NLI_SMOKE_ENDPOINT"],
-        timeout=float(os.environ.get("NLI_SMOKE_TIMEOUT", "30")),
+        NliBackendConfig(
+            os.environ.get("NLI_SMOKE_MODEL", "live-nli"),
+            os.environ["NLI_SMOKE_ENDPOINT"],
+            timeout=float(os.environ.get("NLI_SMOKE_TIMEOUT", "30")),
+        )
     )
     premises = [
         "won t let me sign up after collecting all of my data",

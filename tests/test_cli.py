@@ -156,6 +156,21 @@ def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, ca
     assert votes.read_bytes() == before
 
 
+@pytest.mark.parametrize("flag", ["--pseudo", "--votes"])
+def test_evaluate_named_file_must_exist(selection_setup, tmp_path, capsys, flag):
+    config_path = selection_setup
+    assert main(["select", "--config", str(config_path)]) == 0
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    workdir = tmp_path / "run"
+    before = snapshot(workdir)
+    missing = tmp_path / "missing.jsonl"
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(config_path), flag, str(missing)]) == 2
+    assert f"error: {missing}:" in capsys.readouterr().err
+    assert snapshot(workdir) == before
+
+
 def test_evaluate_writes_labeled_rejects_into_the_workdir(selection_setup, tmp_path):
     config_path = selection_setup
     labeled = tmp_path / "labeled.csv"
@@ -235,6 +250,31 @@ def test_non_finite_temperature_exits_2_before_any_workdir_write(extraction_setu
 
     assert main(["extract", "--config", str(bad_config)]) == 2
     assert "temperature must be a finite number" in capsys.readouterr().err
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        ("nli", "timeout", float("nan"), "timeout must be a finite number > 0"),
+        ("llm", "timeout", float("inf"), "timeout must be a finite number > 0"),
+        ("nli", "max_retries", float("inf"), "cannot convert float infinity to integer"),
+        ("llm", "max_inflight", float("inf"), "cannot convert float infinity to integer"),
+    ],
+    ids=["nli-timeout-nan", "llm-timeout-inf", "nli-max_retries-inf", "llm-max_inflight-inf"],
+)
+def test_non_finite_backend_setting_exits_2_before_any_workdir_write(
+    extraction_setup, tmp_path, capsys, block, key, value, message
+):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    backend = raw["nli"]["backends"][0] if block == "nli" else raw["llm"]["backend"]
+    backend.update({"endpoint": "http://127.0.0.1:9/" + block, key: value})
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps(raw))
+
+    assert main(["extract", "--config", str(bad_config)]) == 2
+    assert message in capsys.readouterr().err
     assert not workdir.exists()
 
 

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from concernminer import _http
+from concernminer.config import LlmBackendConfig, NliBackendConfig
 from concernminer.errors import BackendError
 from concernminer.hypotheses import builtin_domain_mh
 from concernminer.llm import HttpLlmBackend, PromptMessages, SamplingSettings
@@ -32,6 +33,12 @@ LLM = (
 BACKENDS = pytest.mark.parametrize("backend_type, call, body", [NLI, LLM], ids=["nli", "llm"])
 
 
+def build(backend_type, endpoint, *, backoff, **settings):
+    """A ``backend_type`` built from a config block named ``remote``."""
+    config_type = NliBackendConfig if backend_type is HttpNliBackend else LlmBackendConfig
+    return backend_type(config_type("remote", endpoint, **settings), backoff=backoff)
+
+
 @pytest.fixture()
 def sleeps(monkeypatch):
     """Every backoff delay the client sleeps, recorded instead of slept."""
@@ -43,13 +50,13 @@ def sleeps(monkeypatch):
 @BACKENDS
 def test_one_connection_per_thread_and_counted_calls(backend_type, call, body):
     with serve(lambda path, payload, n: (200, body), KeepAliveHandler) as (server, url):
-        backend = backend_type("remote", url, backoff=0.01)
+        backend = build(backend_type, url, backoff=0.01)
         for _ in range(10):
             call(backend)
         assert server.connections == 1
         assert backend.calls == 10
 
-        threaded = backend_type("remote", url, backoff=0.01)
+        threaded = build(backend_type, url, backoff=0.01)
         workers = [threading.Thread(target=call, args=(threaded,)) for _ in range(2)]
         for worker in workers:
             worker.start()
@@ -64,7 +71,7 @@ def test_one_connection_per_thread_and_counted_calls(backend_type, call, body):
 @BACKENDS
 def test_connection_closed_by_server_reconnects_without_retry(sleeps, backend_type, call, body):
     with serve(lambda path, payload, n: (200, body), SilentCloseHandler) as (server, url):
-        backend = backend_type("remote", url, backoff=5.0)
+        backend = build(backend_type, url, backoff=5.0)
         start = time.monotonic()
         for _ in range(5):
             call(backend)
@@ -79,7 +86,7 @@ def test_connection_closed_by_server_reconnects_without_retry(sleeps, backend_ty
 @BACKENDS
 def test_http10_server_gets_one_connection_per_call(sleeps, backend_type, call, body):
     with serve(lambda path, payload, n: (200, body)) as (server, url):
-        backend = backend_type("remote", url, backoff=0.01)
+        backend = build(backend_type, url, backoff=0.01)
         for _ in range(10):
             call(backend)
     assert sleeps == []
@@ -100,7 +107,7 @@ def test_http10_server_gets_one_connection_per_call(sleeps, backend_type, call, 
 )
 def test_fails_at_once(sleeps, backend_type, call, body, status, reply, message):
     with serve(lambda path, payload, n: (status, reply)) as (server, url):
-        backend = backend_type("remote", url, max_retries=3, backoff=0.01)
+        backend = build(backend_type, url, max_retries=3, backoff=0.01)
         with pytest.raises(BackendError, match=message):
             call(backend)
     assert len(server.requests) == 1
@@ -111,7 +118,7 @@ def test_fails_at_once(sleeps, backend_type, call, body, status, reply, message)
 def test_backoff_is_jittered_within_its_bound(sleeps, backend_type, call, body):
     state = random.getstate()
     with serve(lambda path, payload, n: (503, {"error": "busy"})) as (server, url):
-        backend = backend_type("remote", url, max_retries=3, backoff=0.5)
+        backend = build(backend_type, url, max_retries=3, backoff=0.5)
         with pytest.raises(BackendError, match="after 4 attempts"):
             call(backend)
     assert len(server.requests) == 4
@@ -124,14 +131,14 @@ def test_backoff_is_jittered_within_its_bound(sleeps, backend_type, call, body):
 @BACKENDS
 def test_url_credentials_go_out_as_basic_auth(backend_type, call, body):
     with serve(lambda path, payload, n: (200, body)) as (server, url):
-        call(backend_type("remote", url.replace("http://", "http://user:p%40ss@") + "v1?key=1", backoff=0.01))
+        call(build(backend_type, url.replace("http://", "http://user:p%40ss@") + "v1?key=1", backoff=0.01))
     assert server.requests[0][0] == "/v1?key=1"
     assert server.headers[0]["Authorization"] == "Basic dXNlcjpwQHNz"  # base64 of "user:p@ss"
 
 
 def test_request_headers():
     with serve(lambda path, payload, n: (200, NLI[2])) as (server, url):
-        NLI[1](HttpNliBackend("remote", url, backoff=0.01))
+        NLI[1](build(HttpNliBackend, url, backoff=0.01))
     (path, payload), headers = server.requests[0], server.headers[0]
     assert dict(headers) == {
         "Host": url.split("/")[2],
@@ -143,7 +150,7 @@ def test_request_headers():
 
 def test_https_endpoint_speaks_tls(sleeps):
     with serve(lambda path, payload, n: (200, NLI[2])) as (server, url):
-        backend = HttpNliBackend("remote", url.replace("http://", "https://"), max_retries=1, backoff=0.01)
+        backend = build(HttpNliBackend, url.replace("http://", "https://"), max_retries=1, backoff=0.01)
         with pytest.raises(BackendError, match="after 2 attempts"):
             NLI[1](backend)
     assert server.requests == []
@@ -163,7 +170,7 @@ OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(SCORE), SCORE)
 def raw_nli(url, **options):
     """An NLI backend whose timeout is short enough that a client waiting
     for bytes a response does not promise fails the test quickly."""
-    return HttpNliBackend("remote", url, timeout=5.0, backoff=0.01, **options)
+    return build(HttpNliBackend, url, timeout=5.0, backoff=0.01, **options)
 
 
 @pytest.mark.parametrize(

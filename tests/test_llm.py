@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from concernminer.config import LlmBackendConfig
 from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic
@@ -178,13 +179,13 @@ class TestClassifyReview:
 
 class TestClassifyCorpus:
     def test_empty_input(self):
-        records, failures = classify_corpus(MockLlmBackend(), [], DOMAIN, SamplingSettings())
+        records, failures = classify_corpus(MockLlmBackend(), [], DOMAIN, SamplingSettings(), max_inflight=4)
         assert records == [] and failures == []
 
     def test_scripted_batch_counts(self):
         reviews = [make_review(f"r{i}", f"review text {i}") for i in range(10)]
         script = {f"r{i}": (["yes"] if i < 6 else ["no"]) for i in range(10)}
-        records, failures = classify_corpus(MockLlmBackend(script), reviews, DOMAIN, SamplingSettings())
+        records, failures = classify_corpus(MockLlmBackend(script), reviews, DOMAIN, SamplingSettings(), max_inflight=4)
         assert [r.review_id for r in records] == [f"r{i}" for i in range(10)]
         assert sum(1 for r in records if r.decision is BinaryLabel.YES) == 6
         assert sum(1 for r in records if r.decision is BinaryLabel.NO) == 4
@@ -199,7 +200,7 @@ class TestClassifyCorpus:
 
         reviews = [make_review(f"r{i}", f"review text {i}") for i in range(3)]
         backend = PartialBackend({f"r{i}": ["yes"] for i in range(3)})
-        records, failures = classify_corpus(backend, reviews, DOMAIN, SamplingSettings())
+        records, failures = classify_corpus(backend, reviews, DOMAIN, SamplingSettings(), max_inflight=4)
         assert [r.review_id for r in records] == ["r0", "r2"]
         assert len(failures) == 1 and failures[0][0] == "r1"
         assert len(records) + len(failures) == len(reviews)
@@ -234,7 +235,7 @@ class TestClassifyCorpus:
         )
         assert failures == [] and [r.review_id for r in records] == [r.id for r in reviews]
         assert 0 < len(held_started) <= bound
-        assert records == classify_corpus(MockLlmBackend(script), reviews, DOMAIN, SamplingSettings())[0]
+        assert records == classify_corpus(MockLlmBackend(script), reviews, DOMAIN, SamplingSettings(), max_inflight=4)[0]
 
 
 class TestHttpBackend:
@@ -249,7 +250,7 @@ class TestHttpBackend:
             return 200, {"choices": [{"message": {"content": "yes"}}]}
 
         with serve(respond) as (server, url):
-            backend = HttpLlmBackend("remote-llm", url, backoff=0.01)
+            backend = HttpLlmBackend(LlmBackendConfig("remote-llm", url), backoff=0.01)
             text = backend.complete(PromptMessages("sys", "user text"), SamplingSettings())
         assert text == "yes"
         assert server.requests[0][1]["messages"][1]["content"] == "user text"
@@ -261,7 +262,7 @@ class TestHttpBackend:
             return 200, {"choices": [{"message": {"content": "No"}}]}
 
         with serve(respond) as (server, url):
-            backend = HttpLlmBackend("remote-llm", url, max_retries=2, backoff=0.01)
+            backend = HttpLlmBackend(LlmBackendConfig("remote-llm", url, max_retries=2), backoff=0.01)
             assert backend.complete(PromptMessages("s", "u"), SamplingSettings()) == "No"
         assert len(server.requests) == 2
 
@@ -270,7 +271,7 @@ class TestHttpBackend:
             return 200, {"choices": []}
 
         with serve(respond) as (_, url):
-            backend = HttpLlmBackend("remote-llm", url, backoff=0.01)
+            backend = HttpLlmBackend(LlmBackendConfig("remote-llm", url), backoff=0.01)
             with pytest.raises(BackendError):
                 backend.complete(PromptMessages("s", "u"), SamplingSettings())
 
@@ -279,7 +280,7 @@ class TestHttpBackend:
             return 200, {"choices": [{"message": {"content": "yes" if n % 2 else "no"}}]}
 
         with serve(respond) as (server, url):
-            backend = HttpLlmBackend("remote-llm", url, backoff=0.01)
+            backend = HttpLlmBackend(LlmBackendConfig("remote-llm", url), backoff=0.01)
             record = classify_review(backend, "r0", PromptMessages("s", "u"), SamplingSettings())
         assert len(server.requests) == 5
         assert record.decision is BinaryLabel.YES  # responses 1,3,5 are yes

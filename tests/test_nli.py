@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from concernminer._jsonl import append_log
+from concernminer.config import NliBackendConfig
 from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic
@@ -56,6 +57,17 @@ def oracle_label(row, rules) -> PseudoLabel:
         if sum(1 for s in row if s > rules.negative_threshold) == 0:
             return PseudoLabel.MAYBE_NOT_PRIVACY
     return rules.default_label
+
+
+def oracle_clause(row, hypothesis_ids, rules) -> tuple[float | None, tuple[int, ...]]:
+    """The threshold of the first satisfied positive clause and the ids
+    scoring above it, clause by clause; ``(None, ())`` when none is."""
+    row = [float(s) for s in row]
+    for threshold, min_count in rules.positive_rules:
+        triggered = tuple(hyp_id for hyp_id, s in zip(hypothesis_ids, row) if s > threshold)
+        if len(triggered) >= min_count:
+            return threshold, triggered
+    return None, ()
 
 
 def matrix_from_rows(rows, n_cols, set_hash="testhash", backend="test"):
@@ -127,7 +139,7 @@ class TestHttpBackend:
             return 200, {"entailment": 0.9, "neutral": 0.07, "contradiction": 0.03}
 
         with serve(respond) as (server, url):
-            backend = HttpNliBackend("remote", url, backoff=0.01)
+            backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
             score = backend.score_pair("the premise text", DOMAIN.by_id(14))
         assert score.entail == 0.9
         assert server.requests[0][1]["hypothesis"] == DOMAIN.by_id(14).text
@@ -139,7 +151,7 @@ class TestHttpBackend:
             return 200, {"entailment": 0.4, "neutral": 0.4, "contradiction": 0.2}
 
         with serve(respond) as (server, url):
-            backend = HttpNliBackend("remote", url, max_retries=2, backoff=0.01)
+            backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=2), backoff=0.01)
             score = backend.score_pair("p", DOMAIN.by_id(1))
         assert score.entail == 0.4
         assert len(server.requests) == 2
@@ -149,7 +161,7 @@ class TestHttpBackend:
             return 500, {"error": "always"}
 
         with serve(respond) as (server, url):
-            backend = HttpNliBackend("remote", url, max_retries=1, backoff=0.01)
+            backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=1), backoff=0.01)
             with pytest.raises(BackendError):
                 backend.score_pair("p", DOMAIN.by_id(1))
         assert len(server.requests) == 2
@@ -160,7 +172,7 @@ class TestHttpBackend:
             return status, {"error": "bad request"}
 
         with serve(respond) as (server, url):
-            backend = HttpNliBackend("remote", url, max_retries=3, backoff=0.01)
+            backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=3), backoff=0.01)
             with pytest.raises(BackendError, match=f"HTTP {status}"):
                 backend.score_pair("p", DOMAIN.by_id(1))
         assert len(server.requests) == 1
@@ -173,7 +185,7 @@ class TestHttpBackend:
             return 200, {"entailment": 0.4, "neutral": 0.4, "contradiction": 0.2}
 
         with serve(respond) as (server, url):
-            backend = HttpNliBackend("remote", url, max_retries=3, backoff=0.01)
+            backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=3), backoff=0.01)
             assert backend.score_pair("p", DOMAIN.by_id(1)).entail == 0.4
         assert len(server.requests) == 2
 
@@ -182,7 +194,7 @@ class TestHttpBackend:
             return 200, {"label": "entailment"}
 
         with serve(respond) as (_, url):
-            backend = HttpNliBackend("remote", url, backoff=0.01)
+            backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
             with pytest.raises(BackendError):
                 backend.score_pair("p", DOMAIN.by_id(1))
 
@@ -191,12 +203,8 @@ class TestHttpBackend:
             return 200, {"ent": 0.8, "neu": 0.15, "con": 0.05}
 
         with serve(respond) as (_, url):
-            backend = HttpNliBackend(
-                "remote",
-                url,
-                backoff=0.01,
-                response_fields={"entailment": "ent", "neutral": "neu", "contradiction": "con"},
-            )
+            fields = {"entailment": "ent", "neutral": "neu", "contradiction": "con"}
+            backend = HttpNliBackend(NliBackendConfig("remote", url, response_fields=fields), backoff=0.01)
             assert backend.score_pair("p", DOMAIN.by_id(1)).entail == 0.8
 
 
@@ -262,6 +270,8 @@ class TestApplyHeuristics:
                 got = apply_heuristics(matrix, rules)
                 expected = [oracle_label(row, rules) for row in matrix.scores]
                 assert got == expected
+                clauses = [oracle_clause(row, matrix.hypothesis_ids, rules) for row in matrix.scores]
+                assert explain_labels(matrix, rules) == [(label, *clause) for label, clause in zip(expected, clauses)]
 
     def test_pointwise_increase_never_demotes(self):
         rng = np.random.default_rng(7)
@@ -327,7 +337,7 @@ class TestScoreCorpus:
     def test_requires_normalized_reviews(self):
         raw = [Review("r0", "app", Store.OTHER, 1, "text")]
         with pytest.raises(ValidationError):
-            score_corpus(MockNliBackend(), raw, DOMAIN)
+            score_corpus(MockNliBackend(), raw, DOMAIN, max_inflight=8)
 
     def test_warm_cache_means_zero_backend_calls(self, tmp_path):
         reviews = make_reviews(["data trackers everywhere", "fine app", "crashes a lot"])
@@ -335,12 +345,12 @@ class TestScoreCorpus:
 
         first_backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
-            first = score_corpus(first_backend, reviews, DOMAIN, cache=cache)
+            first = score_corpus(first_backend, reviews, DOMAIN, cache=cache, max_inflight=8)
         assert first_backend.calls == 63
 
         second_backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
-            second = score_corpus(second_backend, reviews, DOMAIN, cache=cache)
+            second = score_corpus(second_backend, reviews, DOMAIN, cache=cache, max_inflight=8)
         assert second_backend.calls == 0
         assert np.array_equal(first.scores, second.scores)
 
@@ -348,7 +358,7 @@ class TestScoreCorpus:
         reviews = make_reviews(["!!!", "real text"])
         assert reviews[0].text_norm == ""
         backend = MockNliBackend(seed=0)
-        matrix = score_corpus(backend, reviews, DOMAIN)
+        matrix = score_corpus(backend, reviews, DOMAIN, max_inflight=8)
         assert backend.calls == 21  # only the non-empty review hits the backend
         assert matrix.scores[0].max() == 0.0
 
@@ -381,13 +391,13 @@ class TestScoreCorpus:
         with ScoreCache(cache_path) as cache:
             matrix = score_corpus(healthy, reviews, DOMAIN, cache=cache, max_inflight=1)
         assert healthy.calls == 32  # only the cells the first run did not persist
-        clean = score_corpus(MockNliBackend(name="flaky", seed=0), reviews, DOMAIN)
+        clean = score_corpus(MockNliBackend(name="flaky", seed=0), reviews, DOMAIN, max_inflight=8)
         assert np.array_equal(matrix.scores, clean.scores)
 
 
     def test_old_cell_records_give_a_warm_run(self, tmp_path):
         reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
-        clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN)
+        clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=8)
         cache_path = tmp_path / "cache.jsonl"
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "neutral": None, "contradict": None}
         old_records = [
@@ -399,7 +409,7 @@ class TestScoreCorpus:
         backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
             assert len(cache) == 63
-            warm = score_corpus(backend, reviews, DOMAIN, cache=cache)
+            warm = score_corpus(backend, reviews, DOMAIN, cache=cache, max_inflight=8)
         assert backend.calls == 0
         assert np.array_equal(warm.scores, clean.scores)
 
@@ -436,8 +446,8 @@ class TestScoreCorpus:
         reviews = make_reviews([f"review number {k}" for k in range(30)] + ["!!!"])
         cache_path = tmp_path / "cache.jsonl"
         with ScoreCache(cache_path) as cache:
-            score_corpus(MockNliBackend(seed=0), reviews[:25], DOMAIN, cache=cache)
-            score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache)
+            score_corpus(MockNliBackend(seed=0), reviews[:25], DOMAIN, cache=cache, max_inflight=8)
+            score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=8)
             assert len(cache) == 31 * 21
         records = [json.loads(line) for line in cache_path.read_text().splitlines()]
         # The empty premise is stored while the cache is scanned, before any scored row.
@@ -481,7 +491,7 @@ class TestScoreCorpus:
         reviews = make_reviews(texts + ["!!!"])
         clean_path = tmp_path / "clean.jsonl"
         with ScoreCache(clean_path) as cache:
-            save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache), tmp_path / "clean.bin")
+            save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "clean.bin")
         whole = clean_path.read_bytes()
         ends = [k + 1 for k, byte in enumerate(whole) if byte == ord("\n")]
         assert len(ends) == len(reviews)
@@ -492,7 +502,7 @@ class TestScoreCorpus:
             lost = records[whole[:cut].count(b"\n") :]  # a torn last line is dropped and its row rescored
             backend = MockNliBackend(seed=3)
             with ScoreCache(path) as cache:
-                save_matrix(score_corpus(backend, reviews, DOMAIN, cache=cache), tmp_path / "cut.bin")
+                save_matrix(score_corpus(backend, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cut.bin")
             assert backend.calls == sum(len(r["row"]) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
             assert (tmp_path / "cut.bin").read_bytes() == (tmp_path / "clean.bin").read_bytes(), cut
             assert path.read_bytes() == whole, cut
@@ -551,7 +561,7 @@ class TestScoreCorpus:
         matrix = score_corpus(RecordingBackend(), reviews, DOMAIN, cache=RecordingCache(None), max_inflight=max_inflight)
         assert committed == len(reviews)
         assert peak <= bound
-        assert np.array_equal(matrix.scores, score_corpus(MockNliBackend(name="recording", seed=0), reviews, DOMAIN).scores)
+        assert np.array_equal(matrix.scores, score_corpus(MockNliBackend(name="recording", seed=0), reviews, DOMAIN, max_inflight=8).scores)
 
 
 class TestMatrixFile:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -658,7 +659,8 @@ class TestBackendConfig:
         for config_type in (NliBackendConfig, LlmBackendConfig):
             config_type("m", "mock")
             config_type("m", "mock", max_retries=0)
-            for bad in ({"timeout": 0}, {"max_inflight": 0}, {"max_retries": -1}):
+            bad_settings = ({"timeout": 0}, {"timeout": math.nan}, {"timeout": math.inf}, {"max_inflight": 0}, {"max_retries": -1})
+            for bad in bad_settings:
                 with pytest.raises(ValidationError):
                     config_type("m", "mock", **bad)
 
