@@ -34,8 +34,8 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 # What a parse function raises on a value of the wrong shape: a missing key,
-# a wrong type, a value out of range.
-_PARSE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError, ValidationError)
+# a wrong type, a value out of range, an infinity cast to an integer.
+_PARSE_ERRORS = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ValidationError)
 
 
 def _identity(value):

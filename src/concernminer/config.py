@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from .llm.classify import SamplingSettings
 from .nli.backends import DEFAULT_TRIGGER_TABLE, HttpNliBackend, MockNliBackend, load_trigger_table
 
 MOCK_ENDPOINT = "mock"
+MAX_TIMEOUT_S = 86_400  # a day; a far larger socket timeout overflows the platform's time_t
 
 
 class _BackendLimits:
@@ -28,8 +28,8 @@ class _BackendLimits:
                 f"backend {self.name!r}: endpoint must be {MOCK_ENDPOINT!r} or an http:// or https:// URL"
                 f" with a host, in printable ASCII, not {self.endpoint!r}"
             )
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValidationError(f"backend {self.name!r}: timeout must be a finite number > 0")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:  # NaN fails it too
+            raise ValidationError(f"backend {self.name!r}: timeout must be a finite number > 0 and <= {MAX_TIMEOUT_S}")
         if self.max_inflight < 1:
             raise ValidationError(f"backend {self.name!r}: max_inflight must be >= 1")
         if self.max_retries < 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -35,10 +34,10 @@ MATRIX_DTYPE = np.dtype("<f4")  # little-endian 32-bit reals, row-major on disk
 @dataclass(frozen=True)
 class EntailmentScore:
     """Probability mass over entailment / neutral / contradiction, built
-    where a backend response enters and by :meth:`ScoreCache.get`.
+    where a backend response enters, which checks it.
 
-    Only ``entail`` feeds the heuristics; the other two are kept for
-    diagnostics and validated when the backend reports them.
+    Only ``entail`` goes on, to the matrix and the cache; the other two are
+    checked when the backend reports them, then dropped.
     """
 
     entail: float
@@ -49,7 +48,7 @@ class EntailmentScore:
         _check_score(self.entail, self.neutral, self.contradict)
 
 
-def _check_score(entail, neutral, contradict) -> None:
+def _check_score(entail, neutral=None, contradict=None) -> None:
     """Each given probability in [0, 1], and a full distribution summing to ~1."""
     others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
     if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per cell on load; the loop names the value
@@ -119,11 +118,12 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
 
 
 class ScoreCache:
-    """Append-only entailment score cache, one JSONL record per scored row:
-    ``{backend, set_hash, review_id, row: [[hypothesis_id, entail, neutral,
-    contradict], ...]}``. Older one-cell records still load; a later record
-    wins a cell an earlier one holds. In memory a review's cells are one
-    float64 array of those columns, NaN for ``None`` (see :meth:`row`).
+    """Append-only entailment cache, one JSONL record per scored row:
+    ``{backend, set_hash, review_id, row: [[hypothesis_id, entail], ...]}``.
+    Older records still load: rows of ``[hypothesis_id, entail, neutral,
+    contradict]`` cells and one-cell records. A later record wins a cell an
+    earlier one holds. In memory a review's cells are one float64 array of
+    ``(hypothesis_id, entail)`` rows (see :meth:`row`).
 
     All writes go through :meth:`put_row` on the thread that drives scoring,
     so the file sees a single writer; records reach the file once
@@ -138,7 +138,7 @@ class ScoreCache:
         self._rows: dict[tuple[str, str, str], np.ndarray] = {}
         self._pending: list[dict] = []
         self._pending_cells = 0
-        # Consecutive records of one review (the older format has one per
+        # Consecutive records of one review (the oldest format has one per
         # cell) are merged by hypothesis id, then become one array.
         key, cells = None, {}
         for record_key, record_cells in read_log(self.path, _record_row) if self.path is not None else ():
@@ -147,39 +147,32 @@ class ScoreCache:
                 key, cells = record_key, {}
             for cell in record_cells:
                 cells.pop(cell[0], None)  # a later record wins the cell, and moves it last
-                cells[cell[0]] = cell
+                cells[cell[0]] = cell[1]
         self._merge(key, cells)
 
     def _merge(self, key: tuple[str, str, str] | None, cells: dict) -> None:
-        """Put ``cells`` into ``key``'s row; they win the cells it holds."""
+        """Put ``cells`` (hypothesis id -> entail) into ``key``'s row; they win the cells it holds."""
         if cells:
             old = self._rows.get(key)
             kept = [] if old is None else [cell for cell in old.tolist() if cell[0] not in cells]
-            self._rows[key] = _as_array([*kept, *cells.values()])
+            self._rows[key] = _as_array([*kept, *cells.items()])
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._rows.values())
 
     def row(self, backend: str, set_hash: str, review_id: str) -> np.ndarray | None:
-        """One review's cached cells, ``(k, 4)`` as described above, or ``None``."""
+        """One review's cached cells, a ``(k, 2)`` array of ``(hypothesis_id, entail)``, or ``None``."""
         return self._rows.get((backend, set_hash, review_id))
 
-    def get(self, backend: str, set_hash: str, review_id: str, hypothesis_id: int) -> EntailmentScore | None:
-        row = self.row(backend, set_hash, review_id)
-        for hyp_id, entail, neutral, contradict in row.tolist() if row is not None else ():
-            if hyp_id == hypothesis_id:
-                return EntailmentScore(entail, *(None if math.isnan(v) else v for v in (neutral, contradict)))
-        return None
-
-    def put_row(self, backend: str, set_hash: str, review_id: str, scores: Iterable) -> None:
-        """Add one review's ``(hypothesis_id, score)`` cells, skipping cached ones."""
+    def put_row(self, backend: str, set_hash: str, review_id: str, cells: Iterable) -> None:
+        """Add one review's ``(hypothesis_id, entail)`` cells, skipping cached ones."""
         cached = self.row(backend, set_hash, review_id)
         seen = set() if cached is None else set(cached[:, 0].tolist())
         row = []
-        for hypothesis_id, score in scores:
+        for hypothesis_id, entail in cells:
             if hypothesis_id not in seen:
                 seen.add(hypothesis_id)
-                row.append([hypothesis_id, score.entail, score.neutral, score.contradict])
+                row.append([hypothesis_id, entail])
         if row:
             self._rows[backend, set_hash, review_id] = _as_array(row if cached is None else [*cached.tolist(), *row])
         if row and self.path is not None:
@@ -201,30 +194,29 @@ class ScoreCache:
 
 
 def _as_array(cells: Iterable) -> np.ndarray:
-    """``[hypothesis_id, entail, neutral, contradict]`` cells as one (k, 4) float64 array, NaN for ``None``."""
-    nan, flat = math.nan, []
-    for hyp_id, entail, neutral, contradict in cells:
-        flat += (hyp_id, entail, nan if neutral is None else neutral, nan if contradict is None else contradict)
-    array = np.array(flat, dtype=np.float64)
-    array.shape = (-1, 4)  # in place: a reshaped view would keep a second array object alive
+    """``(hypothesis_id, entail)`` cells as one (k, 2) float64 array."""
+    array = np.array([value for cell in cells for value in cell], dtype=np.float64)
+    array.shape = (-1, 2)  # in place: a reshaped view would keep a second array object alive
     return array
 
 
 def _record_row(record: dict) -> tuple[tuple[str, str, str], list]:
-    """The key and checked cells of one row record or one older cell record."""
+    """The key and checked cells of one record: a row of ``[hypothesis_id, entail]``
+    cells, a row of the older ``[hypothesis_id, entail, neutral, contradict]``
+    cells, or an older one-cell record. Every stored probability is checked."""
     cells = record["row"] if "row" in record else [
         (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
-    for hyp_id, entail, neutral, contradict in cells:
-        if not isinstance(hyp_id, int):
-            raise ValueError(f"hypothesis id {hyp_id!r} is not an integer")
-        _check_score(entail, neutral, contradict)
+    for cell in cells:
+        if len(cell) not in (2, 4) or not isinstance(cell[0], int):
+            raise ValueError(f"row cell {cell!r} is not [hypothesis_id, entail] or the older 4-value cell")
+        _check_score(*cell[1:])
     # Every record repeats the backend and set hash: intern them, so rows share one copy.
     return (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"]), cells
 
 
 # An empty normalized review entails nothing; scoring it remotely would be
-# undefined, so it gets certainty-neutral mass without a backend call.
-EMPTY_PREMISE_SCORE = EntailmentScore(entail=0.0, neutral=1.0, contradict=0.0)
+# undefined, so it gets a 0.0 entailment without a backend call.
+EMPTY_PREMISE_SCORE = 0.0
 
 
 def score_corpus(
@@ -254,13 +246,13 @@ def score_corpus(
     grid = np.zeros((len(reviews), len(hyp_ids)), dtype=MATRIX_DTYPE)
     cache = cache if cache is not None else ScoreCache(None)
 
-    jobs = deque()  # (row index, review, uncached column indices, list the worker fills with their scores)
+    jobs = deque()  # (row index, review, uncached column indices, list the worker fills with their entailments)
     for i, review in enumerate(reviews):
         row = cache.row(name, set_hash, review.id)
         if row is not None and row[:, 0].tolist() == list(hyp_ids):  # the usual warm row: every cell, in order
             grid[i] = row[:, 1]
             continue
-        hits = {} if row is None else dict(row[:, :2].tolist())  # hypothesis id -> entail
+        hits = {} if row is None else dict(row.tolist())  # hypothesis id -> entail
         grid[i] = [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids]
         columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
         if not review.text_norm:
@@ -274,15 +266,15 @@ def score_corpus(
         for j in columns:
             if stop.is_set():
                 return
-            scores.append(backend.score_pair(review.text_norm, hset.hypotheses[j]))
+            scores.append(backend.score_pair(review.text_norm, hset.hypotheses[j]).entail)
 
     completed = 0
 
     def commit(job, _, error: Exception | None) -> None:
         nonlocal completed
         i, review, columns, scores = job  # the cells scored before an error are committed too
-        grid[i, columns[: len(scores)]] = [score.entail for score in scores]
-        cache.put_row(name, set_hash, review.id, [(hyp_ids[j], score) for j, score in zip(columns, scores)])
+        grid[i, columns[: len(scores)]] = scores
+        cache.put_row(name, set_hash, review.id, zip((hyp_ids[j] for j in columns), scores))
         completed += len(scores)
         if error is not None:
             raise error

@@ -258,10 +258,11 @@ def test_non_finite_temperature_exits_2_before_any_workdir_write(extraction_setu
     [
         ("nli", "timeout", float("nan"), "timeout must be a finite number > 0"),
         ("llm", "timeout", float("inf"), "timeout must be a finite number > 0"),
+        ("nli", "timeout", 1e10, "timeout must be a finite number > 0 and <= 86400"),  # too large for a socket
         ("nli", "max_retries", float("inf"), "cannot convert float infinity to integer"),
         ("llm", "max_inflight", float("inf"), "cannot convert float infinity to integer"),
     ],
-    ids=["nli-timeout-nan", "llm-timeout-inf", "nli-max_retries-inf", "llm-max_inflight-inf"],
+    ids=["nli-timeout-nan", "llm-timeout-inf", "nli-timeout-1e10", "nli-max_retries-inf", "llm-max_inflight-inf"],
 )
 def test_non_finite_backend_setting_exits_2_before_any_workdir_write(
     extraction_setup, tmp_path, capsys, block, key, value, message

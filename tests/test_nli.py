@@ -395,16 +395,27 @@ class TestScoreCorpus:
         assert np.array_equal(matrix.scores, clean.scores)
 
 
-    def test_old_cell_records_give_a_warm_run(self, tmp_path):
+    @pytest.mark.parametrize("old_format", ["cell-records", "4-column-rows"])
+    def test_old_cell_records_give_a_warm_run(self, tmp_path, old_format):
         reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
         clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=8)
         cache_path = tmp_path / "cache.jsonl"
-        fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "neutral": None, "contradict": None}
-        old_records = [
-            dict(fields, review_id=review.id, hypothesis_id=hyp.id, entail=float(clean.scores[i, j]))
-            for i, review in enumerate(reviews)
-            for j, hyp in enumerate(DOMAIN.hypotheses)
-        ]
+        fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash}
+        if old_format == "cell-records":
+            fields.update(neutral=None, contradict=None)
+            old_records = [
+                dict(fields, review_id=review.id, hypothesis_id=hyp.id, entail=float(clean.scores[i, j]))
+                for i, review in enumerate(reviews)
+                for j, hyp in enumerate(DOMAIN.hypotheses)
+            ]
+        else:  # the previous row format: neutral and contradict given by one backend, null from another
+            old_records = [
+                dict(fields, review_id=review.id, row=[
+                    [hyp.id, entail, 1.0 - entail, 0.0] if i % 2 else [hyp.id, entail, None, None]
+                    for hyp, entail in zip(DOMAIN.hypotheses, clean.scores[i].tolist())
+                ])
+                for i, review in enumerate(reviews)
+            ]
         append_log(cache_path, old_records)
         backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
@@ -418,14 +429,26 @@ class TestScoreCorpus:
         cell = {"backend": "b", "set_hash": "h", "review_id": "r0", "hypothesis_id": 1, "entail": 0.5}
         row = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[2, 0.25, 0.5, 0.25], [3, 0.75, None, None]]}
         other = {"backend": "b", "set_hash": "h", "review_id": "r1", "row": [[1, 0.125, 0.875, 0.0]]}
-        cache_path.write_text("".join(json.dumps(r) + "\n" for r in (cell, row, other)))
+        current = {"backend": "b", "set_hash": "h", "review_id": "r2", "row": [[2, 0.375], [1, 0.625]]}
+        cache_path.write_text("".join(json.dumps(r) + "\n" for r in (cell, row, other, current)))
         cache = ScoreCache(cache_path)
-        assert len(cache) == 4
-        assert cache.get("b", "h", "r0", 1) == EntailmentScore(0.5)
-        assert cache.get("b", "h", "r0", 2) == EntailmentScore(0.25, 0.5, 0.25)
-        assert cache.get("b", "h", "r0", 3) == EntailmentScore(0.75)
-        assert cache.get("b", "h", "r1", 1) == EntailmentScore(0.125, 0.875, 0.0)
-        assert cache.get("b", "h", "r1", 2) is None
+        assert len(cache) == 6
+        assert cache.row("b", "h", "r0").tolist() == [[1, 0.5], [2, 0.25], [3, 0.75]]
+        assert cache.row("b", "h", "r1").tolist() == [[1, 0.125]]
+        assert cache.row("b", "h", "r2").tolist() == [[2, 0.375], [1, 0.625]]
+        assert cache.row("b", "h", "r3") is None
+        assert cache.row("b", "other", "r0") is None
+
+    @pytest.mark.parametrize(
+        "cell", [[1], [1, 0.5, 0.5], [1, 0.5, 0.25, 0.25, 0.0], [1, 1.5], [1.0, 0.5], [1, None]],
+        ids=["width-1", "width-3", "width-5", "entail-above-1", "id-float", "entail-null"],
+    )
+    def test_row_cell_out_of_contract_is_corrupt(self, tmp_path, cell):
+        cache_path = tmp_path / "cache.jsonl"
+        good = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[1, 0.5]]}
+        append_log(cache_path, [good, dict(good, review_id="r1", row=[cell])])
+        with pytest.raises(ValidationError, match=f"{cache_path}:2: corrupt log line"):
+            ScoreCache(cache_path)
 
     def test_a_later_record_wins_a_cell(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
@@ -433,14 +456,12 @@ class TestScoreCorpus:
         records = [
             dict(key, row=[[1, 0.5, None, None], [2, 0.25, 0.5, 0.25]]),
             dict(key, hypothesis_id=2, entail=0.75),
-            dict(key, row=[[3, 0.125, None, None], [1, 0.0, 1.0, 0.0]]),
+            dict(key, row=[[3, 0.125], [1, 0.0]]),
         ]
         append_log(cache_path, records)
         cache = ScoreCache(cache_path)
         assert len(cache) == 3
-        assert [cache.get("b", "h", "r0", h) for h in (1, 2, 3)] == [
-            EntailmentScore(0.0, 1.0, 0.0), EntailmentScore(0.75), EntailmentScore(0.125)
-        ]
+        assert cache.row("b", "h", "r0").tolist() == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
 
     def test_one_record_per_row_in_review_order(self, tmp_path):
         reviews = make_reviews([f"review number {k}" for k in range(30)] + ["!!!"])
@@ -454,12 +475,13 @@ class TestScoreCorpus:
         order = [f"r{k}" for k in range(25)] + ["r30"] + [f"r{k}" for k in range(25, 30)]
         assert [r["review_id"] for r in records] == order
         assert all([cell[0] for cell in r["row"]] == [h.id for h in DOMAIN.hypotheses] for r in records)
-        assert records[25]["row"][0] == [1, 0.0, 1.0, 0.0]
+        assert all(len(cell) == 2 for r in records for cell in r["row"])  # [hypothesis_id, entail]
+        assert records[25]["row"][0] == [1, 0.0]
 
     def test_flush_by_cell_count(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         cache = ScoreCache(cache_path)
-        row = [(hyp_id, EntailmentScore(0.5)) for hyp_id in range(1, 22)]
+        row = [(hyp_id, 0.5) for hyp_id in range(1, 22)]
         for k in range(24):  # 504 cells
             cache.put_row("b", "h", f"r{k}", row)
         cache.put_row("b", "h", "r0", row)  # already cached: adds nothing
@@ -507,9 +529,9 @@ class TestScoreCorpus:
             assert (tmp_path / "cut.bin").read_bytes() == (tmp_path / "clean.bin").read_bytes(), cut
             assert path.read_bytes() == whole, cut
 
-    def test_loaded_cache_retains_at_most_80_bytes_per_cell(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        row = [[h.id, 0.125, 0.625, 0.25] for h in DOMAIN.hypotheses]
+    @staticmethod
+    def retained_per_cell(path, row):
+        """Bytes a cache loaded from 2,000 records of ``row`` keeps per cell."""
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "row": row}
         append_log(path, [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
         gc.collect()
@@ -520,7 +542,15 @@ class TestScoreCorpus:
         finally:
             tracemalloc.stop()
         assert len(cache) == 2000 * 21
-        assert retained / len(cache) <= 80  # an object per cell took about 280
+        return retained / len(cache)
+
+    def test_loaded_cache_retains_at_most_80_bytes_per_cell(self, tmp_path):
+        row = [[h.id, 0.125, 0.625, 0.25] for h in DOMAIN.hypotheses]
+        assert self.retained_per_cell(tmp_path / "cache.jsonl", row) <= 80  # an object per cell took about 280
+
+    def test_loaded_cache_of_2_column_rows_retains_at_most_40_bytes_per_cell(self, tmp_path):
+        row = [[h.id, 0.125] for h in DOMAIN.hypotheses]
+        assert self.retained_per_cell(tmp_path / "cache.jsonl", row) <= 40  # 4 columns kept 46
 
     @pytest.mark.parametrize("max_inflight", [1, 2, 3])
     def test_in_flight_rows_are_bounded(self, max_inflight):

@@ -497,6 +497,24 @@ class TestVoteLog:
         for name in (MANIFEST_FILE, EXTRACTED_FILE, QUEUE_FILE, PSEUDO_LABELS_FILE):
             assert (config.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
+    def test_any_cut_of_the_vote_log_resumes_to_the_clean_outputs(self, small_extraction, monkeypatch):
+        ledger, config = small_extraction
+        run_extraction(config)
+        names = (VOTES_FILE, EXTRACTED_FILE, MANIFEST_FILE)
+        clean = {name: (config.workdir / name).read_bytes() for name in names}
+        whole = clean[VOTES_FILE]
+        ends = [k + 1 for k, byte in enumerate(whole) if byte == ord("\n")]
+        assert len(ends) == ledger.maybe_privacy
+        built = record_llm_backends(monkeypatch)
+        # Every line end, the byte before it (a record without its newline) and the middle of every line.
+        cuts = {0, *ends, *(end - 1 for end in ends), *((start + end) // 2 for start, end in zip([0, *ends], ends))}
+        for cut in sorted(cuts):
+            (config.workdir / VOTES_FILE).write_bytes(whole[:cut])
+            run_extraction(config)
+            lost = len(ends) - whole[:cut].count(b"\n")  # a torn last line is dropped and its review classified again
+            assert built[-1].calls == lost * SamplingSettings().num_samples, cut
+            assert {name: (config.workdir / name).read_bytes() for name in names} == clean, cut
+
     def test_record_without_sampling_is_reclassified(self, small_extraction, monkeypatch):
         ledger, config = small_extraction
         run_extraction(config)

@@ -58,3 +58,21 @@ def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
     out = tmp_path / "confirmed.csv"
     assert main(["export", *argv_tail, "--output", str(out)]) == 0
     assert "exported 4" in capsys.readouterr().out
+
+
+def test_demo_with_an_infinite_trigger_id_exits_2_naming_the_table(tmp_path, capsys):
+    demo_dir = CONFIGS_DIR / "demo"
+    raw = json.loads((demo_dir / "demo.json").read_text())
+    table = tmp_path / "table.json"
+    table.write_text('[["data", [Infinity], 0.9]]')
+    raw["corpus"]["unlabeled"] = str(demo_dir / raw["corpus"]["unlabeled"])
+    raw["llm"]["script"] = str(demo_dir / raw["llm"]["script"])
+    raw["nli"]["backends"][0]["mock_table"] = str(table)
+    config = tmp_path / "demo.json"
+    config.write_text(json.dumps(raw))
+    workdir = tmp_path / "run"
+
+    assert main(["extract", "--config", str(config), "--workdir", str(workdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}:") and "OverflowError" in err
+    assert not workdir.exists()
