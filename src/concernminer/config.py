@@ -185,8 +185,8 @@ def apply_overrides(raw: dict, overrides: dict) -> dict:
         for backend in raw.get("nli", {}).get("backends", []):
             backend["max_inflight"] = overrides["max_inflight"]
         raw.setdefault("llm", {}).setdefault("backend", {})["max_inflight"] = overrides["max_inflight"]
-    if overrides.get("workdir") is not None:
-        raw["workdir"] = overrides["workdir"]
+    if overrides.get("workdir") is not None:  # a relative flag names a path from the current directory
+        raw["workdir"] = str(Path(overrides["workdir"]).absolute())
     return raw
 
 

@@ -11,7 +11,6 @@ import csv
 import json
 import logging
 import re
-from copy import copy
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -70,9 +69,13 @@ class Review:
             raise ValidationError("text_norm is not in normalized form")
 
     def normalized(self) -> "Review":
-        """Return a copy with ``text_norm`` derived from ``text_raw``, so in normal form."""
-        review = copy(self)
-        object.__setattr__(review, "text_norm", normalize_text(self.text_raw))
+        """Return a copy with ``text_norm`` derived from ``text_raw``, so in normal form.
+
+        Built from this review's fields without ``__init__``: they were
+        checked when it was made, and ``normalize_text`` output needs no recheck.
+        """
+        review = object.__new__(type(self))
+        review.__dict__.update(self.__dict__, text_norm=normalize_text(self.text_raw))
         return review
 
 

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import operator
-from itertools import compress
-from typing import Sequence
-
-import numpy as np
+from itertools import compress, repeat
+from typing import Iterable
 
 from ..errors import ValidationError
 from ..hypotheses import HeuristicRuleSet
@@ -18,24 +16,16 @@ from .scoring import EntailmentMatrix
 EXCEEDS = operator.gt
 
 
-def n_above(row: Sequence[float] | np.ndarray, threshold: float) -> int:
+def n_above(row: Iterable[float], threshold: float) -> int:
     """Count scores in ``row`` strictly above ``threshold`` (antitone in it).
 
-    Comparisons happen in float64: grids are stored float32, and letting
-    numpy demote the threshold to float32 would silently move the rule
-    boundary (float32(0.85) > 0.85 must hold).
+    Comparisons happen in float64: grids are stored float32, and demoting
+    the threshold to float32 would silently move the rule boundary
+    (float32(0.85) > 0.85 must hold).
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold {threshold} outside (0, 1)")
-    arr = np.asarray(row, dtype=np.float64)
-    return int(np.count_nonzero(EXCEEDS(arr, threshold)))
-
-
-def _check_rules(rules: HeuristicRuleSet, n_hypotheses: int) -> None:
-    if rules.max_count() > n_hypotheses:
-        raise ValidationError(
-            f"rule requires {rules.max_count()} hypotheses but matrix has {n_hypotheses} columns"
-        )
+    return sum(map(EXCEEDS, map(float, row), repeat(threshold)))
 
 
 def explain_labels(
@@ -47,20 +37,28 @@ def explain_labels(
     negative clause, then the rule set's default. A maybe-privacy row names
     the threshold of its first satisfied clause and the hypothesis ids
     scoring above it; any other row has ``(None, ())``. Deterministic: the
-    same matrix and rules always produce the same output.
+    same matrix and rules always produce the same output. A float32 cell
+    reads as an exact float64, so it is compared in float64 (see :func:`n_above`).
     """
-    _check_rules(rules, len(matrix.hypothesis_ids))
-    scores = matrix.scores.astype(np.float64)  # keep thresholds float64, see n_above
-    out = [(rules.default_label, None, ())] * scores.shape[0]
-    if rules.negative_threshold is not None:
-        for i in np.flatnonzero(np.count_nonzero(EXCEEDS(scores, rules.negative_threshold), axis=1) == 0):
-            out[i] = (PseudoLabel.MAYBE_NOT_PRIVACY, None, ())
-    # Positive clauses last to first, so that a row keeps its first satisfied
-    # clause, which overrides the negative clause and the default.
-    for threshold, min_count in reversed(rules.positive_rules):
-        above = EXCEEDS(scores, threshold)
-        for i in np.flatnonzero(np.count_nonzero(above, axis=1) >= min_count):
-            out[i] = (PseudoLabel.MAYBE_PRIVACY, threshold, tuple(compress(matrix.hypothesis_ids, above[i])))
+    (n, k), negative = matrix.shape, rules.negative_threshold
+    if rules.max_count() > k:
+        raise ValidationError(f"rule requires {rules.max_count()} hypotheses but matrix has {k} columns")
+    # A row with no cell above the lowest threshold satisfies no positive
+    # clause and does the negative one; one pass over the grid finds the rest.
+    lowest = min(t for t, _ in rules.positive_rules)
+    lowest = lowest if negative is None else min(lowest, negative)
+    out = [(rules.default_label if negative is None else PseudoLabel.MAYBE_NOT_PRIVACY, None, ())] * n
+    hot = compress(range(n * k), map(EXCEEDS, matrix.scores, repeat(lowest)))
+    for i in dict.fromkeys(cell // k for cell in hot):
+        row = matrix.row(i).tolist()
+        for threshold, min_count in rules.positive_rules:
+            triggered = tuple(compress(matrix.hypothesis_ids, map(EXCEEDS, row, repeat(threshold))))
+            if len(triggered) >= min_count:
+                out[i] = (PseudoLabel.MAYBE_PRIVACY, threshold, triggered)
+                break
+        else:
+            if negative is not None and any(map(EXCEEDS, row, repeat(negative))):
+                out[i] = (rules.default_label, None, ())
     return out
 
 

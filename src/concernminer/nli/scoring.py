@@ -1,9 +1,9 @@
 """Entailment score types, the review × hypothesis matrix, caching, and scoring.
 
 A review's row is the unit of scoring work, of cache record, and of what the cache
-holds in memory: one float64 array; cells are keyed by (backend name, hypothesis-set
-content hash, review id, hypothesis id), so a rerun resumes cell by cell; a warm
-rerun calls no backend and reproduces the matrix bit for bit.
+holds in memory: its hypothesis ids and a float32 ``array``; cells are keyed by (backend
+name, hypothesis-set content hash, review id, hypothesis id), so a rerun resumes cell by
+cell; a warm rerun calls no backend and reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
-
-import numpy as np
 
 from .._jsonl import append_log, read_log, replace_file
 from .._window import run_ordered
@@ -28,7 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-MATRIX_DTYPE = np.dtype("<f4")  # little-endian 32-bit reals, row-major on disk
+
+class Grid(array):
+    """The float32 cells of a score grid, row-major. ``size`` counts them
+    (``benchmarks/runner.py`` reads it)."""
+
+    __slots__ = ()
+    size = property(len)
 
 
 @dataclass(frozen=True)
@@ -65,19 +70,24 @@ class EntailmentMatrix:
     hypothesis_ids: tuple[int, ...]
     set_hash: str
     backend: str
-    scores: np.ndarray  # shape (len(review_ids), len(hypothesis_ids)), float32
+    scores: Grid  # len(review_ids) rows of len(hypothesis_ids) cells; another float32 buffer is copied into one
 
     def __post_init__(self) -> None:
-        expected = (len(self.review_ids), len(self.hypothesis_ids))
-        if self.scores.shape != expected:
-            raise ValidationError(f"score grid shape {self.scores.shape} != {expected}")
-        if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
+        if not isinstance(self.scores, Grid):
+            object.__setattr__(self, "scores", Grid("f", memoryview(self.scores).tobytes()))
+        if len(self.scores) != len(self.review_ids) * len(self.hypothesis_ids):
+            raise ValidationError(f"score grid of {len(self.scores)} cells != {self.shape[0]} x {self.shape[1]}")
+        if self.scores and (min(self.scores) < 0.0 or max(self.scores) > 1.0):
             raise ValidationError("score grid contains values outside [0, 1]")
-        object.__setattr__(self, "scores", np.ascontiguousarray(self.scores, dtype=MATRIX_DTYPE))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.scores.shape
+        return len(self.review_ids), len(self.hypothesis_ids)
+
+    def row(self, i: int) -> array:
+        """Row ``i``'s float32 cells, in hypothesis order."""
+        k = len(self.hypothesis_ids)
+        return self.scores[i * k : (i + 1) * k]
 
 
 def save_matrix(matrix: EntailmentMatrix, path: str | Path) -> None:
@@ -90,7 +100,15 @@ def save_matrix(matrix: EntailmentMatrix, path: str | Path) -> None:
     }
     with replace_file(Path(path), "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        handle.write(matrix.scores.astype(MATRIX_DTYPE, copy=False).tobytes())
+        handle.write(_little_endian(matrix.scores).tobytes())
+
+
+def _little_endian(grid: Grid) -> Grid:
+    """``grid`` swapped between host and little-endian byte order: itself on a little-endian host."""
+    if sys.byteorder != "little":
+        grid = Grid("f", grid)
+        grid.byteswap()
+    return grid
 
 
 def load_matrix(path: str | Path) -> EntailmentMatrix:
@@ -107,14 +125,10 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: malformed matrix header: {exc}") from None
     body = blob[newline + 1 :]
-    expected = len(review_ids) * len(hypothesis_ids)
-    if len(body) != expected * MATRIX_DTYPE.itemsize:
-        raise ValidationError(
-            f"{path}: expected {expected * MATRIX_DTYPE.itemsize} grid bytes, found {len(body)}"
-        )
-    grid = np.frombuffer(body, dtype=MATRIX_DTYPE)
-    grid = grid.reshape(len(review_ids), len(hypothesis_ids)).copy()
-    return EntailmentMatrix(review_ids, hypothesis_ids, set_hash, backend, grid)
+    expected = 4 * len(review_ids) * len(hypothesis_ids)
+    if len(body) != expected:
+        raise ValidationError(f"{path}: expected {expected} grid bytes, found {len(body)}")
+    return EntailmentMatrix(review_ids, hypothesis_ids, set_hash, backend, _little_endian(Grid("f", body)))
 
 
 class ScoreCache:
@@ -122,8 +136,9 @@ class ScoreCache:
     ``{backend, set_hash, review_id, row: [[hypothesis_id, entail], ...]}``.
     Older records still load: rows of ``[hypothesis_id, entail, neutral,
     contradict]`` cells and one-cell records. A later record wins a cell an
-    earlier one holds. In memory a review's cells are one float64 array of
-    ``(hypothesis_id, entail)`` rows (see :meth:`row`).
+    earlier one holds. In memory a review's cells are a tuple of hypothesis
+    ids, one object shared by every row with the same ids, and a float32
+    ``array`` of their entailments, the values the grid takes (see :meth:`row`).
 
     All writes go through :meth:`put_row` on the thread that drives scoring,
     so the file sees a single writer; records reach the file once
@@ -135,11 +150,12 @@ class ScoreCache:
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
-        self._rows: dict[tuple[str, str, str], np.ndarray] = {}
+        self._rows: dict[tuple[str, str, str], tuple[tuple[int, ...], array]] = {}
+        self._ids: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct id tuple, kept once
         self._pending: list[dict] = []
         self._pending_cells = 0
         # Consecutive records of one review (the oldest format has one per
-        # cell) are merged by hypothesis id, then become one array.
+        # cell) are merged by hypothesis id, then become one row.
         key, cells = None, {}
         for record_key, record_cells in read_log(self.path, _record_row) if self.path is not None else ():
             if record_key != key:
@@ -154,27 +170,33 @@ class ScoreCache:
         """Put ``cells`` (hypothesis id -> entail) into ``key``'s row; they win the cells it holds."""
         if cells:
             old = self._rows.get(key)
-            kept = [] if old is None else [cell for cell in old.tolist() if cell[0] not in cells]
-            self._rows[key] = _as_array([*kept, *cells.items()])
+            kept = {} if old is None else {h: e for h, e in zip(*old) if h not in cells}
+            self._set(key, {**kept, **cells})
+
+    def _set(self, key: tuple[str, str, str], cells: dict) -> None:
+        """Make ``cells`` (hypothesis id -> entail, in row order) ``key``'s row."""
+        ids = tuple(cells)
+        self._rows[key] = self._ids.setdefault(ids, ids), array("f", cells.values())
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        return sum(len(ids) for ids, _ in self._rows.values())
 
-    def row(self, backend: str, set_hash: str, review_id: str) -> np.ndarray | None:
-        """One review's cached cells, a ``(k, 2)`` array of ``(hypothesis_id, entail)``, or ``None``."""
+    def row(self, backend: str, set_hash: str, review_id: str) -> tuple[tuple[int, ...], array] | None:
+        """One review's cached cells, ``(hypothesis ids, float32 entailments)``, or ``None``."""
         return self._rows.get((backend, set_hash, review_id))
 
     def put_row(self, backend: str, set_hash: str, review_id: str, cells: Iterable) -> None:
         """Add one review's ``(hypothesis_id, entail)`` cells, skipping cached ones."""
-        cached = self.row(backend, set_hash, review_id)
-        seen = set() if cached is None else set(cached[:, 0].tolist())
+        key = backend, set_hash, review_id
+        cached = self._rows.get(key)
+        merged = {} if cached is None else dict(zip(*cached))
         row = []
         for hypothesis_id, entail in cells:
-            if hypothesis_id not in seen:
-                seen.add(hypothesis_id)
+            if hypothesis_id not in merged:
+                merged[hypothesis_id] = entail
                 row.append([hypothesis_id, entail])
         if row:
-            self._rows[backend, set_hash, review_id] = _as_array(row if cached is None else [*cached.tolist(), *row])
+            self._set(key, merged)
         if row and self.path is not None:
             self._pending.append({"backend": backend, "set_hash": set_hash, "review_id": review_id, "row": row})
             self._pending_cells += len(row)
@@ -191,13 +213,6 @@ class ScoreCache:
 
     def __exit__(self, *exc_info) -> None:
         self.flush()
-
-
-def _as_array(cells: Iterable) -> np.ndarray:
-    """``(hypothesis_id, entail)`` cells as one (k, 2) float64 array."""
-    array = np.array([value for cell in cells for value in cell], dtype=np.float64)
-    array.shape = (-1, 2)  # in place: a reshaped view would keep a second array object alive
-    return array
 
 
 def _record_row(record: dict) -> tuple[tuple[str, str, str], list]:
@@ -243,17 +258,18 @@ def score_corpus(
 
     name, set_hash = backend.name, hset.version_hash
     hyp_ids = tuple(h.id for h in hset.hypotheses)
-    grid = np.zeros((len(reviews), len(hyp_ids)), dtype=MATRIX_DTYPE)
+    k = len(hyp_ids)
+    grid = Grid("f", bytes(4 * len(reviews) * k))
     cache = cache if cache is not None else ScoreCache(None)
 
     jobs = deque()  # (row index, review, uncached column indices, list the worker fills with their entailments)
     for i, review in enumerate(reviews):
         row = cache.row(name, set_hash, review.id)
-        if row is not None and row[:, 0].tolist() == list(hyp_ids):  # the usual warm row: every cell, in order
-            grid[i] = row[:, 1]
+        if row is not None and row[0] == hyp_ids:  # the usual warm row: every cell, in order
+            grid[i * k : (i + 1) * k] = row[1]
             continue
-        hits = {} if row is None else dict(row.tolist())  # hypothesis id -> entail
-        grid[i] = [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids]
+        hits = {} if row is None else dict(zip(*row))  # hypothesis id -> entail
+        grid[i * k : (i + 1) * k] = array("f", [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids])
         columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
         if not review.text_norm:
             cache.put_row(name, set_hash, review.id, [(hyp_ids[j], EMPTY_PREMISE_SCORE) for j in columns])
@@ -273,7 +289,8 @@ def score_corpus(
     def commit(job, _, error: Exception | None) -> None:
         nonlocal completed
         i, review, columns, scores = job  # the cells scored before an error are committed too
-        grid[i, columns[: len(scores)]] = scores
+        for j, entail in zip(columns, scores):
+            grid[i * k + j] = entail
         cache.put_row(name, set_hash, review.id, zip((hyp_ids[j] for j in columns), scores))
         completed += len(scores)
         if error is not None:
@@ -293,6 +310,6 @@ def score_corpus(
         len(hyp_ids),
         name,
         completed,
-        grid.size - completed,
+        len(grid) - completed,
     )
     return EntailmentMatrix(tuple(r.id for r in reviews), hyp_ids, set_hash, name, grid)

@@ -147,22 +147,6 @@ def _run_id(config_digest: str, corpus_path: Path) -> str:
     return hashlib.sha256(f"{config_digest}:{_file_sha256(corpus_path)}".encode()).hexdigest()[:16]
 
 
-class StageTimer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-        self._start: float | None = None
-        self._stage: str | None = None
-
-    def begin(self, stage: str) -> None:
-        self._stage = stage
-        self._start = time.perf_counter()
-
-    def end(self) -> None:
-        if self._stage is not None and self._start is not None:
-            self.timings[self._stage] = round(time.perf_counter() - self._start, 3)
-        self._stage = None
-
-
 # (review id, pseudo-label, threshold of the clause that fired, hypothesis
 # ids above that threshold)
 LabelRow = tuple[str, PseudoLabel, float | None, tuple[int, ...]]
@@ -382,13 +366,11 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     backend_cfg = config.nli_backends[0]
     nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
     llm_backend = make_llm_backend(config.llm_backend, config.llm_script)
-    timer = StageTimer()
+    laps = [time.perf_counter()]  # stage boundaries: ingest, nli, llm, emit
 
-    timer.begin("ingest")
     corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
-    timer.end()
+    laps.append(time.perf_counter())
 
-    timer.begin("nli")
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
         matrix = nli_score(config, backend_cfg, nli_backend, normalized, hset, cache)
     del cache  # nothing reads it after scoring: its rows leave memory before the LLM stage
@@ -396,13 +378,11 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
     maybe_reviews = [r for r in normalized if r.id in maybe_ids]
-    timer.end()
+    laps.append(time.perf_counter())
 
-    timer.begin("llm")
     records, failures = llm_classify(config, llm_backend, maybe_reviews, hset)
-    timer.end()
+    laps.append(time.perf_counter())
 
-    timer.begin("emit")
     yes_votes = {rec.review_id: rec for rec in records if rec.decision is BinaryLabel.YES}
     yes_reviews = [r for r in maybe_reviews if r.id in yes_votes]
     queue_path = config.workdir / QUEUE_FILE
@@ -414,7 +394,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
         extracted_path,
         (_extracted_record(r, *trigger_by_id[r.id], yes_votes[r.id]) for r in yes_reviews),
     )
-    timer.end()
+    laps.append(time.perf_counter())
 
     counts = {
         "ingested": len(corpus),
@@ -440,7 +420,8 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     )
     manifest.validate()
     manifest.write(config.workdir / MANIFEST_FILE)
-    write_json(config.workdir / TIMINGS_FILE, {"stages": timer.timings})
+    stages = zip(("ingest", "nli", "llm", "emit"), laps, laps[1:])
+    write_json(config.workdir / TIMINGS_FILE, {"stages": {stage: round(end - start, 3) for stage, start, end in stages}})
     logger.info("extraction: %s", " -> ".join(f"{k}={counts[k]}" for k in STAGE_KEYS[:7]))
     return ExtractionResult(manifest, extracted_path, queue_path, failures)
 

@@ -121,7 +121,7 @@ def test_criterion_04_heuristic_labeler_oracle_equivalence():
         )
         for rules in (GENERIC.heuristics, DOMAIN.heuristics):
             got = apply_heuristics(matrix, rules)
-            expected = [oracle_label(row.tolist(), rules) for row in matrix.scores]
+            expected = [oracle_label(matrix.row(i).tolist(), rules) for i in range(matrix.shape[0])]
             assert got == expected
 
     # monotonicity: pointwise increases never demote a review

@@ -308,6 +308,23 @@ def test_seed_override_changes_digest(extraction_setup):
     assert digest_a != digest_b
 
 
+def test_relative_workdir_flag_is_taken_from_the_current_directory(extraction_setup, tmp_path, monkeypatch):
+    _, config_path, _ = extraction_setup
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["extract", "--config", str(config_path), "--workdir", "out"]) == 0
+    assert (cwd / "out" / MANIFEST_FILE).exists()
+    assert not (config_path.parent / "out").exists()
+    # A relative ``workdir`` key in the config file is taken from the config's directory.
+    raw = json.loads(config_path.read_text())
+    raw["workdir"] = "keyed"
+    config_path.write_text(json.dumps(raw))
+    assert main(["extract", "--config", str(config_path)]) == 0
+    assert (config_path.parent / "keyed" / MANIFEST_FILE).exists()
+    assert not (cwd / "keyed").exists()
+
+
 def test_backend_failure_without_progress_exits_3(extraction_setup, capsys):
     _, config_path, _ = extraction_setup
     code = main(

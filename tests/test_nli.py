@@ -83,6 +83,17 @@ def matrix_from_rows(rows, n_cols, set_hash="testhash", backend="test"):
     )
 
 
+def rows_of(matrix):
+    """The matrix's rows, each a list of floats in hypothesis order."""
+    return [matrix.row(i).tolist() for i in range(matrix.shape[0])]
+
+
+def cells_of(row):
+    """A cache row's ``[hypothesis_id, entail]`` cells, in row order."""
+    ids, entails = row
+    return [[hyp_id, entail] for hyp_id, entail in zip(ids, entails)]
+
+
 def make_reviews(texts):
     return [
         Review(f"r{i}", "app", Store.GOOGLE_PLAY, 1, text).normalized() for i, text in enumerate(texts)
@@ -268,9 +279,9 @@ class TestApplyHeuristics:
             matrix = matrix_from_rows(list(grid), 10)
             for rules in (GENERIC.heuristics, DOMAIN.heuristics):
                 got = apply_heuristics(matrix, rules)
-                expected = [oracle_label(row, rules) for row in matrix.scores]
+                expected = [oracle_label(row, rules) for row in rows_of(matrix)]
                 assert got == expected
-                clauses = [oracle_clause(row, matrix.hypothesis_ids, rules) for row in matrix.scores]
+                clauses = [oracle_clause(row, matrix.hypothesis_ids, rules) for row in rows_of(matrix)]
                 assert explain_labels(matrix, rules) == [(label, *clause) for label, clause in zip(expected, clauses)]
 
     def test_pointwise_increase_never_demotes(self):
@@ -360,7 +371,7 @@ class TestScoreCorpus:
         backend = MockNliBackend(seed=0)
         matrix = score_corpus(backend, reviews, DOMAIN, max_inflight=8)
         assert backend.calls == 21  # only the non-empty review hits the backend
-        assert matrix.scores[0].max() == 0.0
+        assert max(matrix.row(0)) == 0.0
 
     def test_failure_reports_completed_cells_and_resumes(self, tmp_path):
         class FlakyBackend:
@@ -404,7 +415,7 @@ class TestScoreCorpus:
         if old_format == "cell-records":
             fields.update(neutral=None, contradict=None)
             old_records = [
-                dict(fields, review_id=review.id, hypothesis_id=hyp.id, entail=float(clean.scores[i, j]))
+                dict(fields, review_id=review.id, hypothesis_id=hyp.id, entail=float(clean.row(i)[j]))
                 for i, review in enumerate(reviews)
                 for j, hyp in enumerate(DOMAIN.hypotheses)
             ]
@@ -412,7 +423,7 @@ class TestScoreCorpus:
             old_records = [
                 dict(fields, review_id=review.id, row=[
                     [hyp.id, entail, 1.0 - entail, 0.0] if i % 2 else [hyp.id, entail, None, None]
-                    for hyp, entail in zip(DOMAIN.hypotheses, clean.scores[i].tolist())
+                    for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i).tolist())
                 ])
                 for i, review in enumerate(reviews)
             ]
@@ -433,9 +444,9 @@ class TestScoreCorpus:
         cache_path.write_text("".join(json.dumps(r) + "\n" for r in (cell, row, other, current)))
         cache = ScoreCache(cache_path)
         assert len(cache) == 6
-        assert cache.row("b", "h", "r0").tolist() == [[1, 0.5], [2, 0.25], [3, 0.75]]
-        assert cache.row("b", "h", "r1").tolist() == [[1, 0.125]]
-        assert cache.row("b", "h", "r2").tolist() == [[2, 0.375], [1, 0.625]]
+        assert cells_of(cache.row("b", "h", "r0")) == [[1, 0.5], [2, 0.25], [3, 0.75]]
+        assert cells_of(cache.row("b", "h", "r1")) == [[1, 0.125]]
+        assert cells_of(cache.row("b", "h", "r2")) == [[2, 0.375], [1, 0.625]]
         assert cache.row("b", "h", "r3") is None
         assert cache.row("b", "other", "r0") is None
 
@@ -461,7 +472,7 @@ class TestScoreCorpus:
         append_log(cache_path, records)
         cache = ScoreCache(cache_path)
         assert len(cache) == 3
-        assert cache.row("b", "h", "r0").tolist() == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
+        assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
 
     def test_one_record_per_row_in_review_order(self, tmp_path):
         reviews = make_reviews([f"review number {k}" for k in range(30)] + ["!!!"])

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from concernminer.cli import main
 from concernminer.config import load_config
+from concernminer.pipeline import TIMINGS_FILE
 
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
 
@@ -76,3 +79,28 @@ def test_demo_with_an_infinite_trigger_id_exits_2_naming_the_table(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {table}:") and "OverflowError" in err
     assert not workdir.exists()
+
+
+def test_cli_imports_no_numpy():
+    code = "import concernminer.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_demo_extract_runs_with_numpy_unimportable(tmp_path):
+    """The standard library alone runs the demo ``extract``: with ``numpy``
+    made unimportable it writes the same files as a normal run, and a normal
+    run does not import it either."""
+    demo_config = CONFIGS_DIR / "demo" / "demo.json"
+    runs = {"blocked": "sys.modules['numpy'] = None", "normal": "pass"}
+    for name, setup in runs.items():
+        code = (
+            f"import sys; {setup}; from concernminer.cli import main; "
+            f"code = main(['extract', '--config', {str(demo_config)!r}, '--workdir', {str(tmp_path / name)!r}]); "
+            "assert sys.modules.get('numpy') is None; sys.exit(code)"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+    files = sorted(p.name for p in (tmp_path / "normal").iterdir() if p.name != TIMINGS_FILE)  # timings vary
+    assert "manifest.json" in files and "extracted.jsonl" in files
+    assert sorted(p.name for p in (tmp_path / "blocked").iterdir() if p.name != TIMINGS_FILE) == files
+    for name in files:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes(), name
