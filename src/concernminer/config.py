@@ -123,6 +123,8 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         backends = tuple(_block(NliBackendConfig, b) for b in nli.get("backends", []))
         if not backends:
             raise ValidationError("config needs at least one NLI backend")
+        if repeated := sorted({b.name for b in backends if [c.name for c in backends].count(b.name) > 1}):
+            raise ValidationError(f"NLI backend names must be unique; repeated: {', '.join(repeated)}")
         llm_backend = _block(LlmBackendConfig, llm.get("backend", {}))
         sampling = _block(SamplingSettings, llm.get("sampling", {}))
         hypothesis_refs = {

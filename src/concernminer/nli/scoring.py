@@ -13,11 +13,13 @@ import logging
 import sys
 from array import array
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from math import isnan
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .._jsonl import append_log, read_log, replace_file
+from .._jsonl import append_log, open_log, read_log, replace_file
 from .._window import run_ordered
 from ..errors import BackendError, ValidationError
 
@@ -70,15 +72,13 @@ class EntailmentMatrix:
     hypothesis_ids: tuple[int, ...]
     set_hash: str
     backend: str
-    scores: Grid  # len(review_ids) rows of len(hypothesis_ids) cells; another float32 buffer is copied into one
+    scores: Grid  # rows of cells; a Grid is taken as checked, another float32 buffer is copied and checked
 
     def __post_init__(self) -> None:
         if not isinstance(self.scores, Grid):
-            object.__setattr__(self, "scores", Grid("f", memoryview(self.scores).tobytes()))
+            object.__setattr__(self, "scores", _checked(Grid("f", memoryview(self.scores).tobytes())))
         if len(self.scores) != len(self.review_ids) * len(self.hypothesis_ids):
             raise ValidationError(f"score grid of {len(self.scores)} cells != {self.shape[0]} x {self.shape[1]}")
-        if self.scores and (min(self.scores) < 0.0 or max(self.scores) > 1.0):
-            raise ValidationError("score grid contains values outside [0, 1]")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,6 +88,13 @@ class EntailmentMatrix:
         """Row ``i``'s float32 cells, in hypothesis order."""
         k = len(self.hypothesis_ids)
         return self.scores[i * k : (i + 1) * k]
+
+
+def _checked(grid: Grid) -> Grid:
+    """``grid``, once every cell is in [0, 1]. ``min`` and ``max`` can pass over a NaN; ``sum`` carries it."""
+    if grid and (isnan(sum(grid)) or min(grid) < 0.0 or max(grid) > 1.0):
+        raise ValidationError("score grid contains values outside [0, 1]")
+    return grid
 
 
 def save_matrix(matrix: EntailmentMatrix, path: str | Path) -> None:
@@ -128,36 +135,31 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
     expected = 4 * len(review_ids) * len(hypothesis_ids)
     if len(body) != expected:
         raise ValidationError(f"{path}: expected {expected} grid bytes, found {len(body)}")
-    return EntailmentMatrix(review_ids, hypothesis_ids, set_hash, backend, _little_endian(Grid("f", body)))
+    return EntailmentMatrix(review_ids, hypothesis_ids, set_hash, backend, _checked(_little_endian(Grid("f", body))))
 
 
 class ScoreCache:
-    """Append-only entailment cache, one JSONL record per scored row:
-    ``{backend, set_hash, review_id, row: [[hypothesis_id, entail], ...]}``.
+    """The entailment cache file at ``path`` as it was when opened, one JSONL
+    record per scored row: ``{backend, set_hash, review_id, row: [[hypothesis_id, entail], ...]}``.
     Older records still load: rows of ``[hypothesis_id, entail, neutral,
     contradict]`` cells and one-cell records. A later record wins a cell an
     earlier one holds. In memory a review's cells are a tuple of hypothesis
     ids, one object shared by every row with the same ids, and a float32
     ``array`` of their entailments, the values the grid takes (see :meth:`row`).
 
-    All writes go through :meth:`put_row` on the thread that drives scoring,
-    so the file sees a single writer; records reach the file once
-    ``FLUSH_EVERY`` cells are pending and on :meth:`flush`. Passing
-    ``path=None`` keeps the cache purely in memory. ``len()`` counts cells.
+    The cache writes nothing, and takes in nothing once loaded: :func:`score_corpus`
+    appends the rows it scores to the file. The rows are let go when the
+    ``with`` block ends. ``len()`` counts cells.
     """
 
-    FLUSH_EVERY = 512
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self._rows: dict[tuple[str, str, str], tuple[tuple[int, ...], array]] = {}
         self._ids: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct id tuple, kept once
-        self._pending: list[dict] = []
-        self._pending_cells = 0
         # Consecutive records of one review (the oldest format has one per
         # cell) are merged by hypothesis id, then become one row.
         key, cells = None, {}
-        for record_key, record_cells in read_log(self.path, _record_row) if self.path is not None else ():
+        for record_key, record_cells in read_log(self.path, _record_row):
             if record_key != key:
                 self._merge(key, cells)
                 key, cells = record_key, {}
@@ -169,14 +171,10 @@ class ScoreCache:
     def _merge(self, key: tuple[str, str, str] | None, cells: dict) -> None:
         """Put ``cells`` (hypothesis id -> entail) into ``key``'s row; they win the cells it holds."""
         if cells:
-            old = self._rows.get(key)
-            kept = {} if old is None else {h: e for h, e in zip(*old) if h not in cells}
-            self._set(key, {**kept, **cells})
-
-    def _set(self, key: tuple[str, str, str], cells: dict) -> None:
-        """Make ``cells`` (hypothesis id -> entail, in row order) ``key``'s row."""
-        ids = tuple(cells)
-        self._rows[key] = self._ids.setdefault(ids, ids), array("f", cells.values())
+            held = zip(*self._rows.get(key, ((), ())))  # the row's cells so far; ``cells`` win theirs
+            cells = {**{h: e for h, e in held if h not in cells}, **cells}
+            ids = tuple(cells)
+            self._rows[key] = self._ids.setdefault(ids, ids), array("f", cells.values())
 
     def __len__(self) -> int:
         return sum(len(ids) for ids, _ in self._rows.values())
@@ -185,34 +183,11 @@ class ScoreCache:
         """One review's cached cells, ``(hypothesis ids, float32 entailments)``, or ``None``."""
         return self._rows.get((backend, set_hash, review_id))
 
-    def put_row(self, backend: str, set_hash: str, review_id: str, cells: Iterable) -> None:
-        """Add one review's ``(hypothesis_id, entail)`` cells, skipping cached ones."""
-        key = backend, set_hash, review_id
-        cached = self._rows.get(key)
-        merged = {} if cached is None else dict(zip(*cached))
-        row = []
-        for hypothesis_id, entail in cells:
-            if hypothesis_id not in merged:
-                merged[hypothesis_id] = entail
-                row.append([hypothesis_id, entail])
-        if row:
-            self._set(key, merged)
-        if row and self.path is not None:
-            self._pending.append({"backend": backend, "set_hash": set_hash, "review_id": review_id, "row": row})
-            self._pending_cells += len(row)
-            if self._pending_cells >= self.FLUSH_EVERY:
-                self.flush()
-
-    def flush(self) -> None:
-        if self._pending:
-            append_log(self.path, self._pending)
-            self._pending, self._pending_cells = [], 0
-
     def __enter__(self) -> "ScoreCache":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.flush()
+        self._rows, self._ids = {}, {}
 
 
 def _record_row(record: dict) -> tuple[tuple[str, str, str], list]:
@@ -247,9 +222,12 @@ def score_corpus(
     Requires normalized reviews. A review's uncached cells are one job of
     :func:`run_ordered`: ``max_inflight`` workers, the calling thread among
     them, score at most ``2 * max_inflight`` rows ahead of the row the
-    calling thread commits, in review order. On backend failure the raised
-    :class:`BackendError` carries the completed-cell count; every committed
-    cell, the failing row's included, survives in the cache for the rerun.
+    calling thread commits, in review order. The pass keeps the cache's file
+    open and appends and flushes each row as it is committed, so a killed run
+    loses at most the rows in flight; without a ``cache`` it reads and writes
+    nothing. On backend failure the raised :class:`BackendError` carries the
+    completed-cell count; every committed cell, the failing row's included,
+    is in the file for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
@@ -260,22 +238,7 @@ def score_corpus(
     hyp_ids = tuple(h.id for h in hset.hypotheses)
     k = len(hyp_ids)
     grid = Grid("f", bytes(4 * len(reviews) * k))
-    cache = cache if cache is not None else ScoreCache(None)
-
-    jobs = deque()  # (row index, review, uncached column indices, list the worker fills with their entailments)
-    for i, review in enumerate(reviews):
-        row = cache.row(name, set_hash, review.id)
-        if row is not None and row[0] == hyp_ids:  # the usual warm row: every cell, in order
-            grid[i * k : (i + 1) * k] = row[1]
-            continue
-        hits = {} if row is None else dict(zip(*row))  # hypothesis id -> entail
-        grid[i * k : (i + 1) * k] = array("f", [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids])
-        columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
-        if not review.text_norm:
-            cache.put_row(name, set_hash, review.id, [(hyp_ids[j], EMPTY_PREMISE_SCORE) for j in columns])
-        elif columns:
-            jobs.append((i, review, columns, []))
-    total = sum(len(columns) for _, _, columns, _ in jobs)
+    completed = 0
 
     def work(job, stop) -> None:
         _, review, columns, scores = job
@@ -284,25 +247,42 @@ def score_corpus(
                 return
             scores.append(backend.score_pair(review.text_norm, hset.hypotheses[j]).entail)
 
-    completed = 0
+    with open_log(cache.path) if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
 
-    def commit(job, _, error: Exception | None) -> None:
-        nonlocal completed
-        i, review, columns, scores = job  # the cells scored before an error are committed too
-        for j, entail in zip(columns, scores):
-            grid[i * k + j] = entail
-        cache.put_row(name, set_hash, review.id, zip((hyp_ids[j] for j in columns), scores))
-        completed += len(scores)
-        if error is not None:
-            raise error
+        def append_row(review_id: str, row: list) -> None:  # [[hypothesis_id, entail], ...]
+            if row and log is not None:
+                append_log(log, [{"backend": name, "set_hash": set_hash, "review_id": review_id, "row": row}])
 
-    try:
-        run_ordered(work, (jobs.popleft() for _ in range(len(jobs))), commit, max_inflight)  # a committed job is let go
-    except BackendError as exc:
-        message = f"scoring aborted after {completed} of {total} uncached cells: {exc}"
-        raise BackendError(message, completed=completed, total=total) from exc
-    finally:
-        cache.flush()
+        def commit(job, _, error: Exception | None) -> None:
+            nonlocal completed
+            i, review, columns, scores = job  # the cells scored before an error are committed too
+            for j, entail in zip(columns, scores):
+                grid[i * k + j] = entail
+            append_row(review.id, [[hyp_ids[j], entail] for j, entail in zip(columns, scores)])
+            completed += len(scores)
+            if error is not None:
+                raise error
+
+        jobs = deque()  # (row index, review, uncached column indices, list the worker fills with their entailments)
+        for i, review in enumerate(reviews):
+            row = cache.row(name, set_hash, review.id) if cache is not None else None
+            if row is not None and row[0] == hyp_ids:  # the usual warm row: every cell, in order
+                grid[i * k : (i + 1) * k] = row[1]
+                continue
+            hits = {} if row is None else dict(zip(*row))  # hypothesis id -> entail
+            grid[i * k : (i + 1) * k] = array("f", [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids])
+            columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
+            if not review.text_norm:
+                append_row(review.id, [[hyp_ids[j], EMPTY_PREMISE_SCORE] for j in columns])
+            elif columns:
+                jobs.append((i, review, columns, []))
+        total = sum(len(columns) for _, _, columns, _ in jobs)
+
+        try:
+            run_ordered(work, (jobs.popleft() for _ in range(len(jobs))), commit, max_inflight)  # a committed job is let go
+        except BackendError as exc:
+            message = f"scoring aborted after {completed} of {total} uncached cells: {exc}"
+            raise BackendError(message, completed=completed, total=total) from exc
 
     logger.info(
         "scored %d reviews x %d hypotheses with %s (%d backend calls, %d cache hits)",

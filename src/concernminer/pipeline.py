@@ -229,8 +229,9 @@ def nli_score(
     cache: ScoreCache,
 ) -> EntailmentMatrix:
     """Score every review against every hypothesis with ``backend`` through
-    ``cache`` (the workdir's entailment cache, opened once per run and shared
-    by every scoring pass), and save the matrix under :func:`matrix_path`."""
+    ``cache`` (the workdir's entailment cache, as it was when opened; the
+    pass appends each row it scores to the file), and save the matrix under
+    :func:`matrix_path`."""
     matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
     save_matrix(matrix, matrix_path(config.workdir, backend.name, hset))
     return matrix
@@ -295,7 +296,7 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     backends = {cfg.name: make_nli_backend(cfg, config.seed, config.base_dir) for cfg in config.nli_backends}
     labeled = normalize_corpus(gold_corpus(config))
     gold = {r.id: r.gold_label for r in labeled}
-    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
+    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)  # each pass scores a (backend, set) pair no other pass does
 
     def evaluate(backend_cfg: NliBackendConfig, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
         rows = nli_label(nli_score(config, backend_cfg, backends[backend_cfg.name], labeled, hset, cache), hset)
@@ -327,7 +328,6 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
         best_set_id = hypothesis_table.winner_id
         winning_rows = domain_rows if best_set_id == domain.set_id else rows_by_model[best_model]
 
-    cache.flush()
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, winning_rows)
     write_json(
         config.workdir / SELECTION_REPORT_FILE,
@@ -373,7 +373,6 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
 
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
         matrix = nli_score(config, backend_cfg, nli_backend, normalized, hset, cache)
-    del cache  # nothing reads it after scoring: its rows leave memory before the LLM stage
     rows = nli_label(matrix, hset)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}

@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import pytest
 
 from concernminer.cli import main
-from concernminer.pipeline import LLM_FAILURES_FILE, MANIFEST_FILE, PSEUDO_LABELS_FILE, QUEUE_FILE, VOTES_FILE
+from concernminer.errors import ValidationError
+from concernminer.nli import load_matrix
+from concernminer.pipeline import (
+    LLM_FAILURES_FILE,
+    MANIFEST_FILE,
+    NLI_CACHE_FILE,
+    PSEUDO_LABELS_FILE,
+    QUEUE_FILE,
+    VOTES_FILE,
+)
 
 from httpserver import serve
 from synth import build_extraction_fixture, build_labeled_fixture, extraction_config, selection_config, write_weak_table
@@ -46,8 +56,30 @@ def test_stage_commands_compose(extraction_setup, capsys):
     assert f"scored {ledger.rating_filtered} reviews x 21 hypotheses" in out
     assert f"maybe-privacy: {ledger.maybe_privacy}" in out
     assert f"yes={ledger.llm_yes} no={ledger.llm_no} failed=0" in out
-    assert (workdir / PSEUDO_LABELS_FILE).exists()
-    assert (workdir / VOTES_FILE).exists()
+    # Run in order, the stage commands write what extract writes.
+    whole = workdir.parent / "whole"
+    assert main(["extract", "--config", str(config_path), "--workdir", str(whole)]) == 0
+    (matrix,) = (p.name for p in whole.glob("matrix_*.bin"))
+    names = [NLI_CACHE_FILE, matrix, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE]
+    for name in names:
+        assert (workdir / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
+def test_matrix_cell_outside_0_1_exits_2(extraction_setup, capsys, cell):
+    _, config_path, workdir = extraction_setup
+    assert main(["nli-score", "--config", str(config_path)]) == 0
+    (path,) = workdir.glob("matrix_*.bin")
+    blob = path.read_bytes()
+    at = blob.index(b"\n") + 1 + 4 * 3  # the fourth cell: min and max pass over a NaN after the first
+    path.write_bytes(blob[:at] + struct.pack("<f", cell) + blob[at + 4 :])
+    with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+        load_matrix(path)
+    capsys.readouterr()
+
+    assert main(["nli-label", "--config", str(config_path)]) == 2
+    assert "score grid contains values outside [0, 1]" in capsys.readouterr().err
+    assert not (workdir / PSEUDO_LABELS_FILE).exists()
 
 
 def test_llm_classify_ignores_votes_of_demoted_reviews(extraction_setup, capsys):
@@ -140,6 +172,18 @@ def test_select_and_evaluate(selection_setup, tmp_path, capsys):
     assert "nli: P=" in out
     metrics_payload = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert metrics_payload["nli"]["tp"] == 20
+
+
+def test_repeated_nli_backend_name_exits_2_before_any_workdir_write(selection_setup, capsys):
+    config_path = selection_setup
+    raw = json.loads(config_path.read_text())
+    for backend in raw["nli"]["backends"]:  # the default trigger table, then the weak one
+        backend["name"] = "same"
+    config_path.write_text(json.dumps(raw))
+
+    assert main(["select", "--config", str(config_path)]) == 2
+    assert "NLI backend names must be unique; repeated: same" in capsys.readouterr().err
+    assert not (config_path.parent / "run").exists()
 
 
 def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, capsys):

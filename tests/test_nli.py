@@ -479,8 +479,9 @@ class TestScoreCorpus:
         cache_path = tmp_path / "cache.jsonl"
         with ScoreCache(cache_path) as cache:
             score_corpus(MockNliBackend(seed=0), reviews[:25], DOMAIN, cache=cache, max_inflight=8)
+        with ScoreCache(cache_path) as cache:  # the rerun reads what the first pass appended
             score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=8)
-            assert len(cache) == 31 * 21
+        assert len(ScoreCache(cache_path)) == 31 * 21
         records = [json.loads(line) for line in cache_path.read_text().splitlines()]
         # The empty premise is stored while the cache is scanned, before any scored row.
         order = [f"r{k}" for k in range(25)] + ["r30"] + [f"r{k}" for k in range(25, 30)]
@@ -489,17 +490,21 @@ class TestScoreCorpus:
         assert all(len(cell) == 2 for r in records for cell in r["row"])  # [hypothesis_id, entail]
         assert records[25]["row"][0] == [1, 0.0]
 
-    def test_flush_by_cell_count(self, tmp_path):
+    def test_each_committed_row_is_in_the_file_before_the_next_is_scored(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
-        cache = ScoreCache(cache_path)
-        row = [(hyp_id, 0.5) for hyp_id in range(1, 22)]
-        for k in range(24):  # 504 cells
-            cache.put_row("b", "h", f"r{k}", row)
-        cache.put_row("b", "h", "r0", row)  # already cached: adds nothing
-        assert not cache_path.exists()
-        cache.put_row("b", "h", "r24", row)
-        assert len(cache_path.read_text().splitlines()) == 25
-        assert len(ScoreCache(cache_path)) == len(cache) == 525
+        reviews = make_reviews([f"review number {k}" for k in range(5)])
+        rows_on_disk = []  # the file's complete rows as each review's first cell is scored
+
+        class PeekingBackend(MockNliBackend):
+            def score_pair(self, premise, hypothesis):
+                if hypothesis.id == DOMAIN.hypotheses[0].id:
+                    rows_on_disk.append(cache_path.read_bytes().count(b"\n") if cache_path.exists() else 0)
+                return super().score_pair(premise, hypothesis)
+
+        with ScoreCache(cache_path) as cache:  # one worker: each row is committed before the next starts
+            score_corpus(PeekingBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=1)
+        assert rows_on_disk == [0, 1, 2, 3, 4]
+        assert len(ScoreCache(cache_path)) == 5 * 21
 
     def test_cache_file_and_matrix_are_deterministic(self, tmp_path):
         texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(120)]
@@ -564,11 +569,11 @@ class TestScoreCorpus:
         assert self.retained_per_cell(tmp_path / "cache.jsonl", row) <= 40  # 4 columns kept 46
 
     @pytest.mark.parametrize("max_inflight", [1, 2, 3])
-    def test_in_flight_rows_are_bounded(self, max_inflight):
+    def test_in_flight_rows_are_bounded(self, tmp_path, max_inflight):
         bound = 2 * max_inflight
+        cache_path = tmp_path / "cache.jsonl"
         lock = threading.Lock()
         started: set[str] = set()
-        committed = 0
         peak = 0
         overrun = threading.Event()
 
@@ -582,6 +587,7 @@ class TestScoreCorpus:
                 nonlocal peak
                 with lock:
                     started.add(premise)
+                    committed = cache_path.read_bytes().count(b"\n")  # a row is appended as it is committed
                     peak = max(peak, len(started) - committed)
                     if len(started) - committed > bound:
                         overrun.set()
@@ -591,16 +597,10 @@ class TestScoreCorpus:
                     overrun.wait(0.2)
                 return self.inner.score_pair(premise, hypothesis)
 
-        class RecordingCache(ScoreCache):
-            def put_row(self, *args):
-                nonlocal committed
-                with lock:
-                    committed += 1
-                super().put_row(*args)
-
         reviews = make_reviews([f"review {k}" for k in range(5 * bound)])
-        matrix = score_corpus(RecordingBackend(), reviews, DOMAIN, cache=RecordingCache(None), max_inflight=max_inflight)
-        assert committed == len(reviews)
+        with ScoreCache(cache_path) as cache:
+            matrix = score_corpus(RecordingBackend(), reviews, DOMAIN, cache=cache, max_inflight=max_inflight)
+        assert cache_path.read_bytes().count(b"\n") == len(reviews)
         assert peak <= bound
         assert np.array_equal(matrix.scores, score_corpus(MockNliBackend(name="recording", seed=0), reviews, DOMAIN, max_inflight=8).scores)
 
@@ -643,5 +643,6 @@ class TestMatrixFile:
             load_matrix(path)
 
     def test_grid_range_validated(self):
-        with pytest.raises(ValidationError):
-            EntailmentMatrix(("r0",), (1,), "h", "b", np.array([[1.5]], dtype=np.float32))
+        for cells in ([1.5], [np.nan, 0.5], [0.5, np.nan]):  # min and max can return a NaN, or pass over one
+            with pytest.raises(ValidationError):
+                EntailmentMatrix(("r0",), tuple(range(len(cells))), "h", "b", np.array([cells], dtype=np.float32))
