@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -99,17 +100,33 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def backend_slug(name: str) -> str:
+    """A backend's name as it goes into a file name."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "backend"
+
+
 # Field types as written: both modules that declare config blocks postpone
 # annotations, so a dataclass field's type is its source text.
 _CASTS = {"str": str, "int": int, "float": float}
+_OPTIONAL = {"str | None": (str, "a string"), "dict | None": (dict, "an object")}  # taken as given
+
+
+def _field(key: str, declared: str, value):
+    if declared in _CASTS:
+        return _CASTS[declared](value)
+    kind, noun = _OPTIONAL[declared]
+    if value is not None and not isinstance(value, kind):
+        raise TypeError(f"{key} must be {noun} or null, not {value!r}")
+    return value
 
 
 def _block(config_type, raw: dict):
     """``config_type`` built from the keys of the JSON object ``raw`` that
     name its fields, each cast to the field's declared type when that is
-    ``str``, ``int`` or ``float``; absent fields take their defaults."""
+    ``str``, ``int`` or ``float``, or checked to be of it, or null, when
+    that is optional; absent fields take their defaults."""
     types = {f.name: f.type for f in fields(config_type)}
-    return config_type(**{key: _CASTS.get(types[key], lambda v: v)(value) for key, value in raw.items() if key in types})
+    return config_type(**{key: _field(key, types[key], value) for key, value in raw.items() if key in types})
 
 
 def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
@@ -125,6 +142,10 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             raise ValidationError("config needs at least one NLI backend")
         if repeated := sorted({b.name for b in backends if [c.name for c in backends].count(b.name) > 1}):
             raise ValidationError(f"NLI backend names must be unique; repeated: {', '.join(repeated)}")
+        slugs: dict[str, str] = {}  # each name's matrix file slug -> the first name that has it
+        for b in backends:
+            if (first := slugs.setdefault(backend_slug(b.name), b.name)) != b.name:
+                raise ValidationError(f"NLI backend names {first!r} and {b.name!r} share the matrix file name slug")
         llm_backend = _block(LlmBackendConfig, llm.get("backend", {}))
         sampling = _block(SamplingSettings, llm.get("sampling", {}))
         hypothesis_refs = {
@@ -138,6 +159,10 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         rating_max = int(corpus.get("rating_max", 5))
         if not 1 <= rating_min <= rating_max <= 5:
             raise ValidationError(f"invalid rating bounds ({rating_min}, {rating_max})")
+
+        annotators = raw.get("annotators", [])
+        if not (isinstance(annotators, list) and all(isinstance(a, str) for a in annotators)):
+            raise ValidationError(f"annotators must be a list of strings, not {annotators!r}")
 
         workdir = _resolve(base_dir, str(raw.get("workdir", "runs/default")))
         assert workdir is not None
@@ -155,7 +180,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             llm_backend=llm_backend,
             llm_script=_resolve(base_dir, llm.get("script")),
             sampling=sampling,
-            annotators=tuple(str(a) for a in raw.get("annotators", ())),
+            annotators=tuple(annotators),
             digest=config_digest(raw),
             base_dir=base_dir,
         )

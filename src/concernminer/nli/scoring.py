@@ -257,8 +257,8 @@ def score_corpus(
             nonlocal completed
             i, review, columns, scores = job  # the cells scored before an error are committed too
             for j, entail in zip(columns, scores):
-                grid[i * k + j] = entail
-            append_row(review.id, [[hyp_ids[j], entail] for j, entail in zip(columns, scores)])
+                grid[i * k + j] = entail  # the cache gets this float32 to 9 digits, which read back to it
+            append_row(review.id, [[hyp_ids[j], float("%.9g" % grid[i * k + j])] for j in columns[: len(scores)]])
             completed += len(scores)
             if error is not None:
                 raise error

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import IO
 
 from ._jsonl import append_log, open_log, read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
-from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
+from .config import NliBackendConfig, PipelineConfig, backend_slug, make_llm_backend, make_nli_backend
 from .corpus import (
     CSV_COLUMNS,
     Review,
@@ -76,10 +75,6 @@ EXTRACTED_FILE = "extracted.jsonl"
 ANNOTATION_STATE_FILE = "annotation_state.jsonl"
 ANNOTATION_REPORT_FILE = "annotation_report.json"
 SELECTION_REPORT_FILE = "selection_report.json"
-
-
-def _slug(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "backend"
 
 
 @dataclass
@@ -191,7 +186,7 @@ def append_votes(log: Path | IO, records: list[VoteRecord]) -> None:
 
 
 def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
-    return workdir / f"matrix_{_slug(backend_name)}_{hset.version_hash[:8]}.bin"
+    return workdir / f"matrix_{backend_slug(backend_name)}_{hset.version_hash[:8]}.bin"
 
 
 def ingest_corpus(config: PipelineConfig, role: str, path: Path | None) -> ReviewCorpus:

@@ -186,6 +186,45 @@ def test_repeated_nli_backend_name_exits_2_before_any_workdir_write(selection_se
     assert not (config_path.parent / "run").exists()
 
 
+def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_write(selection_setup, capsys):
+    config_path = selection_setup
+    raw = json.loads(config_path.read_text())
+    for backend, name in zip(raw["nli"]["backends"], ("m a", "m/a")):  # both would write matrix_m-a_<hash>.bin
+        backend["name"] = name
+    config_path.write_text(json.dumps(raw))
+
+    assert main(["select", "--config", str(config_path)]) == 2
+    assert "NLI backend names 'm a' and 'm/a' share the matrix file name slug" in capsys.readouterr().err
+    assert not (config_path.parent / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda raw: raw["nli"]["backends"][0].update(endpoint="http://127.0.0.1:9/nli", response_fields=["a"]),
+            "response_fields must be an object or null, not ['a']",
+        ),
+        (lambda raw: raw["nli"]["backends"][0].update(mock_table=5), "mock_table must be a string or null, not 5"),
+        (lambda raw: raw.update(annotators="alice"), "annotators must be a list of strings, not 'alice'"),
+        (lambda raw: raw.update(annotators=["lead", 2]), "annotators must be a list of strings, not ['lead', 2]"),
+    ],
+    ids=["response_fields-list", "mock_table-int", "annotators-string", "annotators-non-string-item"],
+)
+def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
+    extraction_setup, tmp_path, capsys, edit, message
+):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    edit(raw)
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps(raw))
+
+    assert main(["extract", "--config", str(bad_config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not workdir.exists()
+
+
 def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, capsys):
     config_path = selection_setup
     assert main(["select", "--config", str(config_path)]) == 0

@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -544,6 +545,60 @@ class TestScoreCorpus:
             assert backend.calls == sum(len(r["row"]) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
             assert (tmp_path / "cut.bin").read_bytes() == (tmp_path / "clean.bin").read_bytes(), cut
             assert path.read_bytes() == whole, cut
+
+    def test_each_cached_entail_is_at_most_9_digits_and_reads_back_to_its_float32_cell(self, tmp_path):
+        edges = [0.0, 1.0, 1 - 2**-24, 2**-149, 2**-126, 0.5442292392254472]  # the last, at 9 digits, is another float32
+        for threshold in (0.8, 0.85):
+            near32 = np.float32(threshold)
+            edges += [threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)]
+            edges += [float(near32), float(np.nextafter(near32, np.float32(0))), float(np.nextafter(near32, np.float32(1)))]
+        n_rows = 20
+        values = np.random.default_rng(5).random(n_rows * 21)
+        values[: len(edges)] = edges
+        table = values.reshape(n_rows, 21).tolist()
+        columns = {h.id: j for j, h in enumerate(DOMAIN.hypotheses)}
+
+        class TableBackend:
+            name = "table"
+
+            def score_pair(self, premise, hypothesis):
+                return EntailmentScore(table[int(premise.split()[1])][columns[hypothesis.id]])
+
+        reviews = make_reviews([f"review {k}" for k in range(n_rows)])
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache:
+            matrix = score_corpus(TableBackend(), reviews, DOMAIN, cache=cache, max_inflight=2)
+        assert np.array_equal(np.asarray(matrix.scores), values.astype(np.float32))
+        records = [json.loads(line, parse_float=Decimal) for line in cache_path.read_text().splitlines()]
+        assert len(records) == n_rows
+        for record in records:
+            i = int(record["review_id"][1:])
+            for hyp_id, entail in record["row"]:  # each entail as written, a Decimal
+                assert len(entail.normalize().as_tuple().digits) <= 9, entail
+                assert np.float32(float(entail)) == matrix.row(i)[columns[hyp_id]], (entail, table[i][columns[hyp_id]])
+
+    def test_full_float64_and_9_digit_caches_rerun_warm_to_one_matrix_file(self, tmp_path):
+        texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(30)]
+        reviews = make_reviews(texts + ["!!!"])
+        nine_digit = tmp_path / "nine_digit.jsonl"
+        with ScoreCache(nine_digit) as cache:
+            save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cold.bin")
+        # The earlier kind of cache: each cell the backend's float64 as it was returned.
+        full = tmp_path / "full.jsonl"
+        backend = MockNliBackend(seed=3)
+        append_log(full, [
+            {"backend": backend.name, "set_hash": DOMAIN.version_hash, "review_id": review.id, "row": [
+                [h.id, backend.score_pair(review.text_norm, h).entail if review.text_norm else 0.0] for h in DOMAIN.hypotheses
+            ]}
+            for review in reviews
+        ])
+        assert full.stat().st_size > nine_digit.stat().st_size
+        for path in (nine_digit, full):
+            warm = MockNliBackend(seed=3)
+            with ScoreCache(path) as cache:
+                save_matrix(score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "warm.bin")
+            assert warm.calls == 0, path.name
+            assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes(), path.name
 
     @staticmethod
     def retained_per_cell(path, row):
