@@ -9,11 +9,12 @@ missing final newline included) raises a :class:`ValidationError` that
 names the file, and the line for JSONL.
 
 The three append-only logs (entailment cache, vote log, annotation state)
-go through :func:`read_log` and :func:`append_log`. A process killed
-mid-append can leave a final line without its newline; the next read drops
-that torn line with a warning and truncates the file back to the last
-newline, so the rerun appends onto a clean line and redoes only that
-record. A malformed line or record anywhere else is corruption, not an
+are read once with :func:`read_log`, then each committed record is appended
+and flushed with :func:`append_log` through one handle from :func:`open_log`.
+A process killed mid-append can leave a final line without its newline; the
+next read drops that torn line with a warning and truncates the file back to
+the last newline, so the rerun appends onto a clean line and redoes only
+that record. A malformed line or record anywhere else is corruption, not an
 interrupted write, and raises as in a whole-file output.
 """
 
@@ -23,7 +24,7 @@ import csv
 import json
 import logging
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -92,13 +93,11 @@ def open_log(path: Path) -> IO:
     return path.open("a", encoding="utf-8")
 
 
-def append_log(log: Path | IO, records: Iterable[dict]) -> None:
-    """Append a batch of records to the log and flush once, when the batch
-    is written. ``log`` is a path, opened for this batch only, or a handle
-    from :func:`open_log` that stays open across batches."""
-    with open_log(log) if isinstance(log, Path) else nullcontext(log) as handle:
-        handle.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
-        handle.flush()
+def append_log(log: IO, records: Iterable[dict]) -> None:
+    """Append a batch of records through a handle from :func:`open_log` and
+    flush once, when the batch is written."""
+    log.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    log.flush()
 
 
 def read_log(path: Path, parse: Callable[[dict], T] = _identity) -> Iterator[T]:

@@ -10,12 +10,13 @@ unresolved and are reported as leftovers.
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._jsonl import append_log, read_log
+from ._jsonl import append_log, open_log, read_log
 from .corpus import Review
 from .errors import ValidationError
 from .evaluation import KappaReport, cohen_kappa
@@ -123,33 +124,18 @@ def _pick_tiebreaker(assigned: tuple[str, ...], roster: Sequence[str]) -> str | 
     return None
 
 
-class SessionState:
-    """Append-only log of collected labels so an interrupted session resumes."""
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path is not None else None
-        self.labels: dict[tuple[str, str], str] = {}
-        if self.path is not None:
-            self.labels.update(read_log(self.path, lambda r: ((r["annotator"], r["review_id"]), r["label"])))
-
-    def get(self, annotator: str, review_id: str) -> str | None:
-        return self.labels.get((annotator, review_id))
-
-    def put(self, annotator: str, review_id: str, label: str) -> None:
-        self.labels[(annotator, review_id)] = label
-        if self.path is not None:
-            append_log(self.path, [{"annotator": annotator, "review_id": review_id, "label": label}])
-
-
 def run_annotation(
     queue: Sequence[Review],
     roster: Sequence[str],
     responder: Responder,
     *,
-    state_path: str | Path | None = None,
+    state_path: Path | None = None,
 ) -> AnnotationReport:
     """Run (or resume) a double-annotation session over the queued reviews.
 
+    The labels of earlier sessions are read once from the log at
+    ``state_path`` (a later record wins), and each new label is appended to
+    it as it is given; with no ``state_path`` they are kept in memory only.
     Agreement (Cohen's kappa) is computed over the doubly-labeled pairs,
     lead versus second annotator, before any tie-breaking.
     """
@@ -157,49 +143,48 @@ def run_annotation(
         raise ValidationError("annotation queue is empty")
     reviews = {r.id: r for r in queue}
     tasks = assign_tasks([r.id for r in queue], roster)
-    state = SessionState(state_path)
+    labels = dict(read_log(state_path, lambda r: ((r["annotator"], r["review_id"]), r["label"]))) if state_path else {}
 
-    def ask(annotator: str, review_id: str) -> str | None:
-        known = state.get(annotator, review_id)
-        if known is not None:
-            return known
-        answer = responder(annotator, reviews[review_id])
-        if answer == SKIP:
-            return None
-        if answer not in (PRIVACY, NON_PRIVACY):
-            raise ValidationError(f"responder returned {answer!r}")
-        state.put(annotator, review_id, answer)
-        return answer
+    with open_log(state_path) if state_path else io.StringIO() as log:  # no path: the log is kept in memory
 
-    # Pass 1: the lead works through the full queue, then each second
-    # annotator takes their chunk (tasks are already contiguous per chunk,
-    # so one person sits at the terminal at a time).
-    lead = roster[0]
-    for task in tasks:
-        answer = ask(lead, task.review_id)
-        if answer is not None:
-            task.labels[lead] = answer
-    for task in tasks:
-        second = task.assigned[1]
-        answer = ask(second, task.review_id)
-        if answer is not None:
-            task.labels[second] = answer
+        def ask(annotator: str, review_id: str) -> str | None:
+            known = labels.get((annotator, review_id))
+            if known is not None:
+                return known
+            answer = responder(annotator, reviews[review_id])
+            if answer == SKIP:
+                return None
+            if answer not in (PRIVACY, NON_PRIVACY):
+                raise ValidationError(f"responder returned {answer!r}")
+            labels[(annotator, review_id)] = answer
+            append_log(log, [{"annotator": annotator, "review_id": review_id, "label": answer}])
+            return answer
 
-    # Pass 2: route disagreements to a third annotator.
-    tiebreak_ids: list[str] = []
-    for task in tasks:
-        got = [task.labels.get(a) for a in task.assigned]
-        if None in got or got[0] == got[1]:
-            continue
-        tiebreak_ids.append(task.review_id)
-        tiebreaker = _pick_tiebreaker(task.assigned, roster)
-        if tiebreaker is None:
-            logger.warning("no third annotator available for %s; leaving unresolved", task.review_id)
-            continue
-        task.tiebreak_by = tiebreaker
-        answer = ask(tiebreaker, task.review_id)
-        if answer is not None:
-            task.tiebreak_label = answer
+        # Pass 1: the lead (every task's first assigned) works through the full
+        # queue, then each second annotator takes their chunk (tasks are already
+        # contiguous per chunk, so one person sits at the terminal at a time).
+        for position in (0, 1):
+            for task in tasks:
+                annotator = task.assigned[position]
+                answer = ask(annotator, task.review_id)
+                if answer is not None:
+                    task.labels[annotator] = answer
+
+        # Pass 2: route disagreements to a third annotator.
+        tiebreak_ids: list[str] = []
+        for task in tasks:
+            got = [task.labels.get(a) for a in task.assigned]
+            if None in got or got[0] == got[1]:
+                continue
+            tiebreak_ids.append(task.review_id)
+            tiebreaker = _pick_tiebreaker(task.assigned, roster)
+            if tiebreaker is None:
+                logger.warning("no third annotator available for %s; leaving unresolved", task.review_id)
+                continue
+            task.tiebreak_by = tiebreaker
+            answer = ask(tiebreaker, task.review_id)
+            if answer is not None:
+                task.tiebreak_label = answer
 
     for task in tasks:
         task.resolve()

@@ -13,7 +13,7 @@ from ._jsonl import read_json
 from .errors import ValidationError
 from .llm.backends import HttpLlmBackend, MockLlmBackend, load_llm_script
 from .llm.classify import SamplingSettings
-from .nli.backends import DEFAULT_TRIGGER_TABLE, HttpNliBackend, MockNliBackend, load_trigger_table
+from .nli.backends import DEFAULT_RESPONSE_FIELDS, DEFAULT_TRIGGER_TABLE, HttpNliBackend, MockNliBackend, load_trigger_table
 
 MOCK_ENDPOINT = "mock"
 MAX_TIMEOUT_S = 86_400  # a day; a far larger socket timeout overflows the platform's time_t
@@ -49,6 +49,17 @@ class NliBackendConfig(_BackendLimits):
     max_retries: int = 3
     mock_table: str | None = None
     response_fields: dict | None = None  # remap entailment/neutral/contradiction keys
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for key, value in (self.response_fields or {}).items():
+            if key not in DEFAULT_RESPONSE_FIELDS:
+                allowed = ", ".join(DEFAULT_RESPONSE_FIELDS)
+                raise ValidationError(f"backend {self.name!r}: response_fields key {key!r} is not one of {allowed}")
+            if not (isinstance(value, str) and value):
+                raise ValidationError(
+                    f"backend {self.name!r}: response_fields[{key!r}] must be a non-empty string, not {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,9 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         if not 1 <= rating_min <= rating_max <= 5:
             raise ValidationError(f"invalid rating bounds ({rating_min}, {rating_max})")
 
+        if corpus.get("format") not in (None, "csv", "jsonl"):
+            raise ValidationError(f"corpus.format must be 'csv', 'jsonl' or absent, not {corpus['format']!r}")
+
         annotators = raw.get("annotators", [])
         if not (isinstance(annotators, list) and all(isinstance(a, str) for a in annotators)):
             raise ValidationError(f"annotators must be a list of strings, not {annotators!r}")
@@ -201,8 +215,8 @@ def apply_overrides(raw: dict, overrides: dict) -> dict:
     raw = json.loads(json.dumps(raw))  # deep copy
     if overrides.get("seed") is not None:
         raw["seed"] = overrides["seed"]
-    if overrides.get("hypotheses") is not None:
-        raw.setdefault("hypotheses", {})["extraction"] = overrides["hypotheses"]
+    if (ref := overrides.get("hypotheses")) is not None:  # a relative path is taken from the current directory
+        raw.setdefault("hypotheses", {})["extraction"] = ref if ref.startswith("builtin:") else str(Path(ref).absolute())
     if overrides.get("nli_endpoint") is not None:
         for backend in raw.get("nli", {}).get("backends", []):
             backend["endpoint"] = overrides["nli_endpoint"]

@@ -115,6 +115,22 @@ class ReviewCorpus:
         return ReviewCorpus(reviews, replace(self.provenance, counts=counts))
 
 
+def _iso_date(text: str) -> date:
+    """The date of an ISO-8601 date, or date and time. Python 3.11 reads a
+    final "Z" (UTC) after a time of day and 3.10 does not, so a final "Z" the
+    first parse rejects is read here when a time of day without an offset
+    precedes it; "2024-01-05Z" stays rejected on both."""
+    try:
+        return datetime.fromisoformat(text).date()
+    except ValueError:
+        if not (text.endswith("Z") and len(text) > 11):
+            raise
+        moment = datetime.fromisoformat(text[:-1])
+        if moment.tzinfo is not None:
+            raise
+        return moment.date()
+
+
 def parse_record(raw: dict) -> Review:
     """Read one record of the ingestion schema into a review."""
     for key in _REQUIRED:
@@ -149,7 +165,7 @@ def parse_record(raw: dict) -> Review:
     if date_raw is not None and str(date_raw).strip() != "":
         text = str(date_raw).strip()
         try:
-            submitted_at = datetime.fromisoformat(text).date()
+            submitted_at = _iso_date(text)
         except ValueError:
             raise ValidationError(f"date {text!r} is not ISO-8601") from None
 

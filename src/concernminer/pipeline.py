@@ -180,8 +180,8 @@ def read_votes(path: Path, backend: str, set_hash: str, sampling: str, *, log: b
     }
 
 
-def append_votes(log: Path | IO, records: list[VoteRecord]) -> None:
-    """Append the records to the vote log, a path or a handle from :func:`open_log`."""
+def append_votes(log: IO, records: list[VoteRecord]) -> None:
+    """Append the records to the vote log, through a handle from :func:`open_log`."""
     append_log(log, [vars(record) for record in records])
 
 
@@ -436,12 +436,7 @@ def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationRepo
             f"{queue_path} holds {len(queue)} reviews but {manifest_path} counts {manifest.counts['llm_yes']}"
         )
 
-    report = run_annotation(
-        queue,
-        config.annotators,
-        responder,
-        state_path=config.workdir / ANNOTATION_STATE_FILE,
-    )
+    report = run_annotation(queue, config.annotators, responder, state_path=config.workdir / ANNOTATION_STATE_FILE)
     write_json(config.workdir / ANNOTATION_REPORT_FILE, report.to_dict())
 
     if manifest is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from concernminer.annotation import (
@@ -179,6 +181,72 @@ class TestSession:
     def test_empty_queue_rejected(self):
         with pytest.raises(ValidationError):
             run_annotation([], ["lead", "b"], scripted_responder({}))
+
+
+class TestStateLog:
+    QUEUE = make_queue(6)
+    ROSTER = ["lead", "b", "c"]
+    # b disagrees with the lead on r1 and c on r4; the other of the two breaks each tie. No answer is a skip.
+    SCRIPT = {
+        "lead": {r.id: PRIVACY for r in QUEUE},
+        "b": {"r0": PRIVACY, "r1": NON_PRIVACY, "r2": PRIVACY, "r4": NON_PRIVACY},
+        "c": {"r1": PRIVACY, "r3": PRIVACY, "r4": NON_PRIVACY, "r5": PRIVACY},
+    }
+
+    def asking(self, asked):
+        inner = scripted_responder(self.SCRIPT)
+
+        def respond(annotator, review):
+            asked.append((annotator, review.id))
+            return inner(annotator, review)
+
+        return respond
+
+    def test_any_cut_of_the_state_log_resumes_to_the_clean_report(self, tmp_path):
+        clean_path = tmp_path / "clean.jsonl"
+        clean = run_annotation(self.QUEUE, self.ROSTER, self.asking([]), state_path=clean_path).to_dict()
+        assert clean["tiebreaks"] == ["r1", "r4"] and clean["leftovers"] == []
+        whole = clean_path.read_bytes()
+        records = [json.loads(line) for line in whole.splitlines()]
+        assert len(records) == 6 + 6 + 2
+        for cut in range(len(whole) + 1):
+            path = tmp_path / "cut.jsonl"
+            path.write_bytes(whole[:cut])
+            asked = []
+            report = run_annotation(self.QUEUE, self.ROSTER, self.asking(asked), state_path=path)
+            lost = records[whole[:cut].count(b"\n") :]  # a torn last line is dropped and its label asked again
+            assert asked == [(r["annotator"], r["review_id"]) for r in lost], cut
+            assert report.to_dict() == clean, cut
+            assert path.read_bytes() == whole, cut
+
+    def test_each_label_is_in_the_file_before_the_next_question(self, tmp_path):
+        path = tmp_path / "state.jsonl"
+        inner = scripted_responder(self.SCRIPT)
+        on_disk = []
+
+        def peeking(annotator, review):
+            on_disk.append(path.read_bytes().count(b"\n"))
+            return inner(annotator, review)
+
+        run_annotation(self.QUEUE, self.ROSTER, peeking, state_path=path)
+        assert on_disk == list(range(14))
+        assert path.read_bytes().count(b"\n") == 14
+
+    def test_a_session_without_a_label_leaves_an_empty_log(self, tmp_path):
+        path = tmp_path / "state.jsonl"
+        report = run_annotation(self.QUEUE, self.ROSTER, scripted_responder({}), state_path=path)
+        assert len(report.leftover_ids) == 6
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "queue, roster", [([], ["lead", "b"]), (QUEUE, ["only-one"]), (QUEUE, ["dup", "dup"])],
+        ids=["empty-queue", "one-annotator", "repeated-annotator"],
+    )
+    def test_a_session_that_asks_nothing_creates_no_log(self, tmp_path, queue, roster):
+        path = tmp_path / "state.jsonl"
+        with pytest.raises(ValidationError):
+            run_annotation(queue, roster, scripted_responder(self.SCRIPT), state_path=path)
+        assert not path.exists()
 
 
 class TestInteractiveResponder:

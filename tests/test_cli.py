@@ -10,6 +10,7 @@ import pytest
 
 from concernminer.cli import main
 from concernminer.errors import ValidationError
+from concernminer.hypotheses import builtin_domain_mh, save_hypothesis_set
 from concernminer.nli import load_matrix
 from concernminer.pipeline import (
     LLM_FAILURES_FILE,
@@ -208,8 +209,32 @@ def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_
         (lambda raw: raw["nli"]["backends"][0].update(mock_table=5), "mock_table must be a string or null, not 5"),
         (lambda raw: raw.update(annotators="alice"), "annotators must be a list of strings, not 'alice'"),
         (lambda raw: raw.update(annotators=["lead", 2]), "annotators must be a list of strings, not ['lead', 2]"),
+        (
+            lambda raw: raw["nli"]["backends"][0].update(endpoint="http://127.0.0.1:9/nli", response_fields={"entailment": 5}),
+            "response_fields['entailment'] must be a non-empty string, not 5",
+        ),
+        (
+            lambda raw: raw["nli"]["backends"][0].update(response_fields={"entailment": ""}),
+            "response_fields['entailment'] must be a non-empty string, not ''",
+        ),
+        (
+            lambda raw: raw["nli"]["backends"][0].update(
+                endpoint="http://127.0.0.1:9/nli", response_fields={"entailement": "entail"}
+            ),
+            "response_fields key 'entailement' is not one of entailment, neutral, contradiction",
+        ),
+        (lambda raw: raw["corpus"].update(format="xml"), "corpus.format must be 'csv', 'jsonl' or absent, not 'xml'"),
     ],
-    ids=["response_fields-list", "mock_table-int", "annotators-string", "annotators-non-string-item"],
+    ids=[
+        "response_fields-list",
+        "mock_table-int",
+        "annotators-string",
+        "annotators-non-string-item",
+        "response_fields-int-value",
+        "response_fields-empty-value",
+        "response_fields-unknown-key",
+        "corpus_format-xml",
+    ],
 )
 def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
     extraction_setup, tmp_path, capsys, edit, message
@@ -221,7 +246,9 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
     bad_config.write_text(json.dumps(raw))
 
     assert main(["extract", "--config", str(bad_config)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"error: {bad_config}: " in err
     assert not workdir.exists()
 
 
@@ -406,6 +433,21 @@ def test_relative_workdir_flag_is_taken_from_the_current_directory(extraction_se
     assert main(["extract", "--config", str(config_path)]) == 0
     assert (config_path.parent / "keyed" / MANIFEST_FILE).exists()
     assert not (cwd / "keyed").exists()
+
+
+def test_relative_hypotheses_flag_is_taken_from_the_current_directory(extraction_setup, tmp_path, monkeypatch):
+    _, config_path, workdir = extraction_setup
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    save_hypothesis_set(builtin_domain_mh(), cwd / "myset.json")
+    (config_path.parent / "myset.json").write_text("not a hypothesis set")  # the config's directory is not read
+    monkeypatch.chdir(cwd)
+    assert main(["extract", "--config", str(config_path), "--hypotheses", "myset.json"]) == 0
+    from_cwd = json.loads((workdir / MANIFEST_FILE).read_text())
+    assert from_cwd["hypothesis_set"]["version_hash"] == builtin_domain_mh().version_hash
+    # A builtin: reference is not a path and stays as it is.
+    assert main(["extract", "--config", str(config_path), "--hypotheses", "builtin:domain-mh"]) == 0
+    assert json.loads((workdir / MANIFEST_FILE).read_text())["hypothesis_set"] == from_cwd["hypothesis_set"]
 
 
 def test_backend_failure_without_progress_exits_3(extraction_setup, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from concernminer.corpus import (
     ingest_reviews,
     normalize_corpus,
     normalize_text,
+    parse_record,
     partition_gold,
     write_corpus,
 )
@@ -169,6 +171,21 @@ class TestIngest:
         corpus = ingest_reviews(path)
         assert len(corpus) == 1
         assert corpus.reviews[0].submitted_at.isoformat() == "2021-10-06"
+
+    # Python 3.10's fromisoformat reads fewer forms than 3.11's; these read alike on both.
+    @pytest.mark.parametrize(
+        "text",
+        ["2024-01-05", "2024-01-05 10:00", "2024-01-05T10:00:00Z", "2024-01-05T10:00:00.123Z", "2024-01-05T10:00:00+02:00"],
+    )
+    def test_date_forms_read_on_every_supported_python(self, text):
+        record = {"id": "a", "app": "x", "store": "other", "rating": "1", "text": "one", "date": text}
+        assert parse_record(record).submitted_at.isoformat() == "2024-01-05"
+
+    @pytest.mark.parametrize("text", ["2024-01-05Z", "Z", "2024-13-01", "2024-01-05T10:00:00ZZ", "2024-01-05T10:00:00+02:00Z"])
+    def test_date_forms_rejected_on_every_supported_python(self, text):
+        record = {"id": "a", "app": "x", "store": "other", "rating": "1", "text": "one", "date": text}
+        with pytest.raises(ValidationError, match=re.escape(f"date {text!r} is not ISO-8601")):
+            parse_record(record)
 
     def test_majority_rejected_aborts(self, tmp_path):
         path = tmp_path / "reviews.csv"

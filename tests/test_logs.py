@@ -9,7 +9,7 @@ import logging
 
 import pytest
 
-from concernminer._jsonl import append_log, read_json, read_jsonl, read_log, write_csv
+from concernminer._jsonl import append_log, open_log, read_json, read_jsonl, read_log, write_csv
 from concernminer.cli import main
 from concernminer.config import load_config
 from concernminer.corpus import CSV_COLUMNS
@@ -61,7 +61,8 @@ class TestReadLog:
             assert list(read_log(path)) == [{"a": 1}, {"a": 2}]
         assert f"{path}:3: dropping torn last line" in caplog.text
         assert path.read_bytes() == b'{"a": 1}\n{"a": 2}\n'
-        append_log(path, [{"a": 3}])
+        with open_log(path) as log:
+            append_log(log, [{"a": 3}])
         assert list(read_log(path)) == [{"a": 1}, {"a": 2}, {"a": 3}]
 
     @pytest.mark.parametrize("lines", [['{"a": 1}\n', "{oops\n", '{"a": 3}\n'], ['{"a": 1}\n', "{oops\n"]])
@@ -82,8 +83,9 @@ class TestReadLog:
 
     def test_append_writes_sorted_keys_one_line_each(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_log(path, [{"b": 1, "a": 2}])
-        append_log(path, [{"c": None}, {"d": [1, 2]}])
+        with open_log(path) as log:
+            append_log(log, [{"b": 1, "a": 2}])
+            append_log(log, [{"c": None}, {"d": [1, 2]}])
         assert path.read_text() == '{"a": 2, "b": 1}\n{"c": null}\n{"d": [1, 2]}\n'
 
 
@@ -187,7 +189,8 @@ def test_record_missing_a_field_exits_2(extraction, tmp_path, capsys, log_name, 
     workdir = tmp_path / "run"
     assert run_all(config_path, responses_path, workdir) == (0, 0)
     log = workdir / log_name
-    append_log(log, [record])
+    with open_log(log) as handle:
+        append_log(handle, [record])
     lines = len(log.read_text().splitlines())
     capsys.readouterr()
 
@@ -213,7 +216,8 @@ def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell)
     assert main(["extract", *common]) == 0
     log = tmp_path / "run" / NLI_CACHE_FILE
     first = json.loads(log.read_text().splitlines()[0])
-    append_log(log, [dict(first, review_id="appended", row=[cell])])
+    with open_log(log) as handle:
+        append_log(handle, [dict(first, review_id="appended", row=[cell])])
     lines = len(log.read_text().splitlines())
     capsys.readouterr()
 

@@ -12,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from concernminer._jsonl import append_log
+from concernminer._jsonl import append_log, open_log
 from concernminer.config import NliBackendConfig
 from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
@@ -428,7 +428,8 @@ class TestScoreCorpus:
                 ])
                 for i, review in enumerate(reviews)
             ]
-        append_log(cache_path, old_records)
+        with open_log(cache_path) as log:
+            append_log(log, old_records)
         backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
             assert len(cache) == 63
@@ -458,7 +459,8 @@ class TestScoreCorpus:
     def test_row_cell_out_of_contract_is_corrupt(self, tmp_path, cell):
         cache_path = tmp_path / "cache.jsonl"
         good = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[1, 0.5]]}
-        append_log(cache_path, [good, dict(good, review_id="r1", row=[cell])])
+        with open_log(cache_path) as log:
+            append_log(log, [good, dict(good, review_id="r1", row=[cell])])
         with pytest.raises(ValidationError, match=f"{cache_path}:2: corrupt log line"):
             ScoreCache(cache_path)
 
@@ -470,7 +472,8 @@ class TestScoreCorpus:
             dict(key, hypothesis_id=2, entail=0.75),
             dict(key, row=[[3, 0.125], [1, 0.0]]),
         ]
-        append_log(cache_path, records)
+        with open_log(cache_path) as log:
+            append_log(log, records)
         cache = ScoreCache(cache_path)
         assert len(cache) == 3
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
@@ -586,12 +589,13 @@ class TestScoreCorpus:
         # The earlier kind of cache: each cell the backend's float64 as it was returned.
         full = tmp_path / "full.jsonl"
         backend = MockNliBackend(seed=3)
-        append_log(full, [
-            {"backend": backend.name, "set_hash": DOMAIN.version_hash, "review_id": review.id, "row": [
-                [h.id, backend.score_pair(review.text_norm, h).entail if review.text_norm else 0.0] for h in DOMAIN.hypotheses
-            ]}
-            for review in reviews
-        ])
+        with open_log(full) as log:
+            append_log(log, [
+                {"backend": backend.name, "set_hash": DOMAIN.version_hash, "review_id": review.id, "row": [
+                    [h.id, backend.score_pair(review.text_norm, h).entail if review.text_norm else 0.0] for h in DOMAIN.hypotheses
+                ]}
+                for review in reviews
+            ])
         assert full.stat().st_size > nine_digit.stat().st_size
         for path in (nine_digit, full):
             warm = MockNliBackend(seed=3)
@@ -604,7 +608,8 @@ class TestScoreCorpus:
     def retained_per_cell(path, row):
         """Bytes a cache loaded from 2,000 records of ``row`` keeps per cell."""
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "row": row}
-        append_log(path, [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
+        with open_log(path) as log:
+            append_log(log, [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
         gc.collect()
         tracemalloc.start()
         try:

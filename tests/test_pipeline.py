@@ -14,6 +14,7 @@ import pytest
 
 import concernminer
 from concernminer import pipeline
+from concernminer._jsonl import open_log
 from concernminer.annotation import NON_PRIVACY, PRIVACY, scripted_responder
 from concernminer.config import LlmBackendConfig, NliBackendConfig, load_config, parse_config
 from concernminer.corpus import ingest_reviews
@@ -550,11 +551,12 @@ class TestVoteLog:
             return VoteRecord(review_id, ("x",), votes, decision, False, backend, record_set_hash, record_sampling)
 
         votes_path = tmp_path / "votes.jsonl"
-        append_votes(votes_path, [record(rid, label == 1, "mock-llm") for rid, label in gold.items()])
-        append_votes(votes_path, [record(rid, label == 0, "other-llm") for rid, label in gold.items()])
-        append_votes(votes_path, [record(rid, label == 0, "mock-llm", "other-set") for rid, label in gold.items()])
-        append_votes(votes_path, [record(rid, label == 0, "mock-llm", set_hash, "other-sampling") for rid, label in gold.items()])
-        append_votes(votes_path, [record(rid, label == 0, None, None, None) for rid, label in gold.items()])
+        with open_log(votes_path) as log:
+            append_votes(log, [record(rid, label == 1, "mock-llm") for rid, label in gold.items()])
+            append_votes(log, [record(rid, label == 0, "other-llm") for rid, label in gold.items()])
+            append_votes(log, [record(rid, label == 0, "mock-llm", "other-set") for rid, label in gold.items()])
+            append_votes(log, [record(rid, label == 0, "mock-llm", set_hash, "other-sampling") for rid, label in gold.items()])
+            append_votes(log, [record(rid, label == 0, None, None, None) for rid, label in gold.items()])
 
         result = evaluate_run(config, votes_path=votes_path)
         assert result["llm"]["evaluated"] == len(gold) == 20
