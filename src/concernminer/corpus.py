@@ -12,7 +12,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
@@ -115,20 +115,17 @@ class ReviewCorpus:
         return ReviewCorpus(reviews, replace(self.provenance, counts=counts))
 
 
+_ISO_DATE = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.\d{3}(?:\d{3})?)?)?(?:Z|[+-](\d\d):(\d\d))?)?", re.ASCII)
+
+
 def _iso_date(text: str) -> date:
-    """The date of an ISO-8601 date, or date and time. Python 3.11 reads a
-    final "Z" (UTC) after a time of day and 3.10 does not, so a final "Z" the
-    first parse rejects is read here when a time of day without an offset
-    precedes it; "2024-01-05Z" stays rejected on both."""
-    try:
-        return datetime.fromisoformat(text).date()
-    except ValueError:
-        if not (text.endswith("Z") and len(text) > 11):
-            raise
-        moment = datetime.fromisoformat(text[:-1])
-        if moment.tzinfo is not None:
-            raise
-        return moment.date()
+    """The date of ``text`` in the one ISO-8601 grammar read on every Python: a date, or a date and a time of
+    day after "T" or a space (seconds optional, with 3 or 6 fraction digits), then "Z" or an offset under a day."""
+    match = _ISO_DATE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not one of the ISO-8601 forms read")
+    year, month, day, hour, minute, second, off_h, off_m = (int(group or 0) for group in match.groups())
+    return datetime(year, month, day, hour, minute, second, tzinfo=timezone(timedelta(hours=off_h, minutes=off_m))).date()
 
 
 def parse_record(raw: dict) -> Review:

@@ -1,9 +1,9 @@
 """Entailment score types, the review × hypothesis matrix, caching, and scoring.
 
-A review's row is the unit of scoring work, of cache record, and of what the cache
-holds in memory: its hypothesis ids and a float32 ``array``; cells are keyed by (backend
-name, hypothesis-set content hash, review id, hypothesis id), so a rerun resumes cell by
-cell; a warm rerun calls no backend and reproduces the matrix bit for bit.
+A review's row is the unit of scoring work, of cache record, and of what the cache holds
+in memory: its hypothesis ids (a complete record implies its set's) and a float32 ``array``;
+cells are keyed by (backend name, hypothesis-set content hash, review id, hypothesis id), so
+a rerun resumes cell by cell; a warm rerun calls no backend and reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class EntailmentScore:
 def _check_score(entail, neutral=None, contradict=None) -> None:
     """Each given probability in [0, 1], and a full distribution summing to ~1."""
     others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
-    if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per cell on load; the loop names the value
+    if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per score; the loop names the value
         for name, value in (("entail", entail), ("neutral", neutral), ("contradict", contradict)):
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} probability {value} outside [0, 1]")
@@ -90,8 +90,9 @@ class EntailmentMatrix:
         return self.scores[i * k : (i + 1) * k]
 
 
-def _checked(grid: Grid) -> Grid:
-    """``grid``, once every cell is in [0, 1]. ``min`` and ``max`` can pass over a NaN; ``sum`` carries it."""
+def _checked(grid):
+    """``grid`` (or a cache record's entailments), once every cell is a number in [0, 1]. ``min`` and
+    ``max`` can pass over a NaN; ``sum`` carries it, and raises ``TypeError`` on a non-number."""
     if grid and (isnan(sum(grid)) or min(grid) < 0.0 or max(grid) > 1.0):
         raise ValidationError("score grid contains values outside [0, 1]")
     return grid
@@ -140,41 +141,31 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
 
 class ScoreCache:
     """The entailment cache file at ``path`` as it was when opened, one JSONL
-    record per scored row: ``{backend, set_hash, review_id, row: [[hypothesis_id, entail], ...]}``.
-    Older records still load: rows of ``[hypothesis_id, entail, neutral,
-    contradict]`` cells and one-cell records. A later record wins a cell an
-    earlier one holds. In memory a review's cells are a tuple of hypothesis
-    ids, one object shared by every row with the same ids, and a float32
-    ``array`` of their entailments, the values the grid takes (see :meth:`row`).
+    record per scored row. A row of every cell of its set is ``{backend,
+    set_hash, review_id, entail: [...]}`` in the set's hypothesis order, and
+    the set's first such row in the file names the ids (``hypotheses: [...]``,
+    kept in ``named``); a row of some cells, committed before a backend
+    failure, is ``row: [[hypothesis_id, entail], ...]``. Complete rows of that
+    older shape, rows of 4-value cells and one-cell records load too. A later
+    record wins a cell an earlier one holds. In memory a review's cells are a
+    tuple of hypothesis ids, one object shared by every row with the same ids,
+    and a float32 ``array`` of their entailments, the values the grid takes (see :meth:`row`).
 
-    The cache writes nothing, and takes in nothing once loaded: :func:`score_corpus`
-    appends the rows it scores to the file. The rows are let go when the
+    The cache writes nothing: :func:`score_corpus` appends the rows it scores,
+    and adds each set it names to ``named``. The rows are let go when the
     ``with`` block ends. ``len()`` counts cells.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.named: dict[str, tuple[int, ...]] = {}  # set hash -> the hypothesis ids the file names for it
         self._rows: dict[tuple[str, str, str], tuple[tuple[int, ...], array]] = {}
         self._ids: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct id tuple, kept once
-        # Consecutive records of one review (the oldest format has one per
-        # cell) are merged by hypothesis id, then become one row.
-        key, cells = None, {}
-        for record_key, record_cells in read_log(self.path, _record_row):
-            if record_key != key:
-                self._merge(key, cells)
-                key, cells = record_key, {}
-            for cell in record_cells:
-                cells.pop(cell[0], None)  # a later record wins the cell, and moves it last
-                cells[cell[0]] = cell[1]
-        self._merge(key, cells)
-
-    def _merge(self, key: tuple[str, str, str] | None, cells: dict) -> None:
-        """Put ``cells`` (hypothesis id -> entail) into ``key``'s row; they win the cells it holds."""
-        if cells:
-            held = zip(*self._rows.get(key, ((), ())))  # the row's cells so far; ``cells`` win theirs
-            cells = {**{h: e for h, e in held if h not in cells}, **cells}
-            ids = tuple(cells)
-            self._rows[key] = self._ids.setdefault(ids, ids), array("f", cells.values())
+        for key, ids, entails in read_log(self.path, self._record_cells):
+            if key in self._rows:  # a later record wins the cells it holds, and they move last
+                cells = {h: e for h, e in zip(*self._rows[key]) if h not in ids} | dict(zip(ids, entails))
+                ids, entails = tuple(cells), cells.values()
+            self._rows[key] = self._ids.setdefault(ids, ids), array("f", entails)
 
     def __len__(self) -> int:
         return sum(len(ids) for ids, _ in self._rows.values())
@@ -189,19 +180,26 @@ class ScoreCache:
     def __exit__(self, *exc_info) -> None:
         self._rows, self._ids = {}, {}
 
-
-def _record_row(record: dict) -> tuple[tuple[str, str, str], list]:
-    """The key and checked cells of one record: a row of ``[hypothesis_id, entail]``
-    cells, a row of the older ``[hypothesis_id, entail, neutral, contradict]``
-    cells, or an older one-cell record. Every stored probability is checked."""
-    cells = record["row"] if "row" in record else [
-        (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
-    for cell in cells:
-        if len(cell) not in (2, 4) or not isinstance(cell[0], int):
-            raise ValueError(f"row cell {cell!r} is not [hypothesis_id, entail] or the older 4-value cell")
-        _check_score(*cell[1:])
-    # Every record repeats the backend and set hash: intern them, so rows share one copy.
-    return (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"]), cells
+    def _record_cells(self, record: dict) -> tuple[tuple[str, str, str], tuple[int, ...], list]:
+        """The key (its backend and set hash interned, as every record repeats them), ids and checked entailments of a record."""
+        key = (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"])
+        if "row" not in record and "hypothesis_id" not in record:  # a complete row, in its set's named order
+            if "hypotheses" in record:
+                self.named[key[1]] = ids = tuple(record["hypotheses"])
+                if not all(isinstance(h, int) for h in ids):
+                    raise ValueError(f"hypotheses {ids} are not all integer ids")
+            ids = self.named.get(key[1])
+            if ids is None or len(record["entail"]) != len(ids):
+                raise ValueError(f"entail row does not match the hypotheses named for set {key[1]!r}: {ids}")
+            return key, ids, _checked(record["entail"])
+        cells = record["row"] if "row" in record else [
+            (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
+        for cell in cells:
+            if len(cell) not in (2, 4) or not isinstance(cell[0], int):
+                raise ValueError(f"row cell {cell!r} is not [hypothesis_id, entail] or the older 4-value cell")
+            if len(cell) == 4:
+                _check_score(*cell[1:])
+        return key, tuple(cell[0] for cell in cells), _checked([cell[1] for cell in cells])
 
 
 # An empty normalized review entails nothing; scoring it remotely would be
@@ -223,11 +221,12 @@ def score_corpus(
     :func:`run_ordered`: ``max_inflight`` workers, the calling thread among
     them, score at most ``2 * max_inflight`` rows ahead of the row the
     calling thread commits, in review order. The pass keeps the cache's file
-    open and appends and flushes each row as it is committed, so a killed run
+    open and appends and flushes each row as it is committed (a whole row as
+    its entailments, in the shapes :class:`ScoreCache` reads), so a killed run
     loses at most the rows in flight; without a ``cache`` it reads and writes
     nothing. On backend failure the raised :class:`BackendError` carries the
-    completed-cell count; every committed cell, the failing row's included,
-    is in the file for the rerun.
+    completed-cell count; every committed cell, the failing row's included
+    (with their ids), is in the file for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
@@ -238,7 +237,7 @@ def score_corpus(
     hyp_ids = tuple(h.id for h in hset.hypotheses)
     k = len(hyp_ids)
     grid = Grid("f", bytes(4 * len(reviews) * k))
-    completed = 0
+    completed = missed = 0  # cells the backend scored, and cells the cache did not hold
 
     def work(job, stop) -> None:
         _, review, columns, scores = job
@@ -249,16 +248,23 @@ def score_corpus(
 
     with open_log(cache.path) if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
 
-        def append_row(review_id: str, row: list) -> None:  # [[hypothesis_id, entail], ...]
-            if row and log is not None:
-                append_log(log, [{"backend": name, "set_hash": set_hash, "review_id": review_id, "row": row}])
+        def append_row(review_id: str, columns: list, entails: list) -> None:  # a partial row names its cells' ids
+            if entails and log is not None:
+                record = {"backend": name, "set_hash": set_hash, "review_id": review_id}
+                if len(entails) < k:
+                    record["row"] = [[hyp_ids[j], entail] for j, entail in zip(columns, entails)]
+                else:
+                    record["entail"] = entails
+                    if cache.named.get(set_hash) != hyp_ids:  # the set's first complete row in the file
+                        record["hypotheses"] = cache.named[set_hash] = hyp_ids
+                append_log(log, [record])
 
         def commit(job, _, error: Exception | None) -> None:
             nonlocal completed
             i, review, columns, scores = job  # the cells scored before an error are committed too
             for j, entail in zip(columns, scores):
                 grid[i * k + j] = entail  # the cache gets this float32 to 9 digits, which read back to it
-            append_row(review.id, [[hyp_ids[j], float("%.9g" % grid[i * k + j])] for j in columns[: len(scores)]])
+            append_row(review.id, columns, [float("%.9g" % grid[i * k + j]) for j in columns[: len(scores)]])
             completed += len(scores)
             if error is not None:
                 raise error
@@ -272,8 +278,9 @@ def score_corpus(
             hits = {} if row is None else dict(zip(*row))  # hypothesis id -> entail
             grid[i * k : (i + 1) * k] = array("f", [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids])
             columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
+            missed += len(columns)
             if not review.text_norm:
-                append_row(review.id, [[hyp_ids[j], EMPTY_PREMISE_SCORE] for j in columns])
+                append_row(review.id, columns, [EMPTY_PREMISE_SCORE] * len(columns))
             elif columns:
                 jobs.append((i, review, columns, []))
         total = sum(len(columns) for _, _, columns, _ in jobs)
@@ -285,11 +292,7 @@ def score_corpus(
             raise BackendError(message, completed=completed, total=total) from exc
 
     logger.info(
-        "scored %d reviews x %d hypotheses with %s (%d backend calls, %d cache hits)",
-        len(reviews),
-        len(hyp_ids),
-        name,
-        completed,
-        len(grid) - completed,
+        "scored %d reviews x %d hypotheses with %s (%d backend calls, %d cache hits, %d empty-premise cells)",
+        len(reviews), k, name, completed, len(grid) - missed, missed - total,
     )
     return EntailmentMatrix(tuple(r.id for r in reviews), hyp_ids, set_hash, name, grid)

@@ -225,6 +225,34 @@ def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell)
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "last, set_hash",
+    [
+        ([], None),  # one value short of the set
+        ([0.5], "never-named"),  # a set no record names
+        ([float("nan")], None),
+        ([1.5], None),
+        ([None], None),
+        (["0.5"], None),
+    ],
+    ids=["wrong-length", "set-not-named", "nan", "above-1", "null", "string"],
+)
+def test_cache_entail_row_out_of_contract_exits_2(extraction, tmp_path, capsys, last, set_hash):
+    config_path, _ = extraction
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    log = tmp_path / "run" / NLI_CACHE_FILE
+    first = json.loads(log.read_text().splitlines()[0])  # a complete row that names its set's hypotheses
+    entail = [0.5] * (len(first["hypotheses"]) - 1) + last
+    with open_log(log) as handle:
+        append_log(handle, [{"backend": first["backend"], "set_hash": set_hash or first["set_hash"], "review_id": "appended", "entail": entail}])
+    lines = len(log.read_text().splitlines())
+    capsys.readouterr()
+
+    assert main(["extract", *common]) == 2
+    assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+
+
 class TestWholeFileOutputs:
     def test_failed_rewrite_keeps_previous_file(self, tmp_path):
         path = tmp_path / PSEUDO_LABELS_FILE

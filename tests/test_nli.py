@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import sys
 import threading
 import tracemalloc
@@ -407,7 +408,7 @@ class TestScoreCorpus:
         assert np.array_equal(matrix.scores, clean.scores)
 
 
-    @pytest.mark.parametrize("old_format", ["cell-records", "4-column-rows"])
+    @pytest.mark.parametrize("old_format", ["cell-records", "4-column-rows", "2-column-rows"])
     def test_old_cell_records_give_a_warm_run(self, tmp_path, old_format):
         reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
         clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=8)
@@ -420,12 +421,17 @@ class TestScoreCorpus:
                 for i, review in enumerate(reviews)
                 for j, hyp in enumerate(DOMAIN.hypotheses)
             ]
-        else:  # the previous row format: neutral and contradict given by one backend, null from another
+        elif old_format == "4-column-rows":  # neutral and contradict given by one backend, null from another
             old_records = [
                 dict(fields, review_id=review.id, row=[
                     [hyp.id, entail, 1.0 - entail, 0.0] if i % 2 else [hyp.id, entail, None, None]
                     for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i).tolist())
                 ])
+                for i, review in enumerate(reviews)
+            ]
+        else:  # every complete row with its ids, as versions before the entail row wrote it
+            old_records = [
+                dict(fields, review_id=review.id, row=[[hyp.id, float("%.9g" % entail)] for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i))])
                 for i, review in enumerate(reviews)
             ]
         with open_log(cache_path) as log:
@@ -478,6 +484,107 @@ class TestScoreCorpus:
         assert len(cache) == 3
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
 
+    def test_all_five_record_shapes_load_under_one_merge_rule(self, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        h, other = {"backend": "b", "set_hash": "h"}, {"backend": "b", "set_hash": "other"}
+        records = [
+            dict(h, review_id="r0", entail=[0.5, 0.25, 0.75], hypotheses=[1, 2, 3]),  # names set h
+            dict(h, review_id="r1", entail=[0.125, 0.0, 1.0]),  # its ids are set h's
+            dict(other, review_id="r0", entail=[0.5, 0.5], hypotheses=[7, 5]),  # names another set
+            dict(h, review_id="r1", row=[[2, 0.5]]),  # a partial row wins a cell
+            dict(h, review_id="r0", hypothesis_id=1, entail=0.0, neutral=None, contradict=None),  # a one-cell record
+            dict(h, review_id="r2", row=[[3, 0.25, 0.5, 0.25], [1, 0.375, None, None]]),  # 4-value cells
+            dict(h, review_id="r2", entail=[0.625, 0.875, 0.0625]),  # a complete row wins every cell
+            dict(other, review_id="r1", entail=[0.0, 1.0]),
+        ]
+        with open_log(cache_path) as log:
+            append_log(log, records)
+        cache = ScoreCache(cache_path)
+        assert len(cache) == 13
+        assert cache.named == {"h": (1, 2, 3), "other": (7, 5)}
+        assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.25], [3, 0.75], [1, 0.0]]  # a won cell moves last
+        assert cells_of(cache.row("b", "h", "r1")) == [[1, 0.125], [3, 1.0], [2, 0.5]]
+        assert cells_of(cache.row("b", "h", "r2")) == [[1, 0.625], [2, 0.875], [3, 0.0625]]
+        assert cells_of(cache.row("b", "other", "r1")) == [[7, 0.0], [5, 1.0]]
+        assert cache.row("b", "other", "r0")[0] is cache.row("b", "other", "r1")[0]  # one id tuple per set
+
+    # test_logs.py runs the wrong-length, unnamed-set, NaN, above-1, null and string cases through `extract`.
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"entail": [0.5] * 22},
+            {"entail": [0.5] * 20 + [-0.0625]},
+            {"entail": 0.5},
+            {"entail": [0.5] * 21, "hypotheses": [str(h.id) for h in DOMAIN.hypotheses]},
+        ],
+        ids=["long", "below-0", "not-a-list", "id-string"],
+    )
+    def test_entail_row_out_of_contract_is_corrupt(self, tmp_path, record):
+        cache_path = tmp_path / "cache.jsonl"
+        reviews = make_reviews(["data trackers everywhere", "fine app"])
+        with ScoreCache(cache_path) as cache:
+            score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
+        first = json.loads(cache_path.read_text().splitlines()[0])
+        assert first["hypotheses"] == [h.id for h in DOMAIN.hypotheses]
+        with open_log(cache_path) as log:
+            append_log(log, [{"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "review_id": "r2", **record}])
+        with pytest.raises(ValidationError, match=f"{cache_path}:3: corrupt log line"):
+            ScoreCache(cache_path)
+
+    def test_a_partial_row_names_its_cells_and_resumes_warm(self, tmp_path):
+        class FailingBackend(MockNliBackend):
+            def score_pair(self, premise, hypothesis):
+                if self.calls == 10:
+                    raise BackendError("synthetic outage")
+                return super().score_pair(premise, hypothesis)
+
+        reviews = make_reviews(["text one", "text two"])
+        cache_path = tmp_path / "cache.jsonl"
+        hyp_ids = [h.id for h in DOMAIN.hypotheses]
+        with ScoreCache(cache_path) as cache, pytest.raises(BackendError):
+            score_corpus(FailingBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=1)
+        with ScoreCache(cache_path) as cache:
+            matrix = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=1)
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert [sorted(r) for r in records] == [
+            ["backend", "review_id", "row", "set_hash"],  # the failed row's 10 cells
+            ["backend", "review_id", "row", "set_hash"],  # its other 11, on resume
+            ["backend", "entail", "hypotheses", "review_id", "set_hash"],  # the set's first complete row
+        ]
+        assert [cell[0] for cell in records[0]["row"]] == hyp_ids[:10]
+        assert [cell[0] for cell in records[1]["row"]] == hyp_ids[10:]
+        assert records[2]["hypotheses"] == hyp_ids
+        warm = MockNliBackend(seed=0)
+        with ScoreCache(cache_path) as cache:
+            assert cache.row("mock-nli", DOMAIN.version_hash, "r0")[0] == tuple(hyp_ids)
+            again = score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=1)
+        assert warm.calls == 0
+        assert again.scores.tobytes() == matrix.scores.tobytes()
+        assert matrix.scores.tobytes() == score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=1).scores.tobytes()
+
+    def test_a_set_is_named_once_in_the_file_across_backends_and_passes(self, tmp_path):
+        reviews = make_reviews(["data trackers everywhere", "fine app"])
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache:  # one cache for two backends on one set, as `select` uses it
+            for name in ("a", "b"):
+                score_corpus(MockNliBackend(name=name, seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
+        with ScoreCache(cache_path) as cache:
+            score_corpus(MockNliBackend(name="c", seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert [(r["backend"], "hypotheses" in r) for r in records] == [
+            ("a", True), ("a", False), ("b", False), ("b", False), ("c", False), ("c", False)]
+        assert len(ScoreCache(cache_path)) == 6 * 21
+
+    def test_log_counts_cache_hits_apart_from_empty_premises(self, tmp_path, caplog):
+        reviews = make_reviews(["!!!", "real text"])
+        cache_path = tmp_path / "cache.jsonl"
+        for run in ("cold", "warm"):
+            caplog.clear()
+            with ScoreCache(cache_path) as cache, caplog.at_level(logging.INFO, logger="concernminer.nli.scoring"):
+                score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
+            expected = "21 backend calls, 0 cache hits, 21 empty-premise" if run == "cold" else "0 backend calls, 42 cache hits, 0 empty-premise"
+            assert expected in caplog.text, run
+
     def test_one_record_per_row_in_review_order(self, tmp_path):
         reviews = make_reviews([f"review number {k}" for k in range(30)] + ["!!!"])
         cache_path = tmp_path / "cache.jsonl"
@@ -490,9 +597,10 @@ class TestScoreCorpus:
         # The empty premise is stored while the cache is scanned, before any scored row.
         order = [f"r{k}" for k in range(25)] + ["r30"] + [f"r{k}" for k in range(25, 30)]
         assert [r["review_id"] for r in records] == order
-        assert all([cell[0] for cell in r["row"]] == [h.id for h in DOMAIN.hypotheses] for r in records)
-        assert all(len(cell) == 2 for r in records for cell in r["row"])  # [hypothesis_id, entail]
-        assert records[25]["row"][0] == [1, 0.0]
+        # Every record holds its whole row in hypothesis order, the ids named once, by the set's first row.
+        assert [r.get("hypotheses") for r in records] == [[h.id for h in DOMAIN.hypotheses]] + [None] * 30
+        assert all(len(r["entail"]) == 21 and "row" not in r for r in records)  # entailments alone
+        assert DOMAIN.hypotheses[0].id == 1 and records[25]["entail"][0] == 0.0
 
     def test_each_committed_row_is_in_the_file_before_the_next_is_scored(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
@@ -545,7 +653,7 @@ class TestScoreCorpus:
             backend = MockNliBackend(seed=3)
             with ScoreCache(path) as cache:
                 save_matrix(score_corpus(backend, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cut.bin")
-            assert backend.calls == sum(len(r["row"]) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
+            assert backend.calls == sum(len(r["entail"]) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
             assert (tmp_path / "cut.bin").read_bytes() == (tmp_path / "clean.bin").read_bytes(), cut
             assert path.read_bytes() == whole, cut
 
@@ -576,7 +684,7 @@ class TestScoreCorpus:
         assert len(records) == n_rows
         for record in records:
             i = int(record["review_id"][1:])
-            for hyp_id, entail in record["row"]:  # each entail as written, a Decimal
+            for hyp_id, entail in zip(columns, record["entail"]):  # each entail as written, a Decimal
                 assert len(entail.normalize().as_tuple().digits) <= 9, entail
                 assert np.float32(float(entail)) == matrix.row(i)[columns[hyp_id]], (entail, table[i][columns[hyp_id]])
 
