@@ -41,6 +41,8 @@ from .pipeline import (
     write_pseudo_labels,
 )
 
+logger = logging.getLogger(__name__)
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline config JSON file")
@@ -107,6 +109,13 @@ def cmd_llm_classify(args) -> int:
         raise ValidationError(f"no pseudo-labels at {pseudo_path}; run nli-label first")
     pseudo = read_pseudo_labels(pseudo_path)
     _, _, corpus = prepare_corpus(config, args.role)
+    if uncovered := sum(1 for r in corpus if r.id not in pseudo):
+        if uncovered == len(corpus):
+            raise ValidationError(
+                f"{pseudo_path} labels none of the {len(corpus)} {args.role} reviews;"
+                f" run nli-score --role {args.role} and nli-label first"
+            )
+        logger.warning("%s labels %d of the %d %s reviews", pseudo_path, len(corpus) - uncovered, len(corpus), args.role)
     maybe = [r for r in corpus if pseudo.get(r.id) is PseudoLabel.MAYBE_PRIVACY]
     records, failures = llm_classify(config, backend, maybe, hset)
     yes = sum(1 for r in records if r.decision is BinaryLabel.YES)

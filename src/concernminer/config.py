@@ -117,25 +117,29 @@ def backend_slug(name: str) -> str:
 
 
 # Field types as written: both modules that declare config blocks postpone
-# annotations, so a dataclass field's type is its source text.
-_CASTS = {"str": str, "int": int, "float": float}
-_OPTIONAL = {"str | None": (str, "a string"), "dict | None": (dict, "an object")}  # taken as given
+# annotations, so a dataclass field's type is its source text. A value is
+# checked, not converted: an integer takes a JSON integer, a float an integer
+# or a float (made a float, as the digests expect), and true/false fits none.
+_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "dict | None": ((dict, type(None)), "an object or null"),
+}
 
 
 def _field(key: str, declared: str, value):
-    if declared in _CASTS:
-        return _CASTS[declared](value)
-    kind, noun = _OPTIONAL[declared]
-    if value is not None and not isinstance(value, kind):
-        raise TypeError(f"{key} must be {noun} or null, not {value!r}")
-    return value
+    kind, noun = _TYPES[declared]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} must be {noun}, not {value!r}")
+    return float(value) if declared == "float" else value
 
 
 def _block(config_type, raw: dict):
     """``config_type`` built from the keys of the JSON object ``raw`` that
-    name its fields, each cast to the field's declared type when that is
-    ``str``, ``int`` or ``float``, or checked to be of it, or null, when
-    that is optional; absent fields take their defaults."""
+    name its fields, each checked by :func:`_field` against the field's
+    declared type; absent fields take their defaults."""
     types = {f.name: f.type for f in fields(config_type)}
     return config_type(**{key: _field(key, types[key], value) for key, value in raw.items() if key in types})
 
@@ -166,8 +170,8 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         }
         hypothesis_refs.update({str(k): str(v) for k, v in raw.get("hypotheses", {}).items()})
 
-        rating_min = int(corpus.get("rating_min", 1))
-        rating_max = int(corpus.get("rating_max", 5))
+        rating_min = _field("rating_min", "int", corpus.get("rating_min", 1))
+        rating_max = _field("rating_max", "int", corpus.get("rating_max", 5))
         if not 1 <= rating_min <= rating_max <= 5:
             raise ValidationError(f"invalid rating bounds ({rating_min}, {rating_max})")
 
@@ -178,11 +182,11 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         if not (isinstance(annotators, list) and all(isinstance(a, str) for a in annotators)):
             raise ValidationError(f"annotators must be a list of strings, not {annotators!r}")
 
-        workdir = _resolve(base_dir, str(raw.get("workdir", "runs/default")))
+        workdir = _resolve(base_dir, _field("workdir", "str", raw.get("workdir", "runs/default")))
         assert workdir is not None
 
         return PipelineConfig(
-            seed=int(raw.get("seed", 0)),
+            seed=_field("seed", "int", raw.get("seed", 0)),
             workdir=workdir,
             labeled_path=_resolve(base_dir, corpus.get("labeled")),
             unlabeled_path=_resolve(base_dir, corpus.get("unlabeled")),

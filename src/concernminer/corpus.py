@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -81,9 +81,7 @@ class Review:
 
 @dataclass(frozen=True)
 class Provenance:
-    source: str
-    ingested_at: str | None = None
-    counts: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)  # "rejected": records routed to the rejects file at ingest
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,6 @@ class ReviewCorpus:
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        recorded = self.provenance.counts.get("reviews")
-        if recorded != len(self.reviews):
-            raise ValidationError(
-                f"provenance counts record {recorded} reviews but corpus holds {len(self.reviews)}"
-            )
         seen: set[str] = set()
         for review in self.reviews:
             if review.id in seen:
@@ -109,10 +102,9 @@ class ReviewCorpus:
     def __iter__(self):
         return iter(self.reviews)
 
-    def derive(self, reviews: tuple[Review, ...], **extra_counts: int) -> "ReviewCorpus":
-        """New corpus over ``reviews`` keeping source lineage, counts refreshed."""
-        counts = dict(self.provenance.counts, reviews=len(reviews), **extra_counts)
-        return ReviewCorpus(reviews, replace(self.provenance, counts=counts))
+    def derive(self, reviews: tuple[Review, ...]) -> "ReviewCorpus":
+        """New corpus over ``reviews`` with this corpus's provenance."""
+        return ReviewCorpus(reviews, self.provenance)
 
 
 _ISO_DATE = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.\d{3}(?:\d{3})?)?)?(?:Z|[+-](\d\d):(\d\d))?)?", re.ASCII)
@@ -265,12 +257,7 @@ def ingest_reviews(
             f"{source}: {len(rejects)} of {total} records rejected; file does not match the schema"
         )
 
-    provenance = Provenance(
-        source=str(source),
-        ingested_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        counts={"reviews": len(reviews), "rejected": len(rejects)},
-    )
-    return ReviewCorpus(tuple(reviews), provenance)
+    return ReviewCorpus(tuple(reviews), Provenance({"rejected": len(rejects)}))
 
 
 def normalize_corpus(corpus: ReviewCorpus) -> ReviewCorpus:

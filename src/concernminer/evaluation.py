@@ -108,11 +108,7 @@ class KappaReport:
     kappa: float
     p_o: float
     p_e: float
-    disagreement_indices: tuple[int, ...]
-
-    @property
-    def disagreements(self) -> int:
-        return len(self.disagreement_indices)
+    disagreements: int
 
 
 def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaReport:
@@ -123,8 +119,8 @@ def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaReport:
         raise ValidationError("cannot compute agreement over empty vectors")
 
     n = len(labels_a)
-    disagreement_indices = tuple(i for i, (a, b) in enumerate(zip(labels_a, labels_b)) if a != b)
-    p_o = (n - len(disagreement_indices)) / n
+    disagreements = sum(1 for a, b in zip(labels_a, labels_b) if a != b)
+    p_o = (n - disagreements) / n
 
     categories = set(labels_a) | set(labels_b)
     p_e = 0.0
@@ -137,7 +133,7 @@ def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaReport:
         kappa = 1.0  # both raters constant and identical
     else:
         kappa = (p_o - p_e) / (1.0 - p_e)
-    return KappaReport(kappa, p_o, p_e, disagreement_indices)
+    return KappaReport(kappa, p_o, p_e, disagreements)
 
 
 @dataclass(frozen=True)

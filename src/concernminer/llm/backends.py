@@ -39,6 +39,9 @@ class HttpLlmBackend(HttpBackend):
             raise BackendError(f"{self.name}: malformed completion response {body!r}: {exc}") from None
 
 
+UNSCRIPTED_RESPONSE = "no"  # the mock's answer for a review its script does not name
+
+
 def load_llm_script(path: str | Path) -> dict[str, list[str]]:
     """Read a mock script: JSON object mapping review id -> canned responses."""
     return read_json(Path(path), lambda raw: {str(k): [str(v) for v in vs] for k, vs in raw.items()})
@@ -50,19 +53,12 @@ class MockLlmBackend:
     The ``tag`` passed by the classifier (the review id) selects the response
     list; successive calls for the same review walk the list, cycling if the
     sample count exceeds its length. Unknown or missing tags get
-    ``default_response``.
+    ``UNSCRIPTED_RESPONSE``.
     """
 
-    def __init__(
-        self,
-        script: dict[str, list[str]] | None = None,
-        *,
-        default_response: str = "no",
-        name: str = "mock-llm",
-    ):
+    def __init__(self, script: dict[str, list[str]] | None = None, *, name: str = "mock-llm"):
         self.name = name
         self.script = script or {}
-        self.default_response = default_response
         self.calls = 0
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -72,7 +68,7 @@ class MockLlmBackend:
             self.calls += 1
             responses = self.script.get(tag) if tag is not None else None
             if not responses:
-                return self.default_response
+                return UNSCRIPTED_RESPONSE
             index = self._cursor.get(tag, 0)
             self._cursor[tag] = index + 1
             return responses[index % len(responses)]

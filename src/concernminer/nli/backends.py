@@ -70,7 +70,7 @@ DEFAULT_TRIGGER_TABLE: tuple[tuple[str, tuple[int, ...], float], ...] = (
     ("weak privacy signal", (21,), 0.83),
 )
 
-DEFAULT_LOW_SCORE = 0.05
+LOW_SCORE = 0.05  # the base entailment of a cell no trigger row lights up
 
 
 def _parse_trigger_table(raw: list) -> tuple[tuple[str, tuple[int, ...], float], ...]:
@@ -90,7 +90,7 @@ class MockNliBackend:
     """Deterministic offline scorer for tests and demos.
 
     A premise containing a trigger phrase scores ``base`` on that row's
-    hypothesis ids; everything else scores ``low``. A seed-controlled jitter
+    hypothesis ids; everything else scores ``LOW_SCORE``. A seed-controlled jitter
     of +/-0.02 (derived from a hash of seed, premise, and hypothesis) makes
     the scores look organic while staying fully reproducible.
     """
@@ -101,12 +101,10 @@ class MockNliBackend:
         *,
         seed: int = 0,
         triggers: tuple[tuple[str, tuple[int, ...], float], ...] = DEFAULT_TRIGGER_TABLE,
-        low: float = DEFAULT_LOW_SCORE,
     ):
         self.name = name
         self.seed = seed
         self.triggers = triggers
-        self.low = low
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -119,7 +117,7 @@ class MockNliBackend:
     def score_pair(self, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
         with self._lock:
             self.calls += 1
-        base = self.low
+        base = LOW_SCORE
         for phrase, hyp_ids, score in self.triggers:
             if hypothesis.id in hyp_ids and phrase in premise:
                 base = max(base, score)

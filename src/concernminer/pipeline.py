@@ -348,9 +348,7 @@ def _extracted_record(review: Review, threshold: float | None, triggered: tuple[
 @dataclass
 class ExtractionResult:
     manifest: RunManifest
-    extracted_path: Path
     queue_path: Path
-    failures: list[tuple[str, str]]
 
 
 def run_extraction(config: PipelineConfig) -> ExtractionResult:
@@ -383,9 +381,8 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     write_corpus(normalized.derive(tuple(yes_reviews)), queue_path)
 
     trigger_by_id = {review_id: (threshold, triggered) for review_id, _, threshold, triggered in rows}
-    extracted_path = config.workdir / EXTRACTED_FILE
     write_jsonl(
-        extracted_path,
+        config.workdir / EXTRACTED_FILE,
         (_extracted_record(r, *trigger_by_id[r.id], yes_votes[r.id]) for r in yes_reviews),
     )
     laps.append(time.perf_counter())
@@ -417,7 +414,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     stages = zip(("ingest", "nli", "llm", "emit"), laps, laps[1:])
     write_json(config.workdir / TIMINGS_FILE, {"stages": {stage: round(end - start, 3) for stage, start, end in stages}})
     logger.info("extraction: %s", " -> ".join(f"{k}={counts[k]}" for k in STAGE_KEYS[:7]))
-    return ExtractionResult(manifest, extracted_path, queue_path, failures)
+    return ExtractionResult(manifest, queue_path)
 
 
 def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationReport:

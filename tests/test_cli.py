@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
+from collections import Counter
 
 import pytest
 
 from concernminer.cli import main
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh, save_hypothesis_set
-from concernminer.nli import load_matrix
+from concernminer.nli import MockNliBackend, load_matrix
 from concernminer.pipeline import (
+    EXTRACTED_FILE,
     LLM_FAILURES_FILE,
     MANIFEST_FILE,
     NLI_CACHE_FILE,
@@ -21,7 +24,7 @@ from concernminer.pipeline import (
     VOTES_FILE,
 )
 
-from httpserver import serve
+from httpserver import KeepAliveHandler, serve
 from synth import build_extraction_fixture, build_labeled_fixture, extraction_config, selection_config, write_weak_table
 
 
@@ -102,6 +105,28 @@ def test_llm_classify_ignores_votes_of_demoted_reviews(extraction_setup, capsys)
     maybe = ledger.maybe_privacy - 2
     assert f"classified {maybe} maybe-privacy reviews: yes={ledger.llm_yes - 1} no={ledger.llm_no - 1} failed=0" in out
     assert (workdir / LLM_FAILURES_FILE).read_text() == ""
+
+
+def test_llm_classify_refuses_pseudo_labels_of_the_other_corpus(extraction_setup, capsys):
+    ledger, config_path, workdir = extraction_setup
+    unlabeled = config_path.parent / "data" / "reviews.csv"
+    labeled = unlabeled.with_name("labeled.csv")  # the same reviews under other ids
+    labeled.write_text(unlabeled.read_text().replace("\nr", "\nL"))
+    raw = json.loads(config_path.read_text())
+    raw["corpus"]["labeled"] = str(labeled)
+    config_path.write_text(json.dumps(raw))
+    assert main(["nli-score", "--config", str(config_path), "--role", "labeled"]) == 0
+    assert main(["nli-label", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+
+    assert main(["llm-classify", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"labels none of the {ledger.rating_filtered} unlabeled reviews" in err
+    assert "run nli-score --role unlabeled and nli-label first" in err
+    assert not (workdir / VOTES_FILE).exists() and not (workdir / LLM_FAILURES_FILE).exists()
+
+    assert main(["llm-classify", "--config", str(config_path), "--role", "labeled"]) == 0
+    assert f"classified {ledger.maybe_privacy} maybe-privacy reviews" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, previous", [("nli-label", "nli-score"), ("llm-classify", "nli-label")])
@@ -224,6 +249,16 @@ def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_
             "response_fields key 'entailement' is not one of entailment, neutral, contradiction",
         ),
         (lambda raw: raw["corpus"].update(format="xml"), "corpus.format must be 'csv', 'jsonl' or absent, not 'xml'"),
+        (lambda raw: raw["llm"].update(sampling={"num_samples": True}), "num_samples must be an integer, not True"),
+        (lambda raw: raw["llm"].update(sampling={"num_samples": 5.5}), "num_samples must be an integer, not 5.5"),
+        (lambda raw: raw["llm"].update(sampling={"temperature": True}), "temperature must be a number, not True"),
+        (lambda raw: raw["nli"]["backends"][0].update(max_inflight=1.9), "max_inflight must be an integer, not 1.9"),
+        (lambda raw: raw["llm"]["backend"].update(max_retries=True), "max_retries must be an integer, not True"),
+        (lambda raw: raw["llm"]["backend"].update(timeout="30"), "timeout must be a number, not '30'"),
+        (lambda raw: raw.update(seed=1.5), "seed must be an integer, not 1.5"),
+        (lambda raw: raw["corpus"].update(rating_min=1.9), "rating_min must be an integer, not 1.9"),
+        (lambda raw: raw["nli"]["backends"][0].update(name=5), "name must be a string, not 5"),
+        (lambda raw: raw.update(workdir=True), "workdir must be a string, not True"),
     ],
     ids=[
         "response_fields-list",
@@ -234,6 +269,16 @@ def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_
         "response_fields-empty-value",
         "response_fields-unknown-key",
         "corpus_format-xml",
+        "num_samples-true",
+        "num_samples-fraction",
+        "temperature-true",
+        "max_inflight-fraction",
+        "max_retries-true",
+        "timeout-string",
+        "seed-fraction",
+        "rating_min-fraction",
+        "backend_name-int",
+        "workdir-true",
     ],
 )
 def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
@@ -369,8 +414,8 @@ def test_non_finite_temperature_exits_2_before_any_workdir_write(extraction_setu
         ("nli", "timeout", float("nan"), "timeout must be a finite number > 0"),
         ("llm", "timeout", float("inf"), "timeout must be a finite number > 0"),
         ("nli", "timeout", 1e10, "timeout must be a finite number > 0 and <= 86400"),  # too large for a socket
-        ("nli", "max_retries", float("inf"), "cannot convert float infinity to integer"),
-        ("llm", "max_inflight", float("inf"), "cannot convert float infinity to integer"),
+        ("nli", "max_retries", float("inf"), "max_retries must be an integer, not inf"),
+        ("llm", "max_inflight", float("inf"), "max_inflight must be an integer, not inf"),
     ],
     ids=["nli-timeout-nan", "llm-timeout-inf", "nli-timeout-1e10", "nli-max_retries-inf", "llm-max_inflight-inf"],
 )
@@ -489,6 +534,75 @@ def test_backend_failure_with_progress_exits_4(extraction_setup, capsys):
     assert "rerun to resume" in err
     cache = config_path.parent / "run4" / "nli_cache.jsonl"
     assert cache.exists() and cache.read_text().strip()
+
+
+@pytest.mark.parametrize("max_inflight", [1, 3])
+def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extraction_setup, capsys, max_inflight):
+    _, config_path, _ = extraction_setup
+    hypotheses = {h.text: h for h in builtin_domain_mh().hypotheses}
+    scorer = MockNliBackend(seed=7)
+    faults: dict = {}  # (path, request number on that path) -> the response that replaces the answer
+    requests, answered, streak = Counter(), Counter(), Counter()
+    wasted = 0  # well-formed answers to the LLM for a review whose vote then failed
+
+    def respond(path, payload, n):  # the server calls it under its lock, one request at a time
+        nonlocal wasted
+        requests[path] += 1
+        text = payload["premise"] if path == "/nli" else payload["messages"][1]["content"]
+        if fault := faults.get((path, requests[path])):
+            wasted += streak.pop(text, 0)
+            return fault
+        answered[path] += 1
+        if path == "/nli":
+            score = scorer.score_pair(text, hypotheses[payload["hypothesis"]])
+            return 200, {"entailment": score.entail, "neutral": score.neutral, "contradiction": score.contradict}
+        streak[text] = (streak[text] + 1) % 5  # a review's vote is complete at its fifth sample
+        content = "yes" if hashlib.sha256(text.encode()).digest()[0] % 2 else "no"
+        return 200, {"choices": [{"message": {"content": content}}]}
+
+    with serve(respond, KeepAliveHandler) as (_, url):
+        raw = json.loads(config_path.read_text())
+        raw["nli"]["backends"][0].update(endpoint=url + "nli", max_retries=0, max_inflight=max_inflight)
+        raw["llm"]["backend"].update(endpoint=url + "llm", max_retries=0, max_inflight=max_inflight)
+        config_path.write_text(json.dumps(raw))
+        clean, faulty = config_path.parent / "clean", config_path.parent / "faulty"
+        assert main(["extract", "--config", str(config_path), "--workdir", str(clean)]) == 0
+        clean_answers = dict(answered)
+        for counter in (requests, answered, streak):
+            counter.clear()
+        messages = ("HTTP 503", "HTTP 429", "rejected with HTTP 400, not retried", "malformed")
+        replies = ((503, {"error": "busy"}), (429, {"error": "slow down"}), (400, {"error": "bad"}), (200, b"<html>"))
+        faults.update({("/nli", n): reply for n, reply in zip((1, 150, 300, 450), replies)})
+        faults.update({("/llm", n): reply for n, reply in zip((3, 9, 16, 22), replies)})
+        capsys.readouterr()
+
+        nli_errors, llm_reasons = [], []
+        for _ in range(len(faults) + 1):
+            code = main(["extract", "--config", str(config_path), "--workdir", str(faulty)])
+            assert code in (0, 3, 4)
+            if code:
+                nli_errors.append(capsys.readouterr().err)
+                continue
+            capsys.readouterr()
+            llm_reasons += [json.loads(line)["reason"] for line in (faulty / LLM_FAILURES_FILE).read_text().splitlines()]
+            if json.loads((faulty / MANIFEST_FILE).read_text())["counts"]["llm_failed"] == 0:
+                break
+        else:
+            pytest.fail("extract did not finish within one round per fault and one more")
+
+    # Each NLI fault ends one round, in the order they were served; each LLM
+    # fault fails one review, and the reasons list the reviews in input order.
+    assert len(nli_errors) == 4 and all(message in err for message, err in zip(messages, nli_errors))
+    assert sorted(next(m for m in messages if m in reason) for reason in llm_reasons) == sorted(messages)
+    (matrix,) = (p.name for p in clean.glob("matrix_*.bin"))
+    for name in (MANIFEST_FILE, matrix, PSEUDO_LABELS_FILE, EXTRACTED_FILE, QUEUE_FILE):
+        assert (faulty / name).read_bytes() == (clean / name).read_bytes(), name
+    assert json.loads((clean / MANIFEST_FILE).read_text())["counts"]["llm_yes"] > 0
+    assert answered["/llm"] == clean_answers["/llm"] + wasted
+    if max_inflight == 1:
+        assert answered["/nli"] == clean_answers["/nli"]
+    else:  # a row scored ahead of the failing one is lost with it: at most 2 * max_inflight rows in flight
+        assert answered["/nli"] <= clean_answers["/nli"] + 4 * 2 * max_inflight * 21
 
 
 def test_export_requires_prior_stages(extraction_setup, capsys):

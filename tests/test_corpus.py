@@ -31,7 +31,7 @@ def make_review(review_id="r1", rating=1, text="some text", label=None):
 
 
 def make_corpus(reviews):
-    return ReviewCorpus(tuple(reviews), Provenance(source="memory", counts={"reviews": len(reviews)}))
+    return ReviewCorpus(tuple(reviews), Provenance())
 
 
 class TestNormalizeText:
@@ -95,10 +95,6 @@ class TestReviewInvariants:
     def test_duplicate_ids_rejected_in_corpus(self):
         with pytest.raises(ValidationError):
             make_corpus([make_review("a"), make_review("a")])
-
-    def test_provenance_count_must_match(self):
-        with pytest.raises(ValidationError):
-            ReviewCorpus((make_review(),), Provenance(source="x", counts={"reviews": 5}))
 
 
 class TestIngest:

@@ -168,7 +168,7 @@ class TestClassifyReview:
         assert len(record.votes) == 1
 
     def test_unknown_tag_uses_default_response(self):
-        backend = MockLlmBackend({}, default_response="no")
+        backend = MockLlmBackend({})
         record = classify_review(backend, "rX", build_prompt(DOMAIN, make_review("rX")), SamplingSettings())
         assert record.decision is BinaryLabel.NO
 

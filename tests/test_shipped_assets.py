@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -32,6 +33,9 @@ def test_reference_selection_config_parses():
 
 
 def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
+    """The steps of CI's demo run, with both annotators answering privacy,
+    leave every file but the timings as ``configs/demo/outputs.sha256``
+    records it (``sha256sum`` format, names relative to the workdir)."""
     demo_config = CONFIGS_DIR / "demo" / "demo.json"
     workdir = tmp_path / "run"
     argv_tail = ["--config", str(demo_config), "--workdir", str(workdir)]
@@ -50,17 +54,16 @@ def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
         "human_rejected": 0,
     }
 
-    responses = {
-        "you": {f"d0{i}": "privacy" for i in range(1, 5)},
-        "colleague": {f"d0{i}": "privacy" for i in range(1, 5)},
-    }
-    responses_path = tmp_path / "responses.json"
-    responses_path.write_text(json.dumps(responses))
+    ids = [json.loads(line)["id"] for line in (workdir / "annotation_queue.jsonl").read_text().splitlines()]
+    responses_path = workdir / "responses.json"
+    responses_path.write_text(json.dumps({name: dict.fromkeys(ids, "privacy") for name in ("you", "colleague")}))
     assert main(["annotate", *argv_tail, "--responses", str(responses_path)]) == 0
 
-    out = tmp_path / "confirmed.csv"
-    assert main(["export", *argv_tail, "--output", str(out)]) == 0
+    assert main(["export", *argv_tail, "--output", str(workdir / "export.csv")]) == 0
     assert "exported 4" in capsys.readouterr().out
+    pinned = dict(line.split()[::-1] for line in (CONFIGS_DIR / "demo" / "outputs.sha256").read_text().splitlines())
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in workdir.iterdir() if p.name != TIMINGS_FILE}
+    assert written == pinned
 
 
 def test_demo_with_an_infinite_trigger_id_exits_2_naming_the_table(tmp_path, capsys):
