@@ -43,6 +43,10 @@ def _identity(value):
     return value
 
 
+def _reason(exc: Exception) -> str:  # a ValidationError's own message; another exception's repr names its type
+    return str(exc) if isinstance(exc, ValidationError) else repr(exc)
+
+
 @contextmanager
 def replace_file(path: Path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
     """Write a temporary file beside ``path`` that replaces it on a clean
@@ -85,7 +89,7 @@ def read_json(path: Path, parse: Callable[[object], T] = _identity) -> T:
     try:
         return parse(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, *_PARSE_ERRORS) as exc:
-        raise ValidationError(f"{path}: {exc!r}") from None
+        raise ValidationError(f"{path}: {_reason(exc)}") from None
 
 
 def open_log(path: Path) -> IO:
@@ -134,7 +138,7 @@ def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool 
                     raise ValueError("no newline at the end of the file")
                 record = parse(json.loads(line.decode("utf-8")))
             except _PARSE_ERRORS as exc:
-                raise ValidationError(f"{path}:{line_no}: corrupt {what}: {exc!r}") from None
+                raise ValidationError(f"{path}:{line_no}: corrupt {what}: {_reason(exc)}") from None
             yield record
     if torn:
         logger.warning("%s:%d: dropping torn last line (%d bytes) from an interrupted write", path, line_no, len(torn))

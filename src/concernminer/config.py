@@ -203,7 +203,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             base_dir=base_dir,
         )
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed config: {exc}") from None
+        raise ValidationError(str(exc)) from None
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:

@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 from array import array
+from base64 import b64decode, b64encode
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -111,8 +112,8 @@ def save_matrix(matrix: EntailmentMatrix, path: str | Path) -> None:
         handle.write(_little_endian(matrix.scores).tobytes())
 
 
-def _little_endian(grid: Grid) -> Grid:
-    """``grid`` swapped between host and little-endian byte order: itself on a little-endian host."""
+def _little_endian(grid: array) -> array:
+    """The float32 ``grid`` swapped between host and little-endian byte order: itself on a little-endian host."""
     if sys.byteorder != "little":
         grid = Grid("f", grid)
         grid.byteswap()
@@ -141,15 +142,15 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
 
 class ScoreCache:
     """The entailment cache file at ``path`` as it was when opened, one JSONL
-    record per scored row. A row of every cell of its set is ``{backend,
-    set_hash, review_id, entail: [...]}`` in the set's hypothesis order, and
-    the set's first such row in the file names the ids (``hypotheses: [...]``,
-    kept in ``named``); a row of some cells, committed before a backend
-    failure, is ``row: [[hypothesis_id, entail], ...]``. Complete rows of that
-    older shape, rows of 4-value cells and one-cell records load too. A later
-    record wins a cell an earlier one holds. In memory a review's cells are a
-    tuple of hypothesis ids, one object shared by every row with the same ids,
-    and a float32 ``array`` of their entailments, the values the grid takes (see :meth:`row`).
+    record per scored row. A row of every cell of its set is ``{backend, set_hash,
+    review_id, f32}``, ``f32`` the base64 of its float32 cells, little-endian, in
+    the set's hypothesis order; the set's first such row in the file names the ids
+    (``hypotheses: [...]``, kept in ``named``). A row of some cells, committed
+    before a backend failure, is ``row: [[hypothesis_id, entail], ...]``. Older
+    complete rows (``entail: [...]`` decimals, or ``row`` cells), rows of 4-value cells
+    and one-cell records load too. A later record wins a cell an earlier one holds.
+    In memory a review's cells are a tuple of hypothesis ids, one object shared by every
+    row with the same ids, and a float32 ``array`` of their entailments (see :meth:`row`).
 
     The cache writes nothing: :func:`score_corpus` appends the rows it scores,
     and adds each set it names to ``named``. The rows are let go when the
@@ -189,9 +190,10 @@ class ScoreCache:
                 if not all(isinstance(h, int) for h in ids):
                     raise ValueError(f"hypotheses {ids} are not all integer ids")
             ids = self.named.get(key[1])
-            if ids is None or len(record["entail"]) != len(ids):
-                raise ValueError(f"entail row does not match the hypotheses named for set {key[1]!r}: {ids}")
-            return key, ids, _checked(record["entail"])
+            entails = _little_endian(array("f", b64decode(record["f32"], validate=True))) if "f32" in record else record["entail"]
+            if ids is None or len(entails) != len(ids):
+                raise ValueError(f"complete row does not match the hypotheses named for set {key[1]!r}: {ids}")
+            return key, ids, _checked(entails)
         cells = record["row"] if "row" in record else [
             (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
         for cell in cells:
@@ -217,16 +219,14 @@ def score_corpus(
 ) -> EntailmentMatrix:
     """Score every (review, hypothesis) pair, consulting the cache first.
 
-    Requires normalized reviews. A review's uncached cells are one job of
-    :func:`run_ordered`: ``max_inflight`` workers, the calling thread among
-    them, score at most ``2 * max_inflight`` rows ahead of the row the
-    calling thread commits, in review order. The pass keeps the cache's file
-    open and appends and flushes each row as it is committed (a whole row as
-    its entailments, in the shapes :class:`ScoreCache` reads), so a killed run
-    loses at most the rows in flight; without a ``cache`` it reads and writes
-    nothing. On backend failure the raised :class:`BackendError` carries the
-    completed-cell count; every committed cell, the failing row's included
-    (with their ids), is in the file for the rerun.
+    Requires normalized reviews. A review's uncached cells are one job of :func:`run_ordered`:
+    ``max_inflight`` workers, the calling thread among them, score at most ``2 * max_inflight``
+    rows ahead of the row the calling thread commits, in review order. The pass keeps the cache's
+    file open and appends and flushes each row as it is committed (a complete row as the base64
+    of its float32 cells, a partial one as 9-digit decimals with their ids; both read back bit for
+    bit), so a killed run loses at most the rows in flight; without a ``cache`` it reads and writes
+    nothing. On backend failure the raised :class:`BackendError` carries the completed-cell count;
+    every committed cell, the failing row's included (with their ids), is in the file for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
@@ -248,13 +248,13 @@ def score_corpus(
 
     with open_log(cache.path) if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
 
-        def append_row(review_id: str, columns: list, entails: list) -> None:  # a partial row names its cells' ids
-            if entails and log is not None:
+        def append_row(i: int, review_id: str, columns: list) -> None:  # the grid's cells ``columns`` of row ``i``
+            if columns and log is not None:
                 record = {"backend": name, "set_hash": set_hash, "review_id": review_id}
-                if len(entails) < k:
-                    record["row"] = [[hyp_ids[j], entail] for j, entail in zip(columns, entails)]
-                else:
-                    record["entail"] = entails
+                if len(columns) < k:  # a partial row names its cells' ids; 9 digits read back to each float32
+                    record["row"] = [[hyp_ids[j], float("%.9g" % grid[i * k + j])] for j in columns]
+                else:  # a complete row is its float32 cells' bytes, little-endian, in base64
+                    record["f32"] = b64encode(_little_endian(grid[i * k : (i + 1) * k]).tobytes()).decode("ascii")
                     if cache.named.get(set_hash) != hyp_ids:  # the set's first complete row in the file
                         record["hypotheses"] = cache.named[set_hash] = hyp_ids
                 append_log(log, [record])
@@ -263,8 +263,8 @@ def score_corpus(
             nonlocal completed
             i, review, columns, scores = job  # the cells scored before an error are committed too
             for j, entail in zip(columns, scores):
-                grid[i * k + j] = entail  # the cache gets this float32 to 9 digits, which read back to it
-            append_row(review.id, columns, [float("%.9g" % grid[i * k + j]) for j in columns[: len(scores)]])
+                grid[i * k + j] = entail
+            append_row(i, review.id, columns[: len(scores)])
             completed += len(scores)
             if error is not None:
                 raise error
@@ -276,11 +276,11 @@ def score_corpus(
                 grid[i * k : (i + 1) * k] = row[1]
                 continue
             hits = {} if row is None else dict(zip(*row))  # hypothesis id -> entail
-            grid[i * k : (i + 1) * k] = array("f", [hits.get(hyp_id, 0.0) for hyp_id in hyp_ids])
+            grid[i * k : (i + 1) * k] = array("f", [hits.get(hyp_id, EMPTY_PREMISE_SCORE) for hyp_id in hyp_ids])
             columns = [j for j, hyp_id in enumerate(hyp_ids) if hyp_id not in hits]
             missed += len(columns)
-            if not review.text_norm:
-                append_row(review.id, columns, [EMPTY_PREMISE_SCORE] * len(columns))
+            if not review.text_norm:  # its uncached cells are EMPTY_PREMISE_SCORE already
+                append_row(i, review.id, columns)
             elif columns:
                 jobs.append((i, review, columns, []))
         total = sum(len(columns) for _, _, columns, _ in jobs)

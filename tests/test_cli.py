@@ -297,6 +297,28 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
     assert not workdir.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: json.dumps(dict(raw, seed=1.5)), "seed must be an integer, not 1.5"),
+        (lambda raw: json.dumps(dict(raw, corpus=dict(raw["corpus"], rating_min=4, rating_max=2))), "invalid rating bounds (4, 2)"),
+        (lambda raw: json.dumps(dict(raw, nli=[raw["nli"]])), "'list' object has no attribute 'get'"),
+        (lambda raw: json.dumps(raw)[:-1], "JSONDecodeError("),  # not a config error: its type is named, as before
+    ],
+    ids=["wrong-type", "validation", "wrong-shape", "not-json"],
+)
+def test_config_error_prints_its_message_not_a_repr(extraction_setup, tmp_path, capsys, edit, message):
+    _, config_path, workdir = extraction_setup
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(edit(json.loads(config_path.read_text())))
+
+    assert main(["extract", "--config", str(bad_config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_config}: {message}") and "ValidationError" not in err and "malformed config" not in err
+    assert err.count("\n") == 1
+    assert not workdir.exists()
+
+
 def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, capsys):
     config_path = selection_setup
     assert main(["select", "--config", str(config_path)]) == 0

@@ -3,9 +3,11 @@ to every other file read back, and atomic whole-file writes."""
 
 from __future__ import annotations
 
+import base64
 import inspect
 import json
 import logging
+import struct
 
 import pytest
 
@@ -225,32 +227,53 @@ def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell)
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
 
 
+def f32_field(cells):
+    """The ``f32`` field of a complete cache row holding ``cells``."""
+    return base64.b64encode(struct.pack(f"<{len(cells)}f", *cells)).decode("ascii")
+
+
 @pytest.mark.parametrize(
-    "last, set_hash",
+    "fields",
     [
-        ([], None),  # one value short of the set
-        ([0.5], "never-named"),  # a set no record names
-        ([float("nan")], None),
-        ([1.5], None),
-        ([None], None),
-        (["0.5"], None),
+        lambda k, f32: {"entail": [0.5] * (k - 1)},  # one value short of the set
+        lambda k, f32: {"entail": [0.5] * k, "set_hash": "never-named"},  # a set no record names
+        lambda k, f32: {"entail": [0.5] * (k - 1) + [float("nan")]},
+        lambda k, f32: {"entail": [0.5] * (k - 1) + [1.5]},
+        lambda k, f32: {"entail": [0.5] * (k - 1) + [None]},
+        lambda k, f32: {"entail": [0.5] * (k - 1) + ["0.5"]},
+        lambda k, f32: {"f32": f32[:8] + "!" + f32[8:]},  # outside the base64 alphabet, which a lax decoder skips
+        lambda k, f32: {"f32": f32_field([0.5] * (k - 1))[:-1]},  # padding cut short
+        lambda k, f32: {"f32": f32[:8] + "=" + f32[9:]},  # padding inside the data
+        lambda k, f32: {"f32": f32_field([0.5] * (k + 1))},  # 4k + 4 bytes
+        lambda k, f32: {"f32": f32_field([0.5] * (k - 1))},  # 4k - 4 bytes
+        lambda k, f32: {"f32": base64.b64encode(base64.b64decode(f32)[:-1]).decode("ascii")},  # 4k - 1 bytes
+        lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [float("nan")])},
+        lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [1.5])},
+        lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [-0.0625])},
+        lambda k, f32: {"f32": f32, "set_hash": "never-named"},
     ],
-    ids=["wrong-length", "set-not-named", "nan", "above-1", "null", "string"],
+    ids=[
+        "wrong-length", "set-not-named", "nan", "above-1", "null", "string",
+        "f32-not-base64", "f32-padding-cut", "f32-padding-inside", "f32-long", "f32-short", "f32-not-4-byte-cells",
+        "f32-nan", "f32-above-1", "f32-below-0", "f32-set-not-named",
+    ],
 )
-def test_cache_entail_row_out_of_contract_exits_2(extraction, tmp_path, capsys, last, set_hash):
+def test_cache_entail_row_out_of_contract_exits_2(extraction, tmp_path, capsys, fields):
     config_path, _ = extraction
     common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
     assert main(["extract", *common]) == 0
     log = tmp_path / "run" / NLI_CACHE_FILE
     first = json.loads(log.read_text().splitlines()[0])  # a complete row that names its set's hypotheses
-    entail = [0.5] * (len(first["hypotheses"]) - 1) + last
+    record = {"backend": first["backend"], "set_hash": first["set_hash"], "review_id": "appended"}
     with open_log(log) as handle:
-        append_log(handle, [{"backend": first["backend"], "set_hash": set_hash or first["set_hash"], "review_id": "appended", "entail": entail}])
+        append_log(handle, [record | fields(len(first["hypotheses"]), first["f32"])])
     lines = len(log.read_text().splitlines())
+    before = log.read_bytes()
     capsys.readouterr()
 
     assert main(["extract", *common]) == 2
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+    assert log.read_bytes() == before
 
 
 class TestWholeFileOutputs:

@@ -8,6 +8,7 @@ import logging
 import sys
 import threading
 import tracemalloc
+from base64 import b64decode
 from decimal import Decimal
 
 import numpy as np
@@ -94,6 +95,21 @@ def cells_of(row):
     """A cache row's ``[hypothesis_id, entail]`` cells, in row order."""
     ids, entails = row
     return [[hyp_id, entail] for hyp_id, entail in zip(ids, entails)]
+
+
+def f32_cells(record):
+    """The float32 cells of a cache record's ``f32`` field, as floats."""
+    return np.frombuffer(b64decode(record["f32"]), dtype="<f4").tolist()
+
+
+def as_entail_rows(records):
+    """Cache records with each ``f32`` row rewritten as the decimal ``entail``
+    row that versions before the ``f32`` row wrote: 9 significant digits."""
+    return [
+        {key: value for key, value in r.items() if key != "f32"} | {"entail": [float("%.9g" % x) for x in f32_cells(r)]}
+        if "f32" in r else r
+        for r in records
+    ]
 
 
 def make_reviews(texts):
@@ -408,7 +424,7 @@ class TestScoreCorpus:
         assert np.array_equal(matrix.scores, clean.scores)
 
 
-    @pytest.mark.parametrize("old_format", ["cell-records", "4-column-rows", "2-column-rows"])
+    @pytest.mark.parametrize("old_format", ["cell-records", "4-column-rows", "2-column-rows", "entail-rows"])
     def test_old_cell_records_give_a_warm_run(self, tmp_path, old_format):
         reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
         clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=8)
@@ -429,19 +445,54 @@ class TestScoreCorpus:
                 ])
                 for i, review in enumerate(reviews)
             ]
-        else:  # every complete row with its ids, as versions before the entail row wrote it
+        elif old_format == "2-column-rows":  # every complete row with its ids, as versions before the entail row wrote it
             old_records = [
                 dict(fields, review_id=review.id, row=[[hyp.id, float("%.9g" % entail)] for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i))])
                 for i, review in enumerate(reviews)
             ]
+        else:  # 9-digit decimals in the set's order, its ids named once, as versions before the f32 row wrote them
+            old_records = [
+                dict(fields, review_id=review.id, entail=[float("%.9g" % entail) for entail in clean.row(i)])
+                for i, review in enumerate(reviews)
+            ]
+            old_records[0]["hypotheses"] = [h.id for h in DOMAIN.hypotheses]
         with open_log(cache_path) as log:
             append_log(log, old_records)
+        before = cache_path.read_bytes()
         backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
             assert len(cache) == 63
             warm = score_corpus(backend, reviews, DOMAIN, cache=cache, max_inflight=8)
         assert backend.calls == 0
-        assert np.array_equal(warm.scores, clean.scores)
+        assert warm.scores.tobytes() == clean.scores.tobytes()
+        assert cache_path.read_bytes() == before  # a warm run appends nothing
+
+    def test_entail_rows_then_f32_rows_of_a_resumed_run_load_to_the_clean_matrix(self, tmp_path):
+        texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(8)]
+        reviews = make_reviews(texts + ["!!!"])
+        clean = score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, max_inflight=2)
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache:
+            score_corpus(MockNliBackend(seed=3), reviews[:4], DOMAIN, cache=cache, max_inflight=2)
+        old = as_entail_rows([json.loads(line) for line in cache_path.read_text().splitlines()])
+        assert "hypotheses" in old[0] and all("entail" in r and "f32" not in r for r in old)
+        cache_path.unlink()
+        with open_log(cache_path) as log:  # the cache as a version before the f32 row left it
+            append_log(log, old)
+
+        resumed = MockNliBackend(seed=3)
+        with ScoreCache(cache_path) as cache:
+            score_corpus(resumed, reviews, DOMAIN, cache=cache, max_inflight=2)
+        assert resumed.calls == 4 * 21  # the last 5 rows, one of them an empty premise
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert [sorted(r)[1] for r in records] == ["entail"] * 4 + ["f32"] * 5
+        assert not any("hypotheses" in r for r in records[4:])  # the entail row named the set
+        warm = MockNliBackend(seed=3)
+        with ScoreCache(cache_path) as cache:
+            assert len(cache) == 9 * 21
+            again = score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2)
+        assert warm.calls == 0
+        assert again.scores.tobytes() == clean.scores.tobytes()
 
     def test_mixed_cell_and_row_records_all_load(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
@@ -484,27 +535,32 @@ class TestScoreCorpus:
         assert len(cache) == 3
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
 
-    def test_all_five_record_shapes_load_under_one_merge_rule(self, tmp_path):
+    def test_all_six_record_shapes_load_under_one_merge_rule(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         h, other = {"backend": "b", "set_hash": "h"}, {"backend": "b", "set_hash": "other"}
         records = [
             dict(h, review_id="r0", entail=[0.5, 0.25, 0.75], hypotheses=[1, 2, 3]),  # names set h
             dict(h, review_id="r1", entail=[0.125, 0.0, 1.0]),  # its ids are set h's
-            dict(other, review_id="r0", entail=[0.5, 0.5], hypotheses=[7, 5]),  # names another set
+            dict(other, review_id="r0", f32="AAAAPwAAgD4=", hypotheses=[7, 5]),  # 0.5, 0.25; names another set
             dict(h, review_id="r1", row=[[2, 0.5]]),  # a partial row wins a cell
             dict(h, review_id="r0", hypothesis_id=1, entail=0.0, neutral=None, contradict=None),  # a one-cell record
             dict(h, review_id="r2", row=[[3, 0.25, 0.5, 0.25], [1, 0.375, None, None]]),  # 4-value cells
             dict(h, review_id="r2", entail=[0.625, 0.875, 0.0625]),  # a complete row wins every cell
             dict(other, review_id="r1", entail=[0.0, 1.0]),
+            dict(h, review_id="r3", f32="AAAAAAAAgD8AAMA+"),  # 0.0, 1.0, 0.375, in set h's order
+            dict(h, review_id="r1", f32="AADAPgAAAAAAAAA/"),  # a complete f32 row wins every cell
+            dict(h, review_id="r3", row=[[1, 0.125]]),
         ]
         with open_log(cache_path) as log:
             append_log(log, records)
         cache = ScoreCache(cache_path)
-        assert len(cache) == 13
+        assert len(cache) == 16
         assert cache.named == {"h": (1, 2, 3), "other": (7, 5)}
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.25], [3, 0.75], [1, 0.0]]  # a won cell moves last
-        assert cells_of(cache.row("b", "h", "r1")) == [[1, 0.125], [3, 1.0], [2, 0.5]]
+        assert cells_of(cache.row("b", "h", "r1")) == [[1, 0.375], [2, 0.0], [3, 0.5]]
         assert cells_of(cache.row("b", "h", "r2")) == [[1, 0.625], [2, 0.875], [3, 0.0625]]
+        assert cells_of(cache.row("b", "h", "r3")) == [[2, 1.0], [3, 0.375], [1, 0.125]]
+        assert cells_of(cache.row("b", "other", "r0")) == [[7, 0.5], [5, 0.25]]
         assert cells_of(cache.row("b", "other", "r1")) == [[7, 0.0], [5, 1.0]]
         assert cache.row("b", "other", "r0")[0] is cache.row("b", "other", "r1")[0]  # one id tuple per set
 
@@ -549,7 +605,7 @@ class TestScoreCorpus:
         assert [sorted(r) for r in records] == [
             ["backend", "review_id", "row", "set_hash"],  # the failed row's 10 cells
             ["backend", "review_id", "row", "set_hash"],  # its other 11, on resume
-            ["backend", "entail", "hypotheses", "review_id", "set_hash"],  # the set's first complete row
+            ["backend", "f32", "hypotheses", "review_id", "set_hash"],  # the set's first complete row
         ]
         assert [cell[0] for cell in records[0]["row"]] == hyp_ids[:10]
         assert [cell[0] for cell in records[1]["row"]] == hyp_ids[10:]
@@ -599,8 +655,8 @@ class TestScoreCorpus:
         assert [r["review_id"] for r in records] == order
         # Every record holds its whole row in hypothesis order, the ids named once, by the set's first row.
         assert [r.get("hypotheses") for r in records] == [[h.id for h in DOMAIN.hypotheses]] + [None] * 30
-        assert all(len(r["entail"]) == 21 and "row" not in r for r in records)  # entailments alone
-        assert DOMAIN.hypotheses[0].id == 1 and records[25]["entail"][0] == 0.0
+        assert all(len(b64decode(r["f32"])) == 4 * 21 and "row" not in r for r in records)  # float32 cells alone
+        assert b64decode(records[25]["f32"]) == bytes(4 * 21)  # the empty premise's row of 0.0
 
     def test_each_committed_row_is_in_the_file_before_the_next_is_scored(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
@@ -646,18 +702,19 @@ class TestScoreCorpus:
         ends = [k + 1 for k, byte in enumerate(whole) if byte == ord("\n")]
         assert len(ends) == len(reviews)
         records = [json.loads(line) for line in whole.splitlines()]
-        for cut in sorted({0, *ends, *((start + end) // 2 for start, end in zip([0, *ends], ends))}):
+        inside_f32 = [start + line.index(b'"f32"') + 12 for start, line in zip([0, *ends], whole.splitlines())]
+        for cut in sorted({0, *ends, *inside_f32, *((start + end) // 2 for start, end in zip([0, *ends], ends))}):
             path = tmp_path / "cut.jsonl"
             path.write_bytes(whole[:cut])
             lost = records[whole[:cut].count(b"\n") :]  # a torn last line is dropped and its row rescored
             backend = MockNliBackend(seed=3)
             with ScoreCache(path) as cache:
                 save_matrix(score_corpus(backend, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cut.bin")
-            assert backend.calls == sum(len(r["entail"]) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
+            assert backend.calls == sum(len(f32_cells(r)) for r in lost if r["review_id"] != "r6"), cut  # r6 is empty
             assert (tmp_path / "cut.bin").read_bytes() == (tmp_path / "clean.bin").read_bytes(), cut
             assert path.read_bytes() == whole, cut
 
-    def test_each_cached_entail_is_at_most_9_digits_and_reads_back_to_its_float32_cell(self, tmp_path):
+    def test_each_cached_cell_reads_back_to_its_float32_cell(self, tmp_path):
         edges = [0.0, 1.0, 1 - 2**-24, 2**-149, 2**-126, 0.5442292392254472]  # the last, at 9 digits, is another float32
         for threshold in (0.8, 0.85):
             near32 = np.float32(threshold)
@@ -665,36 +722,54 @@ class TestScoreCorpus:
             edges += [float(near32), float(np.nextafter(near32, np.float32(0))), float(np.nextafter(near32, np.float32(1)))]
         n_rows = 20
         values = np.random.default_rng(5).random(n_rows * 21)
-        values[: len(edges)] = edges
+        values[: len(edges)] = edges  # in row 0, which a failure leaves partial: 9-digit decimals
+        values[21 : 21 + len(edges)] = edges  # in row 1, a complete f32 row
         table = values.reshape(n_rows, 21).tolist()
         columns = {h.id: j for j, h in enumerate(DOMAIN.hypotheses)}
 
         class TableBackend:
             name = "table"
 
+            def __init__(self, fail_at=None):
+                self.calls, self.fail_at = 0, fail_at
+
             def score_pair(self, premise, hypothesis):
+                self.calls += 1
+                if self.calls == self.fail_at:
+                    raise BackendError("synthetic outage")
                 return EntailmentScore(table[int(premise.split()[1])][columns[hypothesis.id]])
 
         reviews = make_reviews([f"review {k}" for k in range(n_rows)])
         cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache, pytest.raises(BackendError):
+            score_corpus(TableBackend(fail_at=11), reviews, DOMAIN, cache=cache, max_inflight=1)
         with ScoreCache(cache_path) as cache:
             matrix = score_corpus(TableBackend(), reviews, DOMAIN, cache=cache, max_inflight=2)
-        assert np.array_equal(np.asarray(matrix.scores), values.astype(np.float32))
+        assert np.asarray(matrix.scores).tobytes() == values.astype(np.float32).tobytes()
         records = [json.loads(line, parse_float=Decimal) for line in cache_path.read_text().splitlines()]
-        assert len(records) == n_rows
-        for record in records:
-            i = int(record["review_id"][1:])
-            for hyp_id, entail in zip(columns, record["entail"]):  # each entail as written, a Decimal
+        assert [("row" in r, r["review_id"]) for r in records[:3]] == [(True, "r0"), (True, "r0"), (False, "r1")]
+        assert len(records) == n_rows + 1 and all("f32" in r for r in records[2:])
+        for record in records[:2]:  # row 0's cells, 10 before the failure and 11 after it
+            for hyp_id, entail in record["row"]:  # each entail as written, a Decimal
                 assert len(entail.normalize().as_tuple().digits) <= 9, entail
-                assert np.float32(float(entail)) == matrix.row(i)[columns[hyp_id]], (entail, table[i][columns[hyp_id]])
+                assert np.float32(float(entail)).tobytes() == np.float32(matrix.row(0)[columns[hyp_id]]).tobytes(), entail
+        for record in records[2:]:  # each complete row's cells are its float32 bytes, little-endian
+            i = int(record["review_id"][1:])
+            assert b64decode(record["f32"]) == np.asarray(matrix.row(i), dtype="<f4").tobytes(), i
+        warm = TableBackend(fail_at=1)
+        with ScoreCache(cache_path) as cache:
+            assert score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == matrix.scores.tobytes()
 
     def test_full_float64_and_9_digit_caches_rerun_warm_to_one_matrix_file(self, tmp_path):
         texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(30)]
         reviews = make_reviews(texts + ["!!!"])
-        nine_digit = tmp_path / "nine_digit.jsonl"
-        with ScoreCache(nine_digit) as cache:
+        current = tmp_path / "f32.jsonl"
+        with ScoreCache(current) as cache:
             save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cold.bin")
-        # The earlier kind of cache: each cell the backend's float64 as it was returned.
+        nine_digit = tmp_path / "nine_digit.jsonl"  # the same rows as the 9-digit decimals of versions before the f32 row
+        with open_log(nine_digit) as log:
+            append_log(log, as_entail_rows([json.loads(line) for line in current.read_text().splitlines()]))
+        # The earliest kind of cache: each cell the backend's float64 as it was returned.
         full = tmp_path / "full.jsonl"
         backend = MockNliBackend(seed=3)
         with open_log(full) as log:
@@ -704,8 +779,8 @@ class TestScoreCorpus:
                 ]}
                 for review in reviews
             ])
-        assert full.stat().st_size > nine_digit.stat().st_size
-        for path in (nine_digit, full):
+        assert full.stat().st_size > nine_digit.stat().st_size > current.stat().st_size
+        for path in (current, nine_digit, full):
             warm = MockNliBackend(seed=3)
             with ScoreCache(path) as cache:
                 save_matrix(score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "warm.bin")
