@@ -47,6 +47,31 @@ def _reason(exc: Exception) -> str:  # a ValidationError's own message; another 
     return str(exc) if isinstance(exc, ValidationError) else repr(exc)
 
 
+# The one type rule for a value read from a user file, keyed by the type as
+# written in a declaration (the modules that declare config blocks postpone
+# annotations, so a dataclass field's type is its source text). A value is
+# checked, not converted: an integer takes a JSON integer, a float an integer
+# or a float (made a float, as the digests expect), and true/false fits none.
+_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "list": (list, "a list"),
+    "dict": (dict, "an object"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "dict | None": ((dict, type(None)), "an object or null"),
+}
+
+
+def checked(key: str, declared: str, value):
+    """``value`` if it is of the type ``declared`` names in ``_TYPES``;
+    otherwise a :class:`ValidationError` says what ``key`` must be."""
+    kind, noun = _TYPES[declared]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{key} must be {noun}, not {value!r}")
+    return float(value) if declared == "float" else value
+
+
 @contextmanager
 def replace_file(path: Path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
     """Write a temporary file beside ``path`` that replaces it on a clean

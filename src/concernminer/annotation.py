@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._jsonl import append_log, open_log, read_log
+from ._jsonl import append_log, checked, open_log, read_log
 from .corpus import Review
 from .errors import ValidationError
 from .evaluation import KappaReport, cohen_kappa
@@ -204,10 +204,16 @@ def run_annotation(
 
 def scripted_responder(script: dict[str, dict[str, str]]) -> Responder:
     """Responder backed by ``{annotator: {review_id: label}}``; missing
-    entries skip. A script of another shape raises here, before any answer."""
-    answers = {
-        (annotator, review_id): label for annotator, labels in script.items() for review_id, label in labels.items()
-    }
+    entries skip. A script of another shape, or a label other than
+    privacy, non_privacy or skip, raises here, before any answer."""
+    answers = {}
+    for annotator, labels in checked("responses", "dict", script).items():
+        for review_id, label in checked(f"the labels of {annotator!r}", "dict", labels).items():
+            if label not in (PRIVACY, NON_PRIVACY, SKIP):
+                raise ValidationError(
+                    f"the label of {annotator!r} for {review_id!r} must be {PRIVACY}, {NON_PRIVACY} or {SKIP}, not {label!r}"
+                )
+            answers[(annotator, review_id)] = label
 
     def respond(annotator: str, review: Review) -> str:
         return answers.get((annotator, review.id), SKIP)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ._http import split_endpoint
-from ._jsonl import read_json
+from ._jsonl import checked, read_json
 from .errors import ValidationError
 from .llm.backends import HttpLlmBackend, MockLlmBackend, load_llm_script
 from .llm.classify import SamplingSettings
@@ -116,32 +116,12 @@ def backend_slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "backend"
 
 
-# Field types as written: both modules that declare config blocks postpone
-# annotations, so a dataclass field's type is its source text. A value is
-# checked, not converted: an integer takes a JSON integer, a float an integer
-# or a float (made a float, as the digests expect), and true/false fits none.
-_TYPES = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "dict | None": ((dict, type(None)), "an object or null"),
-}
-
-
-def _field(key: str, declared: str, value):
-    kind, noun = _TYPES[declared]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} must be {noun}, not {value!r}")
-    return float(value) if declared == "float" else value
-
-
 def _block(config_type, raw: dict):
     """``config_type`` built from the keys of the JSON object ``raw`` that
-    name its fields, each checked by :func:`_field` against the field's
+    name its fields, each checked by :func:`checked` against the field's
     declared type; absent fields take their defaults."""
     types = {f.name: f.type for f in fields(config_type)}
-    return config_type(**{key: _field(key, types[key], value) for key, value in raw.items() if key in types})
+    return config_type(**{key: checked(key, types[key], value) for key, value in raw.items() if key in types})
 
 
 def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
@@ -168,10 +148,10 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             "domain": "builtin:domain-mh",
             "extraction": "builtin:domain-mh",
         }
-        hypothesis_refs.update({str(k): str(v) for k, v in raw.get("hypotheses", {}).items()})
+        hypothesis_refs.update({k: checked(f"hypotheses.{k}", "str", v) for k, v in raw.get("hypotheses", {}).items()})
 
-        rating_min = _field("rating_min", "int", corpus.get("rating_min", 1))
-        rating_max = _field("rating_max", "int", corpus.get("rating_max", 5))
+        rating_min = checked("rating_min", "int", corpus.get("rating_min", 1))
+        rating_max = checked("rating_max", "int", corpus.get("rating_max", 5))
         if not 1 <= rating_min <= rating_max <= 5:
             raise ValidationError(f"invalid rating bounds ({rating_min}, {rating_max})")
 
@@ -182,21 +162,21 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         if not (isinstance(annotators, list) and all(isinstance(a, str) for a in annotators)):
             raise ValidationError(f"annotators must be a list of strings, not {annotators!r}")
 
-        workdir = _resolve(base_dir, _field("workdir", "str", raw.get("workdir", "runs/default")))
+        workdir = _resolve(base_dir, checked("workdir", "str", raw.get("workdir", "runs/default")))
         assert workdir is not None
 
         return PipelineConfig(
-            seed=_field("seed", "int", raw.get("seed", 0)),
+            seed=checked("seed", "int", raw.get("seed", 0)),
             workdir=workdir,
-            labeled_path=_resolve(base_dir, corpus.get("labeled")),
-            unlabeled_path=_resolve(base_dir, corpus.get("unlabeled")),
+            labeled_path=_resolve(base_dir, checked("labeled", "str | None", corpus.get("labeled"))),
+            unlabeled_path=_resolve(base_dir, checked("unlabeled", "str | None", corpus.get("unlabeled"))),
             corpus_format=corpus.get("format"),
             rating_min=rating_min,
             rating_max=rating_max,
             hypothesis_refs=hypothesis_refs,
             nli_backends=backends,
             llm_backend=llm_backend,
-            llm_script=_resolve(base_dir, llm.get("script")),
+            llm_script=_resolve(base_dir, checked("script", "str | None", llm.get("script"))),
             sampling=sampling,
             annotators=tuple(annotators),
             digest=config_digest(raw),

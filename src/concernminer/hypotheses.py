@@ -1,9 +1,9 @@
 """Privacy hypothesis sets and the threshold-count rules that label reviews.
 
 Two taxonomies ship built in: a 31-sentence generic privacy set and a
-21-sentence mental-health domain set, each paired with its
-threshold heuristics. User-supplied sets load from JSON files with the
-same shape.
+21-sentence mental-health domain set, each paired with its threshold
+heuristics. Both are written as data in the schema of a set file and built
+by the parser that reads a user's set from JSON.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from ._jsonl import read_json, write_json
+from ._jsonl import checked, read_json, write_json
 from .errors import ValidationError
 from .labels import PseudoLabel
 
 logger = logging.getLogger(__name__)
-
-GENERIC_SET_ID = "generic-31"
-DOMAIN_MH_SET_ID = "mh-domain-21"
 
 
 class HypothesisSource(str, Enum):
@@ -125,135 +122,95 @@ class HypothesisSet:
         raise KeyError(hypothesis_id)
 
 
-_GENERIC_ROWS: tuple[tuple[int, str, str], ...] = (
-    (1, "Surveillance", "The user is facing a data surveillance issue."),
-    (2, "Interrogation", "The user is forced to provide information."),
-    (3, "Aggregation", "Personal user information is collected from other sources."),
-    (4, "Insecurity", "The user is concerned about protecting their personal data."),
-    (5, "Identification", "A data anonymity topic is discussed."),
-    (6, "Secondary Use", "The user is concerned about the purposes of personal data access."),
-    (7, "Exclusion", "The user wants to correct their personal information."),
-    (8, "Breach of Confidentiality", "A breach of data confidentiality is discussed."),
-    (9, "Disclosure", "Personal data disclosure is discussed."),
-    (10, "Exposure", "The app exposes a private aspect of the user life."),
-    (11, "Increased Accessibility", "User’s data has been made accessible to public."),
-    (12, "Blackmail", "A data blackmailing issue is discussed."),
-    (13, "Appropriation", "User data is being exploited for other purposes."),
-    (14, "Distortion", "False data is presented about the user."),
-    (15, "Intrusion", "Unwanted intrusion to personal info is discussed."),
-    (16, "Decisional Interference", "Intrusion by the government to the user’s life is discussed."),
-    (17, "Notice/Awareness", "Opting out from personal data collection is discussed."),
-    (18, "Data Minimization", "More access than needed is required."),
-    (19, "Purpose Specification", "The reason for data access is not provided."),
-    (20, "Collection Limitation", "Too much personal data is collected."),
-    (21, "Use Limitation", "The data is being used for unexpected purposes."),
-    (22, "Onward Transfer", "Data sharing with third parties is discussed."),
-    (23, "Choice/Consent", "User choice for personal data collection is discussed."),
-    (24, "Choice/Consent", "User did not allow access to their personal data."),
-    (25, "Generic Privacy Issues", "A data privacy topic is discussed."),
-    (26, "Generic Privacy Issues", "Protecting user’s personal data is discussed."),
-    (27, "Generic Privacy Issues", "This is about a privacy feature."),
-    (28, "Generic Privacy Issues", "The user is facing a privacy issue."),
-    (29, "Positive Privacy Issues", "The user likes that data privacy is provided."),
-    (30, "Positive Privacy Issues", "The user wants privacy."),
-    (31, "Positive Privacy Issues", "The app has privacy features."),
-)
+# The built-in sets in the schema of a set file, one hypothesis per line.
+_GENERIC = {
+    "set_id": "generic-31", "name": "Generic privacy hypotheses",
+    "hypotheses": [
+        {"id": 1, "concept": "Surveillance", "text": "The user is facing a data surveillance issue.", "source": "solove"},
+        {"id": 2, "concept": "Interrogation", "text": "The user is forced to provide information.", "source": "solove"},
+        {"id": 3, "concept": "Aggregation", "text": "Personal user information is collected from other sources.", "source": "solove"},
+        {"id": 4, "concept": "Insecurity", "text": "The user is concerned about protecting their personal data.", "source": "solove"},
+        {"id": 5, "concept": "Identification", "text": "A data anonymity topic is discussed.", "source": "solove"},
+        {"id": 6, "concept": "Secondary Use", "text": "The user is concerned about the purposes of personal data access.", "source": "solove"},
+        {"id": 7, "concept": "Exclusion", "text": "The user wants to correct their personal information.", "source": "solove"},
+        {"id": 8, "concept": "Breach of Confidentiality", "text": "A breach of data confidentiality is discussed.", "source": "solove"},
+        {"id": 9, "concept": "Disclosure", "text": "Personal data disclosure is discussed.", "source": "solove"},
+        {"id": 10, "concept": "Exposure", "text": "The app exposes a private aspect of the user life.", "source": "solove"},
+        {"id": 11, "concept": "Increased Accessibility", "text": "User’s data has been made accessible to public.", "source": "solove"},
+        {"id": 12, "concept": "Blackmail", "text": "A data blackmailing issue is discussed.", "source": "solove"},
+        {"id": 13, "concept": "Appropriation", "text": "User data is being exploited for other purposes.", "source": "solove"},
+        {"id": 14, "concept": "Distortion", "text": "False data is presented about the user.", "source": "solove"},
+        {"id": 15, "concept": "Intrusion", "text": "Unwanted intrusion to personal info is discussed.", "source": "solove"},
+        {"id": 16, "concept": "Decisional Interference", "text": "Intrusion by the government to the user’s life is discussed.", "source": "solove"},
+        {"id": 17, "concept": "Notice/Awareness", "text": "Opting out from personal data collection is discussed.", "source": "wang_kobsa"},
+        {"id": 18, "concept": "Data Minimization", "text": "More access than needed is required.", "source": "wang_kobsa"},
+        {"id": 19, "concept": "Purpose Specification", "text": "The reason for data access is not provided.", "source": "wang_kobsa"},
+        {"id": 20, "concept": "Collection Limitation", "text": "Too much personal data is collected.", "source": "wang_kobsa"},
+        {"id": 21, "concept": "Use Limitation", "text": "The data is being used for unexpected purposes.", "source": "wang_kobsa"},
+        {"id": 22, "concept": "Onward Transfer", "text": "Data sharing with third parties is discussed.", "source": "wang_kobsa"},
+        {"id": 23, "concept": "Choice/Consent", "text": "User choice for personal data collection is discussed.", "source": "wang_kobsa"},
+        {"id": 24, "concept": "Choice/Consent", "text": "User did not allow access to their personal data.", "source": "wang_kobsa"},
+        {"id": 25, "concept": "Generic Privacy Issues", "text": "A data privacy topic is discussed.", "source": "generic"},
+        {"id": 26, "concept": "Generic Privacy Issues", "text": "Protecting user’s personal data is discussed.", "source": "generic"},
+        {"id": 27, "concept": "Generic Privacy Issues", "text": "This is about a privacy feature.", "source": "generic"},
+        {"id": 28, "concept": "Generic Privacy Issues", "text": "The user is facing a privacy issue.", "source": "generic"},
+        {"id": 29, "concept": "Positive Privacy Issues", "text": "The user likes that data privacy is provided.", "source": "generic"},
+        {"id": 30, "concept": "Positive Privacy Issues", "text": "The user wants privacy.", "source": "generic"},
+        {"id": 31, "concept": "Positive Privacy Issues", "text": "The app has privacy features.", "source": "generic"},
+    ],
+    "heuristics": {"positive_rules": [[0.8, 1], [0.7, 3], [0.6, 5], [0.5, 7]], "negative_rule": [0.4], "default_label": "undetermined"},
+}
 
-_DOMAIN_MH_ROWS: tuple[tuple[int, str, str], ...] = (
-    (1, "Linkability", "User data being linked across different services."),
-    (2, "Linkability", "Online user activities from various platforms can be connected."),
-    (3, "Linkability", "Personal user information is collected from other sources."),
-    (4, "Identifiability", "Anonymized user data could be used to reveal their identity."),
-    (5, "Identifiability", "Unique digital user data could lead to personal identification."),
-    (6, "Non-repudiation", "User is unable to deny their online actions."),
-    (7, "Non-repudiation", "User is concerned about the permanent storage of their digital transactions."),
-    (8, "Detectability", "User is concerned about others detecting their use of sensitive online services."),
-    (9, "Detectability", "User presence on certain platforms could be discovered from anonymized data."),
-    (10, "Disclosure of information", "User device's communication patterns reveal private information."),
-    (11, "Disclosure of information", "User device's communication patterns reveal private information."),
-    (12, "Disclosure of information", "The app exposes a private aspect of the user life."),
-    (13, "Unawareness", "Unauthorized access to user's private information."),
-    (14, "Unawareness", "The user is not aware of how and why their data is being collected, processed, stored, and shared."),
-    (15, "Non-compliance", "The user is concerned about the processing or storing of their personal data against regulations or privacy policies."),
-    (16, "Non-compliance", "User data is being exploited for other purposes."),
-    (17, "Non-compliance", "Data sharing with third parties is discussed."),
-    (18, "General Privacy Issues", "The user is facing a privacy issue."),
-    (19, "General Privacy Issues", "The user is concerned about protecting their personal data."),
-    (20, "General Privacy Issues", "A data anonymity topic is discussed."),
-    (21, "General Privacy Issues", "A data privacy topic is discussed."),
-)
+# Ids 10 and 11 intentionally share a sentence; the set size stays 21.
+_DOMAIN_MH = {
+    "set_id": "mh-domain-21", "name": "Mental-health domain privacy hypotheses",
+    "hypotheses": [
+        {"id": 1, "concept": "Linkability", "text": "User data being linked across different services.", "source": "iwaya"},
+        {"id": 2, "concept": "Linkability", "text": "Online user activities from various platforms can be connected.", "source": "iwaya"},
+        {"id": 3, "concept": "Linkability", "text": "Personal user information is collected from other sources.", "source": "iwaya"},
+        {"id": 4, "concept": "Identifiability", "text": "Anonymized user data could be used to reveal their identity.", "source": "iwaya"},
+        {"id": 5, "concept": "Identifiability", "text": "Unique digital user data could lead to personal identification.", "source": "iwaya"},
+        {"id": 6, "concept": "Non-repudiation", "text": "User is unable to deny their online actions.", "source": "iwaya"},
+        {"id": 7, "concept": "Non-repudiation", "text": "User is concerned about the permanent storage of their digital transactions.", "source": "iwaya"},
+        {"id": 8, "concept": "Detectability", "text": "User is concerned about others detecting their use of sensitive online services.", "source": "iwaya"},
+        {"id": 9, "concept": "Detectability", "text": "User presence on certain platforms could be discovered from anonymized data.", "source": "iwaya"},
+        {"id": 10, "concept": "Disclosure of information", "text": "User device's communication patterns reveal private information.", "source": "iwaya"},
+        {"id": 11, "concept": "Disclosure of information", "text": "User device's communication patterns reveal private information.", "source": "iwaya"},
+        {"id": 12, "concept": "Disclosure of information", "text": "The app exposes a private aspect of the user life.", "source": "iwaya"},
+        {"id": 13, "concept": "Unawareness", "text": "Unauthorized access to user's private information.", "source": "iwaya"},
+        {"id": 14, "concept": "Unawareness", "text": "The user is not aware of how and why their data is being collected, processed, stored, and shared.", "source": "iwaya"},
+        {"id": 15, "concept": "Non-compliance", "text": "The user is concerned about the processing or storing of their personal data against regulations or privacy policies.", "source": "iwaya"},
+        {"id": 16, "concept": "Non-compliance", "text": "User data is being exploited for other purposes.", "source": "iwaya"},
+        {"id": 17, "concept": "Non-compliance", "text": "Data sharing with third parties is discussed.", "source": "iwaya"},
+        {"id": 18, "concept": "General Privacy Issues", "text": "The user is facing a privacy issue.", "source": "generic"},
+        {"id": 19, "concept": "General Privacy Issues", "text": "The user is concerned about protecting their personal data.", "source": "generic"},
+        {"id": 20, "concept": "General Privacy Issues", "text": "A data anonymity topic is discussed.", "source": "generic"},
+        {"id": 21, "concept": "General Privacy Issues", "text": "A data privacy topic is discussed.", "source": "generic"},
+    ],
+    "heuristics": {"positive_rules": [[0.85, 1], [0.75, 3], [0.7, 5]], "negative_rule": None, "default_label": "maybe-not-privacy"},
+}
 
 
 def builtin_generic() -> HypothesisSet:
     """The 31-sentence generic privacy set with its four-clause heuristics."""
-    hypotheses = tuple(
-        Hypothesis(
-            id=i,
-            concept=concept,
-            text=text,
-            source=(
-                HypothesisSource.SOLOVE
-                if i <= 16
-                else HypothesisSource.WANG_KOBSA if i <= 24 else HypothesisSource.GENERIC
-            ),
-        )
-        for i, concept, text in _GENERIC_ROWS
-    )
-    heuristics = HeuristicRuleSet(
-        positive_rules=(
-            ThresholdRule(0.8, 1),
-            ThresholdRule(0.7, 3),
-            ThresholdRule(0.6, 5),
-            ThresholdRule(0.5, 7),
-        ),
-        negative_threshold=0.4,
-        default_label=PseudoLabel.UNDETERMINED,
-    )
-    return HypothesisSet(GENERIC_SET_ID, "Generic privacy hypotheses", hypotheses, heuristics)
+    return _parse_hypothesis_set(_GENERIC)
 
 
 def builtin_domain_mh() -> HypothesisSet:
-    """The 21-sentence mental-health domain set; binary labeling, no undetermined.
-
-    Ids 10 and 11 intentionally share the same sentence; the set size stays 21.
-    """
-    hypotheses = tuple(
-        Hypothesis(
-            id=i,
-            concept=concept,
-            text=text,
-            source=HypothesisSource.IWAYA if i <= 17 else HypothesisSource.GENERIC,
-        )
-        for i, concept, text in _DOMAIN_MH_ROWS
-    )
-    heuristics = HeuristicRuleSet(
-        positive_rules=(
-            ThresholdRule(0.85, 1),
-            ThresholdRule(0.75, 3),
-            ThresholdRule(0.7, 5),
-        ),
-        negative_threshold=None,
-        default_label=PseudoLabel.MAYBE_NOT_PRIVACY,
-    )
-    return HypothesisSet(DOMAIN_MH_SET_ID, "Mental-health domain privacy hypotheses", hypotheses, heuristics)
+    """The 21-sentence mental-health domain set; binary labeling, no undetermined."""
+    return _parse_hypothesis_set(_DOMAIN_MH)
 
 
 def hypothesis_set_to_dict(hset: HypothesisSet) -> dict:
+    rules = hset.heuristics
     return {
         "set_id": hset.set_id,
         "name": hset.name,
-        "hypotheses": [
-            {"id": h.id, "concept": h.concept, "text": h.text, "source": h.source.value}
-            for h in hset.hypotheses
-        ],
+        "hypotheses": [{"id": h.id, "concept": h.concept, "text": h.text, "source": h.source.value} for h in hset.hypotheses],
         "heuristics": {
-            "positive_rules": [[t, k] for t, k in hset.heuristics.positive_rules],
-            "negative_rule": (
-                [hset.heuristics.negative_threshold]
-                if hset.heuristics.negative_threshold is not None
-                else None
-            ),
-            "default_label": hset.heuristics.default_label.value,
+            "positive_rules": [[t, k] for t, k in rules.positive_rules],
+            "negative_rule": None if rules.negative_threshold is None else [rules.negative_threshold],
+            "default_label": rules.default_label.value,
         },
     }
 
@@ -263,24 +220,29 @@ def save_hypothesis_set(hset: HypothesisSet, path: str | Path) -> None:
 
 
 def _parse_heuristics(raw: dict) -> HeuristicRuleSet:
-    positive = tuple(ThresholdRule(float(t), int(k)) for t, k in raw["positive_rules"])
+    positive = tuple(
+        ThresholdRule(checked("positive rule threshold", "float", t), checked("positive rule min_count", "int", k))
+        for t, k in checked("positive_rules", "list", raw["positive_rules"])
+    )
     negative_raw = raw.get("negative_rule")
-    negative = float(negative_raw[0]) if negative_raw else None
+    negative = checked("negative_rule threshold", "float", negative_raw[0]) if negative_raw else None
     return HeuristicRuleSet(positive, negative, PseudoLabel(raw["default_label"]))
 
 
 def _parse_hypothesis_set(raw: dict) -> HypothesisSet:
+    """The set a set file's JSON object describes, each value's type checked."""
     hypotheses = tuple(
         Hypothesis(
-            id=int(h["id"]),
-            concept=str(h.get("concept", "")),
-            text=str(h["text"]),
+            id=checked("hypothesis id", "int", h["id"]),
+            concept=checked("hypothesis concept", "str", h.get("concept", "")),
+            text=checked("hypothesis text", "str", h["text"]),
             source=HypothesisSource(h.get("source", "custom")),
         )
-        for h in raw["hypotheses"]
+        for h in checked("hypotheses", "list", raw["hypotheses"])
     )
-    set_id = str(raw["set_id"])
-    return HypothesisSet(set_id, str(raw.get("name", set_id)), hypotheses, _parse_heuristics(raw["heuristics"]))
+    set_id = checked("set_id", "str", raw["set_id"])
+    name = checked("name", "str", raw.get("name", set_id))
+    return HypothesisSet(set_id, name, hypotheses, _parse_heuristics(raw["heuristics"]))
 
 
 def load_hypothesis_set(path: str | Path) -> HypothesisSet:

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .._http import HttpBackend, post_json
-from .._jsonl import read_json
+from .._jsonl import checked, read_json
 from ..errors import BackendError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,9 +42,16 @@ class HttpLlmBackend(HttpBackend):
 UNSCRIPTED_RESPONSE = "no"  # the mock's answer for a review its script does not name
 
 
+def _parse_llm_script(raw: dict) -> dict[str, list[str]]:
+    return {
+        review_id: [checked(f"a response to {review_id!r}", "str", r) for r in checked(f"the responses to {review_id!r}", "list", rs)]
+        for review_id, rs in checked("script", "dict", raw).items()
+    }
+
+
 def load_llm_script(path: str | Path) -> dict[str, list[str]]:
     """Read a mock script: JSON object mapping review id -> canned responses."""
-    return read_json(Path(path), lambda raw: {str(k): [str(v) for v in vs] for k, vs in raw.items()})
+    return read_json(Path(path), _parse_llm_script)
 
 
 class MockLlmBackend:

@@ -5,7 +5,6 @@ from .backends import (
     DEFAULT_TRIGGER_TABLE,
     HttpNliBackend,
     MockNliBackend,
-    infer_pair,
     load_trigger_table,
 )
 from .labeling import apply_heuristics, explain_labels, n_above
@@ -28,7 +27,6 @@ __all__ = [
     "ScoreCache",
     "apply_heuristics",
     "explain_labels",
-    "infer_pair",
     "load_matrix",
     "load_trigger_table",
     "n_above",

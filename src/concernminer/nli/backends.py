@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .._http import HttpBackend, post_json
-from .._jsonl import read_json
+from .._jsonl import checked, read_json
 from ..errors import BackendError, ValidationError
 from ..hypotheses import Hypothesis
 from .scoring import EntailmentScore
@@ -27,13 +27,6 @@ DEFAULT_RESPONSE_FIELDS = {
     "neutral": "neutral",
     "contradiction": "contradiction",
 }
-
-
-def infer_pair(backend, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
-    """Score one premise/hypothesis pair. The premise must be non-empty."""
-    if not premise:
-        raise ValidationError("premise must be non-empty")
-    return backend.score_pair(premise, hypothesis)
 
 
 class HttpNliBackend(HttpBackend):
@@ -74,11 +67,13 @@ LOW_SCORE = 0.05  # the base entailment of a cell no trigger row lights up
 
 
 def _parse_trigger_table(raw: list) -> tuple[tuple[str, tuple[int, ...], float], ...]:
-    table = tuple((str(phrase), tuple(int(i) for i in ids), float(score)) for phrase, ids, score in raw)
-    for phrase, _, score in table:
+    table = []
+    for phrase, ids, score in checked("trigger table", "list", raw):
+        phrase, score = checked("trigger phrase", "str", phrase), checked("trigger score", "float", score)
         if not phrase or not 0.0 < score < 1.0:
             raise ValidationError(f"bad trigger row ({phrase!r}, {score})")
-    return table
+        table.append((phrase, tuple(checked("trigger id", "int", i) for i in checked("trigger ids", "list", ids)), score))
+    return tuple(table)
 
 
 def load_trigger_table(path: str | Path) -> tuple[tuple[str, tuple[int, ...], float], ...]:

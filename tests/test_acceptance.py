@@ -21,7 +21,7 @@ from concernminer.evaluation import MetricsReport, cohen_kappa, f1_score, random
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic
 from concernminer.labels import BinaryLabel, PseudoLabel, Vote
 from concernminer.llm.classify import build_prompt, majority_vote
-from concernminer.nli.backends import HttpNliBackend, infer_pair
+from concernminer.nli.backends import HttpNliBackend
 from concernminer.nli.labeling import apply_heuristics
 from concernminer.nli.scoring import EntailmentMatrix
 from concernminer.pipeline import EXTRACTED_FILE, MANIFEST_FILE, VOTES_FILE, run_extraction
@@ -254,7 +254,7 @@ def test_criterion_09_optional_live_nli_smoke():
     hypotheses = DOMAIN.hypotheses[:3]
     for premise in premises:
         for hyp in hypotheses:
-            score = infer_pair(backend, premise, hyp)
+            score = backend.score_pair(premise, hyp)
             assert 0.0 <= score.entail <= 1.0
             if score.neutral is not None and score.contradict is not None:
                 assert 0.99 <= score.entail + score.neutral + score.contradict <= 1.01

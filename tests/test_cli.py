@@ -12,9 +12,10 @@ import pytest
 
 from concernminer.cli import main
 from concernminer.errors import ValidationError
-from concernminer.hypotheses import builtin_domain_mh, save_hypothesis_set
+from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, save_hypothesis_set
 from concernminer.nli import MockNliBackend, load_matrix
 from concernminer.pipeline import (
+    ANNOTATION_STATE_FILE,
     EXTRACTED_FILE,
     LLM_FAILURES_FILE,
     MANIFEST_FILE,
@@ -259,6 +260,9 @@ def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_
         (lambda raw: raw["corpus"].update(rating_min=1.9), "rating_min must be an integer, not 1.9"),
         (lambda raw: raw["nli"]["backends"][0].update(name=5), "name must be a string, not 5"),
         (lambda raw: raw.update(workdir=True), "workdir must be a string, not True"),
+        (lambda raw: raw["hypotheses"].update(extraction=5), "hypotheses.extraction must be a string, not 5"),
+        (lambda raw: raw["corpus"].update(unlabeled=5), "unlabeled must be a string or null, not 5"),
+        (lambda raw: raw["llm"].update(script=["a.json"]), "script must be a string or null, not ['a.json']"),
     ],
     ids=[
         "response_fields-list",
@@ -279,6 +283,9 @@ def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_
         "rating_min-fraction",
         "backend_name-int",
         "workdir-true",
+        "hypotheses_ref-int",
+        "unlabeled-int",
+        "script-list",
     ],
 )
 def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
@@ -402,6 +409,89 @@ def test_bad_input_file_exits_2_before_any_workdir_write(extraction_setup, tmp_p
     assert main([command, "--config", str(bad_config)]) == 2
     assert f"error: {garbage}:" in capsys.readouterr().err
     assert (snapshot(workdir) if workdir.exists() else None) == before
+
+
+def _set_file(edit):
+    raw = hypothesis_set_to_dict(builtin_domain_mh())
+    edit(raw)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("hypotheses", _set_file(lambda raw: raw["hypotheses"][2].update(id=3.7)), "hypothesis id must be an integer, not 3.7"),
+        ("hypotheses", _set_file(lambda raw: raw["hypotheses"][0].update(id=True)), "hypothesis id must be an integer, not True"),
+        ("hypotheses", _set_file(lambda raw: raw["hypotheses"][0].update(text=5)), "hypothesis text must be a string, not 5"),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(positive_rules=[["0.85", 1]])),
+            "positive rule threshold must be a number, not '0.85'",
+        ),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(positive_rules=[[0.85, 1.9]])),
+            "positive rule min_count must be an integer, not 1.9",
+        ),
+        ("mock_table", [["data trackers", "12", 0.92]], "trigger ids must be a list, not '12'"),
+        ("mock_table", [["data trackers", [14.9], 0.92]], "trigger id must be an integer, not 14.9"),
+        ("script", {"r1": "yes"}, "the responses to 'r1' must be a list, not 'yes'"),
+    ],
+    ids=[
+        "set-id-fraction",
+        "set-id-true",
+        "set-text-int",
+        "set-threshold-string",
+        "set-min_count-fraction",
+        "table-ids-string",
+        "table-id-fraction",
+        "script-responses-string",
+    ],
+)
+def test_user_file_value_of_the_wrong_json_type_exits_2_before_any_workdir_write(
+    extraction_setup, tmp_path, capsys, kind, content, message
+):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    user_file = tmp_path / f"{kind}.json"
+    user_file.write_text(json.dumps(content))
+    if kind == "hypotheses":
+        raw["hypotheses"]["extraction"] = str(user_file)
+    elif kind == "mock_table":
+        raw["nli"]["backends"][0]["mock_table"] = str(user_file)
+    else:
+        raw["llm"]["script"] = str(user_file)
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps(raw))
+
+    assert main(["extract", "--config", str(bad_config)]) == 2
+    assert capsys.readouterr().err == f"error: {user_file}: {message}\n"
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("earlier_session", [False, True], ids=["no-state", "state"])
+def test_responses_label_out_of_contract_exits_2_before_the_session(extraction_setup, tmp_path, capsys, earlier_session):
+    """A ``--responses`` label other than privacy, non_privacy or skip exits
+    2 naming the file when it is read: no annotation state is created, and
+    an existing one is left byte for byte."""
+    _, config_path, workdir = extraction_setup
+    assert main(["extract", "--config", str(config_path)]) == 0
+    ids = [json.loads(line)["id"] for line in (workdir / QUEUE_FILE).read_text().splitlines()]
+    if earlier_session:
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps({"lead": dict.fromkeys(ids[:2], "privacy")}))
+        assert main(["annotate", "--config", str(config_path), "--responses", str(first)]) == 0
+        assert (workdir / ANNOTATION_STATE_FILE).exists()
+    before = snapshot(workdir)
+    responses = tmp_path / "responses.json"
+    responses.write_text(json.dumps({"lead": dict.fromkeys(ids, "privacy"), "ann-b": {ids[0]: "yes"}}))
+    capsys.readouterr()
+
+    assert main(["annotate", "--config", str(config_path), "--responses", str(responses)]) == 2
+    message = f"the label of 'ann-b' for {ids[0]!r} must be privacy, non_privacy or skip, not 'yes'"
+    assert capsys.readouterr().err == f"error: {responses}: {message}\n"
+    assert snapshot(workdir) == before
+    assert (workdir / ANNOTATION_STATE_FILE).exists() == earlier_session
 
 
 @pytest.mark.parametrize("flag, backend", [("--nli-endpoint", "mock-nli-a"), ("--llm-endpoint", "mock-llm")])

@@ -77,6 +77,12 @@ class TestBuiltinDomain:
 
 
 class TestVersionHash:
+    def test_builtin_hashes_are_pinned(self):
+        """Cached cells, vote records and matrix file names are keyed by these:
+        an edit that moves one makes every user's next run score afresh."""
+        assert builtin_generic().version_hash == "aed6f40e9bd97c8e"
+        assert builtin_domain_mh().version_hash == "f354ab0741b172d2"
+
     def test_round_trip_preserves_hash(self, tmp_path):
         for builder in (builtin_generic, builtin_domain_mh):
             original = builder()

@@ -28,7 +28,6 @@ from concernminer.nli import (
     ScoreCache,
     apply_heuristics,
     explain_labels,
-    infer_pair,
     load_matrix,
     n_above,
     save_matrix,
@@ -137,13 +136,13 @@ class TestEntailmentScore:
 class TestMockBackend:
     def test_trigger_phrase_scores_high_on_designated_hypothesis(self):
         backend = MockNliBackend(seed=0)
-        score = infer_pair(backend, "this app has data trackers inside", DOMAIN.by_id(14))
+        score = backend.score_pair("this app has data trackers inside", DOMAIN.by_id(14))
         assert score.entail >= 0.85
 
     def test_default_premise_scores_low(self):
         backend = MockNliBackend(seed=0)
         for hyp in DOMAIN.hypotheses:
-            assert infer_pair(backend, "great app love it", hyp).entail <= 0.2
+            assert backend.score_pair("great app love it", hyp).entail <= 0.2
 
     def test_deterministic_per_seed(self):
         a = MockNliBackend(seed=5).score_pair("some premise", DOMAIN.by_id(3))
@@ -155,10 +154,6 @@ class TestMockBackend:
     def test_distribution_is_valid(self):
         score = MockNliBackend(seed=1).score_pair("whatever text", DOMAIN.by_id(2))
         assert abs(score.entail + score.neutral + score.contradict - 1.0) < 1e-6
-
-    def test_empty_premise_rejected(self):
-        with pytest.raises(ValidationError):
-            infer_pair(MockNliBackend(), "", DOMAIN.by_id(1))
 
 
 class TestHttpBackend:

@@ -80,7 +80,7 @@ def test_demo_with_an_infinite_trigger_id_exits_2_naming_the_table(tmp_path, cap
 
     assert main(["extract", "--config", str(config), "--workdir", str(workdir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {table}:") and "OverflowError" in err
+    assert err == f"error: {table}: trigger id must be an integer, not inf\n"
     assert not workdir.exists()
 
 
