@@ -9,13 +9,15 @@ missing final newline included) raises a :class:`ValidationError` that
 names the file, and the line for JSONL.
 
 The three append-only logs (entailment cache, vote log, annotation state)
-are read once with :func:`read_log`, then each committed record is appended
-and flushed with :func:`append_log` through one handle from :func:`open_log`.
+are each one :class:`Log`: read once, then each committed record is appended
+and flushed through one handle, which one process holds at a time.
 A process killed mid-append can leave a final line without its newline; the
 next read drops that torn line with a warning and truncates the file back to
 the last newline, so the rerun appends onto a clean line and redoes only
 that record. A malformed line or record anywhere else is corruption, not an
-interrupted write, and raises as in a whole-file output.
+interrupted write, and raises as in a whole-file output. The model logs name
+their context (backend, set hash, the votes' sampling) only where it changes,
+so a line means something only in its file (see :class:`Log`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ValidationError
+
+try:
+    from fcntl import LOCK_EX, LOCK_NB, flock
+except ImportError:  # pragma: no cover - no advisory locks on Windows
+    flock = None
 
 logger = logging.getLogger(__name__)
 
@@ -117,31 +124,62 @@ def read_json(path: Path, parse: Callable[[object], T] = _identity) -> T:
         raise ValidationError(f"{path}: {_reason(exc)}") from None
 
 
-def open_log(path: Path) -> IO:
-    """Open the log for appending, creating it if needed."""
-    return path.open("a", encoding="utf-8")
+class Log:
+    """The append-only log at ``path``: :meth:`read` it once, then :meth:`append` inside ``with``.
+
+    A record names each ``context`` key only where its value changes: a read fills in a key a
+    record leaves out from the nearest earlier record that names it, and an append leaves out
+    each key whose value the file's last record holds. ``with`` opens the file for appending,
+    creating it if needed, under an exclusive advisory lock: a second writer raises
+    :class:`ValidationError`. If the file grew since this object last read or wrote it, the
+    next append names its context in full.
+    """
+
+    def __init__(self, path: Path, context: Sequence[str] = ()):
+        self.path = path
+        self._last = dict.fromkeys(context)  # each key's value in the file's last record, None until one names it
+        self._size = 0  # the file's size when this object last read or wrote it
+
+    def read(self, parse: Callable[[dict], T] = _identity, *, log: bool = True) -> Iterator[T]:
+        """:func:`read_jsonl` of the file with its context filled in (``log`` unset: read as a whole-file output)."""
+        yield from read_jsonl(self.path, parse, log=log, context=self._last)
+        self._size = self.path.stat().st_size if self.path.exists() else 0
+
+    def __enter__(self) -> "Log":
+        self._handle = self.path.open("a", encoding="utf-8")
+        try:
+            if flock is not None:
+                flock(self._handle, LOCK_EX | LOCK_NB)
+        except BlockingIOError:
+            self._handle.close()
+            raise ValidationError(f"{self.path}: another process is appending to this log") from None
+        if os.fstat(self._handle.fileno()).st_size != self._size:
+            self._last = dict.fromkeys(self._last)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._size = os.fstat(self._handle.fileno()).st_size
+        self._handle.close()
+
+    def append(self, records: Iterable[dict]) -> None:
+        """Append a batch of records, each without the context it shares with the last, and flush once."""
+        for record in records:
+            if self._last:
+                record = {key: value for key, value in record.items() if key not in self._last or self._last[key] != value}
+                self._last.update((key, record[key]) for key in self._last.keys() & record.keys())
+            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.flush()
 
 
-def append_log(log: IO, records: Iterable[dict]) -> None:
-    """Append a batch of records through a handle from :func:`open_log` and
-    flush once, when the batch is written."""
-    log.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
-    log.flush()
-
-
-def read_log(path: Path, parse: Callable[[dict], T] = _identity) -> Iterator[T]:
-    """:func:`read_jsonl` for an append-only log: a missing file yields
-    nothing, and a torn final line is repaired as described above."""
-    return read_jsonl(path, parse, log=True)
-
-
-def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool = False) -> Iterator[T]:
+def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool = False, context: dict | None = None) -> Iterator[T]:
     """Yield ``parse(record)`` for each record in order, skipping blank lines.
 
     A line that is not JSON, or a record ``parse`` cannot read (a missing
     field, a wrong type), raises :class:`ValidationError` naming
     ``path:line``. Unless ``log`` is set, the file must exist and end with a
-    newline; with ``log`` set, see :func:`read_log`.
+    newline; with ``log`` set, a missing file yields nothing and a torn final
+    line is repaired as described above. A ``context`` dict, each key's value
+    ``None`` until a record names it, fills in a key a record leaves out.
     """
     if log and not path.exists():
         return
@@ -161,7 +199,10 @@ def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool 
             try:
                 if not line.endswith(b"\n"):
                     raise ValueError("no newline at the end of the file")
-                record = parse(json.loads(line.decode("utf-8")))
+                record = json.loads(line.decode("utf-8"))
+                for key in context or ():  # a key the record leaves out is the last one named, if one is
+                    context[key] = record.setdefault(key, context[key]) if context[key] is not None else record.get(key)
+                record = parse(record)
             except _PARSE_ERRORS as exc:
                 raise ValidationError(f"{path}:{line_no}: corrupt {what}: {_reason(exc)}") from None
             yield record

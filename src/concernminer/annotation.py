@@ -10,13 +10,13 @@ unresolved and are reported as leftovers.
 
 from __future__ import annotations
 
-import io
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._jsonl import append_log, checked, open_log, read_log
+from ._jsonl import Log, checked
 from .corpus import Review
 from .errors import ValidationError
 from .evaluation import KappaReport, cohen_kappa
@@ -143,9 +143,10 @@ def run_annotation(
         raise ValidationError("annotation queue is empty")
     reviews = {r.id: r for r in queue}
     tasks = assign_tasks([r.id for r in queue], roster)
-    labels = dict(read_log(state_path, lambda r: ((r["annotator"], r["review_id"]), r["label"]))) if state_path else {}
+    state = Log(state_path) if state_path else None  # no path: the labels are kept in memory only
+    labels = dict(state.read(lambda r: ((r["annotator"], r["review_id"]), r["label"]))) if state else {}
 
-    with open_log(state_path) if state_path else io.StringIO() as log:  # no path: the log is kept in memory
+    with state or nullcontext():
 
         def ask(annotator: str, review_id: str) -> str | None:
             known = labels.get((annotator, review_id))
@@ -157,7 +158,8 @@ def run_annotation(
             if answer not in (PRIVACY, NON_PRIVACY):
                 raise ValidationError(f"responder returned {answer!r}")
             labels[(annotator, review_id)] = answer
-            append_log(log, [{"annotator": annotator, "review_id": review_id, "label": answer}])
+            if state:
+                state.append([{"annotator": annotator, "review_id": review_id, "label": answer}])
             return answer
 
         # Pass 1: the lead (every task's first assigned) works through the full

@@ -219,13 +219,21 @@ def save_hypothesis_set(hset: HypothesisSet, path: str | Path) -> None:
     write_json(Path(path), hypothesis_set_to_dict(hset))
 
 
+def _rule(field: str, value, shape: str, length: int) -> list:
+    """``value`` if it is a list of ``length`` items; otherwise a ValidationError says ``field`` must be ``shape``."""
+    if not isinstance(value, list) or len(value) != length:
+        raise ValidationError(f"{field} must be {shape}, not {value!r}")
+    return value
+
+
 def _parse_heuristics(raw: dict) -> HeuristicRuleSet:
     positive = tuple(
         ThresholdRule(checked("positive rule threshold", "float", t), checked("positive rule min_count", "int", k))
-        for t, k in checked("positive_rules", "list", raw["positive_rules"])
+        for t, k in (_rule("positive rule", r, "[threshold, min_count]", 2) for r in checked("positive_rules", "list", raw["positive_rules"]))
     )
-    negative_raw = raw.get("negative_rule")
-    negative = checked("negative_rule threshold", "float", negative_raw[0]) if negative_raw else None
+    negative = raw.get("negative_rule")
+    if negative is not None:
+        negative = checked("negative_rule threshold", "float", _rule("negative_rule", negative, "null or [threshold]", 1)[0])
     return HeuristicRuleSet(positive, negative, PseudoLabel(raw["default_label"]))
 
 

@@ -1,7 +1,7 @@
 """Chat-completions backends: the HTTP client and a scripted mock.
 
 Wire contract: POST ``{model, messages, temperature, top_p, max_tokens}``
-and read ``choices[0].message.content`` from the response.
+and read ``choices[0].message.content``, a string, from the response.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .._http import HttpBackend, post_json
 from .._jsonl import checked, read_json
-from ..errors import BackendError
+from ..errors import BackendError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .classify import PromptMessages, SamplingSettings
@@ -34,8 +34,8 @@ class HttpLlmBackend(HttpBackend):
         }
         body = post_json(self, payload)
         try:
-            return str(body["choices"][0]["message"]["content"])
-        except (KeyError, IndexError, TypeError) as exc:
+            return checked("content", "str", body["choices"][0]["message"]["content"])
+        except (KeyError, IndexError, TypeError, ValidationError) as exc:
             raise BackendError(f"{self.name}: malformed completion response {body!r}: {exc}") from None
 
 

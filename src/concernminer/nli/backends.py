@@ -1,7 +1,8 @@
 """NLI inference backends: the HTTP wire client and a deterministic mock.
 
 Wire contract: POST ``{"premise": ..., "hypothesis": ...}`` to the endpoint,
-expect ``{"entailment": p, "neutral": p, "contradiction": p}``. Servers that
+expect ``{"entailment": p, "neutral": p, "contradiction": p}``, each ``p`` a
+JSON number; ``neutral`` and ``contradiction`` may be left out. Servers that
 use different field names can be adapted through the config block's
 ``response_fields``.
 """
@@ -38,14 +39,15 @@ class HttpNliBackend(HttpBackend):
 
     def score_pair(self, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
         body = post_json(self, {"premise": premise, "hypothesis": hypothesis.text})
-        try:
-            entail = float(body[self.response_fields["entailment"]])
-            neutral_raw = body.get(self.response_fields["neutral"])
-            contradict_raw = body.get(self.response_fields["contradiction"])
-            neutral = float(neutral_raw) if neutral_raw is not None else None
-            contradict = float(contradict_raw) if contradict_raw is not None else None
+        fields = self.response_fields
+        try:  # each score a JSON number, not a bool or a string; neutral and contradiction may be absent
+            entail = checked(fields["entailment"], "float", body[fields["entailment"]])
+            neutral, contradict = (
+                checked(fields[name], "float", body[fields[name]]) if fields[name] in body else None
+                for name in ("neutral", "contradiction")
+            )
             return EntailmentScore(entail, neutral, contradict)
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, ValidationError) as exc:
             raise BackendError(f"{self.name}: malformed backend response {body!r}: {exc}") from None
 
 

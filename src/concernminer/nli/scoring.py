@@ -20,7 +20,7 @@ from math import isnan
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .._jsonl import append_log, open_log, read_log, replace_file
+from .._jsonl import Log, replace_file
 from .._window import run_ordered
 from ..errors import BackendError, ValidationError
 
@@ -149,6 +149,7 @@ class ScoreCache:
     before a backend failure, is ``row: [[hypothesis_id, entail], ...]``. Older
     complete rows (``entail: [...]`` decimals, or ``row`` cells), rows of 4-value cells
     and one-cell records load too. A later record wins a cell an earlier one holds.
+    A record names ``backend`` and ``set_hash`` only where they change (see ``_jsonl.Log``).
     In memory a review's cells are a tuple of hypothesis ids, one object shared by every
     row with the same ids, and a float32 ``array`` of their entailments (see :meth:`row`).
 
@@ -162,7 +163,8 @@ class ScoreCache:
         self.named: dict[str, tuple[int, ...]] = {}  # set hash -> the hypothesis ids the file names for it
         self._rows: dict[tuple[str, str, str], tuple[tuple[int, ...], array]] = {}
         self._ids: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct id tuple, kept once
-        for key, ids, entails in read_log(self.path, self._record_cells):
+        self.log = Log(self.path, ("backend", "set_hash"))  # score_corpus appends through it
+        for key, ids, entails in self.log.read(self._record_cells):
             if key in self._rows:  # a later record wins the cells it holds, and they move last
                 cells = {h: e for h, e in zip(*self._rows[key]) if h not in ids} | dict(zip(ids, entails))
                 ids, entails = tuple(cells), cells.values()
@@ -182,7 +184,7 @@ class ScoreCache:
         self._rows, self._ids = {}, {}
 
     def _record_cells(self, record: dict) -> tuple[tuple[str, str, str], tuple[int, ...], list]:
-        """The key (its backend and set hash interned, as every record repeats them), ids and checked entailments of a record."""
+        """The key (its backend and set hash interned), ids and checked entailments of a record."""
         key = (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"])
         if "row" not in record and "hypothesis_id" not in record:  # a complete row, in its set's named order
             if "hypotheses" in record:
@@ -246,7 +248,7 @@ def score_corpus(
                 return
             scores.append(backend.score_pair(review.text_norm, hset.hypotheses[j]).entail)
 
-    with open_log(cache.path) if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
+    with cache.log if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
 
         def append_row(i: int, review_id: str, columns: list) -> None:  # the grid's cells ``columns`` of row ``i``
             if columns and log is not None:
@@ -257,7 +259,7 @@ def score_corpus(
                     record["f32"] = b64encode(_little_endian(grid[i * k : (i + 1) * k]).tobytes()).decode("ascii")
                     if cache.named.get(set_hash) != hyp_ids:  # the set's first complete row in the file
                         record["hypotheses"] = cache.named[set_hash] = hyp_ids
-                append_log(log, [record])
+                log.append([record])
 
         def commit(job, _, error: Exception | None) -> None:
             nonlocal completed

@@ -16,9 +16,8 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
-from ._jsonl import append_log, open_log, read_json, read_jsonl, write_csv, write_json, write_jsonl
+from ._jsonl import Log, read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, backend_slug, make_llm_backend, make_nli_backend
 from .corpus import (
@@ -69,6 +68,7 @@ TIMINGS_FILE = "timings.json"
 NLI_CACHE_FILE = "nli_cache.jsonl"
 PSEUDO_LABELS_FILE = "pseudo_labels.jsonl"
 VOTES_FILE = "votes.jsonl"
+VOTE_CONTEXT = ("backend", "set_hash", "sampling")  # what a vote record names only where it changes
 LLM_FAILURES_FILE = "llm_failures.jsonl"
 QUEUE_FILE = "annotation_queue.jsonl"
 EXTRACTED_FILE = "extracted.jsonl"
@@ -163,26 +163,26 @@ def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
 
 def _vote_record_from_dict(raw: dict) -> VoteRecord:
     """A vote record from its log line; ``backend``, ``set_hash`` and
-    ``sampling`` are ``None`` when the line lacks them."""
+    ``sampling`` are ``None`` when neither it nor an earlier line names them."""
     responses, votes = tuple(raw["raw_responses"]), tuple(Vote(v) for v in raw["votes"])
     return VoteRecord(**dict(raw, raw_responses=responses, votes=votes, decision=BinaryLabel(raw["decision"])))
 
 
-def read_votes(path: Path, backend: str, set_hash: str, sampling: str, *, log: bool = True) -> dict[str, VoteRecord]:
-    """The records of the vote log at ``path`` that ``backend`` cast on the
+def read_votes(votes: Log, backend: str, set_hash: str, sampling: str, *, log: bool = True) -> dict[str, VoteRecord]:
+    """The records of the vote log ``votes`` that ``backend`` cast on the
     hypothesis set ``set_hash`` with the ``sampling`` digest, by review id; a
     record that lacks a field is left out. ``log=False`` reads the file as a
     whole-file output (see :func:`read_jsonl`): damage raises, nothing is cut."""
     return {
         record.review_id: record
-        for record in read_jsonl(path, _vote_record_from_dict, log=log)
+        for record in votes.read(_vote_record_from_dict, log=log)
         if (record.backend, record.set_hash, record.sampling) == (backend, set_hash, sampling)
     }
 
 
-def append_votes(log: IO, records: list[VoteRecord]) -> None:
-    """Append the records to the vote log, through a handle from :func:`open_log`."""
-    append_log(log, [vars(record) for record in records])
+def append_votes(votes: Log, records: list[VoteRecord]) -> None:
+    """Append the records to the vote log ``votes``, inside its ``with``."""
+    votes.append([vars(record) for record in records])
 
 
 def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
@@ -253,15 +253,15 @@ def llm_classify(
     ``(review_id, reason)`` failures to ``llm_failures.jsonl`` and returns
     them with the records, in ``maybe_reviews`` order.
     """
-    votes_path = config.workdir / VOTES_FILE
+    votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
     maybe_ids = {r.id for r in maybe_reviews}
-    logged = read_votes(votes_path, backend.name, hset.version_hash, config.sampling.digest)
+    logged = read_votes(votes, backend.name, hset.version_hash, config.sampling.digest)
     records = {rid: rec for rid, rec in logged.items() if rid in maybe_ids}
     todo = [r for r in maybe_reviews if r.id not in records]
-    with open_log(votes_path) as log:  # the stage leaves a vote log, even with nothing to classify
+    with votes:  # the stage leaves a vote log, even with nothing to classify
         new_records, failures = classify_corpus(
             backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight,
-            on_record=lambda record: append_votes(log, [record]),
+            on_record=lambda record: append_votes(votes, [record]),
         )
     records.update((rec.review_id, rec) for rec in new_records)
     write_jsonl(
@@ -511,7 +511,7 @@ def evaluate_run(
     votes = None
     if votes_path is not None:
         hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-        votes = read_votes(votes_path, config.llm_backend.name, hset.version_hash, config.sampling.digest, log=False)
+        votes = read_votes(Log(votes_path, VOTE_CONTEXT), config.llm_backend.name, hset.version_hash, config.sampling.digest, log=False)
     gold = {r.id: r.gold_label for r in gold_corpus(config)}
 
     result: dict = {"gold_size": len(gold)}

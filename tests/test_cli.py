@@ -433,6 +433,33 @@ def _set_file(edit):
             _set_file(lambda raw: raw["heuristics"].update(positive_rules=[[0.85, 1.9]])),
             "positive rule min_count must be an integer, not 1.9",
         ),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(positive_rules=[[0.85]])),
+            "positive rule must be [threshold, min_count], not [0.85]",
+        ),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(positive_rules=[[0.85, 1, 2]])),
+            "positive rule must be [threshold, min_count], not [0.85, 1, 2]",
+        ),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(positive_rules=[0.85])),
+            "positive rule must be [threshold, min_count], not 0.85",
+        ),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(negative_rule=[0.4, 0.9])),
+            "negative_rule must be null or [threshold], not [0.4, 0.9]",
+        ),
+        ("hypotheses", _set_file(lambda raw: raw["heuristics"].update(negative_rule=0.4)), "negative_rule must be null or [threshold], not 0.4"),
+        ("hypotheses", _set_file(lambda raw: raw["heuristics"].update(negative_rule=[])), "negative_rule must be null or [threshold], not []"),
+        (
+            "hypotheses",
+            _set_file(lambda raw: raw["heuristics"].update(negative_rule=["0.4"])),
+            "negative_rule threshold must be a number, not '0.4'",
+        ),
         ("mock_table", [["data trackers", "12", 0.92]], "trigger ids must be a list, not '12'"),
         ("mock_table", [["data trackers", [14.9], 0.92]], "trigger id must be an integer, not 14.9"),
         ("script", {"r1": "yes"}, "the responses to 'r1' must be a list, not 'yes'"),
@@ -443,6 +470,13 @@ def _set_file(edit):
         "set-text-int",
         "set-threshold-string",
         "set-min_count-fraction",
+        "set-positive-rule-one-value",
+        "set-positive-rule-three-values",
+        "set-positive-rule-number",
+        "set-negative-rule-two-values",
+        "set-negative-rule-number",
+        "set-negative-rule-empty",
+        "set-negative-threshold-string",
         "table-ids-string",
         "table-id-fraction",
         "script-responses-string",

@@ -135,6 +135,17 @@ class TestLoadValidation:
         with pytest.raises(ValidationError):
             load_hypothesis_set(path)
 
+    @pytest.mark.parametrize("negative_rule, threshold", [(None, None), ([0.4], 0.4)], ids=["null", "one-value"])
+    def test_negative_rule_is_null_or_one_threshold(self, tmp_path, negative_rule, threshold):
+        payload = self._payload()
+        payload["heuristics"]["negative_rule"] = negative_rule
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(payload))
+        assert load_hypothesis_set(path).heuristics.negative_threshold == threshold
+        del payload["heuristics"]["negative_rule"]  # an absent rule reads as null
+        path.write_text(json.dumps(payload))
+        assert load_hypothesis_set(path).heuristics.negative_threshold is None
+
     def test_duplicate_ids(self, tmp_path):
         payload = self._payload()
         payload["hypotheses"][1]["id"] = payload["hypotheses"][0]["id"]

@@ -266,14 +266,23 @@ class TestHttpBackend:
             assert backend.complete(PromptMessages("s", "u"), SamplingSettings()) == "No"
         assert len(server.requests) == 2
 
-    def test_malformed_response(self):
-        def respond(path, payload, n):
-            return 200, {"choices": []}
-
-        with serve(respond) as (_, url):
-            backend = HttpLlmBackend(LlmBackendConfig("remote-llm", url), backoff=0.01)
-            with pytest.raises(BackendError):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"choices": []}, "list index out of range"),
+            *(({"choices": [{"message": {"content": c}}]}, f"content must be a string, not {c!r}") for c in (None, 5, ["yes"])),
+        ],
+        ids=["no-choice", "null", "number", "list"],
+    )
+    def test_malformed_response(self, body, message):
+        with serve(lambda path, payload, n: (200, body)) as (server, url):
+            backend = HttpLlmBackend(LlmBackendConfig("remote-llm", url, max_retries=2), backoff=0.01)
+            with pytest.raises(BackendError, match="malformed completion response"):
                 backend.complete(PromptMessages("s", "u"), SamplingSettings())
+            records, failures = classify_corpus(backend, [make_review()], DOMAIN, SamplingSettings(), max_inflight=1)
+        assert records == [] and [review_id for review_id, _ in failures] == ["r0"]
+        assert message in failures[0][1]
+        assert len(server.requests) == 2  # once each, not retried
 
     def test_classify_review_hits_endpoint_num_samples_times(self):
         def respond(path, payload, n):

@@ -11,7 +11,7 @@ import struct
 
 import pytest
 
-from concernminer._jsonl import append_log, open_log, read_json, read_jsonl, read_log, write_csv
+from concernminer._jsonl import Log, read_json, read_jsonl, write_csv
 from concernminer.cli import main
 from concernminer.config import load_config
 from concernminer.corpus import CSV_COLUMNS
@@ -41,17 +41,17 @@ def write_lines(path, lines):
 
 class TestReadLog:
     def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(read_log(tmp_path / "absent.jsonl")) == []
+        assert list(Log(tmp_path / "absent.jsonl").read()) == []
 
     def test_records_in_order_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_lines(path, ['{"a": 1}\n', "\n", "   \n", '{"a": 2}\n'])
-        assert list(read_log(path)) == [{"a": 1}, {"a": 2}]
+        assert list(Log(path).read()) == [{"a": 1}, {"a": 2}]
 
     def test_reader_is_lazy(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_lines(path, ['{"a": 1}\n', "not json\n"])
-        records = read_log(path)
+        records = Log(path).read()
         assert inspect.isgenerator(records)
         assert next(records) == {"a": 1}  # the corrupt line is not read yet
 
@@ -60,36 +60,60 @@ class TestReadLog:
         path = tmp_path / "log.jsonl"
         write_lines(path, ['{"a": 1}\n', '{"a": 2}\n', tail])
         with caplog.at_level(logging.WARNING):
-            assert list(read_log(path)) == [{"a": 1}, {"a": 2}]
+            assert list(Log(path).read()) == [{"a": 1}, {"a": 2}]
         assert f"{path}:3: dropping torn last line" in caplog.text
         assert path.read_bytes() == b'{"a": 1}\n{"a": 2}\n'
-        with open_log(path) as log:
-            append_log(log, [{"a": 3}])
-        assert list(read_log(path)) == [{"a": 1}, {"a": 2}, {"a": 3}]
+        with Log(path) as log:
+            log.append([{"a": 3}])
+        assert list(Log(path).read()) == [{"a": 1}, {"a": 2}, {"a": 3}]
 
     @pytest.mark.parametrize("lines", [['{"a": 1}\n', "{oops\n", '{"a": 3}\n'], ['{"a": 1}\n', "{oops\n"]])
     def test_corrupt_complete_line_names_path_and_line(self, tmp_path, lines):
         path = tmp_path / "log.jsonl"
         write_lines(path, lines)
         with pytest.raises(ValidationError, match=f"{path}:2: corrupt log line"):
-            list(read_log(path))
+            list(Log(path).read())
         assert path.read_bytes() == "".join(lines).encode("utf-8")  # corruption is never truncated away
 
     def test_parse_error_names_path_and_line(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_lines(path, ['{"a": 1}\n', '{"b": 2}\n'])
-        records = read_log(path, lambda record: record["a"])
+        records = Log(path).read(lambda record: record["a"])
         assert next(records) == 1
         with pytest.raises(ValidationError, match=f"{path}:2: corrupt log line: KeyError"):
             next(records)
 
     def test_append_writes_sorted_keys_one_line_each(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        with open_log(path) as log:
-            append_log(log, [{"b": 1, "a": 2}])
-            append_log(log, [{"c": None}, {"d": [1, 2]}])
+        with Log(path) as log:
+            log.append([{"b": 1, "a": 2}])
+            log.append([{"c": None}, {"d": [1, 2]}])
         assert path.read_text() == '{"a": 2, "b": 1}\n{"c": null}\n{"d": [1, 2]}\n'
 
+
+    def test_a_second_writer_is_refused_while_the_log_is_open(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        with Log(path) as log:
+            with pytest.raises(ValidationError, match=f"{path}: another process is appending to this log"):
+                with Log(path):
+                    pass
+            log.append([{"a": 1}])
+        with Log(path) as log:  # released when the first handle closed
+            log.append([{"a": 2}])
+        assert list(Log(path).read()) == [{"a": 1}, {"a": 2}]
+
+    def test_context_is_named_where_it_changes_and_again_after_another_write(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        first, second = Log(path, ("k",)), Log(path, ("k",))
+        with first:
+            first.append([{"k": 1, "v": 0}, {"k": 1, "v": 1}, {"k": 2, "v": 2}])
+        assert list(first.read()) == list(second.read()) == [{"k": 1, "v": 0}, {"k": 1, "v": 1}, {"k": 2, "v": 2}]
+        with first:
+            first.append([{"k": 1, "v": 3}])
+        with second:  # read before first's append: the file grew since, so it names its context again
+            second.append([{"k": 2, "v": 4}])
+        assert path.read_text().splitlines()[3:] == ['{"k": 1, "v": 3}', '{"k": 2, "v": 4}']
+        assert [r["k"] for r in Log(path, ("k",)).read()] == [1, 1, 2, 1, 2]
 
 class TestReadWholeFile:
     @pytest.mark.parametrize("tail", ['{"a": 3, "b"', '{"a": 3}'])
@@ -191,13 +215,28 @@ def test_record_missing_a_field_exits_2(extraction, tmp_path, capsys, log_name, 
     workdir = tmp_path / "run"
     assert run_all(config_path, responses_path, workdir) == (0, 0)
     log = workdir / log_name
-    with open_log(log) as handle:
-        append_log(handle, [record])
+    with Log(log) as handle:
+        handle.append([record])
     lines = len(log.read_text().splitlines())
     capsys.readouterr()
 
     assert 2 in run_all(config_path, responses_path, workdir)
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log_name", [NLI_CACHE_FILE, VOTES_FILE])
+def test_a_model_log_another_writer_holds_exits_2(extraction, tmp_path, capsys, log_name):
+    config_path, _ = extraction
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    log = tmp_path / "run" / log_name
+    before = log.read_bytes()
+    capsys.readouterr()
+
+    with Log(log):  # as another command appending to the same workdir would
+        assert main(["extract", *common]) == 2
+    assert f"{log}: another process is appending to this log" in capsys.readouterr().err
+    assert log.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -218,13 +257,30 @@ def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell)
     assert main(["extract", *common]) == 0
     log = tmp_path / "run" / NLI_CACHE_FILE
     first = json.loads(log.read_text().splitlines()[0])
-    with open_log(log) as handle:
-        append_log(handle, [dict(first, review_id="appended", row=[cell])])
+    with Log(log) as handle:
+        handle.append([dict(first, review_id="appended", row=[cell])])
     lines = len(log.read_text().splitlines())
     capsys.readouterr()
 
     assert main(["extract", *common]) == 2
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dropped", [("backend",), ("set_hash",), ("backend", "set_hash")], ids=["backend", "set_hash", "both"])
+def test_a_first_cache_record_without_its_context_exits_2(extraction, tmp_path, capsys, dropped):
+    config_path, _ = extraction
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    log = tmp_path / "run" / NLI_CACHE_FILE
+    first, *rest = log.read_text().splitlines(keepends=True)
+    assert all("backend" not in line for line in rest)  # they take theirs from the first record
+    log.write_text(json.dumps({k: v for k, v in json.loads(first).items() if k not in dropped}) + "\n" + "".join(rest))
+    before = snapshot(tmp_path / "run")
+    capsys.readouterr()
+
+    assert main(["extract", *common]) == 2
+    assert f"{log}:1: corrupt log line: KeyError('{dropped[0]}')" in capsys.readouterr().err
+    assert snapshot(tmp_path / "run") == before
 
 
 def f32_field(cells):
@@ -265,8 +321,8 @@ def test_cache_entail_row_out_of_contract_exits_2(extraction, tmp_path, capsys, 
     log = tmp_path / "run" / NLI_CACHE_FILE
     first = json.loads(log.read_text().splitlines()[0])  # a complete row that names its set's hypotheses
     record = {"backend": first["backend"], "set_hash": first["set_hash"], "review_id": "appended"}
-    with open_log(log) as handle:
-        append_log(handle, [record | fields(len(first["hypotheses"]), first["f32"])])
+    with Log(log) as handle:
+        handle.append([record | fields(len(first["hypotheses"]), first["f32"])])
     lines = len(log.read_text().splitlines())
     before = log.read_bytes()
     capsys.readouterr()

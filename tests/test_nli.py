@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from concernminer._jsonl import append_log, open_log
+from concernminer._jsonl import Log
 from concernminer.config import NliBackendConfig
 from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
@@ -99,6 +99,12 @@ def cells_of(row):
 def f32_cells(record):
     """The float32 cells of a cache record's ``f32`` field, as floats."""
     return np.frombuffer(b64decode(record["f32"]), dtype="<f4").tolist()
+
+
+def named_records(path):
+    """The records of the cache at ``path``, each naming its backend and set
+    hash, as versions before a record could leave them out wrote them."""
+    return list(Log(path, ("backend", "set_hash")).read())
 
 
 def as_entail_rows(records):
@@ -213,14 +219,32 @@ class TestHttpBackend:
             assert backend.score_pair("p", DOMAIN.by_id(1)).entail == 0.4
         assert len(server.requests) == 2
 
-    def test_malformed_response(self):
-        def respond(path, payload, n):
-            return 200, {"label": "entailment"}
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"entailment": True, "neutral": False, "contradiction": False}, "entailment must be a number, not True"),
+            ({"entailment": "0.9", "neutral": 0.07, "contradiction": 0.03}, "entailment must be a number, not '0.9'"),
+            ({"entailment": 0.9, "neutral": "0.07", "contradiction": 0.03}, "neutral must be a number, not '0.07'"),
+            ({"entailment": 0.9, "neutral": 0.07, "contradiction": None}, "contradiction must be a number, not None"),
+            ({"entailment": [0.9]}, r"entailment must be a number, not \[0.9\]"),
+            ({"label": "entailment"}, "'entailment'"),
+        ],
+        ids=["true", "string", "neutral-string", "contradiction-null", "list", "no-entailment"],
+    )
+    def test_malformed_response(self, tmp_path, body, message):
+        cache_path = tmp_path / "cache.jsonl"
+        with serve(lambda path, payload, n: (200, body)) as (server, url):
+            backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=2), backoff=0.01)
+            with ScoreCache(cache_path) as cache, pytest.raises(BackendError, match=f"malformed backend response .*: {message}"):
+                score_corpus(backend, make_reviews(["some text"]), DOMAIN, cache=cache, max_inflight=1)
+        assert len(server.requests) == 1  # not retried
+        assert cache_path.read_bytes() == b""
 
-        with serve(respond) as (_, url):
+    def test_scores_may_be_integers_and_neutral_and_contradiction_absent(self):
+        with serve(lambda path, payload, n: (200, {"entailment": 1} if n == 1 else {"entailment": 0.25, "neutral": 0})) as (_, url):
             backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
-            with pytest.raises(BackendError):
-                backend.score_pair("p", DOMAIN.by_id(1))
+            assert backend.score_pair("p", DOMAIN.by_id(1)) == EntailmentScore(1.0)
+            assert backend.score_pair("p", DOMAIN.by_id(1)) == EntailmentScore(0.25, 0.0)
 
     def test_field_remap(self):
         def respond(path, payload, n):
@@ -451,8 +475,8 @@ class TestScoreCorpus:
                 for i, review in enumerate(reviews)
             ]
             old_records[0]["hypotheses"] = [h.id for h in DOMAIN.hypotheses]
-        with open_log(cache_path) as log:
-            append_log(log, old_records)
+        with Log(cache_path) as log:
+            log.append(old_records)
         before = cache_path.read_bytes()
         backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
@@ -469,19 +493,20 @@ class TestScoreCorpus:
         cache_path = tmp_path / "cache.jsonl"
         with ScoreCache(cache_path) as cache:
             score_corpus(MockNliBackend(seed=3), reviews[:4], DOMAIN, cache=cache, max_inflight=2)
-        old = as_entail_rows([json.loads(line) for line in cache_path.read_text().splitlines()])
+        old = as_entail_rows(named_records(cache_path))
         assert "hypotheses" in old[0] and all("entail" in r and "f32" not in r for r in old)
         cache_path.unlink()
-        with open_log(cache_path) as log:  # the cache as a version before the f32 row left it
-            append_log(log, old)
+        with Log(cache_path) as log:  # the cache as a version before the f32 row left it
+            log.append(old)
 
         resumed = MockNliBackend(seed=3)
         with ScoreCache(cache_path) as cache:
             score_corpus(resumed, reviews, DOMAIN, cache=cache, max_inflight=2)
         assert resumed.calls == 4 * 21  # the last 5 rows, one of them an empty premise
         records = [json.loads(line) for line in cache_path.read_text().splitlines()]
-        assert [sorted(r)[1] for r in records] == ["entail"] * 4 + ["f32"] * 5
+        assert [r.keys() & {"entail", "f32"} for r in records] == [{"entail"}] * 4 + [{"f32"}] * 5
         assert not any("hypotheses" in r for r in records[4:])  # the entail row named the set
+        assert not any(r.keys() & {"backend", "set_hash"} for r in records[4:])  # and the pass context
         warm = MockNliBackend(seed=3)
         with ScoreCache(cache_path) as cache:
             assert len(cache) == 9 * 21
@@ -511,8 +536,8 @@ class TestScoreCorpus:
     def test_row_cell_out_of_contract_is_corrupt(self, tmp_path, cell):
         cache_path = tmp_path / "cache.jsonl"
         good = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[1, 0.5]]}
-        with open_log(cache_path) as log:
-            append_log(log, [good, dict(good, review_id="r1", row=[cell])])
+        with Log(cache_path) as log:
+            log.append([good, dict(good, review_id="r1", row=[cell])])
         with pytest.raises(ValidationError, match=f"{cache_path}:2: corrupt log line"):
             ScoreCache(cache_path)
 
@@ -524,8 +549,8 @@ class TestScoreCorpus:
             dict(key, hypothesis_id=2, entail=0.75),
             dict(key, row=[[3, 0.125], [1, 0.0]]),
         ]
-        with open_log(cache_path) as log:
-            append_log(log, records)
+        with Log(cache_path) as log:
+            log.append(records)
         cache = ScoreCache(cache_path)
         assert len(cache) == 3
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
@@ -546,8 +571,8 @@ class TestScoreCorpus:
             dict(h, review_id="r1", f32="AADAPgAAAAAAAAA/"),  # a complete f32 row wins every cell
             dict(h, review_id="r3", row=[[1, 0.125]]),
         ]
-        with open_log(cache_path) as log:
-            append_log(log, records)
+        with Log(cache_path) as log:
+            log.append(records)
         cache = ScoreCache(cache_path)
         assert len(cache) == 16
         assert cache.named == {"h": (1, 2, 3), "other": (7, 5)}
@@ -577,8 +602,8 @@ class TestScoreCorpus:
             score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
         first = json.loads(cache_path.read_text().splitlines()[0])
         assert first["hypotheses"] == [h.id for h in DOMAIN.hypotheses]
-        with open_log(cache_path) as log:
-            append_log(log, [{"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "review_id": "r2", **record}])
+        with Log(cache_path) as log:
+            log.append([{"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "review_id": "r2", **record}])
         with pytest.raises(ValidationError, match=f"{cache_path}:3: corrupt log line"):
             ScoreCache(cache_path)
 
@@ -599,8 +624,8 @@ class TestScoreCorpus:
         records = [json.loads(line) for line in cache_path.read_text().splitlines()]
         assert [sorted(r) for r in records] == [
             ["backend", "review_id", "row", "set_hash"],  # the failed row's 10 cells
-            ["backend", "review_id", "row", "set_hash"],  # its other 11, on resume
-            ["backend", "f32", "hypotheses", "review_id", "set_hash"],  # the set's first complete row
+            ["review_id", "row"],  # its other 11, on resume, in the pass context the file's last record named
+            ["f32", "hypotheses", "review_id"],  # the set's first complete row
         ]
         assert [cell[0] for cell in records[0]["row"]] == hyp_ids[:10]
         assert [cell[0] for cell in records[1]["row"]] == hyp_ids[10:]
@@ -622,9 +647,81 @@ class TestScoreCorpus:
         with ScoreCache(cache_path) as cache:
             score_corpus(MockNliBackend(name="c", seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
         records = [json.loads(line) for line in cache_path.read_text().splitlines()]
-        assert [(r["backend"], "hypotheses" in r) for r in records] == [
-            ("a", True), ("a", False), ("b", False), ("b", False), ("c", False), ("c", False)]
+        assert [(r.get("backend"), "hypotheses" in r) for r in records] == [  # each backend named once, where it changes
+            ("a", True), (None, False), ("b", False), (None, False), ("c", False), (None, False)]
         assert len(ScoreCache(cache_path)) == 6 * 21
+
+    def test_a_cache_whose_records_all_name_their_context_resumes_to_the_clean_file(self, tmp_path):
+        texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(8)]
+        reviews = make_reviews(texts + ["!!!"])
+        clean_path = tmp_path / "clean.jsonl"
+        with ScoreCache(clean_path) as cache:
+            clean = score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=2)
+        whole = clean_path.read_bytes().splitlines(keepends=True)
+        assert [sorted(r.keys() & {"backend", "set_hash"}) for r in map(json.loads, whole)] == [["backend", "set_hash"]] + [[]] * 8
+        named = named_records(clean_path)
+        cache_path = tmp_path / "cache.jsonl"
+        with Log(cache_path) as log:  # every row as versions before this format wrote it
+            log.append(named)
+        before = cache_path.read_bytes()
+        warm = MockNliBackend(seed=3)
+        with ScoreCache(cache_path) as cache:
+            assert score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == clean.scores.tobytes()
+        assert warm.calls == 0 and cache_path.read_bytes() == before
+
+        cache_path.write_bytes(b"".join(line for line in before.splitlines(keepends=True)[:5]))  # the last 4 rows lost
+        resumed = MockNliBackend(seed=3)
+        with ScoreCache(cache_path) as cache:
+            assert score_corpus(resumed, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == clean.scores.tobytes()
+        assert resumed.calls == 4 * 21
+        lines = cache_path.read_bytes().splitlines(keepends=True)
+        assert lines[:5] == before.splitlines(keepends=True)[:5]
+        assert lines[5:] == whole[5:]  # appended as the uninterrupted run appended them, the context left out
+
+    def test_backends_interleaved_over_one_cache_each_rerun_warm_to_their_clean_matrix(self, tmp_path):
+        reviews = make_reviews([f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(8)])
+        backends = {"a": MockNliBackend(name="a", seed=0), "b": MockNliBackend(name="b", seed=1)}
+        clean_path = tmp_path / "clean.jsonl"
+        with ScoreCache(clean_path) as cache:  # as `select` scores: one backend, then the next, on one set
+            clean = {name: score_corpus(b, reviews, DOMAIN, cache=cache, max_inflight=2) for name, b in backends.items()}
+        named = named_records(clean_path)
+        by_backend = {name: [r for r in named if r["backend"] == name] for name in backends}
+        assert [len(records) for records in by_backend.values()] == [8, 8]
+        cache_path = tmp_path / "cache.jsonl"
+        interleaved = [r for k in range(0, 8, 3) for name in backends for r in by_backend[name][k : k + 3]]
+        with Log(cache_path, ("backend", "set_hash")) as log:  # runs of 3, 3, 2 rows of each backend in turn
+            log.append(interleaved)
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert [r.get("backend") for r in records] == [
+            "a", None, None, "b", None, None, "a", None, None, "b", None, None, "a", None, "b", None]
+        assert "set_hash" in records[0] and not any("set_hash" in r for r in records[1:])
+        before = cache_path.read_bytes()
+        for name, backend in backends.items():
+            warm = MockNliBackend(name=name, seed=backend.seed)
+            with ScoreCache(cache_path) as cache:
+                assert len(cache) == 2 * 8 * 21
+                assert score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == clean[name].scores.tobytes()
+            assert warm.calls == 0
+        assert cache_path.read_bytes() == before
+
+    def test_two_passes_opened_before_either_appends_each_reload_their_own_cells(self, tmp_path):
+        reviews = make_reviews([f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(6)])
+        backends = {"a": MockNliBackend(name="a", seed=0), "b": MockNliBackend(name="b", seed=1)}
+        clean = {name: score_corpus(b, reviews, DOMAIN, max_inflight=2) for name, b in backends.items()}
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache:  # the file ends in a run of b's rows
+            for b in backends.values():
+                score_corpus(b, reviews[:2], DOMAIN, cache=cache, max_inflight=2)
+        caches = {name: ScoreCache(cache_path) for name in backends}  # both read the file before either appends
+        for name, b in backends.items():
+            score_corpus(b, reviews, DOMAIN, cache=caches[name], max_inflight=2)
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert [r.get("backend") for r in records[4:]] == ["a", None, None, None, "b", None, None, None]
+        for name, backend in backends.items():
+            warm = MockNliBackend(name=name, seed=backend.seed)
+            with ScoreCache(cache_path) as cache:
+                assert score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == clean[name].scores.tobytes()
+            assert warm.calls == 0
 
     def test_log_counts_cache_hits_apart_from_empty_premises(self, tmp_path, caplog):
         reviews = make_reviews(["!!!", "real text"])
@@ -698,7 +795,12 @@ class TestScoreCorpus:
         assert len(ends) == len(reviews)
         records = [json.loads(line) for line in whole.splitlines()]
         inside_f32 = [start + line.index(b'"f32"') + 12 for start, line in zip([0, *ends], whole.splitlines())]
-        for cut in sorted({0, *ends, *inside_f32, *((start + end) // 2 for start, end in zip([0, *ends], ends))}):
+        inside_context = [  # in the backend and set hash of each record that names them
+            start + line.index(key) + len(key) + 4
+            for start, line in zip([0, *ends], whole.splitlines()) for key in (b'"backend"', b'"set_hash"') if key in line
+        ]
+        assert len(inside_context) == 2
+        for cut in sorted({0, *ends, *inside_f32, *inside_context, *((start + end) // 2 for start, end in zip([0, *ends], ends))}):
             path = tmp_path / "cut.jsonl"
             path.write_bytes(whole[:cut])
             lost = records[whole[:cut].count(b"\n") :]  # a torn last line is dropped and its row rescored
@@ -762,13 +864,13 @@ class TestScoreCorpus:
         with ScoreCache(current) as cache:
             save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cold.bin")
         nine_digit = tmp_path / "nine_digit.jsonl"  # the same rows as the 9-digit decimals of versions before the f32 row
-        with open_log(nine_digit) as log:
-            append_log(log, as_entail_rows([json.loads(line) for line in current.read_text().splitlines()]))
+        with Log(nine_digit) as log:
+            log.append(as_entail_rows(named_records(current)))
         # The earliest kind of cache: each cell the backend's float64 as it was returned.
         full = tmp_path / "full.jsonl"
         backend = MockNliBackend(seed=3)
-        with open_log(full) as log:
-            append_log(log, [
+        with Log(full) as log:
+            log.append([
                 {"backend": backend.name, "set_hash": DOMAIN.version_hash, "review_id": review.id, "row": [
                     [h.id, backend.score_pair(review.text_norm, h).entail if review.text_norm else 0.0] for h in DOMAIN.hypotheses
                 ]}
@@ -786,8 +888,8 @@ class TestScoreCorpus:
     def retained_per_cell(path, row):
         """Bytes a cache loaded from 2,000 records of ``row`` keeps per cell."""
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "row": row}
-        with open_log(path) as log:
-            append_log(log, [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
+        with Log(path) as log:
+            log.append([dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
         gc.collect()
         tracemalloc.start()
         try:

@@ -14,7 +14,7 @@ import pytest
 
 import concernminer
 from concernminer import pipeline
-from concernminer._jsonl import open_log
+from concernminer._jsonl import Log
 from concernminer.annotation import NON_PRIVACY, PRIVACY, scripted_responder
 from concernminer.config import LlmBackendConfig, NliBackendConfig, load_config, parse_config
 from concernminer.corpus import ingest_reviews
@@ -34,11 +34,13 @@ from concernminer.pipeline import (
     SELECTION_REPORT_FILE,
     ScoreCache,
     TIMINGS_FILE,
+    VOTE_CONTEXT,
     VOTES_FILE,
     annotate_run,
     append_votes,
     evaluate_run,
     export_dataset,
+    read_votes,
     run_extraction,
     run_selection,
 )
@@ -144,6 +146,26 @@ class TestSelection:
         assert len(result.hypothesis_table.rows) == 1
         assert result.hypothesis_table.winner().improvement == 1.0
         assert len(result.pseudo_labels) == 40
+
+    def test_select_reruns_warm_over_a_cache_with_its_two_backends_interleaved(self, tmp_path):
+        build_labeled_fixture(tmp_path / "small.csv", n_pos_strong=6, n_pos_benign=3, n_neg_strong=3, n_neg_weak=0, n_neg_benign=12)
+        config = config_from_dict(selection_config(tmp_path / "small.csv", tmp_path / "run", write_weak_table(tmp_path / "weak.json")), tmp_path)
+        run_selection(config)
+        cache_path = config.workdir / NLI_CACHE_FILE
+        clean = {p.name: p.read_bytes() for p in config.workdir.iterdir() if p.name != NLI_CACHE_FILE}
+        named = list(Log(cache_path, ("backend", "set_hash")).read())
+        generic = [[r for r in named if r["backend"] == name and r["set_hash"] == named[0]["set_hash"]] for name in ("mock-nli-a", "mock-nli-weak")]
+        domain = [r for r in named if r["set_hash"] != named[0]["set_hash"]]
+        assert [len(records) for records in generic] == [24, 24] and len(domain) == 24
+        cache_path.unlink()
+        with Log(cache_path, ("backend", "set_hash")) as log:  # the generic pass's rows of each backend in runs of 5, then the domain pass
+            log.append([r for k in range(0, 24, 5) for records in generic for r in records[k : k + 5]] + domain)
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert sum("backend" in r for r in records) == 10 + 1 and sum("set_hash" in r for r in records) == 2
+        before = cache_path.read_bytes()
+        run_selection(config)
+        assert cache_path.read_bytes() == before  # no cell scored again
+        assert {p.name: p.read_bytes() for p in config.workdir.iterdir() if p.name != NLI_CACHE_FILE} == clean
 
     def test_selection_requires_labeled_corpus(self, tmp_path):
         raw = {
@@ -507,14 +529,80 @@ class TestVoteLog:
         ends = [k + 1 for k, byte in enumerate(whole) if byte == ord("\n")]
         assert len(ends) == ledger.maybe_privacy
         built = record_llm_backends(monkeypatch)
-        # Every line end, the byte before it (a record without its newline) and the middle of every line.
-        cuts = {0, *ends, *(end - 1 for end in ends), *((start + end) // 2 for start, end in zip([0, *ends], ends))}
+        # Every line end, the byte before it (a record without its newline), the middle of every line, and
+        # inside each backend, set hash and sampling a record names.
+        inside_context = [
+            start + line.index(key) + len(key) + 4
+            for start, line in zip([0, *ends], whole.splitlines()) for key in (b'"backend"', b'"set_hash"', b'"sampling"') if key in line
+        ]
+        assert len(inside_context) == 3
+        cuts = {0, *ends, *(end - 1 for end in ends), *inside_context, *((start + end) // 2 for start, end in zip([0, *ends], ends))}
         for cut in sorted(cuts):
             (config.workdir / VOTES_FILE).write_bytes(whole[:cut])
             run_extraction(config)
             lost = len(ends) - whole[:cut].count(b"\n")  # a torn last line is dropped and its review classified again
             assert built[-1].calls == lost * SamplingSettings().num_samples, cut
             assert {name: (config.workdir / name).read_bytes() for name in names} == clean, cut
+
+    def test_a_vote_log_whose_records_all_name_their_context_resumes_to_the_clean_outputs(self, small_extraction, monkeypatch):
+        ledger, config = small_extraction
+        run_extraction(config)
+        names = (VOTES_FILE, EXTRACTED_FILE, MANIFEST_FILE, QUEUE_FILE)
+        clean = {name: (config.workdir / name).read_bytes() for name in names}
+        whole = clean[VOTES_FILE].splitlines(keepends=True)
+        assert ["backend" in json.loads(line) for line in whole] == [True] + [False] * (len(whole) - 1)
+        votes_path = config.workdir / VOTES_FILE
+        named = list(Log(votes_path, VOTE_CONTEXT).read())
+        votes_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in named))  # as earlier versions wrote it
+        parent = votes_path.read_bytes()
+        built = record_llm_backends(monkeypatch)
+        run_extraction(config)
+        assert built[-1].calls == 0
+        assert {name: (config.workdir / name).read_bytes() for name in names} == dict(clean, **{VOTES_FILE: parent})
+
+        votes_path.write_bytes(b"".join(parent.splitlines(keepends=True)[:-2]))  # its last two records lost
+        run_extraction(config)
+        assert built[-1].calls == 2 * SamplingSettings().num_samples
+        resumed = votes_path.read_bytes().splitlines(keepends=True)
+        assert resumed[:-2] == parent.splitlines(keepends=True)[:-2]
+        assert resumed[-2:] == whole[-2:]  # appended as the uninterrupted run appended them, the context left out
+        assert {name: (config.workdir / name).read_bytes() for name in names[1:]} == {name: clean[name] for name in names[1:]}
+
+    def test_a_vote_log_with_two_sampling_digests_interleaved_reruns_warm_under_each(self, small_extraction, monkeypatch):
+        ledger, config = small_extraction
+        tmp_path = config.workdir.parent
+
+        def three_samples(workdir):
+            raw = extraction_config(tmp_path / "data", workdir)
+            raw["llm"]["sampling"] = {"num_samples": 3}
+            return config_from_dict(raw, tmp_path)
+
+        names = (EXTRACTED_FILE, MANIFEST_FILE, QUEUE_FILE)
+        clean = {}
+        for cfg in (config, three_samples(tmp_path / "three")):
+            run_extraction(cfg)
+            clean[cfg.sampling.digest] = {name: (cfg.workdir / name).read_bytes() for name in names}
+        five, three = (list(Log(cfg.workdir / VOTES_FILE, VOTE_CONTEXT).read()) for cfg in (config, three_samples(tmp_path / "three")))
+        assert len(five) == len(three) == ledger.maybe_privacy
+        votes_path = config.workdir / VOTES_FILE
+        votes_path.unlink()
+        with Log(votes_path, VOTE_CONTEXT) as log:  # runs of two records of each sampling in turn
+            log.append([r for k in range(0, len(five), 2) for r in five[k : k + 2] + three[k : k + 2]])
+        records = [json.loads(line) for line in votes_path.read_text().splitlines()]
+        assert [sorted(r.keys() & set(VOTE_CONTEXT)) for r in records[:5]] == [
+            ["backend", "sampling", "set_hash"], [], ["sampling"], [], ["sampling"]]
+        before = votes_path.read_bytes()
+        set_hash = builtin_domain_mh().version_hash
+        for sampling, expected in ((config.sampling.digest, five), (three_samples(config.workdir).sampling.digest, three)):
+            assert read_votes(Log(votes_path, VOTE_CONTEXT), "mock-llm", set_hash, sampling) == {
+                r["review_id"]: pipeline._vote_record_from_dict(r) for r in expected}
+
+        built = record_llm_backends(monkeypatch)
+        for cfg in (config, three_samples(config.workdir)):
+            run_extraction(cfg)
+            assert built[-1].calls == 0
+            assert {name: (config.workdir / name).read_bytes() for name in names} == clean[cfg.sampling.digest]
+        assert votes_path.read_bytes() == before
 
     def test_record_without_sampling_is_reclassified(self, small_extraction, monkeypatch):
         ledger, config = small_extraction
@@ -551,7 +639,7 @@ class TestVoteLog:
             return VoteRecord(review_id, ("x",), votes, decision, False, backend, record_set_hash, record_sampling)
 
         votes_path = tmp_path / "votes.jsonl"
-        with open_log(votes_path) as log:
+        with Log(votes_path, VOTE_CONTEXT) as log:
             append_votes(log, [record(rid, label == 1, "mock-llm") for rid, label in gold.items()])
             append_votes(log, [record(rid, label == 0, "other-llm") for rid, label in gold.items()])
             append_votes(log, [record(rid, label == 0, "mock-llm", "other-set") for rid, label in gold.items()])
