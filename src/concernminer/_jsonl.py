@@ -27,6 +27,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -40,6 +41,10 @@ except ImportError:  # pragma: no cover - no advisory locks on Windows
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) would build one per call
+_UNNAMED = object()  # a context key's value until a record names it
+_STAMP = attrgetter("st_size", "st_mtime_ns")  # of a log file's stat: what another writer changes
 
 # What a parse function raises on a value of the wrong shape: a missing key,
 # a wrong type, a value out of range, an infinity cast to an integer.
@@ -102,7 +107,7 @@ def write_json(path: Path, payload: dict) -> None:
 def write_jsonl(path: Path, records: Iterable[dict]) -> None:
     """Replace ``path`` with one line per record."""
     with replace_file(path) as handle:
-        handle.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        handle.writelines(_ENCODER.encode(record) + "\n" for record in records)
 
 
 def write_csv(path: Path, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
@@ -131,19 +136,19 @@ class Log:
     record leaves out from the nearest earlier record that names it, and an append leaves out
     each key whose value the file's last record holds. ``with`` opens the file for appending,
     creating it if needed, under an exclusive advisory lock: a second writer raises
-    :class:`ValidationError`. If the file grew since this object last read or wrote it, the
-    next append names its context in full.
+    :class:`ValidationError`. If the file's size or modification time changed since this
+    object last read or wrote it, the next append names its context in full.
     """
 
     def __init__(self, path: Path, context: Sequence[str] = ()):
         self.path = path
-        self._last = dict.fromkeys(context)  # each key's value in the file's last record, None until one names it
-        self._size = 0  # the file's size when this object last read or wrote it
+        self._last = dict.fromkeys(context, _UNNAMED)  # each key's value in the file's last record
+        self._stamp = None  # the file's (size, mtime) when this object last read or wrote it
 
     def read(self, parse: Callable[[dict], T] = _identity, *, log: bool = True) -> Iterator[T]:
         """:func:`read_jsonl` of the file with its context filled in (``log`` unset: read as a whole-file output)."""
         yield from read_jsonl(self.path, parse, log=log, context=self._last)
-        self._size = self.path.stat().st_size if self.path.exists() else 0
+        self._stamp = _STAMP(os.stat(self.path)) if self.path.exists() else None
 
     def __enter__(self) -> "Log":
         self._handle = self.path.open("a", encoding="utf-8")
@@ -153,12 +158,12 @@ class Log:
         except BlockingIOError:
             self._handle.close()
             raise ValidationError(f"{self.path}: another process is appending to this log") from None
-        if os.fstat(self._handle.fileno()).st_size != self._size:
-            self._last = dict.fromkeys(self._last)
+        if _STAMP(os.fstat(self._handle.fileno())) != self._stamp:
+            self._last = dict.fromkeys(self._last, _UNNAMED)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._size = os.fstat(self._handle.fileno()).st_size
+        self._stamp = _STAMP(os.fstat(self._handle.fileno()))
         self._handle.close()
 
     def append(self, records: Iterable[dict]) -> None:
@@ -167,7 +172,7 @@ class Log:
             if self._last:
                 record = {key: value for key, value in record.items() if key not in self._last or self._last[key] != value}
                 self._last.update((key, record[key]) for key in self._last.keys() & record.keys())
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.write(_ENCODER.encode(record) + "\n")
         self._handle.flush()
 
 
@@ -179,7 +184,8 @@ def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool 
     ``path:line``. Unless ``log`` is set, the file must exist and end with a
     newline; with ``log`` set, a missing file yields nothing and a torn final
     line is repaired as described above. A ``context`` dict, each key's value
-    ``None`` until a record names it, fills in a key a record leaves out.
+    ``_UNNAMED`` until a record names it, fills in a key a record leaves out; unless
+    ``log`` is set, a key that neither the record nor an earlier one names raises.
     """
     if log and not path.exists():
         return
@@ -200,8 +206,11 @@ def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool 
                 if not line.endswith(b"\n"):
                     raise ValueError("no newline at the end of the file")
                 record = json.loads(line.decode("utf-8"))
-                for key in context or ():  # a key the record leaves out is the last one named, if one is
-                    context[key] = record.setdefault(key, context[key]) if context[key] is not None else record.get(key)
+                for key in context or ():  # a key the record leaves out is the last one named
+                    if key in record or context[key] is not _UNNAMED:
+                        context[key] = record.setdefault(key, context[key])
+                    elif not log:
+                        raise ValidationError(f"neither this line nor an earlier one names its {key}")
                 record = parse(record)
             except _PARSE_ERRORS as exc:
                 raise ValidationError(f"{path}:{line_no}: corrupt {what}: {_reason(exc)}") from None

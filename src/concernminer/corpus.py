@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("id", "app", "store", "rating", "text", "label", "date")
 _REQUIRED = ("id", "app", "store", "rating", "text")
+_ASCII_FORM = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum() else " " for c in range(128)})  # see normalize_text
 
 
 class Store(str, Enum):
@@ -33,10 +34,12 @@ class Store(str, Enum):
 
 def normalize_text(text_raw: str) -> str:
     """Lowercase, replace every non-alphanumeric character with a space,
-    collapse space runs, and trim.
+    collapse space runs, and trim (an ASCII text in one table lookup per character).
 
     Idempotent: ``normalize_text(normalize_text(x)) == normalize_text(x)``.
     """
+    if text_raw.isascii():
+        return " ".join(text_raw.translate(_ASCII_FORM).split())
     return " ".join(re.sub(r"[\W_]+", " ", text_raw.lower()).split())  # \w: isalnum or _
 
 
@@ -103,8 +106,10 @@ class ReviewCorpus:
         return iter(self.reviews)
 
     def derive(self, reviews: tuple[Review, ...]) -> "ReviewCorpus":
-        """New corpus over ``reviews`` with this corpus's provenance."""
-        return ReviewCorpus(reviews, self.provenance)
+        """New corpus over ``reviews``, a subset of this one's, with its provenance; their ids are not checked again."""
+        corpus = object.__new__(ReviewCorpus)
+        corpus.__dict__.update(reviews=reviews, provenance=self.provenance)
+        return corpus
 
 
 _ISO_DATE = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.\d{3}(?:\d{3})?)?)?(?:Z|[+-](\d\d):(\d\d))?)?", re.ASCII)
@@ -116,6 +121,8 @@ def _iso_date(text: str) -> date:
     match = _ISO_DATE.fullmatch(text)
     if match is None:
         raise ValueError(f"{text!r} is not one of the ISO-8601 forms read")
+    if match.group(4) is None:  # a date alone
+        return date(*map(int, match.group(1, 2, 3)))
     year, month, day, hour, minute, second, off_h, off_m = (int(group or 0) for group in match.groups())
     return datetime(year, month, day, hour, minute, second, tzinfo=timezone(timedelta(hours=off_h, minutes=off_m))).date()
 
@@ -139,24 +146,19 @@ def parse_record(raw: dict) -> Review:
     if not 1 <= rating <= 5:
         raise ValidationError(f"rating {rating} outside [1, 5]")
 
-    label_raw = raw.get("label")
-    gold_label: int | None = None
-    if label_raw is not None and str(label_raw).strip() != "":
-        try:
-            gold_label = int(str(label_raw).strip())
-        except ValueError:
-            raise ValidationError(f"label {label_raw!r} is not 0/1") from None
-        if gold_label not in (0, 1):
-            raise ValidationError(f"label {gold_label} is not 0/1")
+    label = "" if raw.get("label") is None else str(raw["label"]).strip()  # "": no label
+    try:
+        gold_label = int(label) if label else None
+    except ValueError:
+        raise ValidationError(f"label {raw['label']!r} is not 0/1") from None
+    if gold_label not in (None, 0, 1):
+        raise ValidationError(f"label {gold_label} is not 0/1")
 
-    date_raw = raw.get("date")
-    submitted_at: date | None = None
-    if date_raw is not None and str(date_raw).strip() != "":
-        text = str(date_raw).strip()
-        try:
-            submitted_at = _iso_date(text)
-        except ValueError:
-            raise ValidationError(f"date {text!r} is not ISO-8601") from None
+    text = "" if raw.get("date") is None else str(raw["date"]).strip()  # "": no date
+    try:
+        submitted_at = _iso_date(text) if text else None
+    except ValueError:
+        raise ValidationError(f"date {text!r} is not ISO-8601") from None
 
     return Review(
         id=str(raw["id"]).strip(),
@@ -170,13 +172,15 @@ def parse_record(raw: dict) -> Review:
 
 
 def _iter_csv(path: Path):
+    """Each non-blank row as ``csv.DictReader`` reads it (a short row's missing cells ``None``), less cells past the header."""
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "id" not in reader.fieldnames:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or "id" not in header:
             raise ValidationError(f"{path}: missing CSV header with an 'id' column")
-        for record in reader:
-            record.pop(None, None)  # spill cells beyond the header
-            yield reader.line_num, record
+        for row in reader:
+            if row:
+                yield reader.line_num, dict(zip(header, row + [None] * (len(header) - len(row))))
 
 
 def _iter_jsonl(path: Path):

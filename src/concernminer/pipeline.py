@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._jsonl import Log, read_json, read_jsonl, write_csv, write_json, write_jsonl
+from ._jsonl import Log, read_json, read_jsonl, replace_file, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, backend_slug, make_llm_backend, make_nli_backend
 from .corpus import (
@@ -148,13 +148,14 @@ LabelRow = tuple[str, PseudoLabel, float | None, tuple[int, ...]]
 
 
 def write_pseudo_labels(path: Path, rows: list[LabelRow]) -> None:
-    write_jsonl(
-        path,
-        (
-            {"review_id": review_id, "label": label.value, "threshold": threshold, "triggered": list(triggered)}
-            for review_id, label, threshold, triggered in rows
-        ),
-    )
+    """One line per row, ``json.dumps(record, sort_keys=True)`` of its record but built by hand: only a
+    maybe-privacy row names ``threshold`` and ``triggered``, as every other row has ``None`` and ``()``."""
+    with replace_file(path) as handle:
+        for review_id, label, threshold, triggered in rows:
+            line = f'{{"label": "{label.value}", "review_id": {json.encoder.encode_basestring_ascii(review_id)}'
+            if label is PseudoLabel.MAYBE_PRIVACY:
+                line += f', "threshold": {"null" if threshold is None else repr(threshold)}, "triggered": [{", ".join(map(str, triggered))}]'
+            handle.write(line + "}\n")
 
 
 def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
@@ -234,11 +235,7 @@ def nli_score(
 
 def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
     """Pseudo-label every row of the matrix with the set's heuristics."""
-    explained = explain_labels(matrix, hset.heuristics)
-    return [
-        (review_id, label, threshold, triggered)
-        for review_id, (label, threshold, triggered) in zip(matrix.review_ids, explained)
-    ]
+    return [(review_id, *explained) for review_id, explained in zip(matrix.review_ids, explain_labels(matrix, hset.heuristics))]
 
 
 def llm_classify(

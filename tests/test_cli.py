@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import struct
 from collections import Counter
 
@@ -338,6 +339,25 @@ def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, ca
     assert main(["evaluate", "--config", str(config_path), "--votes", str(votes)]) == 2
     assert f"error: {votes}:{len(before.splitlines())}: corrupt line" in capsys.readouterr().err
     assert votes.read_bytes() == before
+
+
+def test_pseudo_labels_in_the_previous_shape_feed_llm_classify_and_evaluate_alike(selection_setup, tmp_path):
+    """Earlier versions wrote ``threshold`` and ``triggered`` on every row, null and empty where no clause fired."""
+    config_path = selection_setup
+    assert main(["select", "--config", str(config_path)]) == 0
+    workdir, previous = tmp_path / "run", tmp_path / "previous"
+    shutil.copytree(workdir, previous)
+    lines = (previous / PSEUDO_LABELS_FILE).read_text().splitlines()
+    records = [{"threshold": None, "triggered": []} | json.loads(line) for line in lines]
+    assert 0 < sum("threshold" not in line for line in lines) < len(lines)
+    (previous / PSEUDO_LABELS_FILE).write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
+
+    for run in (workdir, previous):
+        common = ["--config", str(config_path), "--workdir", str(run)]
+        assert main(["llm-classify", *common, "--role", "labeled"]) == 0
+        assert main(["evaluate", *common, "--pseudo", str(run / PSEUDO_LABELS_FILE)]) == 0
+    for name in (VOTES_FILE, LLM_FAILURES_FILE, "metrics.json"):
+        assert (previous / name).read_bytes() == (workdir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("flag", ["--pseudo", "--votes"])

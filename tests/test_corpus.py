@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from concernminer import corpus as corpus_module
 from concernminer.corpus import (
+    _ISO_DATE,
     Review,
     ReviewCorpus,
     Provenance,
@@ -17,6 +21,7 @@ from concernminer.corpus import (
     ingest_reviews,
     normalize_corpus,
     normalize_text,
+    _iso_date,
     parse_record,
     partition_gold,
     write_corpus,
@@ -65,6 +70,19 @@ class TestNormalizeText:
         once = normalize_text(every)
         assert once == isalnum_form(every)
         assert normalize_text(once) == once
+
+
+    def test_an_ascii_text_matches_the_regex_form(self):
+        def regex_form(text):
+            return " ".join(re.sub(r"[\W_]+", " ", text.lower()).split())
+
+        for code in range(128):
+            for text in (chr(code), f"Ab{chr(code)}9z", f"{chr(code)}x{chr(code)}{chr(code)}Y"):
+                assert text.isascii() and normalize_text(text) == regex_form(text), code
+        rng = random.Random(11)
+        for _ in range(3000):
+            text = "".join(chr(rng.randrange(128)) for _ in range(rng.randrange(0, 60)))
+            assert normalize_text(text) == regex_form(text), text
 
 
 class TestReviewInvariants:
@@ -197,6 +215,30 @@ class TestIngest:
         with pytest.raises(ValidationError, match=re.escape(f"date {text!r} is not ISO-8601")):
             parse_record(record)
 
+    # Full-width and Arabic-Indic digits are decimal digits to int(), but not to the grammar.
+    @pytest.mark.parametrize(
+        "text",
+        ["2024-02-29", "2023-02-29", "2021-13-01", "0000-01-01", "２０２４-０１-０５", "٢٠٢٤-٠١-٠٥"],
+        ids=["2024-02-29", "2023-02-29", "2021-13-01", "0000-01-01", "full-width-digits", "arabic-indic-digits"],
+    )
+    def test_a_date_alone_reads_as_the_full_grammar_reads_it(self, text):
+        def full_grammar(text):
+            match = _ISO_DATE.fullmatch(text)
+            if match is None:
+                raise ValueError(text)
+            year, month, day, hour, minute, second, off_h, off_m = (int(group or 0) for group in match.groups())
+            return datetime(year, month, day, hour, minute, second, tzinfo=timezone(timedelta(hours=off_h, minutes=off_m))).date()
+
+        def outcome(read, text):
+            try:
+                return read(text)
+            except ValueError:
+                return "rejected"
+
+        expected = outcome(full_grammar, text)
+        assert outcome(_iso_date, text) == outcome(_iso_date, text + "T00:00Z") == expected
+        assert expected == ("rejected" if text != "2024-02-29" else datetime(2024, 2, 29).date())
+
     def test_majority_rejected_aborts(self, tmp_path):
         path = tmp_path / "reviews.csv"
         path.write_text("id,app,store,rating,text\na,x,other,9,one\nb,x,other,8,two\nc,x,other,1,three\n")
@@ -285,3 +327,38 @@ class TestFilterAndPartition:
         corpus = make_corpus([make_review("a", text="Hello!"), make_review("b", text="WORLD")])
         normalized = normalize_corpus(corpus)
         assert [r.text_norm for r in normalized] == ["hello", "world"]
+
+
+def dict_reader_rows(path):
+    """The rows of a CSV file as ``csv.DictReader`` reads them, cells past the header dropped."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for record in reader:
+            record.pop(None, None)
+            yield reader.line_num, record
+
+
+HEADER = "id,app,store,rating,text,label,date\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + "a,x,other,1,one,1,2021-01-01\nb,x,other,1\nc,x,other,2,two\nd,x,other,1,four,,\ne,x\nf,x,other,1,six,0\n",
+        HEADER + "a,x,other,1,one,,2021-01-02,extra,more\nb,x,other,1,two,,,\nc,x,other,9,three,,,,\n",
+        "id,app,store,rating,text,id,date\na,x,other,1,one,a2,2021-01-01\nb,x,other,1,two\nc,x,other,1,three,,\n"
+        "d,x,other,1,four,d2\ne,x,other,1,five,e2,2021-02-03\n",
+        HEADER + "\na,x,other,1,one\n\n\nb,x,other,9,nine\nc,x,other,1,three\n\r\n\nd,x,other,7,seven\ne,x,other,1,five\n\n",
+        HEADER + 'a,x,other,1,"line one\nline two"\nb,x,other,7,"bad\n\nrating"\nc,x,other,1,"say ""hi""\r\n, twice"\n'
+        'd,x,other,2,"four\n",,2021-01-01\n',
+    ],
+    ids=["short-rows", "extra-cells", "duplicate-header-names", "blank-lines", "quoted-multi-line-fields"],
+)
+def test_csv_rows_ingest_as_through_dict_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "reviews.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(corpus_module._iter_csv(path)) == list(dict_reader_rows(path))
+    fast = ingest_reviews(path, rejects_path=tmp_path / "fast.jsonl")
+    monkeypatch.setattr(corpus_module, "_iter_csv", dict_reader_rows)
+    assert ingest_reviews(path, rejects_path=tmp_path / "reference.jsonl") == fast
+    assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()

@@ -7,11 +7,13 @@ import base64
 import inspect
 import json
 import logging
+import os
 import struct
+import time
 
 import pytest
 
-from concernminer._jsonl import Log, read_json, read_jsonl, write_csv
+from concernminer._jsonl import Log, read_json, read_jsonl, write_csv, write_jsonl
 from concernminer.cli import main
 from concernminer.config import load_config
 from concernminer.corpus import CSV_COLUMNS
@@ -29,6 +31,7 @@ from concernminer.pipeline import (
     PSEUDO_LABELS_FILE,
     QUEUE_FILE,
     VOTES_FILE,
+    read_pseudo_labels,
     write_pseudo_labels,
 )
 
@@ -114,6 +117,35 @@ class TestReadLog:
             second.append([{"k": 2, "v": 4}])
         assert path.read_text().splitlines()[3:] == ['{"k": 1, "v": 3}', '{"k": 2, "v": 4}']
         assert [r["k"] for r in Log(path, ("k",)).read()] == [1, 1, 2, 1, 2]
+
+    def test_context_is_named_again_after_another_write_that_keeps_the_size(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = Log(path, ("k",))
+        with log:
+            log.append([{"k": 1, "v": 0}, {"k": 1, "v": 1}])
+        assert path.read_text().splitlines()[1] == '{"v": 1}'
+        size = path.stat().st_size
+        time.sleep(0.05)  # the other write comes later, past a coarse file clock's tick
+        os.truncate(path, size - len('{"v": 1}\n'))  # another writer cuts a torn tail, then appends as many bytes
+        with path.open("a") as other:
+            other.write('{"k": 2}\n')
+        assert path.stat().st_size == size
+        with log:
+            log.append([{"k": 1, "v": 2}])
+        assert path.read_text().splitlines()[2] == '{"k": 1, "v": 2}'
+        assert [r["k"] for r in Log(path, ("k",)).read()] == [1, 2, 1]
+
+    def test_lines_are_json_dumps_with_sorted_keys(self, tmp_path):
+        records = [
+            {"text": "café ✓ \U0001f620 \u2028 \x07 \"q\" \\", "b": 1, "a": None},
+            {"floats": [0.1, 0.1 + 0.2, 1e-07, 1e300, -0.0, 3.0, float("inf"), float("nan")], "z": True},
+            {"nested": [[1, [2.5, "x"]], {"y": [], "x": {"w": [0.85, "é"]}}], "list": []},
+        ]
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        write_jsonl(tmp_path / "whole.jsonl", records)
+        with Log(tmp_path / "log.jsonl") as log:
+            log.append(records)
+        assert (tmp_path / "whole.jsonl").read_text() == (tmp_path / "log.jsonl").read_text() == expected
 
 class TestReadWholeFile:
     @pytest.mark.parametrize("tail", ['{"a": 3, "b"', '{"a": 3}'])
@@ -346,6 +378,29 @@ class TestWholeFileOutputs:
             write_pseudo_labels(path, rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [PSEUDO_LABELS_FILE]
+
+    @pytest.mark.parametrize(
+        "review_id",
+        ['say "hi"', "back\\slash", "bell\x07and\ttab", "café 中 \U0001f620", "\u2028"],
+        ids=["quote", "backslash", "control", "non-ascii", "line-separator"],
+    )
+    def test_pseudo_label_lines_are_json_dumps_of_their_records_and_round_trip(self, tmp_path, review_id):
+        rows = [
+            (review_id, PseudoLabel.MAYBE_PRIVACY, 0.85, (14, 17)),
+            (review_id + "-p", PseudoLabel.MAYBE_PRIVACY, 0.1 + 0.2, (3,)),
+            (review_id + "-d", PseudoLabel.MAYBE_PRIVACY, None, ()),  # a set whose default label is maybe-privacy
+            (review_id + "-n", PseudoLabel.MAYBE_NOT_PRIVACY, None, ()),
+            (review_id + "-u", PseudoLabel.UNDETERMINED, None, ()),
+        ]
+        path = tmp_path / PSEUDO_LABELS_FILE
+        write_pseudo_labels(path, rows)
+        records = [
+            {"review_id": rid, "label": label.value}
+            | ({"threshold": threshold, "triggered": list(triggered)} if label is PseudoLabel.MAYBE_PRIVACY else {})
+            for rid, label, threshold, triggered in rows
+        ]
+        assert path.read_text().splitlines() == [json.dumps(record, sort_keys=True) for record in records]
+        assert read_pseudo_labels(path) == {rid: label for rid, label, _, _ in rows}
 
     def test_failed_csv_rewrite_keeps_previous_file(self, tmp_path):
         path = tmp_path / "export.csv"

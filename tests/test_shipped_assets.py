@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import subprocess
@@ -64,6 +65,40 @@ def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
     pinned = dict(line.split()[::-1] for line in (CONFIGS_DIR / "demo" / "outputs.sha256").read_text().splitlines())
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in workdir.iterdir() if p.name != TIMINGS_FILE}
     assert written == pinned
+
+
+def test_evaluate_refuses_vote_lines_cut_out_of_the_demo_log(tmp_path, capsys):
+    """A vote record names its backend, set hash and sampling only where they change, so lines
+    cut from the log lose them: ``evaluate --votes`` exits 2 naming the first such line."""
+    demo_dir = CONFIGS_DIR / "demo"
+    with (demo_dir / "reviews.csv").open(newline="", encoding="utf-8") as handle:
+        rows = [dict(row, label="1" if row["rating"] in ("1", "2") else "") for row in csv.DictReader(handle)]  # those pseudo-labeled
+    labeled = tmp_path / "labeled.csv"
+    with labeled.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    raw = json.loads((demo_dir / "demo.json").read_text())
+    raw["corpus"] |= {"unlabeled": str(demo_dir / raw["corpus"]["unlabeled"]), "labeled": str(labeled)}
+    raw["llm"]["script"] = str(demo_dir / raw["llm"]["script"])
+    config = tmp_path / "demo.json"
+    config.write_text(json.dumps(raw))
+    workdir = tmp_path / "run"
+    common = ["--config", str(config), "--workdir", str(workdir)]
+    assert main(["extract", *common]) == 0
+
+    votes = workdir / "votes.jsonl"
+    assert main(["evaluate", *common, "--votes", str(votes)]) == 0
+    metrics = (workdir / "metrics.json").read_bytes()
+    assert json.loads(metrics)["llm"]["evaluated"] == len(votes.read_text().splitlines()) == 5
+    tail = tmp_path / "tail" / "votes.jsonl"
+    tail.parent.mkdir()
+    tail.write_text("".join(votes.read_text().splitlines(keepends=True)[-4:]))
+    capsys.readouterr()
+
+    assert main(["evaluate", *common, "--votes", str(tail)]) == 2
+    assert capsys.readouterr().err == f"error: {tail}:1: corrupt line: neither this line nor an earlier one names its backend\n"
+    assert (workdir / "metrics.json").read_bytes() == metrics
 
 
 def test_demo_with_an_infinite_trigger_id_exits_2_naming_the_table(tmp_path, capsys):
