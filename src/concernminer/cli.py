@@ -20,7 +20,7 @@ from .corpus import write_corpus
 from .errors import BackendError, ValidationError
 from .hypotheses import resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
-from .nli.scoring import ScoreCache, load_matrix
+from .nli.scoring import ScoreCache, load_matrix, save_matrix, score_corpus
 from .pipeline import (
     MANIFEST_FILE,
     NLI_CACHE_FILE,
@@ -33,7 +33,6 @@ from .pipeline import (
     llm_classify,
     matrix_path,
     nli_label,
-    nli_score,
     prepare_corpus,
     read_pseudo_labels,
     run_extraction,
@@ -80,8 +79,9 @@ def cmd_nli_score(args) -> int:
     backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
     _, _, corpus = prepare_corpus(config, args.role)
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        matrix = nli_score(config, backend_cfg, backend, corpus, hset, cache)
+        matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
     out = matrix_path(config.workdir, matrix.backend, hset)
+    save_matrix(matrix, out)  # for nli-label alone, which takes no --role and so no corpus
     print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {out}")
     return 0
 

@@ -43,7 +43,7 @@ def normalize_text(text_raw: str) -> str:
     return " ".join(re.sub(r"[\W_]+", " ", text_raw.lower()).split())  # \w: isalnum or _
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
     """One app-store review.
 
@@ -78,7 +78,9 @@ class Review:
         checked when it was made, and ``normalize_text`` output needs no recheck.
         """
         review = object.__new__(type(self))
-        review.__dict__.update(self.__dict__, text_norm=normalize_text(self.text_raw))
+        for name in self.__slots__:
+            object.__setattr__(review, name, getattr(self, name))
+        object.__setattr__(review, "text_norm", normalize_text(self.text_raw))
         return review
 
 

@@ -20,7 +20,7 @@ from math import isnan
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .._jsonl import Log, replace_file
+from .._jsonl import Log, checked, replace_file
 from .._window import run_ordered
 from ..errors import BackendError, ValidationError
 
@@ -127,11 +127,10 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
         raise ValidationError(f"{path}: missing matrix header line")
     try:
         header = json.loads(blob[:newline].decode("utf-8"))
-        review_ids = tuple(str(r) for r in header["reviews"])
-        hypothesis_ids = tuple(int(h) for h in header["hypotheses"])
-        backend = str(header["backend"])
-        set_hash = str(header["set_hash"])
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+        review_ids = tuple(checked("review id", "str", r) for r in checked("reviews", "list", header["reviews"]))
+        hypothesis_ids = tuple(checked("hypothesis id", "int", h) for h in checked("hypotheses", "list", header["hypotheses"]))
+        backend, set_hash = (checked(key, "str", header[key]) for key in ("backend", "set_hash"))
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed matrix header: {exc}") from None
     body = blob[newline + 1 :]
     expected = 4 * len(review_ids) * len(hypothesis_ids)

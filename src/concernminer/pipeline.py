@@ -47,7 +47,7 @@ from .hypotheses import HypothesisSet, resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel, Vote
 from .llm.classify import VoteRecord, classify_corpus
 from .nli.labeling import explain_labels
-from .nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus
+from .nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus  # noqa: F401 - benchmarks/runner.py wraps save_matrix here
 
 logger = logging.getLogger(__name__)
 
@@ -216,23 +216,6 @@ def gold_corpus(config: PipelineConfig) -> ReviewCorpus:
     return labeled
 
 
-def nli_score(
-    config: PipelineConfig,
-    backend_cfg: NliBackendConfig,
-    backend,
-    corpus: ReviewCorpus,
-    hset: HypothesisSet,
-    cache: ScoreCache,
-) -> EntailmentMatrix:
-    """Score every review against every hypothesis with ``backend`` through
-    ``cache`` (the workdir's entailment cache, as it was when opened; the
-    pass appends each row it scores to the file), and save the matrix under
-    :func:`matrix_path`."""
-    matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    save_matrix(matrix, matrix_path(config.workdir, backend.name, hset))
-    return matrix
-
-
 def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
     """Pseudo-label every row of the matrix with the set's heuristics."""
     return [(review_id, *explained) for review_id, explained in zip(matrix.review_ids, explain_labels(matrix, hset.heuristics))]
@@ -280,7 +263,9 @@ class SelectionResult:
 def run_selection(config: PipelineConfig) -> SelectionResult:
     """Evaluate every configured NLI backend on the generic set, pick the
     best by F1, re-evaluate it on the domain set, pick the winning set, and
-    emit the pseudo-labeled corpus from the winning pair."""
+    emit the pseudo-labeled corpus from the winning pair. Each pass scores
+    through the workdir's entailment cache and keeps its matrix in memory:
+    it writes no matrix file."""
     if config.labeled_path is None:
         raise ValidationError("selection needs corpus.labeled in the config")
     generic = resolve_hypothesis_set(config.hypothesis_refs["generic"], config.base_dir)
@@ -291,7 +276,8 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     cache = ScoreCache(config.workdir / NLI_CACHE_FILE)  # each pass scores a (backend, set) pair no other pass does
 
     def evaluate(backend_cfg: NliBackendConfig, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
-        rows = nli_label(nli_score(config, backend_cfg, backends[backend_cfg.name], labeled, hset, cache), hset)
+        matrix = score_corpus(backends[backend_cfg.name], labeled, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
+        rows = nli_label(matrix, hset)
         report = metrics(confusion_from_nli(gold, {review_id: label for review_id, label, _, _ in rows}))
         logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", backend_cfg.name, hset.set_id, report.precision, report.recall, report.f1)
         return report, rows
@@ -351,7 +337,9 @@ class ExtractionResult:
 def run_extraction(config: PipelineConfig) -> ExtractionResult:
     """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify
     the maybe-privacy subset with the LLM, and queue yes-decisions for
-    annotation. Writes the manifest plus every stage artifact."""
+    annotation. Writes the manifest plus every stage artifact but the score
+    matrix, whose cells are in the entailment cache a rerun reads (only
+    ``nli-score`` writes the matrix file, for ``nli-label``)."""
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
     backend_cfg = config.nli_backends[0]
     nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
@@ -362,7 +350,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     laps.append(time.perf_counter())
 
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        matrix = nli_score(config, backend_cfg, nli_backend, normalized, hset, cache)
+        matrix = score_corpus(nli_backend, normalized, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
     rows = nli_label(matrix, hset)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}

@@ -62,13 +62,24 @@ def test_stage_commands_compose(extraction_setup, capsys):
     assert f"scored {ledger.rating_filtered} reviews x 21 hypotheses" in out
     assert f"maybe-privacy: {ledger.maybe_privacy}" in out
     assert f"yes={ledger.llm_yes} no={ledger.llm_no} failed=0" in out
-    # Run in order, the stage commands write what extract writes.
+    # Run in order, the stage commands write what extract writes, and the
+    # score matrix besides, which only nli-score writes.
     whole = workdir.parent / "whole"
     assert main(["extract", "--config", str(config_path), "--workdir", str(whole)]) == 0
-    (matrix,) = (p.name for p in whole.glob("matrix_*.bin"))
-    names = [NLI_CACHE_FILE, matrix, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE]
+    assert len(list(workdir.glob("matrix_*.bin"))) == 1 and not list(whole.glob("matrix_*"))
+    names = [NLI_CACHE_FILE, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE]
     for name in names:
         assert (workdir / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_nli_label_after_extract_alone_exits_2_and_keeps_the_pseudo_labels(extraction_setup, capsys):
+    _, config_path, workdir = extraction_setup
+    assert main(["extract", "--config", str(config_path)]) == 0
+    pseudo_labels = (workdir / PSEUDO_LABELS_FILE).read_bytes()
+    capsys.readouterr()
+    assert main(["nli-label", "--config", str(config_path)]) == 2
+    assert "run nli-score first" in capsys.readouterr().err
+    assert (workdir / PSEUDO_LABELS_FILE).read_bytes() == pseudo_labels
 
 
 @pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
@@ -755,12 +766,16 @@ def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extra
                 break
         else:
             pytest.fail("extract did not finish within one round per fault and one more")
+        scored = requests["/nli"]
+        for workdir in (clean, faulty):
+            assert main(["nli-score", "--config", str(config_path), "--workdir", str(workdir)]) == 0
+        assert requests["/nli"] == scored  # each cache holds every cell
 
     # Each NLI fault ends one round, in the order they were served; each LLM
     # fault fails one review, and the reasons list the reviews in input order.
     assert len(nli_errors) == 4 and all(message in err for message, err in zip(messages, nli_errors))
     assert sorted(next(m for m in messages if m in reason) for reason in llm_reasons) == sorted(messages)
-    (matrix,) = (p.name for p in clean.glob("matrix_*.bin"))
+    (matrix,) = (p.name for p in clean.glob("matrix_*.bin"))  # of each cache, as nli-score wrote it
     for name in (MANIFEST_FILE, matrix, PSEUDO_LABELS_FILE, EXTRACTED_FILE, QUEUE_FILE):
         assert (faulty / name).read_bytes() == (clean / name).read_bytes(), name
     assert json.loads((clean / MANIFEST_FILE).read_text())["counts"]["llm_yes"] > 0

@@ -974,6 +974,26 @@ class TestMatrixFile:
         assert len(binary) == 4 * 4  # four little-endian float32 cells
         assert np.frombuffer(binary, dtype="<f4").tolist() == [0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reviews", [7, "r1"], "review id must be a string, not 7"),
+            ("reviews", "r0", "reviews must be a list, not 'r0'"),
+            ("hypotheses", [1.9, 2], "hypothesis id must be an integer, not 1.9"),
+            ("hypotheses", [True, 2], "hypothesis id must be an integer, not True"),
+            ("backend", 5, "backend must be a string, not 5"),
+            ("set_hash", None, "set_hash must be a string, not None"),
+        ],
+    )
+    def test_header_values_are_checked_not_cast(self, tmp_path, field, value, message):
+        path = tmp_path / "matrix.bin"
+        save_matrix(matrix_from_rows([[0.25, 0.5], [0.75, 1.0]], 2), path)
+        header, grid = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(dict(json.loads(header), **{field: value})).encode() + b"\n" + grid)
+        with pytest.raises(ValidationError) as raised:
+            load_matrix(path)
+        assert str(raised.value) == f"{path}: malformed matrix header: {message}"
+
     def test_truncated_file_rejected(self, tmp_path):
         matrix = matrix_from_rows([[0.25, 0.5]], 2)
         path = tmp_path / "matrix.bin"

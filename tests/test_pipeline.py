@@ -108,14 +108,11 @@ class TestSelection:
         assert report["models"]["winner"] == "mock-nli-a"
         assert {c["id"] for c in report["models"]["candidates"]} == {"mock-nli-a", "mock-nli-weak"}
 
-    def test_matrix_files_cover_every_cell(self, selection_run):
-        from concernminer.hypotheses import builtin_generic
-        from concernminer.nli import load_matrix
-
+    def test_cache_covers_every_cell_and_no_matrix_file_is_written(self, selection_run):
         _, config, _ = selection_run
-        set_hash = builtin_generic().version_hash[:8]
-        matrix = load_matrix(config.workdir / f"matrix_mock-nli-a_{set_hash}.bin")
-        assert matrix.shape == (1376, 31)  # 42,656 scored cells per model
+        with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+            assert len(cache) == 1376 * (31 + 31 + 21)  # both models on the generic set, the winner on the domain set
+        assert not list(config.workdir.glob("matrix_*"))
 
     def test_evaluate_run_agrees_with_ledger(self, selection_run):
         ledger, config, result = selection_run
@@ -279,11 +276,10 @@ class TestExtraction:
                 raw["llm"]["backend"]["max_inflight"] = max_inflight
                 config = config_from_dict(raw, tmp_path)
                 run_extraction(config)
-                files = [NLI_CACHE_FILE, VOTES_FILE, EXTRACTED_FILE, *sorted(p.name for p in config.workdir.glob("matrix_*"))]
+                files = [NLI_CACHE_FILE, VOTES_FILE, EXTRACTED_FILE, PSEUDO_LABELS_FILE]
                 outputs.append({name: (config.workdir / name).read_bytes() for name in files})
         finally:
             sys.setswitchinterval(interval)
-        assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_rerun_same_workdir_resumes_from_caches(self, small_extraction):
@@ -446,7 +442,7 @@ def test_sigkill_in_nli_stage_rescores_only_lost_cells_and_rerun_matches(tmp_pat
         return code, int(calls_log.read_text()) if calls_log.exists() else 0
 
     def outputs(workdir):
-        names = [MANIFEST_FILE, EXTRACTED_FILE, NLI_CACHE_FILE, *sorted(p.name for p in workdir.glob("matrix_*"))]
+        names = [MANIFEST_FILE, EXTRACTED_FILE, NLI_CACHE_FILE, PSEUDO_LABELS_FILE]
         return {name: (workdir / name).read_bytes() for name in names}
 
     code, cells = extract(tmp_path / "clean")
