@@ -137,10 +137,6 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             raise ValidationError("config needs at least one NLI backend")
         if repeated := sorted({b.name for b in backends if [c.name for c in backends].count(b.name) > 1}):
             raise ValidationError(f"NLI backend names must be unique; repeated: {', '.join(repeated)}")
-        slugs: dict[str, str] = {}  # each name's matrix file slug -> the first name that has it
-        for b in backends:
-            if (first := slugs.setdefault(backend_slug(b.name), b.name)) != b.name:
-                raise ValidationError(f"NLI backend names {first!r} and {b.name!r} share the matrix file name slug")
         llm_backend = _block(LlmBackendConfig, llm.get("backend", {}))
         sampling = _block(SamplingSettings, llm.get("sampling", {}))
         hypothesis_refs = {

@@ -53,18 +53,15 @@ class EntailmentScore:
     contradict: float | None = None
 
     def __post_init__(self) -> None:
-        _check_score(self.entail, self.neutral, self.contradict)
-
-
-def _check_score(entail, neutral=None, contradict=None) -> None:
-    """Each given probability in [0, 1], and a full distribution summing to ~1."""
-    others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
-    if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per score; the loop names the value
-        for name, value in (("entail", entail), ("neutral", neutral), ("contradict", contradict)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} probability {value} outside [0, 1]")
-    if neutral is not None and contradict is not None and not 0.99 <= (total := entail + neutral + contradict) <= 1.01:
-        raise ValidationError(f"score distribution sums to {total:.4f}, expected ~1")
+        """Each given probability in [0, 1], and a full distribution summing to ~1."""
+        entail, neutral, contradict = self.entail, self.neutral, self.contradict
+        others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
+        if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per score; the loop names the value
+            for name, value in (("entail", entail), ("neutral", neutral), ("contradict", contradict)):
+                if value is not None and not 0.0 <= value <= 1.0:
+                    raise ValidationError(f"{name} probability {value} outside [0, 1]")
+        if neutral is not None and contradict is not None and not 0.99 <= (total := entail + neutral + contradict) <= 1.01:
+            raise ValidationError(f"score distribution sums to {total:.4f}, expected ~1")
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,8 @@ class EntailmentMatrix:
 
 
 def _checked(grid):
-    """``grid`` (or a cache record's entailments), once every cell is a number in [0, 1]. ``min`` and
-    ``max`` can pass over a NaN; ``sum`` carries it, and raises ``TypeError`` on a non-number."""
+    """``grid`` (or a cache record's entailments), once every cell is in [0, 1]. ``min`` and
+    ``max`` can pass over a NaN; ``sum`` carries it."""
     if grid and (isnan(sum(grid)) or min(grid) < 0.0 or max(grid) > 1.0):
         raise ValidationError("score grid contains values outside [0, 1]")
     return grid
@@ -145,9 +142,8 @@ class ScoreCache:
     review_id, f32}``, ``f32`` the base64 of its float32 cells, little-endian, in
     the set's hypothesis order; the set's first such row in the file names the ids
     (``hypotheses: [...]``, kept in ``named``). A row of some cells, committed
-    before a backend failure, is ``row: [[hypothesis_id, entail], ...]``. Older
-    complete rows (``entail: [...]`` decimals, or ``row`` cells), rows of 4-value cells
-    and one-cell records load too. A later record wins a cell an earlier one holds.
+    before a backend failure, is ``row: [[hypothesis_id, entail], ...]``. Any other
+    record is corrupt. A later record wins a cell an earlier one holds.
     A record names ``backend`` and ``set_hash`` only where they change (see ``_jsonl.Log``).
     In memory a review's cells are a tuple of hypothesis ids, one object shared by every
     row with the same ids, and a float32 ``array`` of their entailments (see :meth:`row`).
@@ -184,25 +180,22 @@ class ScoreCache:
 
     def _record_cells(self, record: dict) -> tuple[tuple[str, str, str], tuple[int, ...], list]:
         """The key (its backend and set hash interned), ids and checked entailments of a record."""
-        key = (sys.intern(record["backend"]), sys.intern(record["set_hash"]), record["review_id"])
-        if "row" not in record and "hypothesis_id" not in record:  # a complete row, in its set's named order
+        key = (sys.intern(record["backend"]), sys.intern(record["set_hash"]), checked("review_id", "str", record["review_id"]))
+        if "f32" in record:  # a complete row, in its set's named order
             if "hypotheses" in record:
-                self.named[key[1]] = ids = tuple(record["hypotheses"])
-                if not all(isinstance(h, int) for h in ids):
-                    raise ValueError(f"hypotheses {ids} are not all integer ids")
+                self.named[key[1]] = tuple(checked("hypothesis id", "int", h) for h in record["hypotheses"])
             ids = self.named.get(key[1])
-            entails = _little_endian(array("f", b64decode(record["f32"], validate=True))) if "f32" in record else record["entail"]
+            entails = _little_endian(array("f", b64decode(record["f32"], validate=True)))
             if ids is None or len(entails) != len(ids):
                 raise ValueError(f"complete row does not match the hypotheses named for set {key[1]!r}: {ids}")
             return key, ids, _checked(entails)
-        cells = record["row"] if "row" in record else [
-            (record["hypothesis_id"], record["entail"], record.get("neutral"), record.get("contradict"))]
-        for cell in cells:
-            if len(cell) not in (2, 4) or not isinstance(cell[0], int):
-                raise ValueError(f"row cell {cell!r} is not [hypothesis_id, entail] or the older 4-value cell")
-            if len(cell) == 4:
-                _check_score(*cell[1:])
-        return key, tuple(cell[0] for cell in cells), _checked([cell[1] for cell in cells])
+        if "row" not in record or any(len(cell) != 2 for cell in record["row"]):
+            raise ValidationError(
+                "not an f32 row or a row of [hypothesis_id, entail] cells: the cache was written by an"
+                f" earlier development version; delete {self.path.name} to score its reviews again"
+            )
+        ids = tuple(checked("hypothesis id", "int", hyp_id) for hyp_id, _ in record["row"])
+        return key, ids, _checked([checked("entail", "float", entail) for _, entail in record["row"]])
 
 
 # An empty normalized review entails nothing; scoring it remotely would be

@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from concernminer._jsonl import Log
 from concernminer.cli import main
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, save_hypothesis_set
@@ -23,6 +24,7 @@ from concernminer.pipeline import (
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
     QUEUE_FILE,
+    SELECTION_REPORT_FILE,
     VOTES_FILE,
 )
 
@@ -225,16 +227,19 @@ def test_repeated_nli_backend_name_exits_2_before_any_workdir_write(selection_se
     assert not (config_path.parent / "run").exists()
 
 
-def test_nli_backend_names_sharing_a_matrix_file_slug_exit_2_before_any_workdir_write(selection_setup, capsys):
+def test_nli_backend_names_sharing_a_file_name_slug_are_both_scored(selection_setup, tmp_path):
     config_path = selection_setup
     raw = json.loads(config_path.read_text())
-    for backend, name in zip(raw["nli"]["backends"], ("m a", "m/a")):  # both would write matrix_m-a_<hash>.bin
+    for backend, name in zip(raw["nli"]["backends"], ("m a", "m/a")):  # one slug, m-a; select writes no matrix file
         backend["name"] = name
     config_path.write_text(json.dumps(raw))
 
-    assert main(["select", "--config", str(config_path)]) == 2
-    assert "NLI backend names 'm a' and 'm/a' share the matrix file name slug" in capsys.readouterr().err
-    assert not (config_path.parent / "run").exists()
+    assert main(["select", "--config", str(config_path)]) == 0
+    report = json.loads((tmp_path / "run" / SELECTION_REPORT_FILE).read_text())
+    assert sorted(c["id"] for c in report["models"]["candidates"]) == ["m a", "m/a"]
+    scored = Counter(r["backend"] for r in Log(tmp_path / "run" / NLI_CACHE_FILE, ("backend", "set_hash")).read())
+    assert scored["m a"] > 0 and scored["m/a"] > 0
+    assert not list((tmp_path / "run").glob("matrix_*"))
 
 
 @pytest.mark.parametrize(

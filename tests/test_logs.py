@@ -21,7 +21,7 @@ from concernminer.errors import ValidationError
 from concernminer.hypotheses import load_hypothesis_set
 from concernminer.labels import PseudoLabel
 from concernminer.llm import load_llm_script
-from concernminer.nli import load_trigger_table
+from concernminer.nli import MockNliBackend, load_trigger_table
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,
@@ -273,15 +273,8 @@ def test_a_model_log_another_writer_holds_exits_2(extraction, tmp_path, capsys, 
 
 @pytest.mark.parametrize(
     "cell",
-    [
-        [1, 1.5, None, None],  # entail above 1
-        [1, 0.5, -0.1, 0.6],  # neutral below 0
-        [1, 0.2, 0.2, 0.1],  # a distribution that sums to 0.5
-        [1, "0.5", 0.25, 0.25],  # a number in a string
-        [1, None, 0.5, 0.5],  # no entail
-        ["x", 0.5, 0.25, 0.25],  # a hypothesis id that is not a number
-    ],
-    ids=["entail-above-1", "neutral-below-0", "sum-0.5", "entail-string", "entail-null", "id-string"],
+    [[1, 1.5], [1, float("nan")], [1, "0.5"], [1, None], ["x", 0.5]],
+    ids=["entail-above-1", "entail-nan", "entail-string", "entail-null", "id-string"],
 )
 def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell):
     config_path, _ = extraction
@@ -290,12 +283,50 @@ def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell)
     log = tmp_path / "run" / NLI_CACHE_FILE
     first = json.loads(log.read_text().splitlines()[0])
     with Log(log) as handle:
-        handle.append([dict(first, review_id="appended", row=[cell])])
+        handle.append([{"backend": first["backend"], "set_hash": first["set_hash"], "review_id": "appended", "row": [cell]}])
     lines = len(log.read_text().splitlines())
     capsys.readouterr()
 
     assert main(["extract", *common]) == 2
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shape",  # a cache row's fields as an earlier development version wrote them
+    [
+        lambda ids, entails: [{"hypothesis_id": h, "entail": e, "neutral": None, "contradict": None} for h, e in zip(ids, entails)],
+        lambda ids, entails: [{"row": [[h, e, None, None] for h, e in zip(ids, entails)]}],
+        lambda ids, entails: [{"entail": [float("%.9g" % e) for e in entails]}],  # 9-digit decimals, in the set's order
+        lambda ids, entails: [{"row": [[ids[0], 0.5, -0.1, 0.6]]}],
+        lambda ids, entails: [{"row": [[ids[0], 0.2, 0.2, 0.1]]}],  # a distribution that sums to 0.5
+    ],
+    ids=["cell-records", "4-value-cells", "entail-rows", "neutral-below-0", "sum-0.5"],
+)
+def test_a_cache_an_earlier_development_version_wrote_exits_2_and_changes_nothing(extraction, tmp_path, capsys, monkeypatch, shape):
+    config_path, _ = extraction
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    log = tmp_path / "run" / NLI_CACHE_FILE
+    records = list(Log(log, ("backend", "set_hash")).read())  # each naming its context, as those versions wrote them
+    hyp_ids, half = records[0]["hypotheses"], len(records) // 2
+    log.unlink()
+    with Log(log) as handle:  # the first half of the rows as this version wrote them, the rest in the earlier shape
+        handle.append(records[:half] + [
+            {key: r[key] for key in ("backend", "set_hash", "review_id")} | fields
+            for r in records[half:]
+            for fields in shape(hyp_ids, [e for (e,) in struct.iter_unpack("<f", base64.b64decode(r["f32"]))])
+        ])
+    before = snapshot(tmp_path / "run")
+    calls = []
+    monkeypatch.setattr(MockNliBackend, "score_pair", lambda self, *pair: calls.append(pair))
+    capsys.readouterr()
+
+    assert main(["extract", *common]) == 2
+    err = capsys.readouterr().err
+    assert f"{log}:{half + 1}: corrupt log line: not an f32 row or a row of [hypothesis_id, entail] cells" in err
+    assert f"delete {NLI_CACHE_FILE} to score its reviews again" in err
+    assert snapshot(tmp_path / "run") == before
+    assert calls == []
 
 
 @pytest.mark.parametrize("dropped", [("backend",), ("set_hash",), ("backend", "set_hash")], ids=["backend", "set_hash", "both"])
@@ -323,12 +354,6 @@ def f32_field(cells):
 @pytest.mark.parametrize(
     "fields",
     [
-        lambda k, f32: {"entail": [0.5] * (k - 1)},  # one value short of the set
-        lambda k, f32: {"entail": [0.5] * k, "set_hash": "never-named"},  # a set no record names
-        lambda k, f32: {"entail": [0.5] * (k - 1) + [float("nan")]},
-        lambda k, f32: {"entail": [0.5] * (k - 1) + [1.5]},
-        lambda k, f32: {"entail": [0.5] * (k - 1) + [None]},
-        lambda k, f32: {"entail": [0.5] * (k - 1) + ["0.5"]},
         lambda k, f32: {"f32": f32[:8] + "!" + f32[8:]},  # outside the base64 alphabet, which a lax decoder skips
         lambda k, f32: {"f32": f32_field([0.5] * (k - 1))[:-1]},  # padding cut short
         lambda k, f32: {"f32": f32[:8] + "=" + f32[9:]},  # padding inside the data
@@ -339,14 +364,16 @@ def f32_field(cells):
         lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [1.5])},
         lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [-0.0625])},
         lambda k, f32: {"f32": f32, "set_hash": "never-named"},
+        lambda k, f32: {"f32": f32, "set_hash": "new", "hypotheses": [True] + list(range(2, k + 1))},
+        lambda k, f32: {"f32": f32, "set_hash": "new", "hypotheses": [str(h) for h in range(1, k + 1)]},
     ],
     ids=[
-        "wrong-length", "set-not-named", "nan", "above-1", "null", "string",
         "f32-not-base64", "f32-padding-cut", "f32-padding-inside", "f32-long", "f32-short", "f32-not-4-byte-cells",
         "f32-nan", "f32-above-1", "f32-below-0", "f32-set-not-named",
+        "f32-hypothesis-id-true", "f32-hypothesis-id-string",
     ],
 )
-def test_cache_entail_row_out_of_contract_exits_2(extraction, tmp_path, capsys, fields):
+def test_cache_f32_row_out_of_contract_exits_2(extraction, tmp_path, capsys, fields):
     config_path, _ = extraction
     common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
     assert main(["extract", *common]) == 0

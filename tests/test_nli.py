@@ -8,7 +8,7 @@ import logging
 import sys
 import threading
 import tracemalloc
-from base64 import b64decode
+from base64 import b64decode, b64encode
 from decimal import Decimal
 
 import numpy as np
@@ -105,16 +105,6 @@ def named_records(path):
     """The records of the cache at ``path``, each naming its backend and set
     hash, as versions before a record could leave them out wrote them."""
     return list(Log(path, ("backend", "set_hash")).read())
-
-
-def as_entail_rows(records):
-    """Cache records with each ``f32`` row rewritten as the decimal ``entail``
-    row that versions before the ``f32`` row wrote: 9 significant digits."""
-    return [
-        {key: value for key, value in r.items() if key != "f32"} | {"entail": [float("%.9g" % x) for x in f32_cells(r)]}
-        if "f32" in r else r
-        for r in records
-    ]
 
 
 def make_reviews(texts):
@@ -443,40 +433,16 @@ class TestScoreCorpus:
         assert np.array_equal(matrix.scores, clean.scores)
 
 
-    @pytest.mark.parametrize("old_format", ["cell-records", "4-column-rows", "2-column-rows", "entail-rows"])
-    def test_old_cell_records_give_a_warm_run(self, tmp_path, old_format):
+    def test_complete_rows_of_2_value_cells_give_a_warm_run(self, tmp_path):
         reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
         clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=8)
         cache_path = tmp_path / "cache.jsonl"
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash}
-        if old_format == "cell-records":
-            fields.update(neutral=None, contradict=None)
-            old_records = [
-                dict(fields, review_id=review.id, hypothesis_id=hyp.id, entail=float(clean.row(i)[j]))
-                for i, review in enumerate(reviews)
-                for j, hyp in enumerate(DOMAIN.hypotheses)
-            ]
-        elif old_format == "4-column-rows":  # neutral and contradict given by one backend, null from another
-            old_records = [
-                dict(fields, review_id=review.id, row=[
-                    [hyp.id, entail, 1.0 - entail, 0.0] if i % 2 else [hyp.id, entail, None, None]
-                    for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i).tolist())
-                ])
-                for i, review in enumerate(reviews)
-            ]
-        elif old_format == "2-column-rows":  # every complete row with its ids, as versions before the entail row wrote it
-            old_records = [
+        with Log(cache_path) as log:  # every complete row as a partial row, its ids named
+            log.append([
                 dict(fields, review_id=review.id, row=[[hyp.id, float("%.9g" % entail)] for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i))])
                 for i, review in enumerate(reviews)
-            ]
-        else:  # 9-digit decimals in the set's order, its ids named once, as versions before the f32 row wrote them
-            old_records = [
-                dict(fields, review_id=review.id, entail=[float("%.9g" % entail) for entail in clean.row(i)])
-                for i, review in enumerate(reviews)
-            ]
-            old_records[0]["hypotheses"] = [h.id for h in DOMAIN.hypotheses]
-        with Log(cache_path) as log:
-            log.append(old_records)
+            ])
         before = cache_path.read_bytes()
         backend = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
@@ -486,41 +452,12 @@ class TestScoreCorpus:
         assert warm.scores.tobytes() == clean.scores.tobytes()
         assert cache_path.read_bytes() == before  # a warm run appends nothing
 
-    def test_entail_rows_then_f32_rows_of_a_resumed_run_load_to_the_clean_matrix(self, tmp_path):
-        texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(8)]
-        reviews = make_reviews(texts + ["!!!"])
-        clean = score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, max_inflight=2)
+    def test_f32_and_row_records_all_load(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
-        with ScoreCache(cache_path) as cache:
-            score_corpus(MockNliBackend(seed=3), reviews[:4], DOMAIN, cache=cache, max_inflight=2)
-        old = as_entail_rows(named_records(cache_path))
-        assert "hypotheses" in old[0] and all("entail" in r and "f32" not in r for r in old)
-        cache_path.unlink()
-        with Log(cache_path) as log:  # the cache as a version before the f32 row left it
-            log.append(old)
-
-        resumed = MockNliBackend(seed=3)
-        with ScoreCache(cache_path) as cache:
-            score_corpus(resumed, reviews, DOMAIN, cache=cache, max_inflight=2)
-        assert resumed.calls == 4 * 21  # the last 5 rows, one of them an empty premise
-        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
-        assert [r.keys() & {"entail", "f32"} for r in records] == [{"entail"}] * 4 + [{"f32"}] * 5
-        assert not any("hypotheses" in r for r in records[4:])  # the entail row named the set
-        assert not any(r.keys() & {"backend", "set_hash"} for r in records[4:])  # and the pass context
-        warm = MockNliBackend(seed=3)
-        with ScoreCache(cache_path) as cache:
-            assert len(cache) == 9 * 21
-            again = score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2)
-        assert warm.calls == 0
-        assert again.scores.tobytes() == clean.scores.tobytes()
-
-    def test_mixed_cell_and_row_records_all_load(self, tmp_path):
-        cache_path = tmp_path / "cache.jsonl"
-        cell = {"backend": "b", "set_hash": "h", "review_id": "r0", "hypothesis_id": 1, "entail": 0.5}
-        row = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[2, 0.25, 0.5, 0.25], [3, 0.75, None, None]]}
-        other = {"backend": "b", "set_hash": "h", "review_id": "r1", "row": [[1, 0.125, 0.875, 0.0]]}
+        complete = {"backend": "b", "set_hash": "h", "review_id": "r0", "f32": "AAAAPwAAgD4AAEA/", "hypotheses": [1, 2, 3]}  # 0.5, 0.25, 0.75
+        other = {"backend": "b", "set_hash": "h", "review_id": "r1", "row": [[1, 0.125]]}
         current = {"backend": "b", "set_hash": "h", "review_id": "r2", "row": [[2, 0.375], [1, 0.625]]}
-        cache_path.write_text("".join(json.dumps(r) + "\n" for r in (cell, row, other, current)))
+        cache_path.write_text("".join(json.dumps(r) + "\n" for r in (complete, other, current)))
         cache = ScoreCache(cache_path)
         assert len(cache) == 6
         assert cells_of(cache.row("b", "h", "r0")) == [[1, 0.5], [2, 0.25], [3, 0.75]]
@@ -530,14 +467,23 @@ class TestScoreCorpus:
         assert cache.row("b", "other", "r0") is None
 
     @pytest.mark.parametrize(
-        "cell", [[1], [1, 0.5, 0.5], [1, 0.5, 0.25, 0.25, 0.0], [1, 1.5], [1.0, 0.5], [1, None]],
-        ids=["width-1", "width-3", "width-5", "entail-above-1", "id-float", "entail-null"],
+        "fields",
+        [
+            {"row": [[1]]}, {"row": [[1, 0.5, 0.5]]}, {"row": [[1, 0.5, 0.25, 0.25, 0.0]]}, {"row": [[1, 1.5]]},
+            {"row": [[1.0, 0.5]]}, {"row": [[1, None]]}, {"row": [[True, 0.5]]}, {"row": [[1, True]]}, {"review_id": 7},
+            {"row": [[1, -0.5]]}, {"row": [[1, float("nan")]]}, {"row": [[1, "0.5"]]}, {"row": [["1", 0.5]]},
+            {"row": [1, 0.5]}, {"row": 0.5},
+        ],
+        ids=[
+            "width-1", "width-3", "width-5", "entail-above-1", "id-float", "entail-null", "id-true", "entail-true", "review-id-number",
+            "entail-below-0", "entail-nan", "entail-string", "id-string", "cell-not-a-list", "row-not-a-list",
+        ],
     )
-    def test_row_cell_out_of_contract_is_corrupt(self, tmp_path, cell):
+    def test_row_cell_out_of_contract_is_corrupt(self, tmp_path, fields):
         cache_path = tmp_path / "cache.jsonl"
         good = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[1, 0.5]]}
         with Log(cache_path) as log:
-            log.append([good, dict(good, review_id="r1", row=[cell])])
+            log.append([good, dict(good, review_id="r1") | fields])
         with pytest.raises(ValidationError, match=f"{cache_path}:2: corrupt log line"):
             ScoreCache(cache_path)
 
@@ -545,8 +491,8 @@ class TestScoreCorpus:
         cache_path = tmp_path / "cache.jsonl"
         key = {"backend": "b", "set_hash": "h", "review_id": "r0"}
         records = [
-            dict(key, row=[[1, 0.5, None, None], [2, 0.25, 0.5, 0.25]]),
-            dict(key, hypothesis_id=2, entail=0.75),
+            dict(key, row=[[1, 0.5], [2, 0.25]]),
+            dict(key, row=[[2, 0.75]]),
             dict(key, row=[[3, 0.125], [1, 0.0]]),
         ]
         with Log(cache_path) as log:
@@ -555,20 +501,20 @@ class TestScoreCorpus:
         assert len(cache) == 3
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
 
-    def test_all_six_record_shapes_load_under_one_merge_rule(self, tmp_path):
+    def test_both_record_shapes_load_under_one_merge_rule(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         h, other = {"backend": "b", "set_hash": "h"}, {"backend": "b", "set_hash": "other"}
         records = [
-            dict(h, review_id="r0", entail=[0.5, 0.25, 0.75], hypotheses=[1, 2, 3]),  # names set h
-            dict(h, review_id="r1", entail=[0.125, 0.0, 1.0]),  # its ids are set h's
+            dict(h, review_id="r0", f32="AAAAPwAAgD4AAEA/", hypotheses=[1, 2, 3]),  # 0.5, 0.25, 0.75; names set h
+            dict(h, review_id="r1", f32="AAAAPgAAAAAAAIA/"),  # 0.125, 0.0, 1.0; its ids are set h's
             dict(other, review_id="r0", f32="AAAAPwAAgD4=", hypotheses=[7, 5]),  # 0.5, 0.25; names another set
             dict(h, review_id="r1", row=[[2, 0.5]]),  # a partial row wins a cell
-            dict(h, review_id="r0", hypothesis_id=1, entail=0.0, neutral=None, contradict=None),  # a one-cell record
-            dict(h, review_id="r2", row=[[3, 0.25, 0.5, 0.25], [1, 0.375, None, None]]),  # 4-value cells
-            dict(h, review_id="r2", entail=[0.625, 0.875, 0.0625]),  # a complete row wins every cell
-            dict(other, review_id="r1", entail=[0.0, 1.0]),
+            dict(h, review_id="r0", row=[[1, 0.0]]),
+            dict(h, review_id="r2", row=[[3, 0.25], [1, 0.375]]),
+            dict(h, review_id="r2", f32="AAAgPwAAYD8AAIA9"),  # 0.625, 0.875, 0.0625: a complete row wins every cell
+            dict(other, review_id="r1", f32="AAAAAAAAgD8="),  # 0.0, 1.0
             dict(h, review_id="r3", f32="AAAAAAAAgD8AAMA+"),  # 0.0, 1.0, 0.375, in set h's order
-            dict(h, review_id="r1", f32="AADAPgAAAAAAAAA/"),  # a complete f32 row wins every cell
+            dict(h, review_id="r1", f32="AADAPgAAAAAAAAA/"),  # 0.375, 0.0, 0.5
             dict(h, review_id="r3", row=[[1, 0.125]]),
         ]
         with Log(cache_path) as log:
@@ -583,29 +529,6 @@ class TestScoreCorpus:
         assert cells_of(cache.row("b", "other", "r0")) == [[7, 0.5], [5, 0.25]]
         assert cells_of(cache.row("b", "other", "r1")) == [[7, 0.0], [5, 1.0]]
         assert cache.row("b", "other", "r0")[0] is cache.row("b", "other", "r1")[0]  # one id tuple per set
-
-    # test_logs.py runs the wrong-length, unnamed-set, NaN, above-1, null and string cases through `extract`.
-    @pytest.mark.parametrize(
-        "record",
-        [
-            {"entail": [0.5] * 22},
-            {"entail": [0.5] * 20 + [-0.0625]},
-            {"entail": 0.5},
-            {"entail": [0.5] * 21, "hypotheses": [str(h.id) for h in DOMAIN.hypotheses]},
-        ],
-        ids=["long", "below-0", "not-a-list", "id-string"],
-    )
-    def test_entail_row_out_of_contract_is_corrupt(self, tmp_path, record):
-        cache_path = tmp_path / "cache.jsonl"
-        reviews = make_reviews(["data trackers everywhere", "fine app"])
-        with ScoreCache(cache_path) as cache:
-            score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=2)
-        first = json.loads(cache_path.read_text().splitlines()[0])
-        assert first["hypotheses"] == [h.id for h in DOMAIN.hypotheses]
-        with Log(cache_path) as log:
-            log.append([{"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "review_id": "r2", **record}])
-        with pytest.raises(ValidationError, match=f"{cache_path}:3: corrupt log line"):
-            ScoreCache(cache_path)
 
     def test_a_partial_row_names_its_cells_and_resumes_warm(self, tmp_path):
         class FailingBackend(MockNliBackend):
@@ -857,15 +780,12 @@ class TestScoreCorpus:
         with ScoreCache(cache_path) as cache:
             assert score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == matrix.scores.tobytes()
 
-    def test_full_float64_and_9_digit_caches_rerun_warm_to_one_matrix_file(self, tmp_path):
+    def test_full_float64_and_f32_caches_rerun_warm_to_one_matrix_file(self, tmp_path):
         texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(30)]
         reviews = make_reviews(texts + ["!!!"])
         current = tmp_path / "f32.jsonl"
         with ScoreCache(current) as cache:
             save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cold.bin")
-        nine_digit = tmp_path / "nine_digit.jsonl"  # the same rows as the 9-digit decimals of versions before the f32 row
-        with Log(nine_digit) as log:
-            log.append(as_entail_rows(named_records(current)))
         # The earliest kind of cache: each cell the backend's float64 as it was returned.
         full = tmp_path / "full.jsonl"
         backend = MockNliBackend(seed=3)
@@ -876,8 +796,8 @@ class TestScoreCorpus:
                 ]}
                 for review in reviews
             ])
-        assert full.stat().st_size > nine_digit.stat().st_size > current.stat().st_size
-        for path in (current, nine_digit, full):
+        assert full.stat().st_size > current.stat().st_size
+        for path in (current, full):
             warm = MockNliBackend(seed=3)
             with ScoreCache(path) as cache:
                 save_matrix(score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "warm.bin")
@@ -885,11 +805,14 @@ class TestScoreCorpus:
             assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes(), path.name
 
     @staticmethod
-    def retained_per_cell(path, row):
-        """Bytes a cache loaded from 2,000 records of ``row`` keeps per cell."""
-        fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, "row": row}
+    def retained_per_cell(path, cells):
+        """Bytes a cache loaded from 2,000 records of ``cells`` keeps per cell."""
+        fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, **cells}
+        records = [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)]
+        if "f32" in cells:  # the set's first complete row names its ids
+            records[0]["hypotheses"] = [h.id for h in DOMAIN.hypotheses]
         with Log(path) as log:
-            log.append([dict(fields, review_id=f"review-{k:06d}") for k in range(2000)])
+            log.append(records)
         gc.collect()
         tracemalloc.start()
         try:
@@ -900,13 +823,13 @@ class TestScoreCorpus:
         assert len(cache) == 2000 * 21
         return retained / len(cache)
 
-    def test_loaded_cache_retains_at_most_80_bytes_per_cell(self, tmp_path):
-        row = [[h.id, 0.125, 0.625, 0.25] for h in DOMAIN.hypotheses]
-        assert self.retained_per_cell(tmp_path / "cache.jsonl", row) <= 80  # an object per cell took about 280
+    def test_loaded_cache_of_f32_rows_retains_at_most_40_bytes_per_cell(self, tmp_path):
+        f32 = b64encode(np.full(21, 0.125, dtype="<f4").tobytes()).decode("ascii")
+        assert self.retained_per_cell(tmp_path / "cache.jsonl", {"f32": f32}) <= 40  # an object per cell took about 280
 
     def test_loaded_cache_of_2_column_rows_retains_at_most_40_bytes_per_cell(self, tmp_path):
         row = [[h.id, 0.125] for h in DOMAIN.hypotheses]
-        assert self.retained_per_cell(tmp_path / "cache.jsonl", row) <= 40  # 4 columns kept 46
+        assert self.retained_per_cell(tmp_path / "cache.jsonl", {"row": row}) <= 40  # 4 columns kept 46
 
     @pytest.mark.parametrize("max_inflight", [1, 2, 3])
     def test_in_flight_rows_are_bounded(self, tmp_path, max_inflight):
