@@ -16,8 +16,8 @@ next read drops that torn line with a warning and truncates the file back to
 the last newline, so the rerun appends onto a clean line and redoes only
 that record. A malformed line or record anywhere else is corruption, not an
 interrupted write, and raises as in a whole-file output. The model logs name
-their context (backend, set hash, the votes' sampling) only where it changes,
-so a line means something only in its file (see :class:`Log`).
+their context (backend, set hash, hypothesis ids, sampling) only where it
+changes, so a line means something only in its file (see :class:`Log`).
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ def _reason(exc: Exception) -> str:  # a ValidationError's own message; another 
 # written in a declaration (the modules that declare config blocks postpone
 # annotations, so a dataclass field's type is its source text). A value is
 # checked, not converted: an integer takes a JSON integer, a float an integer
-# or a float (made a float, as the digests expect), and true/false fits none.
+# or a float (made a float, as the digests expect), and true/false fits only bool.
 _TYPES = {
+    "bool": (bool, "true or false"),
     "str": (str, "a string"),
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
@@ -79,7 +80,7 @@ def checked(key: str, declared: str, value):
     """``value`` if it is of the type ``declared`` names in ``_TYPES``;
     otherwise a :class:`ValidationError` says what ``key`` must be."""
     kind, noun = _TYPES[declared]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and declared != "bool"):
         raise ValidationError(f"{key} must be {noun}, not {value!r}")
     return float(value) if declared == "float" else value
 

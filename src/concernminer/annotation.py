@@ -144,7 +144,7 @@ def run_annotation(
     reviews = {r.id: r for r in queue}
     tasks = assign_tasks([r.id for r in queue], roster)
     state = Log(state_path) if state_path else None  # no path: the labels are kept in memory only
-    labels = dict(state.read(lambda r: ((r["annotator"], r["review_id"]), r["label"]))) if state else {}
+    labels = dict(state.read(_state_label)) if state else {}
 
     with state or nullcontext():
 
@@ -155,11 +155,10 @@ def run_annotation(
             answer = responder(annotator, reviews[review_id])
             if answer == SKIP:
                 return None
-            if answer not in (PRIVACY, NON_PRIVACY):
-                raise ValidationError(f"responder returned {answer!r}")
-            labels[(annotator, review_id)] = answer
+            record = {"annotator": annotator, "review_id": review_id, "label": answer}
+            labels.update([_state_label(record)])  # checked as the log's records are
             if state:
-                state.append([{"annotator": annotator, "review_id": review_id, "label": answer}])
+                state.append([record])
             return answer
 
         # Pass 1: the lead (every task's first assigned) works through the full
@@ -202,6 +201,13 @@ def run_annotation(
     confirmed = sum(1 for t in tasks if t.final_label == PRIVACY)
     rejected = sum(1 for t in tasks if t.final_label == NON_PRIVACY)
     return AnnotationReport(tuple(tasks), kappa, tuple(tiebreak_ids), leftovers, confirmed, rejected)
+
+
+def _state_label(record: dict) -> tuple[tuple[str, str], str]:
+    """An annotation-state record as ``((annotator, review_id), label)``, the label privacy or non_privacy."""
+    if record["label"] not in (PRIVACY, NON_PRIVACY):
+        raise ValidationError(f"label must be {PRIVACY} or {NON_PRIVACY}, not {record['label']!r}")
+    return (checked("annotator", "str", record["annotator"]), checked("review_id", "str", record["review_id"])), record["label"]
 
 
 def scripted_responder(script: dict[str, dict[str, str]]) -> Responder:

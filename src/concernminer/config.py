@@ -116,35 +116,33 @@ def backend_slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "backend"
 
 
-def _block(config_type, raw: dict):
-    """``config_type`` built from the keys of the JSON object ``raw`` that
-    name its fields, each checked by :func:`checked` against the field's
-    declared type; absent fields take their defaults."""
+def _block(config_type, name: str, raw):
+    """``config_type`` built from ``raw``, the JSON object of the config field
+    ``name``: each key that names a field is checked by :func:`checked`
+    against the field's declared type; absent fields take their defaults."""
     types = {f.name: f.type for f in fields(config_type)}
-    return config_type(**{key: checked(key, types[key], value) for key, value in raw.items() if key in types})
+    return config_type(**{key: checked(key, types[key], value) for key, value in checked(name, "dict", raw).items() if key in types})
 
 
 def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
+    checked("config", "dict", raw)
     try:
-        corpus = raw.get("corpus", {})
-        nli = raw.get("nli", {})
-        llm = raw.get("llm", {})
+        corpus, nli, llm = (checked(key, "dict", raw.get(key, {})) for key in ("corpus", "nli", "llm"))
 
-        backends = tuple(_block(NliBackendConfig, b) for b in nli.get("backends", []))
+        blocks = checked("nli.backends", "list", nli.get("backends", []))
+        backends = tuple(_block(NliBackendConfig, f"nli.backends[{i}]", b) for i, b in enumerate(blocks))
         if not backends:
             raise ValidationError("config needs at least one NLI backend")
         if repeated := sorted({b.name for b in backends if [c.name for c in backends].count(b.name) > 1}):
             raise ValidationError(f"NLI backend names must be unique; repeated: {', '.join(repeated)}")
-        llm_backend = _block(LlmBackendConfig, llm.get("backend", {}))
-        sampling = _block(SamplingSettings, llm.get("sampling", {}))
+        llm_backend = _block(LlmBackendConfig, "llm.backend", llm.get("backend", {}))
+        sampling = _block(SamplingSettings, "llm.sampling", llm.get("sampling", {}))
         hypothesis_refs = {
             "generic": "builtin:generic",
             "domain": "builtin:domain-mh",
             "extraction": "builtin:domain-mh",
         }
-        hypothesis_refs.update({k: checked(f"hypotheses.{k}", "str", v) for k, v in raw.get("hypotheses", {}).items()})
+        hypothesis_refs.update({k: checked(f"hypotheses.{k}", "str", v) for k, v in checked("hypotheses", "dict", raw.get("hypotheses", {})).items()})
 
         rating_min = checked("rating_min", "int", corpus.get("rating_min", 1))
         rating_max = checked("rating_max", "int", corpus.get("rating_max", 5))
@@ -154,9 +152,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         if corpus.get("format") not in (None, "csv", "jsonl"):
             raise ValidationError(f"corpus.format must be 'csv', 'jsonl' or absent, not {corpus['format']!r}")
 
-        annotators = raw.get("annotators", [])
-        if not (isinstance(annotators, list) and all(isinstance(a, str) for a in annotators)):
-            raise ValidationError(f"annotators must be a list of strings, not {annotators!r}")
+        annotators = tuple(checked("annotator", "str", a) for a in checked("annotators", "list", raw.get("annotators", [])))
 
         workdir = _resolve(base_dir, checked("workdir", "str", raw.get("workdir", "runs/default")))
         assert workdir is not None
@@ -174,7 +170,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             llm_backend=llm_backend,
             llm_script=_resolve(base_dir, checked("script", "str | None", llm.get("script"))),
             sampling=sampling,
-            annotators=tuple(annotators),
+            annotators=annotators,
             digest=config_digest(raw),
             base_dir=base_dir,
         )

@@ -1,9 +1,9 @@
 """Entailment score types, the review × hypothesis matrix, caching, and scoring.
 
 A review's row is the unit of scoring work, of cache record, and of what the cache holds
-in memory: its hypothesis ids (a complete record implies its set's) and a float32 ``array``;
-cells are keyed by (backend name, hypothesis-set content hash, review id, hypothesis id), so
-a rerun resumes cell by cell; a warm rerun calls no backend and reproduces the matrix bit for bit.
+in memory: its hypothesis ids and a float32 ``array``; cells are keyed by (backend name,
+hypothesis-set content hash, review id, hypothesis id), so a rerun resumes cell by cell;
+a warm rerun calls no backend and reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -137,33 +137,30 @@ def load_matrix(path: str | Path) -> EntailmentMatrix:
 
 
 class ScoreCache:
-    """The entailment cache file at ``path`` as it was when opened, one JSONL
-    record per scored row. A row of every cell of its set is ``{backend, set_hash,
-    review_id, f32}``, ``f32`` the base64 of its float32 cells, little-endian, in
-    the set's hypothesis order; the set's first such row in the file names the ids
-    (``hypotheses: [...]``, kept in ``named``). A row of some cells, committed
-    before a backend failure, is ``row: [[hypothesis_id, entail], ...]``. Any other
-    record is corrupt. A later record wins a cell an earlier one holds.
-    A record names ``backend`` and ``set_hash`` only where they change (see ``_jsonl.Log``).
-    In memory a review's cells are a tuple of hypothesis ids, one object shared by every
-    row with the same ids, and a float32 ``array`` of their entailments (see :meth:`row`).
+    """The entailment cache file at ``path`` as it was when opened, one JSONL record per
+    scored row, ``{backend, set_hash, review_id, hypotheses, f32}``: ``f32`` is the base64 of
+    the row's float32 cells, little-endian, in the order of its ``hypotheses`` ids (every id
+    of its set, or those scored before a backend failure). A record names ``backend``,
+    ``set_hash`` and ``hypotheses`` only where they change (see ``_jsonl.Log``); a later record
+    wins a cell an earlier one holds, and a record without ``f32`` is corrupt. In memory a
+    review's cells are a tuple of hypothesis ids, one object shared by every row with the same
+    ids, and a float32 ``array`` of their entailments (see :meth:`row`).
 
-    The cache writes nothing: :func:`score_corpus` appends the rows it scores,
-    and adds each set it names to ``named``. The rows are let go when the
-    ``with`` block ends. ``len()`` counts cells.
+    The cache writes nothing: :func:`score_corpus` appends the rows it scores through ``log``.
+    The rows are let go when the ``with`` block ends. ``len()`` counts cells.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.named: dict[str, tuple[int, ...]] = {}  # set hash -> the hypothesis ids the file names for it
         self._rows: dict[tuple[str, str, str], tuple[tuple[int, ...], array]] = {}
         self._ids: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct id tuple, kept once
-        self.log = Log(self.path, ("backend", "set_hash"))  # score_corpus appends through it
+        self._named = None, ()  # the last ``hypotheses`` list read, which the rows after it share, and its checked ids
+        self.log = Log(self.path, ("backend", "set_hash", "hypotheses"))  # score_corpus appends through it
         for key, ids, entails in self.log.read(self._record_cells):
             if key in self._rows:  # a later record wins the cells it holds, and they move last
                 cells = {h: e for h, e in zip(*self._rows[key]) if h not in ids} | dict(zip(ids, entails))
-                ids, entails = tuple(cells), cells.values()
-            self._rows[key] = self._ids.setdefault(ids, ids), array("f", entails)
+                ids, entails = tuple(cells), array("f", cells.values())
+            self._rows[key] = self._ids.setdefault(ids, ids), entails
 
     def __len__(self) -> int:
         return sum(len(ids) for ids, _ in self._rows.values())
@@ -178,24 +175,22 @@ class ScoreCache:
     def __exit__(self, *exc_info) -> None:
         self._rows, self._ids = {}, {}
 
-    def _record_cells(self, record: dict) -> tuple[tuple[str, str, str], tuple[int, ...], list]:
+    def _record_cells(self, record: dict) -> tuple[tuple[str, str, str], tuple[int, ...], array]:
         """The key (its backend and set hash interned), ids and checked entailments of a record."""
         key = (sys.intern(record["backend"]), sys.intern(record["set_hash"]), checked("review_id", "str", record["review_id"]))
-        if "f32" in record:  # a complete row, in its set's named order
-            if "hypotheses" in record:
-                self.named[key[1]] = tuple(checked("hypothesis id", "int", h) for h in record["hypotheses"])
-            ids = self.named.get(key[1])
-            entails = _little_endian(array("f", b64decode(record["f32"], validate=True)))
-            if ids is None or len(entails) != len(ids):
-                raise ValueError(f"complete row does not match the hypotheses named for set {key[1]!r}: {ids}")
-            return key, ids, _checked(entails)
-        if "row" not in record or any(len(cell) != 2 for cell in record["row"]):
+        if "f32" not in record:
             raise ValidationError(
-                "not an f32 row or a row of [hypothesis_id, entail] cells: the cache was written by an"
-                f" earlier development version; delete {self.path.name} to score its reviews again"
+                "not an f32 row: the cache was written by an earlier development version;"
+                f" delete {self.path.name} to score its reviews again"
             )
-        ids = tuple(checked("hypothesis id", "int", hyp_id) for hyp_id, _ in record["row"])
-        return key, ids, _checked([checked("entail", "float", entail) for _, entail in record["row"]])
+        named = record["hypotheses"]
+        if named is not self._named[0]:  # checked once per list the file names
+            self._named = named, tuple(checked("hypothesis id", "int", h) for h in checked("hypotheses", "list", named))
+        ids = self._named[1]
+        entails = _little_endian(array("f", b64decode(record["f32"], validate=True)))
+        if len(entails) != len(ids):
+            raise ValueError(f"row of {len(entails)} cells does not match its {len(ids)} hypotheses")
+        return key, ids, _checked(entails)
 
 
 # An empty normalized review entails nothing; scoring it remotely would be
@@ -216,11 +211,10 @@ def score_corpus(
     Requires normalized reviews. A review's uncached cells are one job of :func:`run_ordered`:
     ``max_inflight`` workers, the calling thread among them, score at most ``2 * max_inflight``
     rows ahead of the row the calling thread commits, in review order. The pass keeps the cache's
-    file open and appends and flushes each row as it is committed (a complete row as the base64
-    of its float32 cells, a partial one as 9-digit decimals with their ids; both read back bit for
-    bit), so a killed run loses at most the rows in flight; without a ``cache`` it reads and writes
-    nothing. On backend failure the raised :class:`BackendError` carries the completed-cell count;
-    every committed cell, the failing row's included (with their ids), is in the file for the rerun.
+    file open and appends and flushes each row as it is committed, its cells' ids and float32 bytes
+    (see :class:`ScoreCache`), so a killed run loses at most the rows in flight; without a ``cache``
+    it reads and writes nothing. On backend failure the raised :class:`BackendError` carries the
+    completed-cell count; every committed cell, the failing row's included, is in the file for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
@@ -229,6 +223,7 @@ def score_corpus(
 
     name, set_hash = backend.name, hset.version_hash
     hyp_ids = tuple(h.id for h in hset.hypotheses)
+    every_id = list(hyp_ids)  # a complete row's ids, which the log names only where they change
     k = len(hyp_ids)
     grid = Grid("f", bytes(4 * len(reviews) * k))
     completed = missed = 0  # cells the backend scored, and cells the cache did not hold
@@ -244,14 +239,11 @@ def score_corpus(
 
         def append_row(i: int, review_id: str, columns: list) -> None:  # the grid's cells ``columns`` of row ``i``
             if columns and log is not None:
-                record = {"backend": name, "set_hash": set_hash, "review_id": review_id}
-                if len(columns) < k:  # a partial row names its cells' ids; 9 digits read back to each float32
-                    record["row"] = [[hyp_ids[j], float("%.9g" % grid[i * k + j])] for j in columns]
-                else:  # a complete row is its float32 cells' bytes, little-endian, in base64
-                    record["f32"] = b64encode(_little_endian(grid[i * k : (i + 1) * k]).tobytes()).decode("ascii")
-                    if cache.named.get(set_hash) != hyp_ids:  # the set's first complete row in the file
-                        record["hypotheses"] = cache.named[set_hash] = hyp_ids
-                log.append([record])
+                whole = len(columns) == k  # every cell, in the set's order
+                ids = every_id if whole else [hyp_ids[j] for j in columns]
+                cells = grid[i * k : (i + 1) * k] if whole else array("f", [grid[i * k + j] for j in columns])
+                f32 = b64encode(_little_endian(cells).tobytes()).decode("ascii")
+                log.append([{"backend": name, "set_hash": set_hash, "review_id": review_id, "hypotheses": ids, "f32": f32}])
 
         def commit(job, _, error: Exception | None) -> None:
             nonlocal completed

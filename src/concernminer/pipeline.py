@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._jsonl import Log, read_json, read_jsonl, replace_file, write_csv, write_json, write_jsonl
+from ._jsonl import Log, checked, read_json, read_jsonl, replace_file, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, backend_slug, make_llm_backend, make_nli_backend
 from .corpus import (
@@ -165,8 +165,10 @@ def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
 def _vote_record_from_dict(raw: dict) -> VoteRecord:
     """A vote record from its log line; ``backend``, ``set_hash`` and
     ``sampling`` are ``None`` when neither it nor an earlier line names them."""
-    responses, votes = tuple(raw["raw_responses"]), tuple(Vote(v) for v in raw["votes"])
-    return VoteRecord(**dict(raw, raw_responses=responses, votes=votes, decision=BinaryLabel(raw["decision"])))
+    review_id, tie_flag = checked("review_id", "str", raw["review_id"]), checked("tie_flag", "bool", raw["tie_flag"])
+    responses = tuple(checked("raw response", "str", r) for r in checked("raw_responses", "list", raw["raw_responses"]))
+    votes, decision = tuple(Vote(v) for v in raw["votes"]), BinaryLabel(raw["decision"])
+    return VoteRecord(**dict(raw, review_id=review_id, raw_responses=responses, votes=votes, decision=decision, tie_flag=tie_flag))
 
 
 def read_votes(votes: Log, backend: str, set_hash: str, sampling: str, *, log: bool = True) -> dict[str, VoteRecord]:

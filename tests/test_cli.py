@@ -250,8 +250,8 @@ def test_nli_backend_names_sharing_a_file_name_slug_are_both_scored(selection_se
             "response_fields must be an object or null, not ['a']",
         ),
         (lambda raw: raw["nli"]["backends"][0].update(mock_table=5), "mock_table must be a string or null, not 5"),
-        (lambda raw: raw.update(annotators="alice"), "annotators must be a list of strings, not 'alice'"),
-        (lambda raw: raw.update(annotators=["lead", 2]), "annotators must be a list of strings, not ['lead', 2]"),
+        (lambda raw: raw.update(annotators="alice"), "annotators must be a list, not 'alice'"),
+        (lambda raw: raw.update(annotators=["lead", 2]), "annotator must be a string, not 2"),
         (
             lambda raw: raw["nli"]["backends"][0].update(endpoint="http://127.0.0.1:9/nli", response_fields={"entailment": 5}),
             "response_fields['entailment'] must be a non-empty string, not 5",
@@ -280,6 +280,14 @@ def test_nli_backend_names_sharing_a_file_name_slug_are_both_scored(selection_se
         (lambda raw: raw["hypotheses"].update(extraction=5), "hypotheses.extraction must be a string, not 5"),
         (lambda raw: raw["corpus"].update(unlabeled=5), "unlabeled must be a string or null, not 5"),
         (lambda raw: raw["llm"].update(script=["a.json"]), "script must be a string or null, not ['a.json']"),
+        (lambda raw: raw.update(corpus=[]), "corpus must be an object, not []"),
+        (lambda raw: raw.update(nli="mock"), "nli must be an object, not 'mock'"),
+        (lambda raw: raw.update(llm=[]), "llm must be an object, not []"),
+        (lambda raw: raw.update(hypotheses=["builtin:generic"]), "hypotheses must be an object, not ['builtin:generic']"),
+        (lambda raw: raw["nli"].update(backends={"name": "m"}), "nli.backends must be a list, not {'name': 'm'}"),
+        (lambda raw: raw["nli"].update(backends=[["m"]]), "nli.backends[0] must be an object, not ['m']"),
+        (lambda raw: raw["llm"].update(backend="mock"), "llm.backend must be an object, not 'mock'"),
+        (lambda raw: raw["llm"].update(sampling=[3]), "llm.sampling must be an object, not [3]"),
     ],
     ids=[
         "response_fields-list",
@@ -303,6 +311,14 @@ def test_nli_backend_names_sharing_a_file_name_slug_are_both_scored(selection_se
         "hypotheses_ref-int",
         "unlabeled-int",
         "script-list",
+        "corpus-list",
+        "nli-string",
+        "llm-list",
+        "hypotheses-list",
+        "backends-object",
+        "backend-list",
+        "llm_backend-string",
+        "sampling-list",
     ],
 )
 def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
@@ -326,7 +342,7 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
     [
         (lambda raw: json.dumps(dict(raw, seed=1.5)), "seed must be an integer, not 1.5"),
         (lambda raw: json.dumps(dict(raw, corpus=dict(raw["corpus"], rating_min=4, rating_max=2))), "invalid rating bounds (4, 2)"),
-        (lambda raw: json.dumps(dict(raw, nli=[raw["nli"]])), "'list' object has no attribute 'get'"),
+        (lambda raw: json.dumps(dict(raw, nli=[raw["nli"]])), "nli must be an object, not [{"),
         (lambda raw: json.dumps(raw)[:-1], "JSONDecodeError("),  # not a config error: its type is named, as before
     ],
     ids=["wrong-type", "validation", "wrong-shape", "not-json"],

@@ -256,6 +256,50 @@ def test_record_missing_a_field_exits_2(extraction, tmp_path, capsys, log_name, 
     assert f"{log}:{lines}: corrupt log line" in capsys.readouterr().err
 
 
+def rewrite_first_record(log, **fields):
+    """Replace fields of the first record of the log at ``log``, as an outside edit would."""
+    first, *rest = log.read_text().splitlines(keepends=True)
+    log.write_text(json.dumps(dict(json.loads(first), **fields), sort_keys=True) + "\n" + "".join(rest))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"tie_flag": "false"}, {"tie_flag": 0}, {"tie_flag": None}, {"raw_responses": [1, 2, 3, 4, 5]}, {"raw_responses": "yes"}, {"review_id": 7}],
+    ids=["tie-flag-string", "tie-flag-zero", "tie-flag-null", "response-number", "responses-string", "review-id-number"],
+)
+def test_vote_record_value_out_of_contract_exits_2(extraction, tmp_path, capsys, fields):
+    config_path, _ = extraction
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    votes, extracted = tmp_path / "run" / VOTES_FILE, tmp_path / "run" / EXTRACTED_FILE
+    rewrite_first_record(votes, **fields)
+    before = extracted.read_bytes()
+    capsys.readouterr()
+
+    assert main(["extract", *common]) == 2
+    assert f"{votes}:1: corrupt log line" in capsys.readouterr().err
+    assert extracted.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"label": "yes please"}, {"label": 7}, {"label": "skip"}, {"label": None}, {"annotator": 5}, {"review_id": ["r"]}],
+    ids=["label-unknown", "label-number", "label-skip", "label-null", "annotator-number", "review-id-list"],
+)
+def test_annotation_state_value_out_of_contract_exits_2_and_keeps_the_report(extraction, tmp_path, capsys, fields):
+    config_path, responses_path = extraction
+    workdir = tmp_path / "run"
+    assert run_all(config_path, responses_path, workdir) == (0, 0)
+    state = workdir / ANNOTATION_STATE_FILE
+    rewrite_first_record(state, **fields)
+    before = {name: (workdir / name).read_bytes() for name in (ANNOTATION_REPORT_FILE, MANIFEST_FILE)}
+    capsys.readouterr()
+
+    assert main(["annotate", "--config", str(config_path), "--workdir", str(workdir), "--responses", str(responses_path)]) == 2
+    assert f"{state}:1: corrupt log line" in capsys.readouterr().err
+    assert {name: (workdir / name).read_bytes() for name in before} == before
+
+
 @pytest.mark.parametrize("log_name", [NLI_CACHE_FILE, VOTES_FILE])
 def test_a_model_log_another_writer_holds_exits_2(extraction, tmp_path, capsys, log_name):
     config_path, _ = extraction
@@ -271,19 +315,28 @@ def test_a_model_log_another_writer_holds_exits_2(extraction, tmp_path, capsys, 
     assert log.read_bytes() == before
 
 
+def f32_field(cells):
+    """The ``f32`` field of a cache row holding ``cells``."""
+    return base64.b64encode(struct.pack(f"<{len(cells)}f", *cells)).decode("ascii")
+
+
 @pytest.mark.parametrize(
     "cell",
-    [[1, 1.5], [1, float("nan")], [1, "0.5"], [1, None], ["x", 0.5]],
-    ids=["entail-above-1", "entail-nan", "entail-string", "entail-null", "id-string"],
+    [(1, [1.5]), (1, [float("nan")]), (1, "0.5"), (1, None), ("x", [0.5])],
+    ids=["entail-above-1", "entail-nan", "f32-not-a-string", "f32-null", "id-string"],
 )
-def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell):
+def test_partial_cache_row_out_of_contract_exits_2(extraction, tmp_path, capsys, cell):
     config_path, _ = extraction
     common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
     assert main(["extract", *common]) == 0
     log = tmp_path / "run" / NLI_CACHE_FILE
     first = json.loads(log.read_text().splitlines()[0])
-    with Log(log) as handle:
-        handle.append([{"backend": first["backend"], "set_hash": first["set_hash"], "review_id": "appended", "row": [cell]}])
+    hyp_id, f32 = cell
+    with Log(log) as handle:  # a row of one cell, as a backend failure after its first cell leaves it
+        handle.append([{
+            "backend": first["backend"], "set_hash": first["set_hash"], "review_id": "appended",
+            "hypotheses": [hyp_id], "f32": f32_field(f32) if isinstance(f32, list) else f32,
+        }])
     lines = len(log.read_text().splitlines())
     capsys.readouterr()
 
@@ -296,11 +349,12 @@ def test_cache_value_out_of_contract_exits_2(extraction, tmp_path, capsys, cell)
     [
         lambda ids, entails: [{"hypothesis_id": h, "entail": e, "neutral": None, "contradict": None} for h, e in zip(ids, entails)],
         lambda ids, entails: [{"row": [[h, e, None, None] for h, e in zip(ids, entails)]}],
+        lambda ids, entails: [{"row": [[h, float("%.9g" % e)] for h, e in zip(ids, entails)]}],  # 9-digit decimals with their ids
         lambda ids, entails: [{"entail": [float("%.9g" % e) for e in entails]}],  # 9-digit decimals, in the set's order
         lambda ids, entails: [{"row": [[ids[0], 0.5, -0.1, 0.6]]}],
         lambda ids, entails: [{"row": [[ids[0], 0.2, 0.2, 0.1]]}],  # a distribution that sums to 0.5
     ],
-    ids=["cell-records", "4-value-cells", "entail-rows", "neutral-below-0", "sum-0.5"],
+    ids=["cell-records", "4-value-cells", "2-value-cells", "entail-rows", "neutral-below-0", "sum-0.5"],
 )
 def test_a_cache_an_earlier_development_version_wrote_exits_2_and_changes_nothing(extraction, tmp_path, capsys, monkeypatch, shape):
     config_path, _ = extraction
@@ -323,13 +377,15 @@ def test_a_cache_an_earlier_development_version_wrote_exits_2_and_changes_nothin
 
     assert main(["extract", *common]) == 2
     err = capsys.readouterr().err
-    assert f"{log}:{half + 1}: corrupt log line: not an f32 row or a row of [hypothesis_id, entail] cells" in err
+    assert f"{log}:{half + 1}: corrupt log line: not an f32 row: the cache was written by an earlier development version" in err
     assert f"delete {NLI_CACHE_FILE} to score its reviews again" in err
     assert snapshot(tmp_path / "run") == before
     assert calls == []
 
 
-@pytest.mark.parametrize("dropped", [("backend",), ("set_hash",), ("backend", "set_hash")], ids=["backend", "set_hash", "both"])
+@pytest.mark.parametrize(
+    "dropped", [("backend",), ("set_hash",), ("backend", "set_hash"), ("hypotheses",)], ids=["backend", "set_hash", "both", "hypotheses"]
+)
 def test_a_first_cache_record_without_its_context_exits_2(extraction, tmp_path, capsys, dropped):
     config_path, _ = extraction
     common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
@@ -346,11 +402,6 @@ def test_a_first_cache_record_without_its_context_exits_2(extraction, tmp_path, 
     assert snapshot(tmp_path / "run") == before
 
 
-def f32_field(cells):
-    """The ``f32`` field of a complete cache row holding ``cells``."""
-    return base64.b64encode(struct.pack(f"<{len(cells)}f", *cells)).decode("ascii")
-
-
 @pytest.mark.parametrize(
     "fields",
     [
@@ -363,13 +414,12 @@ def f32_field(cells):
         lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [float("nan")])},
         lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [1.5])},
         lambda k, f32: {"f32": f32_field([0.5] * (k - 1) + [-0.0625])},
-        lambda k, f32: {"f32": f32, "set_hash": "never-named"},
         lambda k, f32: {"f32": f32, "set_hash": "new", "hypotheses": [True] + list(range(2, k + 1))},
         lambda k, f32: {"f32": f32, "set_hash": "new", "hypotheses": [str(h) for h in range(1, k + 1)]},
     ],
     ids=[
         "f32-not-base64", "f32-padding-cut", "f32-padding-inside", "f32-long", "f32-short", "f32-not-4-byte-cells",
-        "f32-nan", "f32-above-1", "f32-below-0", "f32-set-not-named",
+        "f32-nan", "f32-above-1", "f32-below-0",
         "f32-hypothesis-id-true", "f32-hypothesis-id-string",
     ],
 )

@@ -9,7 +9,7 @@ import sys
 import threading
 import tracemalloc
 from base64 import b64decode, b64encode
-from decimal import Decimal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from concernminer._jsonl import Log
 from concernminer.config import NliBackendConfig
 from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
-from concernminer.hypotheses import builtin_domain_mh, builtin_generic
+from concernminer.hypotheses import HypothesisSet, builtin_domain_mh, builtin_generic
 from concernminer.labels import PseudoLabel
 from concernminer.nli import (
     EntailmentMatrix,
@@ -101,10 +101,14 @@ def f32_cells(record):
     return np.frombuffer(b64decode(record["f32"]), dtype="<f4").tolist()
 
 
+def f32_field(cells):
+    """The ``f32`` field of a cache row holding ``cells``."""
+    return b64encode(np.asarray(cells, dtype="<f4").tobytes()).decode("ascii")
+
+
 def named_records(path):
-    """The records of the cache at ``path``, each naming its backend and set
-    hash, as versions before a record could leave them out wrote them."""
-    return list(Log(path, ("backend", "set_hash")).read())
+    """The records of the cache at ``path``, each naming its backend, set hash and hypotheses."""
+    return list(Log(path, ("backend", "set_hash", "hypotheses")).read())
 
 
 def make_reviews(texts):
@@ -433,14 +437,14 @@ class TestScoreCorpus:
         assert np.array_equal(matrix.scores, clean.scores)
 
 
-    def test_complete_rows_of_2_value_cells_give_a_warm_run(self, tmp_path):
+    def test_rows_of_every_cell_in_another_order_give_a_warm_run(self, tmp_path):
         reviews = make_reviews(["data trackers everywhere", "fine app", "!!!"])
         clean = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, max_inflight=8)
         cache_path = tmp_path / "cache.jsonl"
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash}
-        with Log(cache_path) as log:  # every complete row as a partial row, its ids named
+        with Log(cache_path) as log:  # every row's cells in reverse hypothesis order, each row naming its ids
             log.append([
-                dict(fields, review_id=review.id, row=[[hyp.id, float("%.9g" % entail)] for hyp, entail in zip(DOMAIN.hypotheses, clean.row(i))])
+                dict(fields, review_id=review.id, hypotheses=[h.id for h in DOMAIN.hypotheses][::-1], f32=f32_field(clean.row(i)[::-1]))
                 for i, review in enumerate(reviews)
             ])
         before = cache_path.read_bytes()
@@ -452,11 +456,11 @@ class TestScoreCorpus:
         assert warm.scores.tobytes() == clean.scores.tobytes()
         assert cache_path.read_bytes() == before  # a warm run appends nothing
 
-    def test_f32_and_row_records_all_load(self, tmp_path):
+    def test_complete_and_partial_f32_rows_all_load(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         complete = {"backend": "b", "set_hash": "h", "review_id": "r0", "f32": "AAAAPwAAgD4AAEA/", "hypotheses": [1, 2, 3]}  # 0.5, 0.25, 0.75
-        other = {"backend": "b", "set_hash": "h", "review_id": "r1", "row": [[1, 0.125]]}
-        current = {"backend": "b", "set_hash": "h", "review_id": "r2", "row": [[2, 0.375], [1, 0.625]]}
+        other = {"review_id": "r1", "hypotheses": [1], "f32": f32_field([0.125])}
+        current = {"review_id": "r2", "hypotheses": [2, 1], "f32": f32_field([0.375, 0.625])}
         cache_path.write_text("".join(json.dumps(r) + "\n" for r in (complete, other, current)))
         cache = ScoreCache(cache_path)
         assert len(cache) == 6
@@ -469,31 +473,45 @@ class TestScoreCorpus:
     @pytest.mark.parametrize(
         "fields",
         [
-            {"row": [[1]]}, {"row": [[1, 0.5, 0.5]]}, {"row": [[1, 0.5, 0.25, 0.25, 0.0]]}, {"row": [[1, 1.5]]},
-            {"row": [[1.0, 0.5]]}, {"row": [[1, None]]}, {"row": [[True, 0.5]]}, {"row": [[1, True]]}, {"review_id": 7},
-            {"row": [[1, -0.5]]}, {"row": [[1, float("nan")]]}, {"row": [[1, "0.5"]]}, {"row": [["1", 0.5]]},
-            {"row": [1, 0.5]}, {"row": 0.5},
+            {"hypotheses": [1.0]}, {"hypotheses": [True]}, {"hypotheses": ["1"]}, {"hypotheses": [None]}, {"review_id": 7},
+            {"hypotheses": 1}, {"hypotheses": None}, {"hypotheses": [1, 2]}, {"hypotheses": []},
         ],
         ids=[
-            "width-1", "width-3", "width-5", "entail-above-1", "id-float", "entail-null", "id-true", "entail-true", "review-id-number",
-            "entail-below-0", "entail-nan", "entail-string", "id-string", "cell-not-a-list", "row-not-a-list",
+            "id-float", "id-true", "id-string", "id-null", "review-id-number",
+            "hypotheses-not-a-list", "hypotheses-null", "more-ids-than-cells", "fewer-ids-than-cells",
         ],
     )
-    def test_row_cell_out_of_contract_is_corrupt(self, tmp_path, fields):
+    def test_partial_row_out_of_contract_is_corrupt(self, tmp_path, fields):
         cache_path = tmp_path / "cache.jsonl"
-        good = {"backend": "b", "set_hash": "h", "review_id": "r0", "row": [[1, 0.5]]}
+        good = {"backend": "b", "set_hash": "h", "review_id": "r0", "hypotheses": [1], "f32": f32_field([0.5])}
         with Log(cache_path) as log:
             log.append([good, dict(good, review_id="r1") | fields])
         with pytest.raises(ValidationError, match=f"{cache_path}:2: corrupt log line"):
             ScoreCache(cache_path)
 
+    def test_a_row_of_a_new_set_with_equal_ids_inherits_them_and_reruns_warm(self, tmp_path):
+        reviews = make_reviews(["data trackers everywhere", "fine app"])
+        renamed = HypothesisSet("renamed", "same ids", tuple(replace(h, text=h.text + "!") for h in DOMAIN.hypotheses), DOMAIN.heuristics)
+        assert renamed.version_hash != DOMAIN.version_hash
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache:
+            clean = [score_corpus(MockNliBackend(seed=0), reviews, hset, cache=cache, max_inflight=2) for hset in (DOMAIN, renamed)]
+        records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        assert [sorted(r.keys() & {"set_hash", "hypotheses"}) for r in records] == [["hypotheses", "set_hash"], [], ["set_hash"], []]
+        warm = MockNliBackend(seed=0)
+        with ScoreCache(cache_path) as cache:
+            assert len(cache) == 4 * 21
+            for hset, matrix in zip((DOMAIN, renamed), clean):
+                assert score_corpus(warm, reviews, hset, cache=cache, max_inflight=2).scores.tobytes() == matrix.scores.tobytes()
+        assert warm.calls == 0
+
     def test_a_later_record_wins_a_cell(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         key = {"backend": "b", "set_hash": "h", "review_id": "r0"}
         records = [
-            dict(key, row=[[1, 0.5], [2, 0.25]]),
-            dict(key, row=[[2, 0.75]]),
-            dict(key, row=[[3, 0.125], [1, 0.0]]),
+            dict(key, hypotheses=[1, 2], f32=f32_field([0.5, 0.25])),
+            dict(key, hypotheses=[2], f32=f32_field([0.75])),
+            dict(key, hypotheses=[3, 1], f32=f32_field([0.125, 0.0])),
         ]
         with Log(cache_path) as log:
             log.append(records)
@@ -501,27 +519,27 @@ class TestScoreCorpus:
         assert len(cache) == 3
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.75], [3, 0.125], [1, 0.0]]  # a won cell moves last
 
-    def test_both_record_shapes_load_under_one_merge_rule(self, tmp_path):
+    def test_complete_and_partial_rows_load_under_one_merge_rule(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         h, other = {"backend": "b", "set_hash": "h"}, {"backend": "b", "set_hash": "other"}
         records = [
-            dict(h, review_id="r0", f32="AAAAPwAAgD4AAEA/", hypotheses=[1, 2, 3]),  # 0.5, 0.25, 0.75; names set h
-            dict(h, review_id="r1", f32="AAAAPgAAAAAAAIA/"),  # 0.125, 0.0, 1.0; its ids are set h's
-            dict(other, review_id="r0", f32="AAAAPwAAgD4=", hypotheses=[7, 5]),  # 0.5, 0.25; names another set
-            dict(h, review_id="r1", row=[[2, 0.5]]),  # a partial row wins a cell
-            dict(h, review_id="r0", row=[[1, 0.0]]),
-            dict(h, review_id="r2", row=[[3, 0.25], [1, 0.375]]),
-            dict(h, review_id="r2", f32="AAAgPwAAYD8AAIA9"),  # 0.625, 0.875, 0.0625: a complete row wins every cell
-            dict(other, review_id="r1", f32="AAAAAAAAgD8="),  # 0.0, 1.0
-            dict(h, review_id="r3", f32="AAAAAAAAgD8AAMA+"),  # 0.0, 1.0, 0.375, in set h's order
+            dict(h, review_id="r0", f32="AAAAPwAAgD4AAEA/", hypotheses=[1, 2, 3]),  # 0.5, 0.25, 0.75; names set h's ids
+            dict(h, review_id="r1", f32="AAAAPgAAAAAAAIA/"),  # 0.125, 0.0, 1.0; its ids are the last named
+            dict(other, review_id="r0", f32="AAAAPwAAgD4=", hypotheses=[7, 5]),  # 0.5, 0.25; names another set's
+            dict(h, review_id="r1", hypotheses=[2], f32=f32_field([0.5])),  # a partial row wins a cell
+            dict(h, review_id="r0", hypotheses=[1], f32=f32_field([0.0])),
+            dict(h, review_id="r2", hypotheses=[3, 1], f32=f32_field([0.25, 0.375])),
+            dict(h, review_id="r2", hypotheses=[1, 2, 3], f32="AAAgPwAAYD8AAIA9"),  # 0.625, 0.875, 0.0625: a complete row wins every cell
+            dict(other, review_id="r1", hypotheses=[7, 5], f32="AAAAAAAAgD8="),  # 0.0, 1.0
+            dict(h, review_id="r3", hypotheses=[1, 2, 3], f32="AAAAAAAAgD8AAMA+"),  # 0.0, 1.0, 0.375, in set h's order
             dict(h, review_id="r1", f32="AADAPgAAAAAAAAA/"),  # 0.375, 0.0, 0.5
-            dict(h, review_id="r3", row=[[1, 0.125]]),
+            dict(h, review_id="r3", hypotheses=[1], f32=f32_field([0.125])),
         ]
         with Log(cache_path) as log:
             log.append(records)
         cache = ScoreCache(cache_path)
         assert len(cache) == 16
-        assert cache.named == {"h": (1, 2, 3), "other": (7, 5)}
+        assert cache.row("b", "h", "r1")[0] is cache.row("b", "h", "r2")[0]  # merged rows of equal ids share one tuple
         assert cells_of(cache.row("b", "h", "r0")) == [[2, 0.25], [3, 0.75], [1, 0.0]]  # a won cell moves last
         assert cells_of(cache.row("b", "h", "r1")) == [[1, 0.375], [2, 0.0], [3, 0.5]]
         assert cells_of(cache.row("b", "h", "r2")) == [[1, 0.625], [2, 0.875], [3, 0.0625]]
@@ -546,13 +564,13 @@ class TestScoreCorpus:
             matrix = score_corpus(MockNliBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=1)
         records = [json.loads(line) for line in cache_path.read_text().splitlines()]
         assert [sorted(r) for r in records] == [
-            ["backend", "review_id", "row", "set_hash"],  # the failed row's 10 cells
-            ["review_id", "row"],  # its other 11, on resume, in the pass context the file's last record named
-            ["f32", "hypotheses", "review_id"],  # the set's first complete row
+            ["backend", "f32", "hypotheses", "review_id", "set_hash"],  # the failed row's 10 cells
+            ["f32", "hypotheses", "review_id"],  # its other 11, on resume, in the pass context the file's last record named
+            ["f32", "hypotheses", "review_id"],  # the first complete row after them names every id again
         ]
-        assert [cell[0] for cell in records[0]["row"]] == hyp_ids[:10]
-        assert [cell[0] for cell in records[1]["row"]] == hyp_ids[10:]
-        assert records[2]["hypotheses"] == hyp_ids
+        assert records[0]["hypotheses"] == hyp_ids[:10] and len(f32_cells(records[0])) == 10
+        assert records[1]["hypotheses"] == hyp_ids[10:] and len(f32_cells(records[1])) == 11
+        assert records[2]["hypotheses"] == hyp_ids and len(f32_cells(records[2])) == 21
         warm = MockNliBackend(seed=0)
         with ScoreCache(cache_path) as cache:
             assert cache.row("mock-nli", DOMAIN.version_hash, "r0")[0] == tuple(hyp_ids)
@@ -742,7 +760,7 @@ class TestScoreCorpus:
             edges += [float(near32), float(np.nextafter(near32, np.float32(0))), float(np.nextafter(near32, np.float32(1)))]
         n_rows = 20
         values = np.random.default_rng(5).random(n_rows * 21)
-        values[: len(edges)] = edges  # in row 0, which a failure leaves partial: 9-digit decimals
+        values[: len(edges)] = edges  # in row 0, which a failure leaves as two partial rows
         values[21 : 21 + len(edges)] = edges  # in row 1, a complete f32 row
         table = values.reshape(n_rows, 21).tolist()
         columns = {h.id: j for j, h in enumerate(DOMAIN.hypotheses)}
@@ -766,13 +784,12 @@ class TestScoreCorpus:
         with ScoreCache(cache_path) as cache:
             matrix = score_corpus(TableBackend(), reviews, DOMAIN, cache=cache, max_inflight=2)
         assert np.asarray(matrix.scores).tobytes() == values.astype(np.float32).tobytes()
-        records = [json.loads(line, parse_float=Decimal) for line in cache_path.read_text().splitlines()]
-        assert [("row" in r, r["review_id"]) for r in records[:3]] == [(True, "r0"), (True, "r0"), (False, "r1")]
-        assert len(records) == n_rows + 1 and all("f32" in r for r in records[2:])
-        for record in records[:2]:  # row 0's cells, 10 before the failure and 11 after it
-            for hyp_id, entail in record["row"]:  # each entail as written, a Decimal
-                assert len(entail.normalize().as_tuple().digits) <= 9, entail
-                assert np.float32(float(entail)).tobytes() == np.float32(matrix.row(0)[columns[hyp_id]]).tobytes(), entail
+        records = list(Log(cache_path, ("backend", "set_hash", "hypotheses")).read())
+        assert [(len(r["hypotheses"]), r["review_id"]) for r in records[:3]] == [(10, "r0"), (11, "r0"), (21, "r1")]
+        assert len(records) == n_rows + 1 and all("f32" in r for r in records)
+        for record in records[:2]:  # row 0's cells, 10 before the failure and 11 after it, each its float32 bytes
+            cells = np.asarray(matrix.row(0), dtype="<f4")[[columns[hyp_id] for hyp_id in record["hypotheses"]]]
+            assert b64decode(record["f32"]) == cells.tobytes(), record["hypotheses"]
         for record in records[2:]:  # each complete row's cells are its float32 bytes, little-endian
             i = int(record["review_id"][1:])
             assert b64decode(record["f32"]) == np.asarray(matrix.row(i), dtype="<f4").tobytes(), i
@@ -780,24 +797,25 @@ class TestScoreCorpus:
         with ScoreCache(cache_path) as cache:
             assert score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=2).scores.tobytes() == matrix.scores.tobytes()
 
-    def test_full_float64_and_f32_caches_rerun_warm_to_one_matrix_file(self, tmp_path):
+    def test_split_and_whole_rows_rerun_warm_to_one_matrix_file(self, tmp_path):
         texts = [f"review {k} with data trackers" if k % 3 == 0 else f"plain review {k}" for k in range(30)]
         reviews = make_reviews(texts + ["!!!"])
         current = tmp_path / "f32.jsonl"
         with ScoreCache(current) as cache:
             save_matrix(score_corpus(MockNliBackend(seed=3), reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "cold.bin")
-        # The earliest kind of cache: each cell the backend's float64 as it was returned.
-        full = tmp_path / "full.jsonl"
+        # Each row as two partial rows, as a failure in every row would leave it: each cell the backend's float64 made float32.
+        split = tmp_path / "split.jsonl"
         backend = MockNliBackend(seed=3)
-        with Log(full) as log:
-            log.append([
-                {"backend": backend.name, "set_hash": DOMAIN.version_hash, "review_id": review.id, "row": [
-                    [h.id, backend.score_pair(review.text_norm, h).entail if review.text_norm else 0.0] for h in DOMAIN.hypotheses
-                ]}
-                for review in reviews
-            ])
-        assert full.stat().st_size > current.stat().st_size
-        for path in (current, full):
+        with Log(split, ("backend", "set_hash", "hypotheses")) as log:
+            for review in reviews:
+                cells = [backend.score_pair(review.text_norm, h).entail if review.text_norm else 0.0 for h in DOMAIN.hypotheses]
+                log.append([
+                    {"backend": backend.name, "set_hash": DOMAIN.version_hash, "review_id": review.id,
+                     "hypotheses": [h.id for h in DOMAIN.hypotheses[part]], "f32": f32_field(cells[part])}
+                    for part in (slice(None, 10), slice(10, None))
+                ])
+        assert split.stat().st_size > current.stat().st_size
+        for path in (current, split):
             warm = MockNliBackend(seed=3)
             with ScoreCache(path) as cache:
                 save_matrix(score_corpus(warm, reviews, DOMAIN, cache=cache, max_inflight=8), tmp_path / "warm.bin")
@@ -809,7 +827,7 @@ class TestScoreCorpus:
         """Bytes a cache loaded from 2,000 records of ``cells`` keeps per cell."""
         fields = {"backend": "mock-nli", "set_hash": DOMAIN.version_hash, **cells}
         records = [dict(fields, review_id=f"review-{k:06d}") for k in range(2000)]
-        if "f32" in cells:  # the set's first complete row names its ids
+        if "hypotheses" not in cells:  # the first complete row names its ids
             records[0]["hypotheses"] = [h.id for h in DOMAIN.hypotheses]
         with Log(path) as log:
             log.append(records)
@@ -827,9 +845,9 @@ class TestScoreCorpus:
         f32 = b64encode(np.full(21, 0.125, dtype="<f4").tobytes()).decode("ascii")
         assert self.retained_per_cell(tmp_path / "cache.jsonl", {"f32": f32}) <= 40  # an object per cell took about 280
 
-    def test_loaded_cache_of_2_column_rows_retains_at_most_40_bytes_per_cell(self, tmp_path):
-        row = [[h.id, 0.125] for h in DOMAIN.hypotheses]
-        assert self.retained_per_cell(tmp_path / "cache.jsonl", {"row": row}) <= 40  # 4 columns kept 46
+    def test_loaded_cache_of_rows_that_each_name_their_ids_retains_at_most_40_bytes_per_cell(self, tmp_path):
+        cells = {"hypotheses": [h.id for h in DOMAIN.hypotheses][::-1], "f32": f32_field([0.125] * 21)}  # a list read per row
+        assert self.retained_per_cell(tmp_path / "cache.jsonl", cells) <= 40
 
     @pytest.mark.parametrize("max_inflight", [1, 2, 3])
     def test_in_flight_rows_are_bounded(self, tmp_path, max_inflight):
