@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ._http import split_endpoint
@@ -17,6 +18,8 @@ from .nli.backends import DEFAULT_RESPONSE_FIELDS, DEFAULT_TRIGGER_TABLE, HttpNl
 
 MOCK_ENDPOINT = "mock"
 MAX_TIMEOUT_S = 86_400  # a day; a far larger socket timeout overflows the platform's time_t
+MAX_INFLIGHT = 256  # run_ordered starts max_inflight - 1 threads: a typo must not start thousands
+TRANSPORT = ("timeout", "max_inflight", "max_retries")  # how a backend is reached, not what it answers
 
 
 class _BackendLimits:
@@ -31,8 +34,8 @@ class _BackendLimits:
             )
         if not 0 < self.timeout <= MAX_TIMEOUT_S:  # NaN fails it too
             raise ValidationError(f"backend {self.name!r}: timeout must be a finite number > 0 and <= {MAX_TIMEOUT_S}")
-        if self.max_inflight < 1:
-            raise ValidationError(f"backend {self.name!r}: max_inflight must be >= 1")
+        if not 1 <= self.max_inflight <= MAX_INFLIGHT:
+            raise ValidationError(f"backend {self.name!r}: max_inflight must be >= 1 and <= {MAX_INFLIGHT}")
         if self.max_retries < 0:
             raise ValidationError(f"backend {self.name!r}: max_retries must be >= 0")
 
@@ -83,32 +86,37 @@ class PipelineConfig:
     corpus_format: str | None
     rating_min: int
     rating_max: int
-    hypothesis_refs: dict[str, str]
+    hypothesis_refs: dict[str, str | Path]  # a builtin: name, or the path of a set file
     nli_backends: tuple[NliBackendConfig, ...]
     llm_backend: LlmBackendConfig
     llm_script: Path | None
     sampling: SamplingSettings
     annotators: tuple[str, ...]
-    digest: str
     base_dir: Path = field(default_factory=Path)
+
+    @property
+    def digest(self) -> str:
+        """16 hex digits naming every parsed setting, defaults filled in, but the
+        workdir, ``base_dir`` and the backends' transport limits: what the outputs
+        depend on. A path enters relative to ``base_dir``, so a copied checkout keeps it."""
+
+        def plain(value):
+            if isinstance(value, Path):
+                return os.path.relpath(value, self.base_dir)
+            return {key: v for key, v in vars(value).items() if key not in TRANSPORT}  # a settings block
+
+        settings = {key: value for key, value in vars(self).items() if key not in ("workdir", "base_dir")}
+        canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"), default=plain)
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _resolve(base_dir: Path, value: str | None) -> Path | None:
-    if value is None:
-        return None
-    path = Path(value)
-    return path if path.is_absolute() else base_dir / path
+    return None if value is None else base_dir / value  # an absolute value stays as it is
 
 
-def config_digest(raw: dict) -> str:
-    """Digest of the behavior-affecting config content.
-
-    The working directory is an output location, not behavior, so it is
-    excluded: identical configs pointed at different workdirs compare equal.
-    """
-    trimmed = {k: v for k, v in raw.items() if k != "workdir"}
-    canonical = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+def _hypothesis_ref(base_dir: Path, ref: str) -> str | Path:
+    """A builtin: name as it is, else the set file's path taken from ``base_dir``."""
+    return ref if ref.startswith("builtin:") else _resolve(base_dir, ref)
 
 
 def backend_slug(name: str) -> str:
@@ -137,12 +145,9 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             raise ValidationError(f"NLI backend names must be unique; repeated: {', '.join(repeated)}")
         llm_backend = _block(LlmBackendConfig, "llm.backend", llm.get("backend", {}))
         sampling = _block(SamplingSettings, "llm.sampling", llm.get("sampling", {}))
-        hypothesis_refs = {
-            "generic": "builtin:generic",
-            "domain": "builtin:domain-mh",
-            "extraction": "builtin:domain-mh",
-        }
-        hypothesis_refs.update({k: checked(f"hypotheses.{k}", "str", v) for k, v in checked("hypotheses", "dict", raw.get("hypotheses", {})).items()})
+        hypothesis_refs = {"generic": "builtin:generic", "domain": "builtin:domain-mh", "extraction": "builtin:domain-mh"}
+        refs = checked("hypotheses", "dict", raw.get("hypotheses", {}))
+        hypothesis_refs.update({k: _hypothesis_ref(base_dir, checked(f"hypotheses.{k}", "str", v)) for k, v in refs.items()})
 
         rating_min = checked("rating_min", "int", corpus.get("rating_min", 1))
         rating_max = checked("rating_max", "int", corpus.get("rating_max", 5))
@@ -154,12 +159,9 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
 
         annotators = tuple(checked("annotator", "str", a) for a in checked("annotators", "list", raw.get("annotators", [])))
 
-        workdir = _resolve(base_dir, checked("workdir", "str", raw.get("workdir", "runs/default")))
-        assert workdir is not None
-
         return PipelineConfig(
             seed=checked("seed", "int", raw.get("seed", 0)),
-            workdir=workdir,
+            workdir=base_dir / checked("workdir", "str", raw.get("workdir", "runs/default")),
             labeled_path=_resolve(base_dir, checked("labeled", "str | None", corpus.get("labeled"))),
             unlabeled_path=_resolve(base_dir, checked("unlabeled", "str | None", corpus.get("unlabeled"))),
             corpus_format=corpus.get("format"),
@@ -171,7 +173,6 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             llm_script=_resolve(base_dir, checked("script", "str | None", llm.get("script"))),
             sampling=sampling,
             annotators=annotators,
-            digest=config_digest(raw),
             base_dir=base_dir,
         )
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
@@ -179,32 +180,28 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read a config file, apply CLI overrides, and recompute the digest."""
+    """Read and parse a config file, then apply the CLI overrides to it."""
     path = Path(path)
-    return read_json(path, lambda raw: parse_config(apply_overrides(raw, overrides or {}), path.parent.resolve()))
+    return read_json(path, lambda raw: _override(parse_config(raw, path.parent.resolve()), overrides or {}))
 
 
-def apply_overrides(raw: dict, overrides: dict) -> dict:
-    """Fold the CLI override flags into the raw config dict: the one map
-    from a flag to the config keys it sets. ``overrides`` holds the parsed
-    arguments by destination; a ``None`` or unknown entry is ignored."""
-    raw = json.loads(json.dumps(raw))  # deep copy
-    if overrides.get("seed") is not None:
-        raw["seed"] = overrides["seed"]
-    if (ref := overrides.get("hypotheses")) is not None:  # a relative path is taken from the current directory
-        raw.setdefault("hypotheses", {})["extraction"] = ref if ref.startswith("builtin:") else str(Path(ref).absolute())
-    if overrides.get("nli_endpoint") is not None:
-        for backend in raw.get("nli", {}).get("backends", []):
-            backend["endpoint"] = overrides["nli_endpoint"]
-    if overrides.get("llm_endpoint") is not None:
-        raw.setdefault("llm", {}).setdefault("backend", {})["endpoint"] = overrides["llm_endpoint"]
-    if overrides.get("max_inflight") is not None:
-        for backend in raw.get("nli", {}).get("backends", []):
-            backend["max_inflight"] = overrides["max_inflight"]
-        raw.setdefault("llm", {}).setdefault("backend", {})["max_inflight"] = overrides["max_inflight"]
-    if overrides.get("workdir") is not None:  # a relative flag names a path from the current directory
-        raw["workdir"] = str(Path(overrides["workdir"]).absolute())
-    return raw
+def _override(config: PipelineConfig, flags: dict) -> PipelineConfig:
+    """``config`` with the CLI flags set, each block checked again as it is rebuilt: the one map
+    from a flag to the settings it sets. ``flags`` holds the parsed arguments by destination; a
+    ``None`` or unknown entry is ignored. A relative path flag is taken from the current directory."""
+
+    def set_(block, **changes):
+        return replace(block, **{key: value for key, value in changes.items() if value is not None})
+
+    ref, workdir, inflight = flags.get("hypotheses"), flags.get("workdir"), flags.get("max_inflight")
+    return set_(
+        config,
+        seed=flags.get("seed"),
+        workdir=None if workdir is None else Path(workdir).absolute(),
+        hypothesis_refs=None if ref is None else dict(config.hypothesis_refs, extraction=_hypothesis_ref(Path.cwd(), ref)),
+        nli_backends=tuple(set_(b, endpoint=flags.get("nli_endpoint"), max_inflight=inflight) for b in config.nli_backends),
+        llm_backend=set_(config.llm_backend, endpoint=flags.get("llm_endpoint"), max_inflight=inflight),
+    )
 
 
 def make_nli_backend(cfg: NliBackendConfig, seed: int, base_dir: Path | None = None):

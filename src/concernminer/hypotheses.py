@@ -270,7 +270,7 @@ def load_hypothesis_set(path: str | Path) -> HypothesisSet:
     return hset
 
 
-def resolve_hypothesis_set(ref: str, base_dir: Path | None = None) -> HypothesisSet:
+def resolve_hypothesis_set(ref: str | Path, base_dir: Path | None = None) -> HypothesisSet:
     """Turn a config reference into a set: ``builtin:generic``,
     ``builtin:domain-mh``, or a JSON file path."""
     if ref == "builtin:generic":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._jsonl import Log, checked, read_json, read_jsonl, replace_file, write_csv, write_json, write_jsonl
-from .annotation import PRIVACY, AnnotationReport, Responder, run_annotation
+from .annotation import PRIVACY, SKIP, AnnotationReport, Responder, run_annotation
 from .config import NliBackendConfig, PipelineConfig, backend_slug, make_llm_backend, make_nli_backend
 from .corpus import (
     CSV_COLUMNS,
@@ -374,6 +374,9 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     )
     laps.append(time.perf_counter())
 
+    annotated, state_path = None, config.workdir / ANNOTATION_STATE_FILE
+    if yes_reviews and len(config.annotators) >= 2 and state_path.exists():  # a rerun keeps the labels given so far
+        annotated = run_annotation(yes_reviews, config.annotators, lambda annotator, review: SKIP, state_path=state_path)
     counts = {
         "ingested": len(corpus),
         "rating_filtered": len(filtered),
@@ -382,8 +385,8 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
         "llm_yes": len(yes_reviews),
         "llm_no": sum(1 for rec in records if rec.decision is BinaryLabel.NO),
         "llm_failed": len(failures),
-        "human_confirmed": 0,
-        "human_rejected": 0,
+        "human_confirmed": annotated.confirmed if annotated else 0,
+        "human_rejected": annotated.rejected if annotated else 0,
     }
     manifest = RunManifest(
         run_id=_run_id(config.digest, config.unlabeled_path),

@@ -13,6 +13,7 @@ import pytest
 
 from concernminer._jsonl import Log
 from concernminer.cli import main
+from concernminer.config import load_config
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, save_hypothesis_set
 from concernminer.nli import MockNliBackend, load_matrix
@@ -161,6 +162,39 @@ def test_zero_max_inflight_rejected_at_config_load(extraction_setup, capsys, com
     assert main([command, "--config", str(config_path), "--max-inflight", "0", *extra]) == 2
     assert "max_inflight must be >= 1" in capsys.readouterr().err
     assert not workdir.exists()
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["flag", "file"])
+def test_max_inflight_above_the_bound_rejected_at_config_load(extraction_setup, tmp_path, capsys, flag):
+    """Fails at config load, so no worker thread is started; the bound itself loads."""
+    _, config_path, workdir = extraction_setup
+    if flag:
+        argv = ["--config", str(config_path), "--max-inflight", "257"]
+    else:
+        raw = json.loads(config_path.read_text())
+        raw["nli"]["backends"][0]["max_inflight"] = 257
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        argv = ["--config", str(tmp_path / "bad.json")]
+    assert main(["extract", *argv]) == 2
+    assert "max_inflight must be >= 1 and <= 256" in capsys.readouterr().err
+    assert not workdir.exists()
+    assert load_config(config_path, {"max_inflight": 256}).llm_backend.max_inflight == 256
+
+
+def test_extract_rerun_keeps_the_human_counts_of_the_annotation_state(extraction_setup, tmp_path, capsys):
+    ledger, config_path, workdir = extraction_setup
+    assert main(["extract", "--config", str(config_path)]) == 0
+    responses_path = tmp_path / "responses.json"
+    responses_path.write_text(json.dumps({a: dict.fromkeys(ledger.yes_ids, "privacy") for a in ("lead", "ann-b", "ann-c", "ann-d")}))
+    assert main(["annotate", "--config", str(config_path), "--responses", str(responses_path)]) == 0
+    annotated = (workdir / MANIFEST_FILE).read_bytes()
+    assert json.loads(annotated)["counts"]["human_confirmed"] == ledger.llm_yes
+    state = workdir / ANNOTATION_STATE_FILE
+    stamp = (state.stat().st_size, state.stat().st_mtime_ns)
+
+    assert main(["extract", "--config", str(config_path)]) == 0
+    assert (workdir / MANIFEST_FILE).read_bytes() == annotated
+    assert (state.stat().st_size, state.stat().st_mtime_ns) == stamp
 
 
 def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):
@@ -338,21 +372,43 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, flags, message",
     [
-        (lambda raw: json.dumps(dict(raw, seed=1.5)), "seed must be an integer, not 1.5"),
-        (lambda raw: json.dumps(dict(raw, corpus=dict(raw["corpus"], rating_min=4, rating_max=2))), "invalid rating bounds (4, 2)"),
-        (lambda raw: json.dumps(dict(raw, nli=[raw["nli"]])), "nli must be an object, not [{"),
-        (lambda raw: json.dumps(raw)[:-1], "JSONDecodeError("),  # not a config error: its type is named, as before
+        (lambda raw: json.dumps(dict(raw, seed=1.5)), [], "seed must be an integer, not 1.5"),
+        (lambda raw: json.dumps(dict(raw, corpus=dict(raw["corpus"], rating_min=4, rating_max=2))), [], "invalid rating bounds (4, 2)"),
+        (lambda raw: json.dumps(dict(raw, nli=[raw["nli"]])), [], "nli must be an object, not [{"),
+        (lambda raw: json.dumps(raw)[:-1], [], "JSONDecodeError("),  # not a config error: its type is named, as before
+        # A flag is set on the parsed config, so the shape of the block it sets is checked first.
+        (lambda raw: json.dumps(dict(raw, llm=[])), ["--max-inflight", "2"], "llm must be an object, not []"),
+        (lambda raw: json.dumps(dict(raw, llm=[])), ["--llm-endpoint", "mock"], "llm must be an object, not []"),
+        (
+            lambda raw: json.dumps(dict(raw, nli={"backends": {"name": "m"}})),
+            ["--max-inflight", "2"],
+            "nli.backends must be a list, not {'name': 'm'}",
+        ),
+        (
+            lambda raw: json.dumps(dict(raw, nli={"backends": {"name": "m"}})),
+            ["--nli-endpoint", "mock"],
+            "nli.backends must be a list, not {'name': 'm'}",
+        ),
     ],
-    ids=["wrong-type", "validation", "wrong-shape", "not-json"],
+    ids=[
+        "wrong-type",
+        "validation",
+        "wrong-shape",
+        "not-json",
+        "llm-list-max-inflight",
+        "llm-list-llm-endpoint",
+        "backends-object-max-inflight",
+        "backends-object-nli-endpoint",
+    ],
 )
-def test_config_error_prints_its_message_not_a_repr(extraction_setup, tmp_path, capsys, edit, message):
+def test_config_error_prints_its_message_not_a_repr(extraction_setup, tmp_path, capsys, edit, flags, message):
     _, config_path, workdir = extraction_setup
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(edit(json.loads(config_path.read_text())))
 
-    assert main(["extract", "--config", str(bad_config)]) == 2
+    assert main(["extract", "--config", str(bad_config), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad_config}: {message}") and "ValidationError" not in err and "malformed config" not in err
     assert err.count("\n") == 1
@@ -650,6 +706,45 @@ def test_closed_stdout_exits_quietly(extraction_setup, tmp_path, monkeypatch, ca
         assert main(["extract", "--config", str(config_path)]) == 1
         assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
+
+
+def test_manifest_names_what_the_outputs_depend_on(extraction_setup, tmp_path, monkeypatch):
+    """The digest and run id stay the same for a transport limit, a written-out
+    default and a checkout copied elsewhere; a setting of the run changes them."""
+    _, config_path, _ = extraction_setup
+    raw = json.loads(config_path.read_text())
+    del raw["seed"]
+    raw["corpus"]["unlabeled"], raw["llm"]["script"] = "data/reviews.csv", "data/llm_script.json"
+    config_path.write_text(json.dumps(raw))
+
+    def manifest(config, *flags):
+        workdir = tmp_path / f"w{len(list(tmp_path.glob('w*')))}"
+        assert main(["extract", "--config", str(config), "--workdir", str(workdir), *flags]) == 0
+        return (workdir / MANIFEST_FILE).read_bytes()
+
+    plain = manifest(config_path)
+    assert manifest(config_path, "--max-inflight", "2") == plain
+    defaults = tmp_path / "defaults.json"
+    written = dict(raw, seed=0, nli={"backends": [dict(raw["nli"]["backends"][0], timeout=30.0, max_retries=5)]})
+    defaults.write_text(json.dumps(written))
+    assert manifest(defaults) == plain
+    copy = tmp_path / "copy"
+    shutil.copytree(tmp_path / "data", copy / "data")
+    shutil.copy(config_path, copy / "config.json")
+    assert manifest(copy / "config.json") == plain
+
+    digest = load_config(config_path).digest
+    assert load_config(config_path, {"seed": 99}).digest != digest
+    assert load_config(config_path, {"llm_endpoint": "http://127.0.0.1:9/llm"}).digest != digest
+    rating = tmp_path / "rating.json"
+    rating.write_text(json.dumps(dict(raw, corpus=dict(raw["corpus"], rating_max=3))))
+    assert load_config(rating).digest != digest
+    # A set file named by the flag from the config's directory digests as the same file named in the config.
+    save_hypothesis_set(builtin_domain_mh(), tmp_path / "x.json")
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps(dict(raw, hypotheses={"extraction": "x.json"})))
+    monkeypatch.chdir(tmp_path)
+    assert load_config(config_path, {"hypotheses": "x.json"}).digest == load_config(keyed).digest != digest
 
 
 def test_seed_override_changes_digest(extraction_setup):
