@@ -10,7 +10,6 @@ unresolved and are reported as leftovers.
 
 from __future__ import annotations
 
-import logging
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,6 @@ from ._jsonl import Log, checked
 from .corpus import Review
 from .errors import ValidationError
 from .evaluation import KappaReport, cohen_kappa
-
-logger = logging.getLogger(__name__)
 
 PRIVACY = "privacy"
 NON_PRIVACY = "non_privacy"
@@ -179,8 +176,7 @@ def run_annotation(
                 continue
             tiebreak_ids.append(task.review_id)
             tiebreaker = _pick_tiebreaker(task.assigned, roster)
-            if tiebreaker is None:
-                logger.warning("no third annotator available for %s; leaving unresolved", task.review_id)
+            if tiebreaker is None:  # annotate_run warns; a replay stays silent
                 continue
             task.tiebreak_by = tiebreaker
             answer = ask(tiebreaker, task.review_id)

@@ -1,5 +1,9 @@
 """NLI inference backends: the HTTP wire client and a deterministic mock.
 
+In-process contract: a backend has a ``name``, and ``score_row(premise, hypotheses)`` yields
+one entailment per hypothesis, in their order; a backend that fails part-way raises after
+the cells it yielded, which ``score_corpus`` keeps.
+
 Wire contract: POST ``{"premise": ..., "hypothesis": ...}`` to the endpoint,
 expect ``{"entailment": p, "neutral": p, "contradiction": p}``, each ``p`` a
 JSON number; ``neutral`` and ``contradiction`` may be left out. Servers that
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .._http import HttpBackend, post_json
 from .._jsonl import checked, read_json
@@ -49,6 +53,10 @@ class HttpNliBackend(HttpBackend):
             return EntailmentScore(entail, neutral, contradict)
         except (KeyError, ValidationError) as exc:
             raise BackendError(f"{self.name}: malformed backend response {body!r}: {exc}") from None
+
+    def score_row(self, premise: str, hypotheses: Sequence[Hypothesis]) -> Iterator[float]:
+        for hypothesis in hypotheses:  # one request per cell, each checked where it is parsed
+            yield self.score_pair(premise, hypothesis).entail
 
 
 # Default trigger table for the mock backend. Each row: a phrase that must
@@ -105,18 +113,20 @@ class MockNliBackend:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def _jitter(self, premise: str, hypothesis: Hypothesis) -> float:
-        tag = f"{self.seed}|{premise}|{hypothesis.id}|{hypothesis.text}"
-        digest = hashlib.sha256(tag.encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "little") / 2**64
-        return unit * 0.04 - 0.02
+    def score_row(self, premise: str, hypotheses: Sequence[Hypothesis]) -> Iterator[float]:
+        with self._lock:
+            self.calls += len(hypotheses)  # one per cell
+        bases: dict[int, float] = {}  # the highest base of each id a trigger phrase in the premise lights up
+        for phrase, hyp_ids, score in self.triggers:
+            if phrase in premise:
+                bases.update((hyp_id, max(bases.get(hyp_id, LOW_SCORE), score)) for hyp_id in hyp_ids)
+        head = hashlib.sha256(f"{self.seed}|{premise}|".encode("utf-8"))  # the jitter hashes seed|premise|id|text
+        for hypothesis in hypotheses:
+            tag = head.copy()
+            tag.update(f"{hypothesis.id}|{hypothesis.text}".encode("utf-8"))
+            unit = int.from_bytes(tag.digest()[:8], "little") / 2**64
+            yield min(1.0, max(0.0, bases.get(hypothesis.id, LOW_SCORE) + (unit * 0.04 - 0.02)))
 
     def score_pair(self, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
-        with self._lock:
-            self.calls += 1
-        base = LOW_SCORE
-        for phrase, hyp_ids, score in self.triggers:
-            if hypothesis.id in hyp_ids and phrase in premise:
-                base = max(base, score)
-        entail = min(1.0, max(0.0, base + self._jitter(premise, hypothesis)))
+        [entail] = self.score_row(premise, [hypothesis])
         return EntailmentScore(entail, round((1.0 - entail) * 0.7, 9), round((1.0 - entail) * 0.3, 9))

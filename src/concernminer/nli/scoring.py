@@ -208,13 +208,13 @@ def score_corpus(
 ) -> EntailmentMatrix:
     """Score every (review, hypothesis) pair, consulting the cache first.
 
-    Requires normalized reviews. A review's uncached cells are one job of :func:`run_ordered`:
-    ``max_inflight`` workers, the calling thread among them, score at most ``2 * max_inflight``
-    rows ahead of the row the calling thread commits, in review order. The pass keeps the cache's
-    file open and appends and flushes each row as it is committed, its cells' ids and float32 bytes
-    (see :class:`ScoreCache`), so a killed run loses at most the rows in flight; without a ``cache``
-    it reads and writes nothing. On backend failure the raised :class:`BackendError` carries the
-    completed-cell count; every committed cell, the failing row's included, is in the file for the rerun.
+    Requires normalized reviews. A review's uncached cells are one job of :func:`run_ordered`, one
+    ``backend.score_row`` call: ``max_inflight`` workers, the calling thread among them, score at most
+    ``2 * max_inflight`` rows ahead of the row the calling thread commits, in review order. The pass
+    keeps the cache's file open and appends and flushes each row as it is committed, its cells' ids and
+    float32 bytes (see :class:`ScoreCache`), so a killed run loses at most the rows in flight; without
+    a ``cache`` it reads and writes nothing. On backend failure the raised :class:`BackendError` carries
+    the completed-cell count; every cell the failing row yielded is committed too, in the file for the rerun.
     """
     reviews = list(corpus)
     for review in reviews:
@@ -230,10 +230,10 @@ def score_corpus(
 
     def work(job, stop) -> None:
         _, review, columns, scores = job
-        for j in columns:
+        for entail in backend.score_row(review.text_norm, [hset.hypotheses[j] for j in columns]):
+            scores.append(entail)
             if stop.is_set():
                 return
-            scores.append(backend.score_pair(review.text_norm, hset.hypotheses[j]).entail)
 
     with cache.log if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
 

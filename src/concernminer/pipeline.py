@@ -424,6 +424,9 @@ def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationRepo
         )
 
     report = run_annotation(queue, config.annotators, responder, state_path=config.workdir / ANNOTATION_STATE_FILE)
+    for task in report.tasks:
+        if task.review_id in report.tiebreak_ids and task.tiebreak_by is None:
+            logger.warning("no third annotator available for %s; leaving unresolved", task.review_id)
     write_json(config.workdir / ANNOTATION_REPORT_FILE, report.to_dict())
 
     if manifest is not None:

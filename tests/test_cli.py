@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 import struct
@@ -195,6 +196,34 @@ def test_extract_rerun_keeps_the_human_counts_of_the_annotation_state(extraction
     assert main(["extract", "--config", str(config_path)]) == 0
     assert (workdir / MANIFEST_FILE).read_bytes() == annotated
     assert (state.stat().st_size, state.stat().st_mtime_ns) == stamp
+
+
+def test_unresolved_disagreements_warn_in_annotate_and_not_in_a_later_extract(extraction_setup, tmp_path, caplog):
+    ledger, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    raw["annotators"] = ["lead", "ann-b"]  # no third identity to break a tie
+    config_path.write_text(json.dumps(raw))
+    assert main(["extract", "--config", str(config_path)]) == 0
+    responses_path = tmp_path / "responses.json"
+    split = ledger.yes_ids[:2]  # the two annotators disagree on these, and agree on the rest
+    responses = {
+        "lead": dict.fromkeys(ledger.yes_ids, "privacy"),
+        "ann-b": {rid: "non_privacy" if rid in split else "privacy" for rid in ledger.yes_ids},
+    }
+    responses_path.write_text(json.dumps(responses))
+
+    def warnings():
+        return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING and "third annotator" in r.getMessage()]
+
+    with caplog.at_level(logging.WARNING):
+        assert main(["annotate", "--config", str(config_path), "--responses", str(responses_path)]) == 0
+        assert sorted(warnings()) == sorted(f"no third annotator available for {rid}; leaving unresolved" for rid in split)
+        annotated = {name: (workdir / name).read_bytes() for name in (MANIFEST_FILE, ANNOTATION_STATE_FILE)}
+        assert json.loads(annotated[MANIFEST_FILE])["counts"]["human_confirmed"] == ledger.llm_yes - len(split)
+        caplog.clear()
+        assert main(["extract", "--config", str(config_path)]) == 0
+        assert warnings() == []
+    assert {name: (workdir / name).read_bytes() for name in annotated} == annotated
 
 
 def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):

@@ -372,7 +372,7 @@ def test_a_cache_an_earlier_development_version_wrote_exits_2_and_changes_nothin
         ])
     before = snapshot(tmp_path / "run")
     calls = []
-    monkeypatch.setattr(MockNliBackend, "score_pair", lambda self, *pair: calls.append(pair))
+    monkeypatch.setattr(MockNliBackend, "score_row", lambda self, *row: calls.append(row))
     capsys.readouterr()
 
     assert main(["extract", *common]) == 2

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import logging
 import sys
 import threading
 import tracemalloc
+from array import array
 from base64 import b64decode, b64encode
 from dataclasses import replace
 
@@ -21,6 +23,7 @@ from concernminer.errors import BackendError, ValidationError
 from concernminer.hypotheses import HypothesisSet, builtin_domain_mh, builtin_generic
 from concernminer.labels import PseudoLabel
 from concernminer.nli import (
+    DEFAULT_TRIGGER_TABLE,
     EntailmentMatrix,
     EntailmentScore,
     HttpNliBackend,
@@ -29,10 +32,12 @@ from concernminer.nli import (
     apply_heuristics,
     explain_labels,
     load_matrix,
+    load_trigger_table,
     n_above,
     save_matrix,
     score_corpus,
 )
+from concernminer.nli.backends import LOW_SCORE
 
 from httpserver import serve
 
@@ -155,6 +160,55 @@ class TestMockBackend:
         score = MockNliBackend(seed=1).score_pair("whatever text", DOMAIN.by_id(2))
         assert abs(score.entail + score.neutral + score.contradict - 1.0) < 1e-6
 
+    @staticmethod
+    def cell(seed, triggers, premise, hypothesis):
+        """One cell as the mock scored it a call per cell: the highest base of the trigger rows
+        the premise hits on the hypothesis id, plus a jitter hashed from seed|premise|id|text."""
+        base = LOW_SCORE
+        for phrase, hyp_ids, score in triggers:
+            if hypothesis.id in hyp_ids and phrase in premise:
+                base = max(base, score)
+        tag = f"{seed}|{premise}|{hypothesis.id}|{hypothesis.text}".encode("utf-8")
+        unit = int.from_bytes(hashlib.sha256(tag).digest()[:8], "little") / 2**64
+        return min(1.0, max(0.0, base + (unit * 0.04 - 0.02)))
+
+    @pytest.mark.parametrize("hset", [DOMAIN, GENERIC], ids=["domain", "generic"])
+    @pytest.mark.parametrize("table", ["default", "overlapping"])
+    @pytest.mark.parametrize(
+        "premise",
+        [
+            "great app love it",
+            "this app has data trackers inside",
+            "data trackers and they sold my personal information",  # two rows, both on id 14
+            "l'appli a vendu mes données à des data trackers ✓ 数据",
+        ],
+        ids=["no-trigger", "one-trigger", "two-triggers", "non-ascii"],
+    )
+    def test_a_row_is_its_cells_bit_for_bit(self, tmp_path, hset, table, premise):
+        if table == "default":
+            triggers = DEFAULT_TRIGGER_TABLE
+        else:  # rows whose ids overlap, a lower base on a shared id, and an id no set holds
+            (tmp_path / "table.json").write_text(json.dumps(
+                [["data", [1, 14, 99], 0.95], ["data trackers", [14, 2], 0.86], ["données", [2, 3], 0.3], ["sold", [3], 0.2]]
+            ))
+            triggers = load_trigger_table(tmp_path / "table.json")
+        backend = MockNliBackend(seed=7, triggers=triggers)
+        row = list(backend.score_row(premise, hset.hypotheses))
+        assert backend.calls == len(hset.hypotheses)  # one per cell
+        pairs = [backend.score_pair(premise, h).entail for h in hset.hypotheses]
+        assert backend.calls == 2 * len(hset.hypotheses)
+        reference = [self.cell(7, triggers, premise, h) for h in hset.hypotheses]
+        assert array("d", row).tobytes() == array("d", pairs).tobytes() == array("d", reference).tobytes()
+        assert (max(row) > 0.85) == ("data" in premise)
+
+    def test_a_row_of_some_hypotheses_is_those_cells_in_their_order(self):
+        backend = MockNliBackend(seed=2)
+        hypotheses = [DOMAIN.by_id(17), DOMAIN.by_id(3), DOMAIN.by_id(14)]
+        row = list(backend.score_row("data trackers", hypotheses))
+        assert row == [backend.score_pair("data trackers", h).entail for h in hypotheses]
+        assert backend.calls == 6
+        assert list(backend.score_row("data trackers", [])) == [] and backend.calls == 6
+
 
 class TestHttpBackend:
     def test_wire_contract(self):
@@ -239,6 +293,28 @@ class TestHttpBackend:
             backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
             assert backend.score_pair("p", DOMAIN.by_id(1)) == EntailmentScore(1.0)
             assert backend.score_pair("p", DOMAIN.by_id(1)) == EntailmentScore(0.25, 0.0)
+
+    def test_a_row_that_fails_at_its_third_pair_yields_two_cells_and_commits_them(self, tmp_path):
+        def respond(path, payload, n):  # a fresh server per row: its third request is refused
+            if n == 3:
+                return 400, {"error": "bad pair"}
+            return 200, {"entailment": 0.125 * n, "neutral": 0.5, "contradiction": 0.5 - 0.125 * n}
+
+        with serve(respond) as (server, url):
+            cells = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01).score_row("p", DOMAIN.hypotheses)
+            assert [next(cells), next(cells)] == [0.125, 0.25]
+            with pytest.raises(BackendError, match="HTTP 400"):
+                next(cells)
+        assert [payload["hypothesis"] for _, payload in server.requests] == [h.text for h in DOMAIN.hypotheses[:3]]
+
+        cache_path = tmp_path / "cache.jsonl"
+        with serve(respond) as (server, url):
+            backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
+            with ScoreCache(cache_path) as cache, pytest.raises(BackendError, match="after 2 of 21 uncached cells") as err:
+                score_corpus(backend, make_reviews(["some text"]), DOMAIN, cache=cache, max_inflight=1)
+        assert (err.value.completed, err.value.total, len(server.requests)) == (2, 21, 3)
+        ids, entails = ScoreCache(cache_path).row("remote", DOMAIN.version_hash, "r0")
+        assert ids == (1, 2) and list(entails) == [0.125, 0.25]
 
     def test_field_remap(self):
         def respond(path, payload, n):
@@ -413,12 +489,13 @@ class TestScoreCorpus:
                 self.calls = 0
                 self._lock = threading.Lock()
 
-            def score_pair(self, premise, hypothesis):
-                with self._lock:
-                    self.calls += 1
-                    if self.calls > self.fail_after:
-                        raise BackendError("synthetic outage")
-                return self.inner.score_pair(premise, hypothesis)
+            def score_row(self, premise, hypotheses):
+                for entail in self.inner.score_row(premise, hypotheses):
+                    with self._lock:
+                        self.calls += 1
+                        if self.calls > self.fail_after:
+                            raise BackendError("synthetic outage")
+                    yield entail
 
         reviews = make_reviews(["text one", "text two"])
         cache_path = tmp_path / "cache.jsonl"
@@ -550,10 +627,11 @@ class TestScoreCorpus:
 
     def test_a_partial_row_names_its_cells_and_resumes_warm(self, tmp_path):
         class FailingBackend(MockNliBackend):
-            def score_pair(self, premise, hypothesis):
-                if self.calls == 10:
-                    raise BackendError("synthetic outage")
-                return super().score_pair(premise, hypothesis)
+            def score_row(self, premise, hypotheses):
+                for cell, entail in enumerate(super().score_row(premise, hypotheses)):
+                    if cell == 10:  # the 11th cell of the first row
+                        raise BackendError("synthetic outage")
+                    yield entail
 
         reviews = make_reviews(["text one", "text two"])
         cache_path = tmp_path / "cache.jsonl"
@@ -697,10 +775,11 @@ class TestScoreCorpus:
         rows_on_disk = []  # the file's complete rows as each review's first cell is scored
 
         class PeekingBackend(MockNliBackend):
-            def score_pair(self, premise, hypothesis):
-                if hypothesis.id == DOMAIN.hypotheses[0].id:
-                    rows_on_disk.append(cache_path.read_bytes().count(b"\n") if cache_path.exists() else 0)
-                return super().score_pair(premise, hypothesis)
+            def score_row(self, premise, hypotheses):
+                for hypothesis, entail in zip(hypotheses, super().score_row(premise, hypotheses)):
+                    if hypothesis.id == DOMAIN.hypotheses[0].id:
+                        rows_on_disk.append(cache_path.read_bytes().count(b"\n") if cache_path.exists() else 0)
+                    yield entail
 
         with ScoreCache(cache_path) as cache:  # one worker: each row is committed before the next starts
             score_corpus(PeekingBackend(seed=0), reviews, DOMAIN, cache=cache, max_inflight=1)
@@ -771,11 +850,12 @@ class TestScoreCorpus:
             def __init__(self, fail_at=None):
                 self.calls, self.fail_at = 0, fail_at
 
-            def score_pair(self, premise, hypothesis):
-                self.calls += 1
-                if self.calls == self.fail_at:
-                    raise BackendError("synthetic outage")
-                return EntailmentScore(table[int(premise.split()[1])][columns[hypothesis.id]])
+            def score_row(self, premise, hypotheses):
+                for hypothesis in hypotheses:
+                    self.calls += 1
+                    if self.calls == self.fail_at:
+                        raise BackendError("synthetic outage")
+                    yield EntailmentScore(table[int(premise.split()[1])][columns[hypothesis.id]]).entail
 
         reviews = make_reviews([f"review {k}" for k in range(n_rows)])
         cache_path = tmp_path / "cache.jsonl"
@@ -864,19 +944,20 @@ class TestScoreCorpus:
             def __init__(self):
                 self.inner = MockNliBackend(name="recording", seed=0)
 
-            def score_pair(self, premise, hypothesis):
+            def score_row(self, premise, hypotheses):
                 nonlocal peak
-                with lock:
-                    started.add(premise)
-                    committed = cache_path.read_bytes().count(b"\n")  # a row is appended as it is committed
-                    peak = max(peak, len(started) - committed)
-                    if len(started) - committed > bound:
-                        overrun.set()
-                if premise == "review 0" and hypothesis.id == DOMAIN.hypotheses[0].id:
-                    # Hold the first row back: the main thread waits on it, so
-                    # any row submitted beyond the window would start now.
-                    overrun.wait(0.2)
-                return self.inner.score_pair(premise, hypothesis)
+                for hypothesis, entail in zip(hypotheses, self.inner.score_row(premise, hypotheses)):
+                    with lock:
+                        started.add(premise)
+                        committed = cache_path.read_bytes().count(b"\n")  # a row is appended as it is committed
+                        peak = max(peak, len(started) - committed)
+                        if len(started) - committed > bound:
+                            overrun.set()
+                    if premise == "review 0" and hypothesis.id == DOMAIN.hypotheses[0].id:
+                        # Hold the first row back: the main thread waits on it, so
+                        # any row submitted beyond the window would start now.
+                        overrun.wait(0.2)
+                    yield entail
 
         reviews = make_reviews([f"review {k}" for k in range(5 * bound)])
         with ScoreCache(cache_path) as cache:

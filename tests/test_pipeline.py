@@ -391,8 +391,8 @@ def test_sigkill_in_llm_stage_loses_at_most_one_window_and_rerun_matches(tmp_pat
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
 
 
-# Runs the CLI with argv[3:], counting NLI calls in the file argv[2]; call
-# number argv[1] of the process sends SIGKILL to the process.
+# Runs the CLI with argv[3:], counting the NLI cells scored in the file argv[2];
+# cell number argv[1] of the process sends SIGKILL to the process.
 KILLING_NLI_MAIN = """
 import os, signal, sys, threading
 from concernminer import pipeline
@@ -403,18 +403,19 @@ make, lock, calls = pipeline.make_nli_backend, threading.Lock(), [0]
 
 def make_nli_backend(*args, **kwargs):
     backend = make(*args, **kwargs)
-    score_pair = backend.score_pair
+    score_row = backend.score_row
 
-    def killing(premise, hypothesis):
-        with lock:
-            calls[0] += 1
-            with open(calls_log, "w") as log:
-                log.write(str(calls[0]))
-            if calls[0] == kill_at:
-                os.kill(os.getpid(), signal.SIGKILL)
-        return score_pair(premise, hypothesis)
+    def killing(premise, hypotheses):
+        for entail in score_row(premise, hypotheses):
+            with lock:
+                calls[0] += 1
+                with open(calls_log, "w") as log:
+                    log.write(str(calls[0]))
+                if calls[0] == kill_at:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            yield entail
 
-    backend.score_pair = killing
+    backend.score_row = killing
     return backend
 
 pipeline.make_nli_backend = make_nli_backend

@@ -119,9 +119,10 @@ def test_max_inflight_1_runs_both_stages_on_the_calling_thread():
         seen.update(threading.enumerate())
 
     class RecordingNli(MockNliBackend):
-        def score_pair(self, premise, hypothesis):
-            record()
-            return super().score_pair(premise, hypothesis)
+        def score_row(self, premise, hypotheses):
+            for entail in super().score_row(premise, hypotheses):
+                record()
+                yield entail
 
     class RecordingLlm(MockLlmBackend):
         def complete(self, prompt, settings, *, tag=None):
