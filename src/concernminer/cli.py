@@ -22,6 +22,7 @@ from .hypotheses import resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
 from .nli.scoring import ScoreCache, load_matrix, save_matrix, score_corpus
 from .pipeline import (
+    EXTRACTED_FILE,
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
@@ -60,7 +61,6 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_ingest(args) -> int:
     config = _load(args)
-    config.workdir.mkdir(parents=True, exist_ok=True)
     for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)):
         if path is None:
             continue
@@ -172,7 +172,7 @@ def cmd_extract(args) -> int:
         )
     )
     print(f"manifest -> {config.workdir / MANIFEST_FILE}")
-    print(f"annotation queue -> {result.queue_path} ({counts['llm_yes']} reviews)")
+    print(f"extracted reviews -> {config.workdir / EXTRACTED_FILE} ({counts['llm_yes']} to annotate)")
     return 0
 
 

@@ -158,6 +158,8 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
             raise ValidationError(f"corpus.format must be 'csv', 'jsonl' or absent, not {corpus['format']!r}")
 
         annotators = tuple(checked("annotator", "str", a) for a in checked("annotators", "list", raw.get("annotators", [])))
+        if repeated := sorted({a for a in annotators if annotators.count(a) > 1}):
+            raise ValidationError(f"annotators must be unique; repeated: {', '.join(repeated)}")
 
         return PipelineConfig(
             seed=checked("seed", "int", raw.get("seed", 0)),

@@ -253,6 +253,7 @@ def ingest_reviews(
 
     if rejects_path is not None or rejects:
         target = Path(rejects_path) if rejects_path else source.with_name(source.name + ".rejects.jsonl")
+        target.parent.mkdir(parents=True, exist_ok=True)  # made once the source is read, so a missing one leaves nothing
         write_jsonl(target, rejects)
         if rejects:
             logger.warning("%s: rejected %d record(s), see %s", source.name, len(rejects), target)

@@ -273,10 +273,11 @@ def load_hypothesis_set(path: str | Path) -> HypothesisSet:
 def resolve_hypothesis_set(ref: str | Path, base_dir: Path | None = None) -> HypothesisSet:
     """Turn a config reference into a set: ``builtin:generic``,
     ``builtin:domain-mh``, or a JSON file path."""
-    if ref == "builtin:generic":
-        return builtin_generic()
-    if ref in ("builtin:domain-mh", "builtin:domain_mh"):
-        return builtin_domain_mh()
+    builtins = {"builtin:generic": builtin_generic, "builtin:domain-mh": builtin_domain_mh}
+    if isinstance(ref, str) and ref.startswith("builtin:"):
+        if ref not in builtins:
+            raise ValidationError(f"unknown hypothesis set {ref!r}; the built-in sets are {' and '.join(builtins)}")
+        return builtins[ref]()
     path = Path(ref)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path

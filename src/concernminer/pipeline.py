@@ -30,7 +30,7 @@ from .corpus import (
     parse_record,
     partition_gold,
     review_to_record,
-    write_corpus,
+    write_corpus,  # noqa: F401 - benchmarks/runner.py wraps write_corpus here
 )
 from .errors import ValidationError
 from .evaluation import (
@@ -70,8 +70,7 @@ PSEUDO_LABELS_FILE = "pseudo_labels.jsonl"
 VOTES_FILE = "votes.jsonl"
 VOTE_CONTEXT = ("backend", "set_hash", "sampling")  # what a vote record names only where it changes
 LLM_FAILURES_FILE = "llm_failures.jsonl"
-QUEUE_FILE = "annotation_queue.jsonl"
-EXTRACTED_FILE = "extracted.jsonl"
+EXTRACTED_FILE = "extracted.jsonl"  # the LLM-yes reviews: annotate's queue and export's source
 ANNOTATION_STATE_FILE = "annotation_state.jsonl"
 ANNOTATION_REPORT_FILE = "annotation_report.json"
 SELECTION_REPORT_FILE = "selection_report.json"
@@ -159,7 +158,7 @@ def write_pseudo_labels(path: Path, rows: list[LabelRow]) -> None:
 
 
 def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
-    return dict(read_jsonl(path, lambda record: (record["review_id"], PseudoLabel(record["label"]))))
+    return dict(read_jsonl(path, lambda record: (checked("review_id", "str", record["review_id"]), PseudoLabel(record["label"]))))
 
 
 def _vote_record_from_dict(raw: dict) -> VoteRecord:
@@ -197,7 +196,6 @@ def ingest_corpus(config: PipelineConfig, role: str, path: Path | None) -> Revie
     its rejected rows into the workdir."""
     if path is None:
         raise ValidationError(f"config has no corpus.{role} path")
-    config.workdir.mkdir(parents=True, exist_ok=True)
     return ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
 
 
@@ -333,15 +331,14 @@ def _extracted_record(review: Review, threshold: float | None, triggered: tuple[
 @dataclass
 class ExtractionResult:
     manifest: RunManifest
-    queue_path: Path
 
 
 def run_extraction(config: PipelineConfig) -> ExtractionResult:
     """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify
-    the maybe-privacy subset with the LLM, and queue yes-decisions for
-    annotation. Writes the manifest plus every stage artifact but the score
-    matrix, whose cells are in the entailment cache a rerun reads (only
-    ``nli-score`` writes the matrix file, for ``nli-label``)."""
+    the maybe-privacy subset with the LLM, and write the yes-decisions with
+    provenance to ``extracted.jsonl``, the queue ``annotate`` reads and the
+    source ``export`` reads. Writes the manifest plus every stage artifact but
+    the score matrix (only ``nli-score`` writes it, for ``nli-label``)."""
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
     backend_cfg = config.nli_backends[0]
     nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
@@ -364,9 +361,6 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
 
     yes_votes = {rec.review_id: rec for rec in records if rec.decision is BinaryLabel.YES}
     yes_reviews = [r for r in maybe_reviews if r.id in yes_votes]
-    queue_path = config.workdir / QUEUE_FILE
-    write_corpus(normalized.derive(tuple(yes_reviews)), queue_path)
-
     trigger_by_id = {review_id: (threshold, triggered) for review_id, _, threshold, triggered in rows}
     write_jsonl(
         config.workdir / EXTRACTED_FILE,
@@ -404,15 +398,15 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     stages = zip(("ingest", "nli", "llm", "emit"), laps, laps[1:])
     write_json(config.workdir / TIMINGS_FILE, {"stages": {stage: round(end - start, 3) for stage, start, end in stages}})
     logger.info("extraction: %s", " -> ".join(f"{k}={counts[k]}" for k in STAGE_KEYS[:7]))
-    return ExtractionResult(manifest, queue_path)
+    return ExtractionResult(manifest)
 
 
 def annotate_run(config: PipelineConfig, responder: Responder) -> AnnotationReport:
-    """Run (or resume) the annotation session over the run's queue, update
-    the manifest's human counts, and write the agreement report."""
-    queue_path = config.workdir / QUEUE_FILE
+    """Run (or resume) the annotation session over the extracted reviews,
+    update the manifest's human counts, and write the agreement report."""
+    queue_path = config.workdir / EXTRACTED_FILE
     if not queue_path.exists():
-        raise ValidationError(f"no annotation queue at {queue_path}; run extraction first")
+        raise ValidationError(f"no extracted reviews at {queue_path}; run extraction first")
     queue = list(read_jsonl(queue_path, parse_record))
     if not config.annotators or len(config.annotators) < 2:
         raise ValidationError("config must list at least two annotators")

@@ -25,7 +25,6 @@ from concernminer.pipeline import (
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
-    QUEUE_FILE,
     SELECTION_REPORT_FILE,
     VOTES_FILE,
 )
@@ -230,7 +229,7 @@ def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):
     ledger, config_path, workdir = extraction_setup
     assert main(["extract", "--config", str(config_path)]) == 0
     assert (workdir / MANIFEST_FILE).exists()
-    assert (workdir / QUEUE_FILE).exists()
+    assert (workdir / EXTRACTED_FILE).exists()
 
     responses = {
         annotator: {rid: "privacy" for rid in ledger.yes_ids}
@@ -420,6 +419,7 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
             ["--nli-endpoint", "mock"],
             "nli.backends must be a list, not {'name': 'm'}",
         ),
+        (lambda raw: json.dumps(dict(raw, annotators=["you", "ann-b", "you"])), [], "annotators must be unique; repeated: you"),
     ],
     ids=[
         "wrong-type",
@@ -430,6 +430,7 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
         "llm-list-llm-endpoint",
         "backends-object-max-inflight",
         "backends-object-nli-endpoint",
+        "annotator-repeated",
     ],
 )
 def test_config_error_prints_its_message_not_a_repr(extraction_setup, tmp_path, capsys, edit, flags, message):
@@ -477,18 +478,29 @@ def test_pseudo_labels_in_the_previous_shape_feed_llm_classify_and_evaluate_alik
         assert (previous / name).read_bytes() == (workdir / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("flag", ["--pseudo", "--votes"])
-def test_evaluate_named_file_must_exist(selection_setup, tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, review_id",
+    [("--pseudo", None), ("--votes", None), ("--pseudo", ["x"]), ("--pseudo", 5)],
+    ids=["--pseudo", "--votes", "pseudo-review-id-list", "pseudo-review-id-number"],
+)
+def test_evaluate_named_file_must_exist(selection_setup, tmp_path, capsys, flag, review_id):
+    """A file named on the command line must exist, and a pseudo-label in it
+    must name its review by a string: else evaluate exits 2 naming the file."""
     config_path = selection_setup
     assert main(["select", "--config", str(config_path)]) == 0
     assert main(["evaluate", "--config", str(config_path)]) == 0
     workdir = tmp_path / "run"
     before = snapshot(workdir)
-    missing = tmp_path / "missing.jsonl"
+    named = tmp_path / "named.jsonl"
+    if review_id is not None:
+        named.write_text(json.dumps({"review_id": review_id, "label": "maybe-not-privacy"}) + "\n")
     capsys.readouterr()
 
-    assert main(["evaluate", "--config", str(config_path), flag, str(missing)]) == 2
-    assert f"error: {missing}:" in capsys.readouterr().err
+    assert main(["evaluate", "--config", str(config_path), flag, str(named)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}:" in err
+    if review_id is not None:
+        assert err == f"error: {named}:1: corrupt line: review_id must be a string, not {review_id!r}\n"
     assert snapshot(workdir) == before
 
 
@@ -647,7 +659,7 @@ def test_responses_label_out_of_contract_exits_2_before_the_session(extraction_s
     an existing one is left byte for byte."""
     _, config_path, workdir = extraction_setup
     assert main(["extract", "--config", str(config_path)]) == 0
-    ids = [json.loads(line)["id"] for line in (workdir / QUEUE_FILE).read_text().splitlines()]
+    ids = [json.loads(line)["id"] for line in (workdir / EXTRACTED_FILE).read_text().splitlines()]
     if earlier_session:
         first = tmp_path / "first.json"
         first.write_text(json.dumps({"lead": dict.fromkeys(ids[:2], "privacy")}))
@@ -802,6 +814,19 @@ def test_relative_workdir_flag_is_taken_from_the_current_directory(extraction_se
     assert not (cwd / "keyed").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "ingest", "select"])
+def test_missing_corpus_exits_2_and_creates_no_workdir(extraction_setup, tmp_path, capsys, command):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    missing = tmp_path / "missing.csv"
+    raw["corpus"] = {"labeled": str(missing), "unlabeled": str(missing)}
+    config_path.write_text(json.dumps(raw))
+
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+    assert not workdir.exists()
+
+
 def test_relative_hypotheses_flag_is_taken_from_the_current_directory(extraction_setup, tmp_path, monkeypatch):
     _, config_path, workdir = extraction_setup
     cwd = tmp_path / "cwd"
@@ -815,6 +840,20 @@ def test_relative_hypotheses_flag_is_taken_from_the_current_directory(extraction
     # A builtin: reference is not a path and stays as it is.
     assert main(["extract", "--config", str(config_path), "--hypotheses", "builtin:domain-mh"]) == 0
     assert json.loads((workdir / MANIFEST_FILE).read_text())["hypothesis_set"] == from_cwd["hypothesis_set"]
+
+
+@pytest.mark.parametrize(
+    "command, ref",
+    [(command, "builtin:nope") for command in ("extract", "nli-score", "nli-label", "llm-classify")]
+    + [("extract", "builtin:domain_mh")],  # once a second name of builtin:domain-mh, which digested differently
+)
+def test_unknown_builtin_set_exits_2_before_any_workdir_write(extraction_setup, capsys, command, ref):
+    _, config_path, workdir = extraction_setup
+    (config_path.parent / ref).write_text("{}")  # a builtin: reference is never a path
+    assert main([command, "--config", str(config_path), "--hypotheses", ref]) == 2
+    known = "builtin:generic and builtin:domain-mh"
+    assert capsys.readouterr().err == f"error: unknown hypothesis set '{ref}'; the built-in sets are {known}\n"
+    assert not workdir.exists()
 
 
 def test_backend_failure_without_progress_exits_3(extraction_setup, capsys):
@@ -921,7 +960,7 @@ def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extra
     assert len(nli_errors) == 4 and all(message in err for message, err in zip(messages, nli_errors))
     assert sorted(next(m for m in messages if m in reason) for reason in llm_reasons) == sorted(messages)
     (matrix,) = (p.name for p in clean.glob("matrix_*.bin"))  # of each cache, as nli-score wrote it
-    for name in (MANIFEST_FILE, matrix, PSEUDO_LABELS_FILE, EXTRACTED_FILE, QUEUE_FILE):
+    for name in (MANIFEST_FILE, matrix, PSEUDO_LABELS_FILE, EXTRACTED_FILE):
         assert (faulty / name).read_bytes() == (clean / name).read_bytes(), name
     assert json.loads((clean / MANIFEST_FILE).read_text())["counts"]["llm_yes"] > 0
     assert answered["/llm"] == clean_answers["/llm"] + wasted
@@ -934,6 +973,15 @@ def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extra
 def test_export_requires_prior_stages(extraction_setup, capsys):
     _, config_path, _ = extraction_setup
     assert main(["export", "--config", str(config_path), "--output", "out.csv"]) == 2
+
+
+def test_annotate_before_extract_exits_2_and_writes_nothing(extraction_setup, tmp_path, capsys):
+    _, config_path, workdir = extraction_setup
+    responses = tmp_path / "responses.json"
+    responses.write_text("{}")
+    assert main(["annotate", "--config", str(config_path), "--responses", str(responses)]) == 2
+    assert capsys.readouterr().err == f"error: no extracted reviews at {workdir / EXTRACTED_FILE}; run extraction first\n"
+    assert not workdir.exists()
 
 
 def test_console_script_entry_point():

@@ -29,7 +29,6 @@ from concernminer.pipeline import (
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
-    QUEUE_FILE,
     VOTES_FILE,
     read_pseudo_labels,
     write_pseudo_labels,
@@ -510,8 +509,8 @@ def cut(path, n=20):
     [
         (PSEUDO_LABELS_FILE, "llm-classify", False),
         (MANIFEST_FILE, "annotate", False),
-        (QUEUE_FILE, "annotate", False),
-        (QUEUE_FILE, "annotate", True),
+        (EXTRACTED_FILE, "annotate", False),
+        (EXTRACTED_FILE, "annotate", True),
         ("responses", "annotate", False),
         (EXTRACTED_FILE, "export", False),
         (ANNOTATION_REPORT_FILE, "export", False),
@@ -566,7 +565,7 @@ def test_queue_not_matching_manifest_exits_2_and_changes_nothing(extraction, tmp
     workdir = tmp_path / "run"
     common = ["--config", str(config_path), "--workdir", str(workdir)]
     assert main(["extract", *common]) == 0
-    queue = workdir / QUEUE_FILE
+    queue = workdir / EXTRACTED_FILE
     lines = queue.read_text().splitlines(keepends=True)
     queue.write_text("".join(lines[:-1]))  # well-formed, one review short
     before = snapshot(workdir)

@@ -29,7 +29,6 @@ from concernminer.pipeline import (
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
-    QUEUE_FILE,
     RunManifest,
     SELECTION_REPORT_FILE,
     ScoreCache,
@@ -205,7 +204,6 @@ class TestExtraction:
             NLI_CACHE_FILE,
             PSEUDO_LABELS_FILE,
             VOTES_FILE,
-            QUEUE_FILE,
             EXTRACTED_FILE,
         ):
             assert (config.workdir / name).exists(), name
@@ -229,8 +227,8 @@ class TestExtraction:
 
     def test_queue_round_trips_through_ingest(self, small_extraction):
         ledger, config = small_extraction
-        result = run_extraction(config)
-        queue = ingest_reviews(result.queue_path, "jsonl")
+        run_extraction(config)
+        queue = ingest_reviews(config.workdir / EXTRACTED_FILE, "jsonl")
         assert len(queue) == ledger.llm_yes
         assert {r.id for r in queue} == set(ledger.yes_ids)
 
@@ -258,7 +256,7 @@ class TestExtraction:
             outputs.append(
                 {
                     name: (config.workdir / name).read_bytes()
-                    for name in (MANIFEST_FILE, EXTRACTED_FILE, VOTES_FILE, PSEUDO_LABELS_FILE, QUEUE_FILE)
+                    for name in (MANIFEST_FILE, EXTRACTED_FILE, VOTES_FILE, PSEUDO_LABELS_FILE)
                 }
             )
         assert outputs[0] == outputs[1]
@@ -477,7 +475,7 @@ class TestVoteLog:
         fresh = run_extraction(self.other_llm(tmp_path / "data", tmp_path / "fresh", tmp_path))
         assert switched.manifest.counts == fresh.manifest.counts
         assert switched.manifest.counts["llm_yes"] == 0
-        for name in (MANIFEST_FILE, EXTRACTED_FILE, QUEUE_FILE, PSEUDO_LABELS_FILE):
+        for name in (MANIFEST_FILE, EXTRACTED_FILE, PSEUDO_LABELS_FILE):
             assert (first.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
         built = record_llm_backends(monkeypatch)
@@ -514,7 +512,7 @@ class TestVoteLog:
         run_extraction(three_samples(config.workdir))
         assert built[0].calls == ledger.maybe_privacy * 3
         run_extraction(three_samples(tmp_path / "fresh"))
-        for name in (MANIFEST_FILE, EXTRACTED_FILE, QUEUE_FILE, PSEUDO_LABELS_FILE):
+        for name in (MANIFEST_FILE, EXTRACTED_FILE, PSEUDO_LABELS_FILE):
             assert (config.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
     def test_any_cut_of_the_vote_log_resumes_to_the_clean_outputs(self, small_extraction, monkeypatch):
@@ -544,7 +542,7 @@ class TestVoteLog:
     def test_a_vote_log_whose_records_all_name_their_context_resumes_to_the_clean_outputs(self, small_extraction, monkeypatch):
         ledger, config = small_extraction
         run_extraction(config)
-        names = (VOTES_FILE, EXTRACTED_FILE, MANIFEST_FILE, QUEUE_FILE)
+        names = (VOTES_FILE, EXTRACTED_FILE, MANIFEST_FILE)
         clean = {name: (config.workdir / name).read_bytes() for name in names}
         whole = clean[VOTES_FILE].splitlines(keepends=True)
         assert ["backend" in json.loads(line) for line in whole] == [True] + [False] * (len(whole) - 1)
@@ -574,7 +572,7 @@ class TestVoteLog:
             raw["llm"]["sampling"] = {"num_samples": 3}
             return config_from_dict(raw, tmp_path)
 
-        names = (EXTRACTED_FILE, MANIFEST_FILE, QUEUE_FILE)
+        names = (EXTRACTED_FILE, MANIFEST_FILE)
         clean = {}
         for cfg in (config, three_samples(tmp_path / "three")):
             run_extraction(cfg)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from concernminer.config import load_config
 from concernminer.pipeline import TIMINGS_FILE
 
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_reference_selection_config_parses():
@@ -31,6 +33,17 @@ def test_reference_selection_config_parses():
     assert config.hypothesis_refs["generic"] == "builtin:generic"
     assert config.hypothesis_refs["domain"] == "builtin:domain-mh"
     assert len(config.annotators) == 4
+
+
+def test_readme_library_snippet_runs_on_the_demo_reviews(tmp_path, monkeypatch):
+    """The README's "Library use" snippet runs as written, on a copy of the demo's reviews."""
+    snippet = README.read_text().split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copy(CONFIGS_DIR / "demo" / "reviews.csv", tmp_path / "reviews.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert namespace["matrix"].shape == (len(namespace["corpus"]), 21)
+    assert len(namespace["labels"]) == len(namespace["corpus"]) == 24
 
 
 def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
@@ -56,7 +69,7 @@ def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
         "human_rejected": 0,
     }
 
-    ids = [json.loads(line)["id"] for line in (workdir / "annotation_queue.jsonl").read_text().splitlines()]
+    ids = [json.loads(line)["id"] for line in (workdir / "extracted.jsonl").read_text().splitlines()]
     responses_path = workdir / "responses.json"
     responses_path.write_text(json.dumps({name: dict.fromkeys(ids, "privacy") for name in ("you", "colleague")}))
     assert main(["annotate", *argv_tail, "--responses", str(responses_path)]) == 0
