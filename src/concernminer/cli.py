@@ -20,7 +20,7 @@ from .corpus import write_corpus
 from .errors import BackendError, ValidationError
 from .hypotheses import resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
-from .nli.scoring import ScoreCache, load_matrix, save_matrix, score_corpus
+from .nli.scoring import ScoreCache, score_corpus
 from .pipeline import (
     EXTRACTED_FILE,
     MANIFEST_FILE,
@@ -32,13 +32,11 @@ from .pipeline import (
     export_dataset,
     ingest_corpus,
     llm_classify,
-    matrix_path,
-    nli_label,
+    nli_stage,
     prepare_corpus,
     read_pseudo_labels,
     run_extraction,
     run_selection,
-    write_pseudo_labels,
 )
 
 logger = logging.getLogger(__name__)
@@ -61,10 +59,12 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_ingest(args) -> int:
     config = _load(args)
-    for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)):
-        if path is None:
-            continue
-        corpus = ingest_corpus(config, role, path)
+    sources = [(role, path) for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)) if path]
+    for _, path in sources:  # a missing corpus exits before the workdir is made
+        if not path.exists():
+            raise ValidationError(f"no such file: {path}")
+    corpora = [(role, ingest_corpus(config, role, path)) for role, path in sources]  # every corpus is read before a corpus file is written
+    for role, corpus in corpora:
         out = config.workdir / f"corpus_{role}.jsonl"
         write_corpus(corpus, out)
         rejected = corpus.provenance.counts.get("rejected", 0)
@@ -80,20 +80,15 @@ def cmd_nli_score(args) -> int:
     _, _, corpus = prepare_corpus(config, args.role)
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
         matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    out = matrix_path(config.workdir, matrix.backend, hset)
-    save_matrix(matrix, out)  # for nli-label alone, which takes no --role and so no corpus
-    print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {out}")
+    print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {cache.path}")
     return 0
 
 
 def cmd_nli_label(args) -> int:
     config = _load(args)
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
-    path = matrix_path(config.workdir, config.nli_backends[0].name, hset)
-    if not path.exists():
-        raise ValidationError(f"no score matrix at {path}; run nli-score first")
-    rows = nli_label(load_matrix(path), hset)
-    write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
+    _, _, corpus = prepare_corpus(config, args.role)
+    rows = nli_stage(config, hset, corpus)  # every cell from the cache: no backend is built
     print(f"pseudo-labels -> {config.workdir / PSEUDO_LABELS_FILE}")
     for label in PseudoLabel:
         print(f"  {label.value}: {sum(1 for row in rows if row[1] is label)}")
@@ -113,7 +108,7 @@ def cmd_llm_classify(args) -> int:
         if uncovered == len(corpus):
             raise ValidationError(
                 f"{pseudo_path} labels none of the {len(corpus)} {args.role} reviews;"
-                f" run nli-score --role {args.role} and nli-label first"
+                f" run nli-score --role {args.role} and nli-label --role {args.role} first"
             )
         logger.warning("%s labels %d of the %d %s reviews", pseudo_path, len(corpus) - uncovered, len(corpus), args.role)
     maybe = [r for r in corpus if pseudo.get(r.id) is PseudoLabel.MAYBE_PRIVACY]
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (handler, help_text) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd)
-        if name in ("nli-score", "llm-classify"):
+        if name in ("nli-score", "nli-label", "llm-classify"):
             cmd.add_argument("--role", choices=("labeled", "unlabeled"), default="unlabeled")
         if name == "evaluate":
             cmd.add_argument("--pseudo", help="pseudo-labels JSONL (default: workdir file)")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -119,23 +118,28 @@ def _hypothesis_ref(base_dir: Path, ref: str) -> str | Path:
     return ref if ref.startswith("builtin:") else _resolve(base_dir, ref)
 
 
-def backend_slug(name: str) -> str:
-    """A backend's name as it goes into a file name."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "backend"
+def _object(name: str, raw, keys) -> dict:
+    """``raw``, the JSON object of the config field ``name``, once each of its keys is one of ``keys``."""
+    for key in checked(name, "dict", raw):
+        if key not in keys:
+            raise ValidationError(f"{name} has no key {key!r}; its keys are {', '.join(keys)}")
+    return raw
 
 
 def _block(config_type, name: str, raw):
     """``config_type`` built from ``raw``, the JSON object of the config field
-    ``name``: each key that names a field is checked by :func:`checked`
+    ``name``: each key must name a field, and is checked by :func:`checked`
     against the field's declared type; absent fields take their defaults."""
     types = {f.name: f.type for f in fields(config_type)}
-    return config_type(**{key: checked(key, types[key], value) for key, value in checked(name, "dict", raw).items() if key in types})
+    return config_type(**{key: checked(key, types[key], value) for key, value in _object(name, raw, types).items()})
 
 
 def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
-    checked("config", "dict", raw)
+    _object("config", raw, ("seed", "workdir", "corpus", "hypotheses", "nli", "llm", "annotators"))
     try:
-        corpus, nli, llm = (checked(key, "dict", raw.get(key, {})) for key in ("corpus", "nli", "llm"))
+        corpus = _object("corpus", raw.get("corpus", {}), ("labeled", "unlabeled", "format", "rating_min", "rating_max"))
+        nli = _object("nli", raw.get("nli", {}), ("backends",))
+        llm = _object("llm", raw.get("llm", {}), ("backend", "sampling", "script"))
 
         blocks = checked("nli.backends", "list", nli.get("backends", []))
         backends = tuple(_block(NliBackendConfig, f"nli.backends[{i}]", b) for i, b in enumerate(blocks))
@@ -146,7 +150,7 @@ def parse_config(raw: dict, base_dir: Path) -> PipelineConfig:
         llm_backend = _block(LlmBackendConfig, "llm.backend", llm.get("backend", {}))
         sampling = _block(SamplingSettings, "llm.sampling", llm.get("sampling", {}))
         hypothesis_refs = {"generic": "builtin:generic", "domain": "builtin:domain-mh", "extraction": "builtin:domain-mh"}
-        refs = checked("hypotheses", "dict", raw.get("hypotheses", {}))
+        refs = _object("hypotheses", raw.get("hypotheses", {}), hypothesis_refs)
         hypothesis_refs.update({k: _hypothesis_ref(base_dir, checked(f"hypotheses.{k}", "str", v)) for k, v in refs.items()})
 
         rating_min = checked("rating_min", "int", corpus.get("rating_min", 1))

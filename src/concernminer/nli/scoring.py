@@ -215,13 +215,16 @@ def score_corpus(
     float32 bytes (see :class:`ScoreCache`), so a killed run loses at most the rows in flight; without
     a ``cache`` it reads and writes nothing. On backend failure the raised :class:`BackendError` carries
     the completed-cell count; every cell the failing row yielded is committed too, in the file for the rerun.
+    ``backend`` may be a backend's name alone, with a ``cache``: then the pass scores and writes nothing,
+    and a non-empty review whose cells the cache lacks raises :class:`ValidationError` naming it.
     """
     reviews = list(corpus)
     for review in reviews:
         if review.text_norm is None:
             raise ValidationError(f"review {review.id!r} is not normalized; run normalization first")
 
-    name, set_hash = backend.name, hset.version_hash
+    cached_only = isinstance(backend, str)
+    name, set_hash = backend if cached_only else backend.name, hset.version_hash
     hyp_ids = tuple(h.id for h in hset.hypotheses)
     every_id = list(hyp_ids)  # a complete row's ids, which the log names only where they change
     k = len(hyp_ids)
@@ -235,7 +238,7 @@ def score_corpus(
             if stop.is_set():
                 return
 
-    with cache.log if cache is not None else nullcontext() as log:  # the pass leaves a cache file, even empty
+    with cache.log if cache is not None and not cached_only else nullcontext() as log:  # a scoring pass leaves a cache file, even empty
 
         def append_row(i: int, review_id: str, columns: list) -> None:  # the grid's cells ``columns`` of row ``i``
             if columns and log is not None:
@@ -267,6 +270,8 @@ def score_corpus(
             missed += len(columns)
             if not review.text_norm:  # its uncached cells are EMPTY_PREMISE_SCORE already
                 append_row(i, review.id, columns)
+            elif columns and cached_only:
+                raise ValidationError(f"{cache.path}: no {name} score of review {review.id!r} on set {set_hash}; run nli-score first")
             elif columns:
                 jobs.append((i, review, columns, []))
         total = sum(len(columns) for _, _, columns, _ in jobs)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._jsonl import Log, checked, read_json, read_jsonl, replace_file, write_csv, write_json, write_jsonl
 from .annotation import PRIVACY, SKIP, AnnotationReport, Responder, run_annotation
-from .config import NliBackendConfig, PipelineConfig, backend_slug, make_llm_backend, make_nli_backend
+from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
     CSV_COLUMNS,
     Review,
@@ -44,8 +44,8 @@ from .evaluation import (
     select_best,
 )
 from .hypotheses import HypothesisSet, resolve_hypothesis_set
-from .labels import BinaryLabel, PseudoLabel, Vote
-from .llm.classify import VoteRecord, classify_corpus
+from .labels import BinaryLabel, PseudoLabel
+from .llm.classify import VoteRecord, classify_corpus, majority_vote, parse_response
 from .nli.labeling import explain_labels
 from .nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus  # noqa: F401 - benchmarks/runner.py wraps save_matrix here
 
@@ -162,11 +162,16 @@ def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
 
 
 def _vote_record_from_dict(raw: dict) -> VoteRecord:
-    """A vote record from its log line; ``backend``, ``set_hash`` and
-    ``sampling`` are ``None`` when neither it nor an earlier line names them."""
-    review_id, tie_flag = checked("review_id", "str", raw["review_id"]), checked("tie_flag", "bool", raw["tie_flag"])
+    """A vote record from its log line, whose ``votes``, ``decision`` and ``tie_flag`` must be what
+    its ``raw_responses`` give; ``backend``, ``set_hash`` and ``sampling`` are ``None`` when neither
+    it nor an earlier line names them."""
+    review_id = checked("review_id", "str", raw["review_id"])
     responses = tuple(checked("raw response", "str", r) for r in checked("raw_responses", "list", raw["raw_responses"]))
-    votes, decision = tuple(Vote(v) for v in raw["votes"]), BinaryLabel(raw["decision"])
+    votes = tuple(parse_response(r) for r in responses)
+    decision, tie_flag = majority_vote(votes)
+    for key, derived in (("votes", [v.value for v in votes]), ("decision", decision.value), ("tie_flag", tie_flag)):
+        if raw[key] != derived or type(raw[key]) is not type(derived):
+            raise ValidationError(f"{key} is {raw[key]!r}, but raw_responses give {derived!r}")
     return VoteRecord(**dict(raw, review_id=review_id, raw_responses=responses, votes=votes, decision=decision, tie_flag=tie_flag))
 
 
@@ -185,10 +190,6 @@ def read_votes(votes: Log, backend: str, set_hash: str, sampling: str, *, log: b
 def append_votes(votes: Log, records: list[VoteRecord]) -> None:
     """Append the records to the vote log ``votes``, inside its ``with``."""
     votes.append([vars(record) for record in records])
-
-
-def matrix_path(workdir: Path, backend_name: str, hset: HypothesisSet) -> Path:
-    return workdir / f"matrix_{backend_slug(backend_name)}_{hset.version_hash[:8]}.bin"
 
 
 def ingest_corpus(config: PipelineConfig, role: str, path: Path | None) -> ReviewCorpus:
@@ -219,6 +220,18 @@ def gold_corpus(config: PipelineConfig) -> ReviewCorpus:
 def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
     """Pseudo-label every row of the matrix with the set's heuristics."""
     return [(review_id, *explained) for review_id, explained in zip(matrix.review_ids, explain_labels(matrix, hset.heuristics))]
+
+
+def nli_stage(config: PipelineConfig, hset: HypothesisSet, reviews: ReviewCorpus, backend=None) -> list[LabelRow]:
+    """The NLI stage of ``extract`` and ``nli-label``: score the normalized ``reviews`` through the workdir's
+    cache with ``backend``, the first configured one (without it, every cell must be cached; see
+    :func:`score_corpus`), pseudo-label them with ``hset`` and write ``pseudo_labels.jsonl``."""
+    backend_cfg = config.nli_backends[0]
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+        matrix = score_corpus(backend_cfg.name if backend is None else backend, reviews, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
+    rows = nli_label(matrix, hset)
+    write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
+    return rows
 
 
 def llm_classify(
@@ -337,8 +350,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify
     the maybe-privacy subset with the LLM, and write the yes-decisions with
     provenance to ``extracted.jsonl``, the queue ``annotate`` reads and the
-    source ``export`` reads. Writes the manifest plus every stage artifact but
-    the score matrix (only ``nli-score`` writes it, for ``nli-label``)."""
+    source ``export`` reads. Writes the manifest plus every stage artifact."""
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
     backend_cfg = config.nli_backends[0]
     nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
@@ -348,10 +360,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
     laps.append(time.perf_counter())
 
-    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        matrix = score_corpus(nli_backend, normalized, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    rows = nli_label(matrix, hset)
-    write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
+    rows = nli_stage(config, hset, normalized, nli_backend)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
     maybe_reviews = [r for r in normalized if r.id in maybe_ids]
     laps.append(time.perf_counter())
@@ -439,6 +448,8 @@ def export_dataset(config: PipelineConfig, out_path: Path, fmt: str = "csv") -> 
     columns are ignored there)."""
     extracted_path = config.workdir / EXTRACTED_FILE
     report_path = config.workdir / ANNOTATION_REPORT_FILE
+    if not out_path.parent.is_dir():
+        raise ValidationError(f"cannot write {out_path}: no directory {out_path.parent}")
     if not extracted_path.exists():
         raise ValidationError(f"no extracted reviews at {extracted_path}; run extraction first")
     if not report_path.exists():

@@ -8,6 +8,7 @@ import logging
 import os
 import shutil
 import struct
+from base64 import b64decode, b64encode
 from collections import Counter
 
 import pytest
@@ -16,8 +17,8 @@ from concernminer._jsonl import Log
 from concernminer.cli import main
 from concernminer.config import load_config
 from concernminer.errors import ValidationError
-from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, save_hypothesis_set
-from concernminer.nli import MockNliBackend, load_matrix
+from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, resolve_hypothesis_set, save_hypothesis_set
+from concernminer.nli import MockNliBackend, ScoreCache, load_matrix, save_matrix, score_corpus
 from concernminer.pipeline import (
     ANNOTATION_STATE_FILE,
     EXTRACTED_FILE,
@@ -27,6 +28,7 @@ from concernminer.pipeline import (
     PSEUDO_LABELS_FILE,
     SELECTION_REPORT_FILE,
     VOTES_FILE,
+    prepare_corpus,
 )
 
 from httpserver import KeepAliveHandler, serve
@@ -41,6 +43,15 @@ def extraction_setup(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     return ledger, config_path, tmp_path / "run"
+
+
+def cached_matrix(config_path, workdir):
+    """The extraction set's score matrix of the unlabeled corpus, every cell read from the workdir's cache."""
+    config = load_config(config_path, {"workdir": str(workdir)})
+    hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+    _, _, corpus = prepare_corpus(config, "unlabeled")
+    with ScoreCache(workdir / NLI_CACHE_FILE) as cache:
+        return score_corpus(config.nli_backends[0].name, corpus, hset, cache=cache, max_inflight=1)
 
 
 def test_missing_config_is_validation_error(tmp_path, capsys):
@@ -65,40 +76,77 @@ def test_stage_commands_compose(extraction_setup, capsys):
     assert f"scored {ledger.rating_filtered} reviews x 21 hypotheses" in out
     assert f"maybe-privacy: {ledger.maybe_privacy}" in out
     assert f"yes={ledger.llm_yes} no={ledger.llm_no} failed=0" in out
-    # Run in order, the stage commands write what extract writes, and the
-    # score matrix besides, which only nli-score writes.
+    # Run in order, the stage commands write what extract writes, and no
+    # command writes a score matrix.
     whole = workdir.parent / "whole"
     assert main(["extract", "--config", str(config_path), "--workdir", str(whole)]) == 0
-    assert len(list(workdir.glob("matrix_*.bin"))) == 1 and not list(whole.glob("matrix_*"))
+    assert not list(workdir.glob("matrix_*")) and not list(whole.glob("matrix_*"))
     names = [NLI_CACHE_FILE, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE]
     for name in names:
         assert (workdir / name).read_bytes() == (whole / name).read_bytes(), name
 
 
-def test_nli_label_after_extract_alone_exits_2_and_keeps_the_pseudo_labels(extraction_setup, capsys):
+def test_nli_label_after_extract_alone_labels_from_the_cache_with_no_backend(extraction_setup, capsys, monkeypatch):
     _, config_path, workdir = extraction_setup
     assert main(["extract", "--config", str(config_path)]) == 0
-    pseudo_labels = (workdir / PSEUDO_LABELS_FILE).read_bytes()
+    written = {name: (workdir / name).read_bytes() for name in (NLI_CACHE_FILE, PSEUDO_LABELS_FILE)}
+    (workdir / PSEUDO_LABELS_FILE).unlink()
+
+    def no_backend(*args, **kwargs):
+        raise AssertionError("nli-label built a backend")
+
+    monkeypatch.setattr("concernminer.cli.make_nli_backend", no_backend)
+    monkeypatch.setattr("concernminer.pipeline.make_nli_backend", no_backend)
+    assert main(["nli-label", "--config", str(config_path)]) == 0
+    assert {name: (workdir / name).read_bytes() for name in written} == written
+
+
+@pytest.mark.parametrize("after", ["nothing", "a cut-short extract"])
+def test_nli_label_with_an_uncached_cell_exits_2_and_writes_nothing(extraction_setup, capsys, after):
+    _, config_path, workdir = extraction_setup
+    missing = "'r"  # without a cache, the first review: every fixture id starts with r
+    if after != "nothing":
+        assert main(["extract", "--config", str(config_path)]) == 0
+        cache = workdir / NLI_CACHE_FILE
+        lines = cache.read_text().splitlines(keepends=True)
+        missing = repr(json.loads(lines[-1])["review_id"])
+        cache.write_text("".join(lines[:-1]))
+
+    def kept():
+        paths = (workdir / NLI_CACHE_FILE, workdir / PSEUDO_LABELS_FILE)
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in paths if p.exists()}
+
+    before = kept()
     capsys.readouterr()
     assert main(["nli-label", "--config", str(config_path)]) == 2
-    assert "run nli-score first" in capsys.readouterr().err
-    assert (workdir / PSEUDO_LABELS_FILE).read_bytes() == pseudo_labels
+    err = capsys.readouterr().err
+    assert f"score of review {missing}" in err and err.endswith("; run nli-score first\n")
+    assert kept() == before and len(before) == (0 if after == "nothing" else 2)
 
 
 @pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
-def test_matrix_cell_outside_0_1_exits_2(extraction_setup, capsys, cell):
+def test_score_cell_outside_0_1_exits_2(extraction_setup, tmp_path, capsys, cell):
     _, config_path, workdir = extraction_setup
     assert main(["nli-score", "--config", str(config_path)]) == 0
-    (path,) = workdir.glob("matrix_*.bin")
+    path = tmp_path / "matrix.bin"
+    save_matrix(cached_matrix(config_path, workdir), path)
     blob = path.read_bytes()
     at = blob.index(b"\n") + 1 + 4 * 3  # the fourth cell: min and max pass over a NaN after the first
     path.write_bytes(blob[:at] + struct.pack("<f", cell) + blob[at + 4 :])
     with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
         load_matrix(path)
+
+    # The same cell in the cache, which nli-label reads.
+    cache = workdir / NLI_CACHE_FILE
+    first, *rest = cache.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    cells = b64decode(record["f32"])
+    record["f32"] = b64encode(cells[:12] + struct.pack("<f", cell) + cells[16:]).decode("ascii")
+    cache.write_text(json.dumps(record, sort_keys=True) + "\n" + "".join(rest))
     capsys.readouterr()
 
     assert main(["nli-label", "--config", str(config_path)]) == 2
-    assert "score grid contains values outside [0, 1]" in capsys.readouterr().err
+    assert f"{cache}:1: corrupt log line: score grid contains values outside [0, 1]" in capsys.readouterr().err
     assert not (workdir / PSEUDO_LABELS_FILE).exists()
 
 
@@ -132,13 +180,13 @@ def test_llm_classify_refuses_pseudo_labels_of_the_other_corpus(extraction_setup
     raw["corpus"]["labeled"] = str(labeled)
     config_path.write_text(json.dumps(raw))
     assert main(["nli-score", "--config", str(config_path), "--role", "labeled"]) == 0
-    assert main(["nli-label", "--config", str(config_path)]) == 0
+    assert main(["nli-label", "--config", str(config_path), "--role", "labeled"]) == 0
     capsys.readouterr()
 
     assert main(["llm-classify", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert f"labels none of the {ledger.rating_filtered} unlabeled reviews" in err
-    assert "run nli-score --role unlabeled and nli-label first" in err
+    assert "run nli-score --role unlabeled and nli-label --role unlabeled first" in err
     assert not (workdir / VOTES_FILE).exists() and not (workdir / LLM_FAILURES_FILE).exists()
 
     assert main(["llm-classify", "--config", str(config_path), "--role", "labeled"]) == 0
@@ -225,6 +273,22 @@ def test_unresolved_disagreements_warn_in_annotate_and_not_in_a_later_extract(ex
     assert {name: (workdir / name).read_bytes() for name in annotated} == annotated
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_export_into_a_missing_directory_exits_2_and_writes_nothing(extraction_setup, tmp_path, capsys, fmt):
+    ledger, config_path, workdir = extraction_setup
+    assert main(["extract", "--config", str(config_path)]) == 0
+    responses_path = tmp_path / "responses.json"
+    responses_path.write_text(json.dumps({a: dict.fromkeys(ledger.yes_ids, "privacy") for a in ("lead", "ann-b", "ann-c", "ann-d")}))
+    assert main(["annotate", "--config", str(config_path), "--responses", str(responses_path)]) == 0
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+
+    out_path = tmp_path / "nodir" / f"x.{fmt}"
+    assert main(["export", "--config", str(config_path), "--output", str(out_path), "--format", fmt]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out_path}: no directory {out_path.parent}\n"
+    assert snapshot(tmp_path) == before
+
+
 def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):
     ledger, config_path, workdir = extraction_setup
     assert main(["extract", "--config", str(config_path)]) == 0
@@ -292,7 +356,7 @@ def test_repeated_nli_backend_name_exits_2_before_any_workdir_write(selection_se
 def test_nli_backend_names_sharing_a_file_name_slug_are_both_scored(selection_setup, tmp_path):
     config_path = selection_setup
     raw = json.loads(config_path.read_text())
-    for backend, name in zip(raw["nli"]["backends"], ("m a", "m/a")):  # one slug, m-a; select writes no matrix file
+    for backend, name in zip(raw["nli"]["backends"], ("m a", "m/a")):  # one file-name form, m-a; no command writes a matrix file
         backend["name"] = name
     config_path.write_text(json.dumps(raw))
 
@@ -420,6 +484,27 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
             "nli.backends must be a list, not {'name': 'm'}",
         ),
         (lambda raw: json.dumps(dict(raw, annotators=["you", "ann-b", "you"])), [], "annotators must be unique; repeated: you"),
+        # A key no block knows is refused, naming it, not ignored.
+        (lambda raw: json.dumps(dict(raw, notes="x")), [], "config has no key 'notes'; its keys are seed, workdir,"),
+        (lambda raw: json.dumps(dict(raw, corpus=dict(raw["corpus"], unlabelled="x"))), [], "corpus has no key 'unlabelled'"),
+        (
+            lambda raw: json.dumps(dict(raw, hypotheses={"extration": "builtin:generic"})),
+            [],
+            "hypotheses has no key 'extration'; its keys are generic, domain, extraction",
+        ),
+        (lambda raw: json.dumps(dict(raw, nli=dict(raw["nli"], backend={}))), [], "nli has no key 'backend'; its keys are backends"),
+        (
+            lambda raw: json.dumps(dict(raw, nli={"backends": [dict(raw["nli"]["backends"][0], max_inflite=2)]})),
+            ["--max-inflight", "2"],
+            "nli.backends[0] has no key 'max_inflite'",
+        ),
+        (lambda raw: json.dumps(dict(raw, llm=dict(raw["llm"], scripts="x"))), [], "llm has no key 'scripts'"),
+        (lambda raw: json.dumps(dict(raw, llm=dict(raw["llm"], backend={"model": "x"}))), [], "llm.backend has no key 'model'"),
+        (
+            lambda raw: json.dumps(dict(raw, llm=dict(raw["llm"], sampling={"num_sample": 3}))),
+            [],
+            "llm.sampling has no key 'num_sample'; its keys are temperature, top_p, num_samples, max_response_tokens",
+        ),
     ],
     ids=[
         "wrong-type",
@@ -431,6 +516,14 @@ def test_config_field_of_the_wrong_json_type_exits_2_before_any_workdir_write(
         "backends-object-max-inflight",
         "backends-object-nli-endpoint",
         "annotator-repeated",
+        "unknown-top-level-key",
+        "unknown-corpus-key",
+        "unknown-hypotheses-key",
+        "unknown-nli-key",
+        "unknown-nli-backend-key",
+        "unknown-llm-key",
+        "unknown-llm-backend-key",
+        "unknown-sampling-key",
     ],
 )
 def test_config_error_prints_its_message_not_a_repr(extraction_setup, tmp_path, capsys, edit, flags, message):
@@ -814,12 +907,16 @@ def test_relative_workdir_flag_is_taken_from_the_current_directory(extraction_se
     assert not (cwd / "keyed").exists()
 
 
-@pytest.mark.parametrize("command", ["extract", "ingest", "select"])
-def test_missing_corpus_exits_2_and_creates_no_workdir(extraction_setup, tmp_path, capsys, command):
+@pytest.mark.parametrize("case", ["extract", "ingest", "select", "ingest-with-labeled-present"])
+def test_missing_corpus_exits_2_and_creates_no_workdir(extraction_setup, tmp_path, capsys, case):
     _, config_path, workdir = extraction_setup
     raw = json.loads(config_path.read_text())
     missing = tmp_path / "missing.csv"
+    present = raw["corpus"]["unlabeled"]
     raw["corpus"] = {"labeled": str(missing), "unlabeled": str(missing)}
+    if case == "ingest-with-labeled-present":  # ingest reads the labeled corpus first, yet writes nothing
+        raw["corpus"]["labeled"] = present
+    command = case.split("-")[0]
     config_path.write_text(json.dumps(raw))
 
     assert main([command, "--config", str(config_path)]) == 2
@@ -959,9 +1056,9 @@ def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extra
     # fault fails one review, and the reasons list the reviews in input order.
     assert len(nli_errors) == 4 and all(message in err for message, err in zip(messages, nli_errors))
     assert sorted(next(m for m in messages if m in reason) for reason in llm_reasons) == sorted(messages)
-    (matrix,) = (p.name for p in clean.glob("matrix_*.bin"))  # of each cache, as nli-score wrote it
-    for name in (MANIFEST_FILE, matrix, PSEUDO_LABELS_FILE, EXTRACTED_FILE):
+    for name in (MANIFEST_FILE, PSEUDO_LABELS_FILE, EXTRACTED_FILE):
         assert (faulty / name).read_bytes() == (clean / name).read_bytes(), name
+    assert cached_matrix(config_path, faulty).scores.tobytes() == cached_matrix(config_path, clean).scores.tobytes()
     assert json.loads((clean / MANIFEST_FILE).read_text())["counts"]["llm_yes"] > 0
     assert answered["/llm"] == clean_answers["/llm"] + wasted
     if max_inflight == 1:

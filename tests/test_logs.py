@@ -281,6 +281,36 @@ def test_vote_record_value_out_of_contract_exits_2(extraction, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [
+        lambda record: {"decision": "yes" if record["decision"] == "no" else "no"},
+        lambda record: {"votes": ["yes" if vote == "no" else "no" for vote in record["votes"]]},
+        lambda record: {"tie_flag": not record["tie_flag"]},
+    ],
+    ids=["decision", "votes", "tie-flag"],
+)
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+def test_vote_record_that_disagrees_with_its_responses_exits_2(extraction, tmp_path, capsys, edit, command):
+    """A record's votes, decision and tie flag are what its raw responses give: the log cannot flip a decision."""
+    config_path, _ = extraction
+    raw = json.loads(config_path.read_text())
+    raw["corpus"]["labeled"] = raw["corpus"]["unlabeled"]  # evaluate reads the votes before the gold labels
+    config_path.write_text(json.dumps(raw))
+    common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
+    assert main(["extract", *common]) == 0
+    votes, extracted = tmp_path / "run" / VOTES_FILE, tmp_path / "run" / EXTRACTED_FILE
+    field, value = next(iter(edit(json.loads(votes.read_text().splitlines()[0])).items()))
+    rewrite_first_record(votes, **{field: value})
+    before = {path: path.read_bytes() for path in (votes, extracted)}
+    capsys.readouterr()
+
+    assert main([command, *common] + (["--votes", str(votes)] if command == "evaluate" else [])) == 2
+    what = "line" if command == "evaluate" else "log line"  # evaluate reads the log as a whole file
+    assert f"{votes}:1: corrupt {what}: {field} is {value!r}, but raw_responses give " in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in before} == before
+
+
+@pytest.mark.parametrize(
     "fields",
     [{"label": "yes please"}, {"label": 7}, {"label": "skip"}, {"label": None}, {"annotator": 5}, {"review_id": ["r"]}],
     ids=["label-unknown", "label-number", "label-skip", "label-null", "annotator-number", "review-id-list"],

@@ -631,7 +631,7 @@ class TestVoteLog:
         def record(review_id, yes, backend, record_set_hash=set_hash, record_sampling=sampling):
             decision = BinaryLabel.YES if yes else BinaryLabel.NO
             votes = (Vote(decision.value),)
-            return VoteRecord(review_id, ("x",), votes, decision, False, backend, record_set_hash, record_sampling)
+            return VoteRecord(review_id, (decision.value,), votes, decision, False, backend, record_set_hash, record_sampling)
 
         votes_path = tmp_path / "votes.jsonl"
         with Log(votes_path, VOTE_CONTEXT) as log:

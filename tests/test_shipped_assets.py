@@ -55,7 +55,7 @@ def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
     argv_tail = ["--config", str(demo_config), "--workdir", str(workdir)]
 
     assert main(["extract", *argv_tail]) == 0
-    assert not list(workdir.glob("matrix_*"))  # only nli-score writes a score matrix
+    assert not list(workdir.glob("matrix_*"))  # no command writes a score matrix
     manifest = json.loads((workdir / "manifest.json").read_text())
     assert manifest["counts"] == {
         "ingested": 24,
