@@ -37,6 +37,7 @@ from .pipeline import (
     read_pseudo_labels,
     run_extraction,
     run_selection,
+    write_pseudo_labels,
 )
 
 logger = logging.getLogger(__name__)
@@ -87,8 +88,12 @@ def cmd_nli_score(args) -> int:
 def cmd_nli_label(args) -> int:
     config = _load(args)
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+    cache_path = config.workdir / NLI_CACHE_FILE
+    if not cache_path.exists():
+        raise ValidationError(f"no NLI scores at {cache_path}; run nli-score first")
     _, _, corpus = prepare_corpus(config, args.role)
     rows = nli_stage(config, hset, corpus)  # every cell from the cache: no backend is built
+    write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     print(f"pseudo-labels -> {config.workdir / PSEUDO_LABELS_FILE}")
     for label in PseudoLabel:
         print(f"  {label.value}: {sum(1 for row in rows if row[1] is label)}")
@@ -129,6 +134,7 @@ def cmd_evaluate(args) -> int:
         config,
         pseudo_path=chosen(args.pseudo, config.workdir / PSEUDO_LABELS_FILE),
         votes_path=chosen(args.votes, config.workdir / VOTES_FILE),
+        votes_named=args.votes is not None,
     )
     write_json(config.workdir / "metrics.json", result)
     for stage in ("nli", "llm", "random_baseline"):

@@ -225,13 +225,11 @@ def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
 def nli_stage(config: PipelineConfig, hset: HypothesisSet, reviews: ReviewCorpus, backend=None) -> list[LabelRow]:
     """The NLI stage of ``extract`` and ``nli-label``: score the normalized ``reviews`` through the workdir's
     cache with ``backend``, the first configured one (without it, every cell must be cached; see
-    :func:`score_corpus`), pseudo-label them with ``hset`` and write ``pseudo_labels.jsonl``."""
+    :func:`score_corpus`), and return their pseudo-labels under ``hset``. It writes only the cache."""
     backend_cfg = config.nli_backends[0]
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
         matrix = score_corpus(backend_cfg.name if backend is None else backend, reviews, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    rows = nli_label(matrix, hset)
-    write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
-    return rows
+    return nli_label(matrix, hset)
 
 
 def llm_classify(
@@ -347,10 +345,10 @@ class ExtractionResult:
 
 
 def run_extraction(config: PipelineConfig) -> ExtractionResult:
-    """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify
-    the maybe-privacy subset with the LLM, and write the yes-decisions with
-    provenance to ``extracted.jsonl``, the queue ``annotate`` reads and the
-    source ``export`` reads. Writes the manifest plus every stage artifact."""
+    """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify the maybe-privacy subset with the
+    LLM, and write the yes-decisions with provenance to ``extracted.jsonl``, the queue ``annotate`` reads and the
+    source ``export`` reads. Writes the manifest plus every stage artifact but the pseudo-labels, which stay in
+    memory: a ``pseudo_labels.jsonl`` already in the workdir (``select``'s, say) is left as it is."""
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
     backend_cfg = config.nli_backends[0]
     nli_backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
@@ -498,11 +496,13 @@ def evaluate_run(
     *,
     pseudo_path: Path | None = None,
     votes_path: Path | None = None,
+    votes_named: bool = True,
 ) -> dict:
     """Score pseudo-labels and/or LLM decisions against the gold corpus,
     with the random-classifier baseline for whichever subsets apply. Only
     the votes of the configured LLM and sampling on the extraction set
-    count; both files are read strictly and left as they are."""
+    count; both files are read strictly and left as they are. A vote log not ``votes_named`` (the
+    workdir's own, say) with no vote on a gold review adds no LLM stage; a named one exits 2."""
     if config.labeled_path is None:
         raise ValidationError("evaluation needs corpus.labeled in the config")
     pseudo = read_pseudo_labels(pseudo_path) if pseudo_path is not None else None
@@ -514,12 +514,17 @@ def evaluate_run(
 
     result: dict = {"gold_size": len(gold)}
     if pseudo is not None:
+        if missing := next((rid for rid in gold if rid not in pseudo), None):
+            raise ValidationError(f"{pseudo_path}: no pseudo-label of gold review {missing!r}")
         result["nli"] = _metrics_block(confusion_from_nli(gold, pseudo))
     if votes is not None:
         decisions = {rid: rec.decision for rid, rec in votes.items()}
         subset = {rid: label for rid, label in gold.items() if rid in decisions}
-        if not subset:
+        if not subset and votes_named:
             raise ValidationError("no overlap between gold labels and vote records")
+        if not subset:
+            logger.warning("%s holds no vote on a gold review; the LLM stage is left out", votes_path)
+            return result
         result["llm"] = dict(_metrics_block(confusion_from_llm(subset, decisions)), evaluated=len(subset))
         n_pos = sum(subset.values())
         if n_pos > 0:

@@ -76,10 +76,13 @@ def test_stage_commands_compose(extraction_setup, capsys):
     assert f"scored {ledger.rating_filtered} reviews x 21 hypotheses" in out
     assert f"maybe-privacy: {ledger.maybe_privacy}" in out
     assert f"yes={ledger.llm_yes} no={ledger.llm_no} failed=0" in out
-    # Run in order, the stage commands write what extract writes, and no
-    # command writes a score matrix.
+    # Run in order, the stage commands write what extract writes, and the
+    # pseudo-labels that nli-label writes over extract's workdir; no command
+    # writes a score matrix.
     whole = workdir.parent / "whole"
     assert main(["extract", "--config", str(config_path), "--workdir", str(whole)]) == 0
+    assert not (whole / PSEUDO_LABELS_FILE).exists()
+    assert main(["nli-label", "--config", str(config_path), "--workdir", str(whole)]) == 0
     assert not list(workdir.glob("matrix_*")) and not list(whole.glob("matrix_*"))
     names = [NLI_CACHE_FILE, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE]
     for name in names:
@@ -87,10 +90,10 @@ def test_stage_commands_compose(extraction_setup, capsys):
 
 
 def test_nli_label_after_extract_alone_labels_from_the_cache_with_no_backend(extraction_setup, capsys, monkeypatch):
-    _, config_path, workdir = extraction_setup
+    ledger, config_path, workdir = extraction_setup
     assert main(["extract", "--config", str(config_path)]) == 0
-    written = {name: (workdir / name).read_bytes() for name in (NLI_CACHE_FILE, PSEUDO_LABELS_FILE)}
-    (workdir / PSEUDO_LABELS_FILE).unlink()
+    cache = (workdir / NLI_CACHE_FILE).read_bytes()
+    assert not (workdir / PSEUDO_LABELS_FILE).exists()
 
     def no_backend(*args, **kwargs):
         raise AssertionError("nli-label built a backend")
@@ -98,18 +101,27 @@ def test_nli_label_after_extract_alone_labels_from_the_cache_with_no_backend(ext
     monkeypatch.setattr("concernminer.cli.make_nli_backend", no_backend)
     monkeypatch.setattr("concernminer.pipeline.make_nli_backend", no_backend)
     assert main(["nli-label", "--config", str(config_path)]) == 0
-    assert {name: (workdir / name).read_bytes() for name in written} == written
+    assert (workdir / NLI_CACHE_FILE).read_bytes() == cache
+    # The labels are the ones extract classified and the provenance it wrote.
+    labels = {r["review_id"]: r for r in map(json.loads, (workdir / PSEUDO_LABELS_FILE).read_text().splitlines())}
+    maybe = {rid for rid, r in labels.items() if r["label"] == "maybe-privacy"}
+    assert len(labels) == ledger.rating_filtered and len(maybe) == ledger.maybe_privacy
+    assert maybe == {json.loads(line)["review_id"] for line in (workdir / VOTES_FILE).read_text().splitlines()}
+    for record in map(json.loads, (workdir / EXTRACTED_FILE).read_text().splitlines()):
+        label = labels[record["id"]]
+        assert record["provenance"]["nli"] == {"threshold": label["threshold"], "triggered": label["triggered"]}
 
 
 @pytest.mark.parametrize("after", ["nothing", "a cut-short extract"])
 def test_nli_label_with_an_uncached_cell_exits_2_and_writes_nothing(extraction_setup, capsys, after):
     _, config_path, workdir = extraction_setup
-    missing = "'r"  # without a cache, the first review: every fixture id starts with r
+    expected = f"no NLI scores at {workdir / NLI_CACHE_FILE}"
     if after != "nothing":
         assert main(["extract", "--config", str(config_path)]) == 0
+        assert main(["nli-label", "--config", str(config_path)]) == 0
         cache = workdir / NLI_CACHE_FILE
         lines = cache.read_text().splitlines(keepends=True)
-        missing = repr(json.loads(lines[-1])["review_id"])
+        expected = f"score of review {json.loads(lines[-1])['review_id']!r}"
         cache.write_text("".join(lines[:-1]))
 
     def kept():
@@ -120,8 +132,9 @@ def test_nli_label_with_an_uncached_cell_exits_2_and_writes_nothing(extraction_s
     capsys.readouterr()
     assert main(["nli-label", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert f"score of review {missing}" in err and err.endswith("; run nli-score first\n")
+    assert expected in err and err.endswith("; run nli-score first\n")
     assert kept() == before and len(before) == (0 if after == "nothing" else 2)
+    assert workdir.exists() is (after != "nothing")
 
 
 @pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
@@ -339,6 +352,57 @@ def test_select_and_evaluate(selection_setup, tmp_path, capsys):
     assert "nli: P=" in out
     metrics_payload = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert metrics_payload["nli"]["tp"] == 20
+
+
+def test_select_then_extract_then_evaluate_keeps_selects_pseudo_labels(selection_setup, tmp_path, capsys):
+    """Step 1 and step 3 of the study in one workdir: extract keeps its labels of the unlabeled corpus in
+    memory, so evaluate still scores select's labels, and the vote log of the unlabeled reviews alone,
+    read by default, adds no LLM stage."""
+    config_path = selection_setup
+    build_extraction_fixture(tmp_path / "data", n_privacy=4, n_benign_low=6, n_high=1, n_yes=2)
+    unlabeled = tmp_path / "data" / "reviews.csv"
+    unlabeled.write_text(unlabeled.read_text().replace("\nr", "\nu"))  # ids apart from the gold reviews'
+    raw = json.loads(config_path.read_text())
+    raw["corpus"]["unlabeled"] = str(unlabeled)
+    config_path.write_text(json.dumps(raw))
+    workdir = tmp_path / "run"
+    assert main(["select", "--config", str(config_path)]) == 0
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    selected = {name: (workdir / name).read_bytes() for name in (PSEUDO_LABELS_FILE, "metrics.json")}
+    (workdir / "metrics.json").unlink()
+
+    assert main(["extract", "--config", str(config_path)]) == 0
+    assert (workdir / VOTES_FILE).exists()
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert {name: (workdir / name).read_bytes() for name in selected} == selected
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--votes", str(workdir / VOTES_FILE)]) == 2
+    assert "no overlap between gold labels and vote records" in capsys.readouterr().err
+
+
+def test_extract_leaves_a_pseudo_label_file_as_it_is(extraction_setup):
+    _, config_path, workdir = extraction_setup
+    workdir.mkdir()
+    pseudo = workdir / PSEUDO_LABELS_FILE
+    pseudo.write_text("not a pseudo-label\n")  # extract neither reads nor rewrites it
+    os.utime(pseudo, ns=(10**18, 10**18))
+    assert main(["extract", "--config", str(config_path)]) == 0
+    assert pseudo.read_text() == "not a pseudo-label\n" and pseudo.stat().st_mtime_ns == 10**18
+    assert (workdir / EXTRACTED_FILE).exists()
+
+
+def test_evaluate_names_the_pseudo_label_file_that_misses_a_gold_review(selection_setup, tmp_path, capsys):
+    config_path = selection_setup
+    assert main(["select", "--config", str(config_path)]) == 0
+    lines = (tmp_path / "run" / PSEUDO_LABELS_FILE).read_text().splitlines(keepends=True)
+    named = tmp_path / "named.jsonl"
+    named.write_text("".join(lines[:3] + lines[4:]))
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(config_path), "--pseudo", str(named)]) == 2
+    missing = json.loads(lines[3])["review_id"]
+    assert capsys.readouterr().err == f"error: {named}: no pseudo-label of gold review {missing!r}\n"
+    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_repeated_nli_backend_name_exits_2_before_any_workdir_write(selection_setup, capsys):
@@ -1050,6 +1114,7 @@ def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extra
         scored = requests["/nli"]
         for workdir in (clean, faulty):
             assert main(["nli-score", "--config", str(config_path), "--workdir", str(workdir)]) == 0
+            assert main(["nli-label", "--config", str(config_path), "--workdir", str(workdir)]) == 0
         assert requests["/nli"] == scored  # each cache holds every cell
 
     # Each NLI fault ends one round, in the order they were served; each LLM

@@ -551,6 +551,8 @@ def test_damaged_file_exits_2_and_changes_nothing(extraction, tmp_path, capsys, 
     workdir = tmp_path / "run"
     common = ["--config", str(config_path), "--workdir", str(workdir)]
     assert main(["extract", *common]) == 0
+    if command == "llm-classify":
+        assert main(["nli-label", *common]) == 0
     if command == "export":
         assert main(["annotate", *common, "--responses", str(responses_path)]) == 0
     if drop_manifest:

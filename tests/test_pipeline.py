@@ -202,11 +202,11 @@ class TestExtraction:
             MANIFEST_FILE,
             TIMINGS_FILE,
             NLI_CACHE_FILE,
-            PSEUDO_LABELS_FILE,
             VOTES_FILE,
             EXTRACTED_FILE,
         ):
             assert (config.workdir / name).exists(), name
+        assert not (config.workdir / PSEUDO_LABELS_FILE).exists()  # the labels stay in memory
 
     def test_extracted_provenance(self, small_extraction):
         ledger, config = small_extraction
@@ -256,7 +256,7 @@ class TestExtraction:
             outputs.append(
                 {
                     name: (config.workdir / name).read_bytes()
-                    for name in (MANIFEST_FILE, EXTRACTED_FILE, VOTES_FILE, PSEUDO_LABELS_FILE)
+                    for name in (MANIFEST_FILE, EXTRACTED_FILE, VOTES_FILE, NLI_CACHE_FILE)
                 }
             )
         assert outputs[0] == outputs[1]
@@ -274,7 +274,7 @@ class TestExtraction:
                 raw["llm"]["backend"]["max_inflight"] = max_inflight
                 config = config_from_dict(raw, tmp_path)
                 run_extraction(config)
-                files = [NLI_CACHE_FILE, VOTES_FILE, EXTRACTED_FILE, PSEUDO_LABELS_FILE]
+                files = [NLI_CACHE_FILE, VOTES_FILE, EXTRACTED_FILE]
                 outputs.append({name: (config.workdir / name).read_bytes() for name in files})
         finally:
             sys.setswitchinterval(interval)
@@ -441,7 +441,7 @@ def test_sigkill_in_nli_stage_rescores_only_lost_cells_and_rerun_matches(tmp_pat
         return code, int(calls_log.read_text()) if calls_log.exists() else 0
 
     def outputs(workdir):
-        names = [MANIFEST_FILE, EXTRACTED_FILE, NLI_CACHE_FILE, PSEUDO_LABELS_FILE]
+        names = [MANIFEST_FILE, EXTRACTED_FILE, NLI_CACHE_FILE]
         return {name: (workdir / name).read_bytes() for name in names}
 
     code, cells = extract(tmp_path / "clean")
@@ -475,7 +475,7 @@ class TestVoteLog:
         fresh = run_extraction(self.other_llm(tmp_path / "data", tmp_path / "fresh", tmp_path))
         assert switched.manifest.counts == fresh.manifest.counts
         assert switched.manifest.counts["llm_yes"] == 0
-        for name in (MANIFEST_FILE, EXTRACTED_FILE, PSEUDO_LABELS_FILE):
+        for name in (MANIFEST_FILE, EXTRACTED_FILE):
             assert (first.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
         built = record_llm_backends(monkeypatch)
@@ -512,7 +512,7 @@ class TestVoteLog:
         run_extraction(three_samples(config.workdir))
         assert built[0].calls == ledger.maybe_privacy * 3
         run_extraction(three_samples(tmp_path / "fresh"))
-        for name in (MANIFEST_FILE, EXTRACTED_FILE, PSEUDO_LABELS_FILE):
+        for name in (MANIFEST_FILE, EXTRACTED_FILE):
             assert (config.workdir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
     def test_any_cut_of_the_vote_log_resumes_to_the_clean_outputs(self, small_extraction, monkeypatch):

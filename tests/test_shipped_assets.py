@@ -47,15 +47,18 @@ def test_readme_library_snippet_runs_on_the_demo_reviews(tmp_path, monkeypatch):
 
 
 def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
-    """The steps of CI's demo run, with both annotators answering privacy,
-    leave every file but the timings as ``configs/demo/outputs.sha256``
-    records it (``sha256sum`` format, names relative to the workdir)."""
+    """The steps of CI's demo run, with both annotators answering privacy
+    and ``nli-label`` after ``extract``, leave every file but the timings as
+    ``configs/demo/outputs.sha256`` records it (``sha256sum`` format, names
+    relative to the workdir)."""
     demo_config = CONFIGS_DIR / "demo" / "demo.json"
     workdir = tmp_path / "run"
     argv_tail = ["--config", str(demo_config), "--workdir", str(workdir)]
 
     assert main(["extract", *argv_tail]) == 0
     assert not list(workdir.glob("matrix_*"))  # no command writes a score matrix
+    assert not (workdir / "pseudo_labels.jsonl").exists()  # extract keeps its labels in memory
+    assert main(["nli-label", *argv_tail]) == 0
     manifest = json.loads((workdir / "manifest.json").read_text())
     assert manifest["counts"] == {
         "ingested": 24,
