@@ -8,9 +8,9 @@ read back with :func:`read_json` or :func:`read_jsonl`, damage of any kind (a
 missing final newline included) raises a :class:`ValidationError` that
 names the file, and the line for JSONL.
 
-The three append-only logs (entailment cache, vote log, annotation state)
-are each one :class:`Log`: read once, then each committed record is appended
-and flushed through one handle, which one process holds at a time.
+The three append-only logs (entailment cache, vote log, annotation state) are each one :class:`Log`: read
+once, then each committed record is appended, with no space after ``,`` and ``:`` (a reader takes either
+spacing), and flushed through one handle, which one process holds at a time.
 A process killed mid-append can leave a final line without its newline; the
 next read drops that torn line with a warning and truncates the file back to
 the last newline, so the rerun appends onto a clean line and redoes only
@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 _ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) would build one per call
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # a log line: no padding after , and :
 _UNNAMED = object()  # a context key's value until a record names it
 _STAMP = attrgetter("st_size", "st_mtime_ns")  # of a log file's stat: what another writer changes
 
@@ -173,7 +174,7 @@ class Log:
             if self._last:
                 record = {key: value for key, value in record.items() if key not in self._last or self._last[key] != value}
                 self._last.update((key, record[key]) for key in self._last.keys() & record.keys())
-            self._handle.write(_ENCODER.encode(record) + "\n")
+            self._handle.write(_COMPACT.encode(record) + "\n")
         self._handle.flush()
 
 

@@ -37,6 +37,7 @@ from .pipeline import (
     read_pseudo_labels,
     run_extraction,
     run_selection,
+    save_rejects,
     write_pseudo_labels,
 )
 
@@ -61,11 +62,9 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
 def cmd_ingest(args) -> int:
     config = _load(args)
     sources = [(role, path) for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)) if path]
-    for _, path in sources:  # a missing corpus exits before the workdir is made
-        if not path.exists():
-            raise ValidationError(f"no such file: {path}")
-    corpora = [(role, ingest_corpus(config, role, path)) for role, path in sources]  # every corpus is read before a corpus file is written
+    corpora = [(role, ingest_corpus(config, role, path)) for role, path in sources]  # every corpus is read before the first write
     for role, corpus in corpora:
+        save_rejects(config, role, corpus)
         out = config.workdir / f"corpus_{role}.jsonl"
         write_corpus(corpus, out)
         rejected = corpus.provenance.counts.get("rejected", 0)
@@ -79,7 +78,8 @@ def cmd_nli_score(args) -> int:
     backend_cfg = config.nli_backends[0]
     backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
     _, _, corpus = prepare_corpus(config, args.role)
-    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:  # read, and checked, before the first write
+        save_rejects(config, args.role, corpus)
         matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
     print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {cache.path}")
     return 0
@@ -93,6 +93,7 @@ def cmd_nli_label(args) -> int:
         raise ValidationError(f"no NLI scores at {cache_path}; run nli-score first")
     _, _, corpus = prepare_corpus(config, args.role)
     rows = nli_stage(config, hset, corpus)  # every cell from the cache: no backend is built
+    save_rejects(config, args.role, corpus)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     print(f"pseudo-labels -> {config.workdir / PSEUDO_LABELS_FILE}")
     for label in PseudoLabel:
@@ -118,6 +119,7 @@ def cmd_llm_classify(args) -> int:
         logger.warning("%s labels %d of the %d %s reviews", pseudo_path, len(corpus) - uncovered, len(corpus), args.role)
     maybe = [r for r in corpus if pseudo.get(r.id) is PseudoLabel.MAYBE_PRIVACY]
     records, failures = llm_classify(config, backend, maybe, hset)
+    save_rejects(config, args.role, corpus)
     yes = sum(1 for r in records if r.decision is BinaryLabel.YES)
     print(f"classified {len(maybe)} maybe-privacy reviews: yes={yes} no={len(records) - yes} failed={len(failures)}")
     return 0

@@ -2,7 +2,7 @@
 
 Every downstream stage consumes the :class:`Review` / :class:`ReviewCorpus`
 types defined here. Ingestion never drops records silently: anything that
-fails validation lands in a machine-readable rejects file.
+fails validation is kept, with its reason, for a machine-readable rejects file.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ class Review:
 
 @dataclass(frozen=True)
 class Provenance:
-    counts: dict = field(default_factory=dict)  # "rejected": records routed to the rejects file at ingest
+    counts: dict = field(default_factory=dict)  # "rejected": records rejected at ingest
+    rejects: tuple[dict, ...] = ()  # those records, {line_no, reason}, in file order
 
 
 @dataclass(frozen=True)
@@ -210,13 +211,9 @@ def detect_format(source: Path) -> str:
     raise ValidationError(f"cannot infer format from {source.name!r}; pass format explicitly")
 
 
-def ingest_reviews(
-    source: str | Path,
-    fmt: str | None = None,
-    *,
-    rejects_path: str | Path | None = None,
-) -> ReviewCorpus:
-    """Read a review file into a corpus, routing bad records to a rejects file.
+def ingest_reviews(source: str | Path, fmt: str | None = None) -> ReviewCorpus:
+    """Read a review file into a corpus, writing nothing: each bad record is kept, with its line number and
+    reason, in the corpus's ``provenance.rejects`` (:func:`write_rejects` writes them).
 
     Unknown columns/keys are ignored so provenance-enriched exports remain
     round-trippable. Aborts with :class:`SchemaMismatchError` when more than
@@ -251,20 +248,22 @@ def ingest_reviews(
         seen_ids.add(review.id)
         reviews.append(review)
 
-    if rejects_path is not None or rejects:
-        target = Path(rejects_path) if rejects_path else source.with_name(source.name + ".rejects.jsonl")
-        target.parent.mkdir(parents=True, exist_ok=True)  # made once the source is read, so a missing one leaves nothing
-        write_jsonl(target, rejects)
-        if rejects:
-            logger.warning("%s: rejected %d record(s), see %s", source.name, len(rejects), target)
-
     total = len(reviews) + len(rejects)
     if total and len(rejects) * 2 > total:
         raise SchemaMismatchError(
-            f"{source}: {len(rejects)} of {total} records rejected; file does not match the schema"
+            f"{source}: {len(rejects)} of {total} records rejected, the first on line"
+            f" {rejects[0]['line_no']}: {rejects[0]['reason']}; file does not match the schema"
         )
 
-    return ReviewCorpus(tuple(reviews), Provenance({"rejected": len(rejects)}))
+    return ReviewCorpus(tuple(reviews), Provenance({"rejected": len(rejects)}, tuple(rejects)))
+
+
+def write_rejects(path: Path, rejects: list[dict] | tuple[dict, ...]) -> None:
+    """Write rejected records to ``path``, making its directory if need be."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_jsonl(path, rejects)
+    if rejects:
+        logger.warning("rejected %d record(s), see %s", len(rejects), path)
 
 
 def normalize_corpus(corpus: ReviewCorpus) -> ReviewCorpus:

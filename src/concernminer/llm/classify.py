@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .._window import run_ordered
@@ -65,18 +65,20 @@ class PromptMessages:
 
 @dataclass(frozen=True)
 class VoteRecord:
+    """One review's samples; its ``votes``, ``decision`` and ``tie_flag`` are derived from ``raw_responses`` when built."""
+
     review_id: str
     raw_responses: tuple[str, ...]
-    votes: tuple[Vote, ...]
-    decision: BinaryLabel
-    tie_flag: bool
     backend: str | None = None  # the LLM backend's name
     set_hash: str | None = None  # version_hash of the hypothesis set in the prompt
     sampling: str | None = None  # SamplingSettings.digest of the settings that cast the votes
+    votes: tuple[Vote, ...] = field(init=False)
+    decision: BinaryLabel = field(init=False)
+    tie_flag: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.raw_responses) != len(self.votes):
-            raise ValidationError("raw_responses and votes must have equal length")
+        votes = tuple(parse_response(r) for r in self.raw_responses)
+        self.__dict__.update(zip(("votes", "decision", "tie_flag"), (votes, *majority_vote(votes))))  # past the frozen __setattr__
 
 
 def build_prompt(hset: "HypothesisSet", review: "Review") -> PromptMessages:
@@ -129,9 +131,7 @@ def classify_review(
     """Request ``num_samples`` independent completions and take the majority;
     the record names the backend, the prompt's ``set_hash`` and ``settings``."""
     raw = tuple(backend.complete(prompt, settings, tag=review_id) for _ in range(settings.num_samples))
-    votes = tuple(parse_response(r) for r in raw)
-    decision, tie_flag = majority_vote(votes)
-    return VoteRecord(review_id, raw, votes, decision, tie_flag, backend.name, set_hash, settings.digest)
+    return VoteRecord(review_id, raw, backend.name, set_hash, settings.digest)
 
 
 def classify_corpus(

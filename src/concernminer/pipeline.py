@@ -30,6 +30,7 @@ from .corpus import (
     parse_record,
     partition_gold,
     review_to_record,
+    write_rejects,
     write_corpus,  # noqa: F401 - benchmarks/runner.py wraps write_corpus here
 )
 from .errors import ValidationError
@@ -45,7 +46,7 @@ from .evaluation import (
 )
 from .hypotheses import HypothesisSet, resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
-from .llm.classify import VoteRecord, classify_corpus, majority_vote, parse_response
+from .llm.classify import VoteRecord, classify_corpus
 from .nli.labeling import explain_labels
 from .nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus  # noqa: F401 - benchmarks/runner.py wraps save_matrix here
 
@@ -162,17 +163,16 @@ def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
 
 
 def _vote_record_from_dict(raw: dict) -> VoteRecord:
-    """A vote record from its log line, whose ``votes``, ``decision`` and ``tie_flag`` must be what
-    its ``raw_responses`` give; ``backend``, ``set_hash`` and ``sampling`` are ``None`` when neither
-    it nor an earlier line names them."""
-    review_id = checked("review_id", "str", raw["review_id"])
+    """A vote record from its log line, whose ``tie_flag`` (and on older lines ``votes`` and ``decision``) must be what its
+    ``raw_responses`` give; ``backend``, ``set_hash`` and ``sampling`` are ``None`` when neither it nor an earlier line names them."""
     responses = tuple(checked("raw response", "str", r) for r in checked("raw_responses", "list", raw["raw_responses"]))
-    votes = tuple(parse_response(r) for r in responses)
-    decision, tie_flag = majority_vote(votes)
-    for key, derived in (("votes", [v.value for v in votes]), ("decision", decision.value), ("tie_flag", tie_flag)):
-        if raw[key] != derived or type(raw[key]) is not type(derived):
-            raise ValidationError(f"{key} is {raw[key]!r}, but raw_responses give {derived!r}")
-    return VoteRecord(**dict(raw, review_id=review_id, raw_responses=responses, votes=votes, decision=decision, tie_flag=tie_flag))
+    stored = {key: raw.pop(key) for key in ("votes", "decision", "tie_flag") if key in raw}
+    record = VoteRecord(**dict(raw, review_id=checked("review_id", "str", raw["review_id"]), raw_responses=responses))
+    derived = {"votes": [v.value for v in record.votes], "decision": record.decision.value, "tie_flag": record.tie_flag}
+    for key, value in stored.items():
+        if value != derived[key] or type(value) is not type(derived[key]):
+            raise ValidationError(f"{key} is {value!r}, but raw_responses give {derived[key]!r}")
+    return record
 
 
 def read_votes(votes: Log, backend: str, set_hash: str, sampling: str, *, log: bool = True) -> dict[str, VoteRecord]:
@@ -188,29 +188,34 @@ def read_votes(votes: Log, backend: str, set_hash: str, sampling: str, *, log: b
 
 
 def append_votes(votes: Log, records: list[VoteRecord]) -> None:
-    """Append the records to the vote log ``votes``, inside its ``with``."""
-    votes.append([vars(record) for record in records])
+    """Append the records to the vote log ``votes``, inside its ``with``, without the votes and decision their responses give."""
+    votes.append([{key: value for key, value in vars(record).items() if key not in ("votes", "decision")} for record in records])
 
 
 def ingest_corpus(config: PipelineConfig, role: str, path: Path | None) -> ReviewCorpus:
-    """Ingest the ``labeled`` or ``unlabeled`` corpus at ``path``, writing
-    its rejected rows into the workdir."""
+    """Ingest the ``labeled`` or ``unlabeled`` corpus at ``path``, writing nothing: the caller writes
+    its rejected rows with :func:`save_rejects` once its own checks have passed."""
     if path is None:
         raise ValidationError(f"config has no corpus.{role} path")
-    return ingest_reviews(path, config.corpus_format, rejects_path=config.workdir / f"rejects_{role}.jsonl")
+    return ingest_reviews(path, config.corpus_format)
+
+
+def save_rejects(config: PipelineConfig, role: str, corpus: ReviewCorpus) -> None:
+    """Write the rows rejected from the ``role`` corpus (any stage of it) to ``rejects_<role>.jsonl``,
+    making the workdir if need be."""
+    write_rejects(config.workdir / f"rejects_{role}.jsonl", corpus.provenance.rejects)
 
 
 def prepare_corpus(config: PipelineConfig, role: str) -> tuple[ReviewCorpus, ReviewCorpus, ReviewCorpus]:
-    """Ingest the ``labeled`` or ``unlabeled`` corpus into the workdir, then
-    filter it by rating and normalize it; returns all three stages."""
+    """Ingest the ``labeled`` or ``unlabeled`` corpus, then filter it by rating
+    and normalize it; returns all three stages, writing nothing."""
     corpus = ingest_corpus(config, role, config.labeled_path if role == "labeled" else config.unlabeled_path)
     filtered = filter_by_rating(corpus, config.rating_min, config.rating_max)
     return corpus, filtered, normalize_corpus(filtered)
 
 
 def gold_corpus(config: PipelineConfig) -> ReviewCorpus:
-    """The reviews of the labeled corpus that carry a gold label, ingested
-    into the workdir."""
+    """The reviews of the labeled corpus that carry a gold label (see :func:`ingest_corpus`)."""
     labeled, _ = partition_gold(ingest_corpus(config, "labeled", config.labeled_path))
     if not len(labeled):
         raise ValidationError("labeled corpus contains no gold labels")
@@ -283,6 +288,7 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
     backends = {cfg.name: make_nli_backend(cfg, config.seed, config.base_dir) for cfg in config.nli_backends}
     labeled = normalize_corpus(gold_corpus(config))
+    save_rejects(config, "labeled", labeled)
     gold = {r.id: r.gold_label for r in labeled}
     cache = ScoreCache(config.workdir / NLI_CACHE_FILE)  # each pass scores a (backend, set) pair no other pass does
 
@@ -356,6 +362,7 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     laps = [time.perf_counter()]  # stage boundaries: ingest, nli, llm, emit
 
     corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
+    save_rejects(config, "unlabeled", corpus)
     laps.append(time.perf_counter())
 
     rows = nli_stage(config, hset, normalized, nli_backend)
@@ -510,21 +517,22 @@ def evaluate_run(
     if votes_path is not None:
         hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
         votes = read_votes(Log(votes_path, VOTE_CONTEXT), config.llm_backend.name, hset.version_hash, config.sampling.digest, log=False)
-    gold = {r.id: r.gold_label for r in gold_corpus(config)}
+    labeled = gold_corpus(config)
+    gold = {r.id: r.gold_label for r in labeled}
 
     result: dict = {"gold_size": len(gold)}
     if pseudo is not None:
         if missing := next((rid for rid in gold if rid not in pseudo), None):
             raise ValidationError(f"{pseudo_path}: no pseudo-label of gold review {missing!r}")
         result["nli"] = _metrics_block(confusion_from_nli(gold, pseudo))
-    if votes is not None:
-        decisions = {rid: rec.decision for rid, rec in votes.items()}
-        subset = {rid: label for rid, label in gold.items() if rid in decisions}
-        if not subset and votes_named:
+    decisions = {rid: rec.decision for rid, rec in (votes or {}).items()}
+    subset = {rid: label for rid, label in gold.items() if rid in decisions}
+    if votes is not None and not subset:
+        if votes_named:
             raise ValidationError("no overlap between gold labels and vote records")
-        if not subset:
-            logger.warning("%s holds no vote on a gold review; the LLM stage is left out", votes_path)
-            return result
+        logger.warning("%s holds no vote on a gold review; the LLM stage is left out", votes_path)
+    save_rejects(config, "labeled", labeled)  # after the last check
+    if subset:
         result["llm"] = dict(_metrics_block(confusion_from_llm(subset, decisions)), evaluated=len(subset))
         n_pos = sum(subset.values())
         if n_pos > 0:

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from concernminer.llm import VoteRecord
+
 # Phrases from the default mock trigger table (concernminer.nli.backends).
 # STRONG scores ~0.92 on hypothesis ids 14/17: maybe-privacy under both
 # builtin rule sets. WEAK scores ~0.83 on id 21: above the generic 0.8
@@ -249,3 +251,10 @@ def build_rating_fixture(path: Path, *, seed: int = 5, n_low: int = 436, n_total
     rng.shuffle(rows)
     _write_csv(path, rows)
     return n_low
+
+
+def with_votes_and_decision(record: dict) -> dict:
+    """A ``votes.jsonl`` record as versions before compact vote records wrote it: also holding the
+    ``votes`` and ``decision`` that its ``raw_responses`` give."""
+    derived = VoteRecord(record["review_id"], tuple(record["raw_responses"]))
+    return dict(record, votes=[v.value for v in derived.votes], decision=derived.decision.value)

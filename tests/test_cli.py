@@ -137,6 +137,40 @@ def test_nli_label_with_an_uncached_cell_exits_2_and_writes_nothing(extraction_s
     assert workdir.exists() is (after != "nothing")
 
 
+@pytest.mark.parametrize("command", ["nli-label", "llm-classify", "nli-score"])
+def test_stage_command_that_exits_2_after_reading_the_corpus_leaves_the_workdir_as_it_was(extraction_setup, capsys, command):
+    """``nli-label`` with an uncached cell, ``llm-classify`` over pseudo-labels of other reviews, and
+    ``nli-score`` over a corrupt cache line exit 2 once they have read the corpus. Its rejects report is
+    written only after their checks: every file keeps its bytes and modification time, and a deleted
+    report stays deleted."""
+    _, config_path, workdir = extraction_setup
+    assert main(["extract", "--config", str(config_path)]) == 0
+    assert main(["nli-label", "--config", str(config_path)]) == 0
+    cache = workdir / NLI_CACHE_FILE
+    lines = cache.read_text().splitlines(keepends=True)
+    if command == "nli-label":
+        cache.write_text("".join(lines[:-1]))  # the last review's row is lost
+        expected = "; run nli-score first"
+    elif command == "nli-score":
+        cache.write_text("".join([lines[0], "{garbage\n", *lines[2:]]))
+        expected = f"{cache}:2: corrupt log line"
+    else:
+        pseudo = workdir / PSEUDO_LABELS_FILE
+        records = [json.loads(line) for line in pseudo.read_text().splitlines()]
+        pseudo.write_text("".join(json.dumps(dict(r, review_id="other-" + r["review_id"])) + "\n" for r in records))
+        expected = f"labels none of the {len(records)} unlabeled reviews"
+    (workdir / "rejects_unlabeled.jsonl").unlink()
+
+    def files():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in workdir.iterdir()}
+
+    before = files()
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 2
+    assert expected in capsys.readouterr().err
+    assert files() == before
+
+
 @pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
 def test_score_cell_outside_0_1_exits_2(extraction_setup, tmp_path, capsys, cell):
     _, config_path, workdir = extraction_setup
@@ -985,6 +1019,22 @@ def test_missing_corpus_exits_2_and_creates_no_workdir(extraction_setup, tmp_pat
 
     assert main([command, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "ingest", "nli-score"])
+def test_corpus_that_does_not_match_the_schema_exits_2_naming_a_rejected_line_and_creates_no_workdir(extraction_setup, tmp_path, capsys, command):
+    _, config_path, workdir = extraction_setup
+    raw = json.loads(config_path.read_text())
+    corpus = tmp_path / "bad.csv"
+    corpus.write_text("id,app,store,rating,text\na,app,other,9,rated nine\nb,app,other,1,fine\nc,app,other,,no rating\n")
+    raw["corpus"] = {"unlabeled": str(corpus)}
+    config_path.write_text(json.dumps(raw))
+
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}: 2 of 3 records rejected, the first on line 2: ")
+    assert err.endswith("; file does not match the schema\n")
     assert not workdir.exists()
 
 

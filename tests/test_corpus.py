@@ -140,11 +140,11 @@ class TestIngest:
         )
         corpus = ingest_reviews(path)
         assert len(corpus) == 1
-        rejects_file = tmp_path / "reviews.csv.rejects.jsonl"
-        entries = [json.loads(line) for line in rejects_file.read_text().splitlines()]
-        assert len(entries) == 1
+        entries = corpus.provenance.rejects
+        assert len(entries) == 1 == corpus.provenance.counts["rejected"]
         assert entries[0]["line_no"] == 3
         assert "rating" in entries[0]["reason"]
+        assert list(tmp_path.iterdir()) == [path]  # ingest writes nothing
 
     def test_labeled_fixture_mirrors_reference_proportions(self, tmp_path):
         ledger = build_labeled_fixture(tmp_path / "labeled.csv")
@@ -165,15 +165,14 @@ class TestIngest:
         corpus = ingest_reviews(path)
         assert [r.id for r in corpus] == ["a", "b"]
         assert corpus.reviews[1].gold_label == 1
-        rejects = (tmp_path / "reviews.jsonl.rejects.jsonl").read_text()
-        assert "invalid json" in rejects
+        assert "invalid json" in corpus.provenance.rejects[0]["reason"]
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "reviews.csv"
         path.write_text("id,app,store,rating,text\na,x,other,1,one\na,x,other,2,two\n")
         corpus = ingest_reviews(path)
         assert len(corpus) == 1
-        assert "duplicate" in (tmp_path / "reviews.csv.rejects.jsonl").read_text()
+        assert "duplicate" in corpus.provenance.rejects[0]["reason"]
 
     def test_date_parsed_and_bad_date_rejected(self, tmp_path):
         path = tmp_path / "reviews.csv"
@@ -358,7 +357,6 @@ def test_csv_rows_ingest_as_through_dict_reader(tmp_path, monkeypatch, text):
     path = tmp_path / "reviews.csv"
     path.write_bytes(text.encode("utf-8"))
     assert list(corpus_module._iter_csv(path)) == list(dict_reader_rows(path))
-    fast = ingest_reviews(path, rejects_path=tmp_path / "fast.jsonl")
+    fast = ingest_reviews(path)
     monkeypatch.setattr(corpus_module, "_iter_csv", dict_reader_rows)
-    assert ingest_reviews(path, rejects_path=tmp_path / "reference.jsonl") == fast
-    assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    assert ingest_reviews(path) == fast  # the reviews and the rejected records, with their reasons

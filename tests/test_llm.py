@@ -172,9 +172,11 @@ class TestClassifyReview:
         record = classify_review(backend, "rX", build_prompt(DOMAIN, make_review("rX")), SamplingSettings())
         assert record.decision is BinaryLabel.NO
 
-    def test_vote_record_invariant(self):
-        with pytest.raises(ValidationError):
-            VoteRecord("r0", ("a",), (Vote.YES, Vote.NO), BinaryLabel.YES, False)
+    def test_vote_record_derives_its_votes_from_its_responses(self):
+        record = VoteRecord("r0", ("Yes.", "no", "maybe", "NO", "yes"))
+        assert record.votes == (Vote.YES, Vote.NO, Vote.ABSTAIN, Vote.NO, Vote.YES)
+        assert (record.decision, record.tie_flag) == (BinaryLabel.NO, True)
+        assert VoteRecord("r0", ("yes", "no", "yes")).decision is BinaryLabel.YES
 
 
 class TestClassifyCorpus:

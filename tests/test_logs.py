@@ -34,7 +34,7 @@ from concernminer.pipeline import (
     write_pseudo_labels,
 )
 
-from synth import build_extraction_fixture, extraction_config
+from synth import build_extraction_fixture, extraction_config, with_votes_and_decision
 
 
 def write_lines(path, lines):
@@ -90,7 +90,7 @@ class TestReadLog:
         with Log(path) as log:
             log.append([{"b": 1, "a": 2}])
             log.append([{"c": None}, {"d": [1, 2]}])
-        assert path.read_text() == '{"a": 2, "b": 1}\n{"c": null}\n{"d": [1, 2]}\n'
+        assert path.read_text() == '{"a":2,"b":1}\n{"c":null}\n{"d":[1,2]}\n'  # no padding after , and :
 
 
     def test_a_second_writer_is_refused_while_the_log_is_open(self, tmp_path):
@@ -114,7 +114,7 @@ class TestReadLog:
             first.append([{"k": 1, "v": 3}])
         with second:  # read before first's append: the file grew since, so it names its context again
             second.append([{"k": 2, "v": 4}])
-        assert path.read_text().splitlines()[3:] == ['{"k": 1, "v": 3}', '{"k": 2, "v": 4}']
+        assert path.read_text().splitlines()[3:] == ['{"k":1,"v":3}', '{"k":2,"v":4}']
         assert [r["k"] for r in Log(path, ("k",)).read()] == [1, 1, 2, 1, 2]
 
     def test_context_is_named_again_after_another_write_that_keeps_the_size(self, tmp_path):
@@ -122,16 +122,16 @@ class TestReadLog:
         log = Log(path, ("k",))
         with log:
             log.append([{"k": 1, "v": 0}, {"k": 1, "v": 1}])
-        assert path.read_text().splitlines()[1] == '{"v": 1}'
+        assert path.read_text().splitlines()[1] == '{"v":1}'
         size = path.stat().st_size
         time.sleep(0.05)  # the other write comes later, past a coarse file clock's tick
-        os.truncate(path, size - len('{"v": 1}\n'))  # another writer cuts a torn tail, then appends as many bytes
+        os.truncate(path, size - len('{"v":1}\n'))  # another writer cuts a torn tail, then appends as many bytes
         with path.open("a") as other:
-            other.write('{"k": 2}\n')
+            other.write('{"k":2}\n')
         assert path.stat().st_size == size
         with log:
             log.append([{"k": 1, "v": 2}])
-        assert path.read_text().splitlines()[2] == '{"k": 1, "v": 2}'
+        assert path.read_text().splitlines()[2] == '{"k":1,"v":2}'
         assert [r["k"] for r in Log(path, ("k",)).read()] == [1, 2, 1]
 
     def test_lines_are_json_dumps_with_sorted_keys(self, tmp_path):
@@ -140,11 +140,12 @@ class TestReadLog:
             {"floats": [0.1, 0.1 + 0.2, 1e-07, 1e300, -0.0, 3.0, float("inf"), float("nan")], "z": True},
             {"nested": [[1, [2.5, "x"]], {"y": [], "x": {"w": [0.85, "é"]}}], "list": []},
         ]
-        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
         write_jsonl(tmp_path / "whole.jsonl", records)
         with Log(tmp_path / "log.jsonl") as log:
             log.append(records)
-        assert (tmp_path / "whole.jsonl").read_text() == (tmp_path / "log.jsonl").read_text() == expected
+        assert (tmp_path / "whole.jsonl").read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        compact = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+        assert (tmp_path / "log.jsonl").read_text() == compact  # a log line drops the padding after , and :
 
 class TestReadWholeFile:
     @pytest.mark.parametrize("tail", ['{"a": 3, "b"', '{"a": 3}'])
@@ -281,17 +282,19 @@ def test_vote_record_value_out_of_contract_exits_2(extraction, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "older, edit",
     [
-        lambda record: {"decision": "yes" if record["decision"] == "no" else "no"},
-        lambda record: {"votes": ["yes" if vote == "no" else "no" for vote in record["votes"]]},
-        lambda record: {"tie_flag": not record["tie_flag"]},
+        (True, lambda record: {"decision": "yes" if record["decision"] == "no" else "no"}),
+        (True, lambda record: {"votes": ["yes" if vote == "no" else "no" for vote in record["votes"]]}),
+        (False, lambda record: {"tie_flag": not record["tie_flag"]}),
+        (True, lambda record: {"tie_flag": not record["tie_flag"]}),
     ],
-    ids=["decision", "votes", "tie-flag"],
+    ids=["decision", "votes", "tie-flag", "older-tie-flag"],
 )
 @pytest.mark.parametrize("command", ["extract", "evaluate"])
-def test_vote_record_that_disagrees_with_its_responses_exits_2(extraction, tmp_path, capsys, edit, command):
-    """A record's votes, decision and tie flag are what its raw responses give: the log cannot flip a decision."""
+def test_vote_record_that_disagrees_with_its_responses_exits_2(extraction, tmp_path, capsys, older, edit, command):
+    """A record's votes, decision and tie flag are what its raw responses give: the log cannot flip a decision.
+    A record holds only its tie flag of the three; one an older version wrote (``older``) holds all three."""
     config_path, _ = extraction
     raw = json.loads(config_path.read_text())
     raw["corpus"]["labeled"] = raw["corpus"]["unlabeled"]  # evaluate reads the votes before the gold labels
@@ -299,8 +302,11 @@ def test_vote_record_that_disagrees_with_its_responses_exits_2(extraction, tmp_p
     common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
     assert main(["extract", *common]) == 0
     votes, extracted = tmp_path / "run" / VOTES_FILE, tmp_path / "run" / EXTRACTED_FILE
-    field, value = next(iter(edit(json.loads(votes.read_text().splitlines()[0])).items()))
-    rewrite_first_record(votes, **{field: value})
+    first = json.loads(votes.read_text().splitlines()[0])
+    assert "votes" not in first and "decision" not in first
+    first = with_votes_and_decision(first) if older else first
+    field, value = next(iter(edit(first).items()))
+    rewrite_first_record(votes, **dict(first, **{field: value}))
     before = {path: path.read_bytes() for path in (votes, extracted)}
     capsys.readouterr()
 

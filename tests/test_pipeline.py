@@ -21,7 +21,7 @@ from concernminer.corpus import ingest_reviews
 from concernminer.errors import ValidationError
 from concernminer.evaluation import ConfusionMatrix, metrics
 from concernminer.hypotheses import builtin_domain_mh
-from concernminer.labels import BinaryLabel, PseudoLabel, Vote
+from concernminer.labels import PseudoLabel
 from concernminer.llm import SamplingSettings, VoteRecord
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
@@ -629,9 +629,7 @@ class TestVoteLog:
         sampling = SamplingSettings().digest
 
         def record(review_id, yes, backend, record_set_hash=set_hash, record_sampling=sampling):
-            decision = BinaryLabel.YES if yes else BinaryLabel.NO
-            votes = (Vote(decision.value),)
-            return VoteRecord(review_id, (decision.value,), votes, decision, False, backend, record_set_hash, record_sampling)
+            return VoteRecord(review_id, ("yes" if yes else "no",), backend, record_set_hash, record_sampling)
 
         votes_path = tmp_path / "votes.jsonl"
         with Log(votes_path, VOTE_CONTEXT) as log:

@@ -12,7 +12,10 @@ from pathlib import Path
 
 from concernminer.cli import main
 from concernminer.config import load_config
+from concernminer import pipeline
 from concernminer.pipeline import TIMINGS_FILE
+
+from synth import with_votes_and_decision
 
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
 README = Path(__file__).parent.parent / "README.md"
@@ -82,6 +85,45 @@ def test_demo_extracts_annotates_and_exports(tmp_path, capsys):
     pinned = dict(line.split()[::-1] for line in (CONFIGS_DIR / "demo" / "outputs.sha256").read_text().splitlines())
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in workdir.iterdir() if p.name != TIMINGS_FILE}
     assert written == pinned
+
+
+# The demo's two model logs as versions before compact log lines wrote them: ``json.dumps(record,
+# sort_keys=True)`` lines, each vote record also holding its votes and decision.
+OLDER_LOG_DIGESTS = {
+    "nli_cache.jsonl": "55284af62e849d0e98b95e7409b868ece0567ca0c50dee352b4ad418a45ca6e1",
+    "votes.jsonl": "2579d1f9f0200ebbdcddb829a2d732afffef8df37769bd869da730a762c5eb02",
+}
+
+
+def test_demo_workdir_whose_logs_an_older_version_wrote_reruns_with_no_backend_call(tmp_path, monkeypatch):
+    """Logs of spaced lines, whose vote records hold the votes and decision their raw responses give,
+    load: an ``extract`` rerun calls no backend, appends nothing and leaves the outputs byte for byte."""
+    workdir = tmp_path / "run"
+    argv = ["extract", "--config", str(CONFIGS_DIR / "demo" / "demo.json"), "--workdir", str(workdir)]
+    assert main(argv) == 0
+    for name in OLDER_LOG_DIGESTS:
+        records = [json.loads(line) for line in (workdir / name).read_text().splitlines()]
+        if name == "votes.jsonl":
+            records = [with_votes_and_decision(record) for record in records]
+        (workdir / name).write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
+    names = (*OLDER_LOG_DIGESTS, "extracted.jsonl", "manifest.json")
+    before = {name: (workdir / name).read_bytes() for name in names}
+    assert {name: hashlib.sha256(before[name]).hexdigest() for name in OLDER_LOG_DIGESTS} == OLDER_LOG_DIGESTS
+    built = []
+
+    def recording(make):
+        def build(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+
+        return build
+
+    for name in ("make_nli_backend", "make_llm_backend"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+
+    assert main(argv) == 0
+    assert [backend.calls for backend in built] == [0, 0]
+    assert {name: (workdir / name).read_bytes() for name in names} == before
 
 
 def test_evaluate_refuses_vote_lines_cut_out_of_the_demo_log(tmp_path, capsys):
