@@ -141,7 +141,7 @@ def run_annotation(
     reviews = {r.id: r for r in queue}
     tasks = assign_tasks([r.id for r in queue], roster)
     state = Log(state_path) if state_path else None  # no path: the labels are kept in memory only
-    labels = dict(state.read(_state_label)) if state else {}
+    labels = read_state(state_path) if state_path else {}
 
     with state or nullcontext():
 
@@ -197,6 +197,11 @@ def run_annotation(
     confirmed = sum(1 for t in tasks if t.final_label == PRIVACY)
     rejected = sum(1 for t in tasks if t.final_label == NON_PRIVACY)
     return AnnotationReport(tuple(tasks), kappa, tuple(tiebreak_ids), leftovers, confirmed, rejected)
+
+
+def read_state(path: Path) -> dict[tuple[str, str], str]:
+    """The labels of the annotation-state log at ``path`` by ``(annotator, review_id)``; a later record wins."""
+    return dict(Log(path).read(_state_label))
 
 
 def _state_label(record: dict) -> tuple[tuple[str, str], str]:

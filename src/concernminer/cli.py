@@ -13,19 +13,20 @@ import os
 import sys
 from pathlib import Path
 
-from ._jsonl import read_json, write_json
+from ._jsonl import Log, read_json, write_json
 from .annotation import interactive_responder, scripted_responder
 from .config import PipelineConfig, load_config, make_llm_backend, make_nli_backend
 from .corpus import write_corpus
 from .errors import BackendError, ValidationError
 from .hypotheses import resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
-from .nli.scoring import ScoreCache, score_corpus
+from .nli.scoring import ScoreCache
 from .pipeline import (
     EXTRACTED_FILE,
     MANIFEST_FILE,
     NLI_CACHE_FILE,
     PSEUDO_LABELS_FILE,
+    VOTE_CONTEXT,
     VOTES_FILE,
     annotate_run,
     evaluate_run,
@@ -35,6 +36,7 @@ from .pipeline import (
     nli_stage,
     prepare_corpus,
     read_pseudo_labels,
+    read_votes,
     run_extraction,
     run_selection,
     save_rejects,
@@ -61,14 +63,15 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_ingest(args) -> int:
     config = _load(args)
-    sources = [(role, path) for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)) if path]
-    corpora = [(role, ingest_corpus(config, role, path)) for role, path in sources]  # every corpus is read before the first write
+    roles = [role for role, path in (("labeled", config.labeled_path), ("unlabeled", config.unlabeled_path)) if path]
+    if not roles:
+        raise ValidationError("config has no corpus.labeled or corpus.unlabeled path")
+    corpora = [(role, ingest_corpus(config, role)) for role in roles]  # every corpus is read before the first write
     for role, corpus in corpora:
         save_rejects(config, role, corpus)
         out = config.workdir / f"corpus_{role}.jsonl"
         write_corpus(corpus, out)
-        rejected = corpus.provenance.counts.get("rejected", 0)
-        print(f"{role}: {len(corpus)} reviews ingested, {rejected} rejected -> {out}")
+        print(f"{role}: {len(corpus)} reviews ingested, {len(corpus.provenance.rejects)} rejected -> {out}")
     return 0
 
 
@@ -78,21 +81,23 @@ def cmd_nli_score(args) -> int:
     backend_cfg = config.nli_backends[0]
     backend = make_nli_backend(backend_cfg, config.seed, config.base_dir)
     _, _, corpus = prepare_corpus(config, args.role)
-    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:  # read, and checked, before the first write
-        save_rejects(config, args.role, corpus)
-        matrix = score_corpus(backend, corpus, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    print(f"scored {matrix.shape[0]} reviews x {matrix.shape[1]} hypotheses with {matrix.backend} -> {cache.path}")
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+        save_rejects(config, args.role, corpus)  # the first write: every input is read
+        rows = nli_stage(cache, backend, backend_cfg, corpus, hset)
+    print(f"scored {len(rows)} reviews x {len(hset.hypotheses)} hypotheses with {backend.name} -> {cache.path}")
     return 0
 
 
 def cmd_nli_label(args) -> int:
     config = _load(args)
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
+    backend_cfg = config.nli_backends[0]
     cache_path = config.workdir / NLI_CACHE_FILE
     if not cache_path.exists():
         raise ValidationError(f"no NLI scores at {cache_path}; run nli-score first")
     _, _, corpus = prepare_corpus(config, args.role)
-    rows = nli_stage(config, hset, corpus)  # every cell from the cache: no backend is built
+    with ScoreCache(cache_path) as cache:
+        rows = nli_stage(cache, backend_cfg.name, backend_cfg, corpus, hset)  # every cell from the cache: no backend is built
     save_rejects(config, args.role, corpus)
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, rows)
     print(f"pseudo-labels -> {config.workdir / PSEUDO_LABELS_FILE}")
@@ -118,8 +123,10 @@ def cmd_llm_classify(args) -> int:
             )
         logger.warning("%s labels %d of the %d %s reviews", pseudo_path, len(corpus) - uncovered, len(corpus), args.role)
     maybe = [r for r in corpus if pseudo.get(r.id) is PseudoLabel.MAYBE_PRIVACY]
-    records, failures = llm_classify(config, backend, maybe, hset)
-    save_rejects(config, args.role, corpus)
+    votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
+    logged = read_votes(votes, backend.name, hset.version_hash, config.sampling.digest)
+    save_rejects(config, args.role, corpus)  # the first write: every input is read
+    records, failures = llm_classify(config, backend, maybe, hset, votes, logged)
     yes = sum(1 for r in records if r.decision is BinaryLabel.YES)
     print(f"classified {len(maybe)} maybe-privacy reviews: yes={yes} no={len(records) - yes} failed={len(failures)}")
     return 0

@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -86,8 +86,8 @@ class Review:
 
 @dataclass(frozen=True)
 class Provenance:
-    counts: dict = field(default_factory=dict)  # "rejected": records rejected at ingest
-    rejects: tuple[dict, ...] = ()  # those records, {line_no, reason}, in file order
+    rejects: tuple[dict, ...] = ()  # the records rejected at ingest, {line_no, reason}, in file order
+    counts = property(lambda self: {"rejected": len(self.rejects)})  # derived, read-only; benchmarks/runner.py reads it
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def ingest_reviews(source: str | Path, fmt: str | None = None) -> ReviewCorpus:
             f" {rejects[0]['line_no']}: {rejects[0]['reason']}; file does not match the schema"
         )
 
-    return ReviewCorpus(tuple(reviews), Provenance({"rejected": len(rejects)}, tuple(rejects)))
+    return ReviewCorpus(tuple(reviews), Provenance(tuple(rejects)))
 
 
 def write_rejects(path: Path, rejects: list[dict] | tuple[dict, ...]) -> None:

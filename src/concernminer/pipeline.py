@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._jsonl import Log, checked, read_json, read_jsonl, replace_file, write_csv, write_json, write_jsonl
-from .annotation import PRIVACY, SKIP, AnnotationReport, Responder, run_annotation
+from ._jsonl import Log, checked, read_json, read_jsonl, write_csv, write_json, write_jsonl
+from .annotation import PRIVACY, SKIP, AnnotationReport, Responder, read_state, run_annotation
 from .config import NliBackendConfig, PipelineConfig, make_llm_backend, make_nli_backend
 from .corpus import (
     CSV_COLUMNS,
@@ -48,7 +48,7 @@ from .hypotheses import HypothesisSet, resolve_hypothesis_set
 from .labels import BinaryLabel, PseudoLabel
 from .llm.classify import VoteRecord, classify_corpus
 from .nli.labeling import explain_labels
-from .nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus  # noqa: F401 - benchmarks/runner.py wraps save_matrix here
+from .nli.scoring import ScoreCache, save_matrix, score_corpus  # noqa: F401 - benchmarks/runner.py wraps save_matrix here
 
 logger = logging.getLogger(__name__)
 
@@ -148,14 +148,12 @@ LabelRow = tuple[str, PseudoLabel, float | None, tuple[int, ...]]
 
 
 def write_pseudo_labels(path: Path, rows: list[LabelRow]) -> None:
-    """One line per row, ``json.dumps(record, sort_keys=True)`` of its record but built by hand: only a
-    maybe-privacy row names ``threshold`` and ``triggered``, as every other row has ``None`` and ``()``."""
-    with replace_file(path) as handle:
-        for review_id, label, threshold, triggered in rows:
-            line = f'{{"label": "{label.value}", "review_id": {json.encoder.encode_basestring_ascii(review_id)}'
-            if label is PseudoLabel.MAYBE_PRIVACY:
-                line += f', "threshold": {"null" if threshold is None else repr(threshold)}, "triggered": [{", ".join(map(str, triggered))}]'
-            handle.write(line + "}\n")
+    """One record per row; only a maybe-privacy row names ``threshold`` and ``triggered``, as every other row has ``None`` and ``()``."""
+    write_jsonl(path, (
+        {"review_id": review_id, "label": label.value}
+        | ({"threshold": threshold, "triggered": list(triggered)} if label is PseudoLabel.MAYBE_PRIVACY else {})
+        for review_id, label, threshold, triggered in rows
+    ))
 
 
 def read_pseudo_labels(path: Path) -> dict[str, PseudoLabel]:
@@ -192,9 +190,10 @@ def append_votes(votes: Log, records: list[VoteRecord]) -> None:
     votes.append([{key: value for key, value in vars(record).items() if key not in ("votes", "decision")} for record in records])
 
 
-def ingest_corpus(config: PipelineConfig, role: str, path: Path | None) -> ReviewCorpus:
-    """Ingest the ``labeled`` or ``unlabeled`` corpus at ``path``, writing nothing: the caller writes
-    its rejected rows with :func:`save_rejects` once its own checks have passed."""
+def ingest_corpus(config: PipelineConfig, role: str) -> ReviewCorpus:
+    """Ingest the config's ``labeled`` or ``unlabeled`` corpus, writing nothing: the caller writes
+    its rejected rows with :func:`save_rejects` once it has read and checked all its inputs."""
+    path = config.labeled_path if role == "labeled" else config.unlabeled_path
     if path is None:
         raise ValidationError(f"config has no corpus.{role} path")
     return ingest_reviews(path, config.corpus_format)
@@ -209,49 +208,35 @@ def save_rejects(config: PipelineConfig, role: str, corpus: ReviewCorpus) -> Non
 def prepare_corpus(config: PipelineConfig, role: str) -> tuple[ReviewCorpus, ReviewCorpus, ReviewCorpus]:
     """Ingest the ``labeled`` or ``unlabeled`` corpus, then filter it by rating
     and normalize it; returns all three stages, writing nothing."""
-    corpus = ingest_corpus(config, role, config.labeled_path if role == "labeled" else config.unlabeled_path)
+    corpus = ingest_corpus(config, role)
     filtered = filter_by_rating(corpus, config.rating_min, config.rating_max)
     return corpus, filtered, normalize_corpus(filtered)
 
 
 def gold_corpus(config: PipelineConfig) -> ReviewCorpus:
     """The reviews of the labeled corpus that carry a gold label (see :func:`ingest_corpus`)."""
-    labeled, _ = partition_gold(ingest_corpus(config, "labeled", config.labeled_path))
+    labeled, _ = partition_gold(ingest_corpus(config, "labeled"))
     if not len(labeled):
         raise ValidationError("labeled corpus contains no gold labels")
     return labeled
 
 
-def nli_label(matrix: EntailmentMatrix, hset: HypothesisSet) -> list[LabelRow]:
-    """Pseudo-label every row of the matrix with the set's heuristics."""
+def nli_stage(cache: ScoreCache, backend, backend_cfg: NliBackendConfig, reviews: ReviewCorpus, hset: HypothesisSet) -> list[LabelRow]:
+    """The NLI stage of every command: score the normalized ``reviews`` with ``backend`` (its name alone: every cell
+    must be cached; see :func:`score_corpus`) through the ``cache`` its caller has opened and read, and return their
+    pseudo-labels under ``hset``. It writes only the cache; ``backend_cfg`` gives ``max_inflight``."""
+    matrix = score_corpus(backend, reviews, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
     return [(review_id, *explained) for review_id, explained in zip(matrix.review_ids, explain_labels(matrix, hset.heuristics))]
 
 
-def nli_stage(config: PipelineConfig, hset: HypothesisSet, reviews: ReviewCorpus, backend=None) -> list[LabelRow]:
-    """The NLI stage of ``extract`` and ``nli-label``: score the normalized ``reviews`` through the workdir's
-    cache with ``backend``, the first configured one (without it, every cell must be cached; see
-    :func:`score_corpus`), and return their pseudo-labels under ``hset``. It writes only the cache."""
-    backend_cfg = config.nli_backends[0]
-    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        matrix = score_corpus(backend_cfg.name if backend is None else backend, reviews, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-    return nli_label(matrix, hset)
-
-
 def llm_classify(
-    config: PipelineConfig, backend, maybe_reviews: list[Review], hset: HypothesisSet
+    config: PipelineConfig, backend, maybe_reviews: list[Review], hset: HypothesisSet, votes: Log, logged: dict[str, VoteRecord]
 ) -> tuple[list[VoteRecord], list[tuple[str, str]]]:
-    """Classify the maybe-privacy reviews with the LLM ``backend``, resuming
-    from the vote log.
-
-    Only logged records that ``backend`` cast on ``hset`` for reviews in
-    ``maybe_reviews`` are reused; the reviews without one are classified and
-    each record is appended to the log as it is committed. Writes the
-    ``(review_id, reason)`` failures to ``llm_failures.jsonl`` and returns
-    them with the records, in ``maybe_reviews`` order.
-    """
-    votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
+    """Classify the maybe-privacy reviews with the LLM ``backend``, reusing the ``logged`` records that its caller
+    read from the vote log ``votes`` with :func:`read_votes` and appending each new record to ``votes`` as it is
+    committed. Writes the ``(review_id, reason)`` failures to ``llm_failures.jsonl`` and returns them with the
+    records, in ``maybe_reviews`` order."""
     maybe_ids = {r.id for r in maybe_reviews}
-    logged = read_votes(votes, backend.name, hset.version_hash, config.sampling.digest)
     records = {rid: rec for rid, rec in logged.items() if rid in maybe_ids}
     todo = [r for r in maybe_reviews if r.id not in records]
     with votes:  # the stage leaves a vote log, even with nothing to classify
@@ -282,46 +267,43 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
     emit the pseudo-labeled corpus from the winning pair. Each pass scores
     through the workdir's entailment cache and keeps its matrix in memory:
     it writes no matrix file."""
-    if config.labeled_path is None:
-        raise ValidationError("selection needs corpus.labeled in the config")
     generic = resolve_hypothesis_set(config.hypothesis_refs["generic"], config.base_dir)
     domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
     backends = {cfg.name: make_nli_backend(cfg, config.seed, config.base_dir) for cfg in config.nli_backends}
     labeled = normalize_corpus(gold_corpus(config))
-    save_rejects(config, "labeled", labeled)
     gold = {r.id: r.gold_label for r in labeled}
-    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)  # each pass scores a (backend, set) pair no other pass does
 
     def evaluate(backend_cfg: NliBackendConfig, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
-        matrix = score_corpus(backends[backend_cfg.name], labeled, hset, cache=cache, max_inflight=backend_cfg.max_inflight)
-        rows = nli_label(matrix, hset)
+        rows = nli_stage(cache, backends[backend_cfg.name], backend_cfg, labeled, hset)
         report = metrics(confusion_from_nli(gold, {review_id: label for review_id, label, _, _ in rows}))
         logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", backend_cfg.name, hset.set_id, report.precision, report.recall, report.f1)
         return report, rows
 
     candidates: list[tuple[str, MetricsReport]] = []
     rows_by_model: dict[str, list[LabelRow]] = {}
-    for backend_cfg in config.nli_backends:
-        report, rows_by_model[backend_cfg.name] = evaluate(backend_cfg, generic)
-        candidates.append((backend_cfg.name, report))
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:  # each pass scores a (backend, set) pair no other pass does
+        save_rejects(config, "labeled", labeled)  # the first write: every input is read
+        for backend_cfg in config.nli_backends:
+            report, rows_by_model[backend_cfg.name] = evaluate(backend_cfg, generic)
+            candidates.append((backend_cfg.name, report))
 
-    model_table = select_best(candidates)
-    best_model = model_table.winner_id
-    best_cfg = next(b for b in config.nli_backends if b.name == best_model)
-    best_generic_report = model_table.winner().report
+        model_table = select_best(candidates)
+        best_model = model_table.winner_id
+        best_cfg = next(b for b in config.nli_backends if b.name == best_model)
+        best_generic_report = model_table.winner().report
 
-    if domain.version_hash == generic.version_hash:
-        hypothesis_table = select_best([(generic.set_id, best_generic_report)], baseline_id=generic.set_id)
-        winning_rows = rows_by_model[best_model]
-        best_set_id = generic.set_id
-    else:
-        domain_report, domain_rows = evaluate(best_cfg, domain)
-        hypothesis_table = select_best(
-            [(generic.set_id, best_generic_report), (domain.set_id, domain_report)],
-            baseline_id=generic.set_id,
-        )
-        best_set_id = hypothesis_table.winner_id
-        winning_rows = domain_rows if best_set_id == domain.set_id else rows_by_model[best_model]
+        if domain.version_hash == generic.version_hash:
+            hypothesis_table = select_best([(generic.set_id, best_generic_report)], baseline_id=generic.set_id)
+            winning_rows = rows_by_model[best_model]
+            best_set_id = generic.set_id
+        else:
+            domain_report, domain_rows = evaluate(best_cfg, domain)
+            hypothesis_table = select_best(
+                [(generic.set_id, best_generic_report), (domain.set_id, domain_report)],
+                baseline_id=generic.set_id,
+            )
+            best_set_id = hypothesis_table.winner_id
+            winning_rows = domain_rows if best_set_id == domain.set_id else rows_by_model[best_model]
 
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, winning_rows)
     write_json(
@@ -353,7 +335,8 @@ class ExtractionResult:
 def run_extraction(config: PipelineConfig) -> ExtractionResult:
     """Preprocess, NLI-score and pseudo-label the unlabeled corpus, classify the maybe-privacy subset with the
     LLM, and write the yes-decisions with provenance to ``extracted.jsonl``, the queue ``annotate`` reads and the
-    source ``export`` reads. Writes the manifest plus every stage artifact but the pseudo-labels, which stay in
+    source ``export`` reads. Reads and checks every input (corpus, cache, vote log, annotation state) before its
+    first write. Writes the manifest plus every stage artifact but the pseudo-labels, which stay in
     memory: a ``pseudo_labels.jsonl`` already in the workdir (``select``'s, say) is left as it is."""
     hset = resolve_hypothesis_set(config.hypothesis_refs["extraction"], config.base_dir)
     backend_cfg = config.nli_backends[0]
@@ -362,15 +345,19 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     laps = [time.perf_counter()]  # stage boundaries: ingest, nli, llm, emit
 
     corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
-    save_rejects(config, "unlabeled", corpus)
     laps.append(time.perf_counter())
 
-    rows = nli_stage(config, hset, normalized, nli_backend)
+    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
+        votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
+        logged = read_votes(votes, llm_backend.name, hset.version_hash, config.sampling.digest)
+        given = read_state(config.workdir / ANNOTATION_STATE_FILE) if len(config.annotators) >= 2 else {}  # a rerun keeps them
+        save_rejects(config, "unlabeled", corpus)  # the first write: every input is read
+        rows = nli_stage(cache, nli_backend, backend_cfg, normalized, hset)
     maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
     maybe_reviews = [r for r in normalized if r.id in maybe_ids]
     laps.append(time.perf_counter())
 
-    records, failures = llm_classify(config, llm_backend, maybe_reviews, hset)
+    records, failures = llm_classify(config, llm_backend, maybe_reviews, hset, votes, logged)
     laps.append(time.perf_counter())
 
     yes_votes = {rec.review_id: rec for rec in records if rec.decision is BinaryLabel.YES}
@@ -382,9 +369,9 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     )
     laps.append(time.perf_counter())
 
-    annotated, state_path = None, config.workdir / ANNOTATION_STATE_FILE
-    if yes_reviews and len(config.annotators) >= 2 and state_path.exists():  # a rerun keeps the labels given so far
-        annotated = run_annotation(yes_reviews, config.annotators, lambda annotator, review: SKIP, state_path=state_path)
+    annotated = None
+    if yes_reviews and given:  # the labels given so far, replayed with no log
+        annotated = run_annotation(yes_reviews, config.annotators, lambda annotator, review: given.get((annotator, review.id), SKIP))
     counts = {
         "ingested": len(corpus),
         "rating_filtered": len(filtered),
@@ -510,8 +497,6 @@ def evaluate_run(
     the votes of the configured LLM and sampling on the extraction set
     count; both files are read strictly and left as they are. A vote log not ``votes_named`` (the
     workdir's own, say) with no vote on a gold review adds no LLM stage; a named one exits 2."""
-    if config.labeled_path is None:
-        raise ValidationError("evaluation needs corpus.labeled in the config")
     pseudo = read_pseudo_labels(pseudo_path) if pseudo_path is not None else None
     votes = None
     if votes_path is not None:

@@ -18,8 +18,10 @@ from concernminer.cli import main
 from concernminer.config import load_config
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, resolve_hypothesis_set, save_hypothesis_set
+from concernminer.llm import MockLlmBackend
 from concernminer.nli import MockNliBackend, ScoreCache, load_matrix, save_matrix, score_corpus
 from concernminer.pipeline import (
+    ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,
     EXTRACTED_FILE,
     LLM_FAILURES_FILE,
@@ -35,14 +37,19 @@ from httpserver import KeepAliveHandler, serve
 from synth import build_extraction_fixture, build_labeled_fixture, extraction_config, selection_config, write_weak_table
 
 
-@pytest.fixture()
-def extraction_setup(tmp_path):
+def make_extraction(tmp_path):
+    """An unlabeled corpus and its extraction config in ``tmp_path``: the ledger, the config path, the workdir."""
     data_dir = tmp_path / "data"
     ledger = build_extraction_fixture(data_dir, n_privacy=8, n_benign_low=22, n_high=3, n_yes=4)
     raw = extraction_config(data_dir, tmp_path / "run")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     return ledger, config_path, tmp_path / "run"
+
+
+@pytest.fixture()
+def extraction_setup(tmp_path):
+    return make_extraction(tmp_path)
 
 
 def cached_matrix(config_path, workdir):
@@ -84,7 +91,7 @@ def test_stage_commands_compose(extraction_setup, capsys):
     assert not (whole / PSEUDO_LABELS_FILE).exists()
     assert main(["nli-label", "--config", str(config_path), "--workdir", str(whole)]) == 0
     assert not list(workdir.glob("matrix_*")) and not list(whole.glob("matrix_*"))
-    names = [NLI_CACHE_FILE, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE]
+    names = [NLI_CACHE_FILE, PSEUDO_LABELS_FILE, VOTES_FILE, LLM_FAILURES_FILE, "rejects_unlabeled.jsonl"]
     for name in names:
         assert (workdir / name).read_bytes() == (whole / name).read_bytes(), name
 
@@ -110,65 +117,6 @@ def test_nli_label_after_extract_alone_labels_from_the_cache_with_no_backend(ext
     for record in map(json.loads, (workdir / EXTRACTED_FILE).read_text().splitlines()):
         label = labels[record["id"]]
         assert record["provenance"]["nli"] == {"threshold": label["threshold"], "triggered": label["triggered"]}
-
-
-@pytest.mark.parametrize("after", ["nothing", "a cut-short extract"])
-def test_nli_label_with_an_uncached_cell_exits_2_and_writes_nothing(extraction_setup, capsys, after):
-    _, config_path, workdir = extraction_setup
-    expected = f"no NLI scores at {workdir / NLI_CACHE_FILE}"
-    if after != "nothing":
-        assert main(["extract", "--config", str(config_path)]) == 0
-        assert main(["nli-label", "--config", str(config_path)]) == 0
-        cache = workdir / NLI_CACHE_FILE
-        lines = cache.read_text().splitlines(keepends=True)
-        expected = f"score of review {json.loads(lines[-1])['review_id']!r}"
-        cache.write_text("".join(lines[:-1]))
-
-    def kept():
-        paths = (workdir / NLI_CACHE_FILE, workdir / PSEUDO_LABELS_FILE)
-        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in paths if p.exists()}
-
-    before = kept()
-    capsys.readouterr()
-    assert main(["nli-label", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert expected in err and err.endswith("; run nli-score first\n")
-    assert kept() == before and len(before) == (0 if after == "nothing" else 2)
-    assert workdir.exists() is (after != "nothing")
-
-
-@pytest.mark.parametrize("command", ["nli-label", "llm-classify", "nli-score"])
-def test_stage_command_that_exits_2_after_reading_the_corpus_leaves_the_workdir_as_it_was(extraction_setup, capsys, command):
-    """``nli-label`` with an uncached cell, ``llm-classify`` over pseudo-labels of other reviews, and
-    ``nli-score`` over a corrupt cache line exit 2 once they have read the corpus. Its rejects report is
-    written only after their checks: every file keeps its bytes and modification time, and a deleted
-    report stays deleted."""
-    _, config_path, workdir = extraction_setup
-    assert main(["extract", "--config", str(config_path)]) == 0
-    assert main(["nli-label", "--config", str(config_path)]) == 0
-    cache = workdir / NLI_CACHE_FILE
-    lines = cache.read_text().splitlines(keepends=True)
-    if command == "nli-label":
-        cache.write_text("".join(lines[:-1]))  # the last review's row is lost
-        expected = "; run nli-score first"
-    elif command == "nli-score":
-        cache.write_text("".join([lines[0], "{garbage\n", *lines[2:]]))
-        expected = f"{cache}:2: corrupt log line"
-    else:
-        pseudo = workdir / PSEUDO_LABELS_FILE
-        records = [json.loads(line) for line in pseudo.read_text().splitlines()]
-        pseudo.write_text("".join(json.dumps(dict(r, review_id="other-" + r["review_id"])) + "\n" for r in records))
-        expected = f"labels none of the {len(records)} unlabeled reviews"
-    (workdir / "rejects_unlabeled.jsonl").unlink()
-
-    def files():
-        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in workdir.iterdir()}
-
-    before = files()
-    capsys.readouterr()
-    assert main([command, "--config", str(config_path)]) == 2
-    assert expected in capsys.readouterr().err
-    assert files() == before
 
 
 @pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
@@ -238,13 +186,6 @@ def test_llm_classify_refuses_pseudo_labels_of_the_other_corpus(extraction_setup
 
     assert main(["llm-classify", "--config", str(config_path), "--role", "labeled"]) == 0
     assert f"classified {ledger.maybe_privacy} maybe-privacy reviews" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("command, previous", [("nli-label", "nli-score"), ("llm-classify", "nli-label")])
-def test_stage_command_needs_previous_stage_output(extraction_setup, capsys, command, previous):
-    _, config_path, _ = extraction_setup
-    assert main([command, "--config", str(config_path)]) == 2
-    assert f"run {previous} first" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -320,22 +261,6 @@ def test_unresolved_disagreements_warn_in_annotate_and_not_in_a_later_extract(ex
     assert {name: (workdir / name).read_bytes() for name in annotated} == annotated
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_export_into_a_missing_directory_exits_2_and_writes_nothing(extraction_setup, tmp_path, capsys, fmt):
-    ledger, config_path, workdir = extraction_setup
-    assert main(["extract", "--config", str(config_path)]) == 0
-    responses_path = tmp_path / "responses.json"
-    responses_path.write_text(json.dumps({a: dict.fromkeys(ledger.yes_ids, "privacy") for a in ("lead", "ann-b", "ann-c", "ann-d")}))
-    assert main(["annotate", "--config", str(config_path), "--responses", str(responses_path)]) == 0
-    before = snapshot(tmp_path)
-    capsys.readouterr()
-
-    out_path = tmp_path / "nodir" / f"x.{fmt}"
-    assert main(["export", "--config", str(config_path), "--output", str(out_path), "--format", fmt]) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out_path}: no directory {out_path.parent}\n"
-    assert snapshot(tmp_path) == before
-
-
 def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):
     ledger, config_path, workdir = extraction_setup
     assert main(["extract", "--config", str(config_path)]) == 0
@@ -358,8 +283,8 @@ def test_extract_then_annotate_then_export(extraction_setup, tmp_path, capsys):
     assert out_path.exists()
 
 
-@pytest.fixture()
-def selection_setup(tmp_path):
+def make_selection(tmp_path):
+    """A labeled corpus, a weak trigger table and their selection config in ``tmp_path``; returns the config path."""
     build_labeled_fixture(
         tmp_path / "labeled.csv",
         n_pos_strong=20,
@@ -373,6 +298,11 @@ def selection_setup(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     return config_path
+
+
+@pytest.fixture()
+def selection_setup(tmp_path):
+    return make_selection(tmp_path)
 
 
 def test_select_and_evaluate(selection_setup, tmp_path, capsys):
@@ -423,20 +353,6 @@ def test_extract_leaves_a_pseudo_label_file_as_it_is(extraction_setup):
     assert main(["extract", "--config", str(config_path)]) == 0
     assert pseudo.read_text() == "not a pseudo-label\n" and pseudo.stat().st_mtime_ns == 10**18
     assert (workdir / EXTRACTED_FILE).exists()
-
-
-def test_evaluate_names_the_pseudo_label_file_that_misses_a_gold_review(selection_setup, tmp_path, capsys):
-    config_path = selection_setup
-    assert main(["select", "--config", str(config_path)]) == 0
-    lines = (tmp_path / "run" / PSEUDO_LABELS_FILE).read_text().splitlines(keepends=True)
-    named = tmp_path / "named.jsonl"
-    named.write_text("".join(lines[:3] + lines[4:]))
-    capsys.readouterr()
-
-    assert main(["evaluate", "--config", str(config_path), "--pseudo", str(named)]) == 2
-    missing = json.loads(lines[3])["review_id"]
-    assert capsys.readouterr().err == f"error: {named}: no pseudo-label of gold review {missing!r}\n"
-    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_repeated_nli_backend_name_exits_2_before_any_workdir_write(selection_setup, capsys):
@@ -636,20 +552,6 @@ def test_config_error_prints_its_message_not_a_repr(extraction_setup, tmp_path, 
     assert not workdir.exists()
 
 
-def test_evaluate_leaves_a_torn_vote_file_as_it_is(selection_setup, tmp_path, capsys):
-    config_path = selection_setup
-    assert main(["select", "--config", str(config_path)]) == 0
-    assert main(["llm-classify", "--config", str(config_path), "--role", "labeled"]) == 0
-    votes = tmp_path / "votes_copy.jsonl"
-    votes.write_bytes((tmp_path / "run" / VOTES_FILE).read_bytes()[:-15])
-    before = votes.read_bytes()
-    capsys.readouterr()
-
-    assert main(["evaluate", "--config", str(config_path), "--votes", str(votes)]) == 2
-    assert f"error: {votes}:{len(before.splitlines())}: corrupt line" in capsys.readouterr().err
-    assert votes.read_bytes() == before
-
-
 def test_pseudo_labels_in_the_previous_shape_feed_llm_classify_and_evaluate_alike(selection_setup, tmp_path):
     """Earlier versions wrote ``threshold`` and ``triggered`` on every row, null and empty where no clause fired."""
     config_path = selection_setup
@@ -669,32 +571,6 @@ def test_pseudo_labels_in_the_previous_shape_feed_llm_classify_and_evaluate_alik
         assert (previous / name).read_bytes() == (workdir / name).read_bytes(), name
 
 
-@pytest.mark.parametrize(
-    "flag, review_id",
-    [("--pseudo", None), ("--votes", None), ("--pseudo", ["x"]), ("--pseudo", 5)],
-    ids=["--pseudo", "--votes", "pseudo-review-id-list", "pseudo-review-id-number"],
-)
-def test_evaluate_named_file_must_exist(selection_setup, tmp_path, capsys, flag, review_id):
-    """A file named on the command line must exist, and a pseudo-label in it
-    must name its review by a string: else evaluate exits 2 naming the file."""
-    config_path = selection_setup
-    assert main(["select", "--config", str(config_path)]) == 0
-    assert main(["evaluate", "--config", str(config_path)]) == 0
-    workdir = tmp_path / "run"
-    before = snapshot(workdir)
-    named = tmp_path / "named.jsonl"
-    if review_id is not None:
-        named.write_text(json.dumps({"review_id": review_id, "label": "maybe-not-privacy"}) + "\n")
-    capsys.readouterr()
-
-    assert main(["evaluate", "--config", str(config_path), flag, str(named)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {named}:" in err
-    if review_id is not None:
-        assert err == f"error: {named}:1: corrupt line: review_id must be a string, not {review_id!r}\n"
-    assert snapshot(workdir) == before
-
-
 def test_evaluate_writes_labeled_rejects_into_the_workdir(selection_setup, tmp_path):
     config_path = selection_setup
     labeled = tmp_path / "labeled.csv"
@@ -710,45 +586,6 @@ def snapshot(workdir):
     """Bytes and modification time of every workdir file, so a rewrite with
     the same bytes also shows."""
     return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(workdir.rglob("*")) if p.is_file()}
-
-
-@pytest.mark.parametrize(
-    "command, bad",
-    [
-        ("extract", "hypotheses"),
-        ("extract", "mock_table"),
-        ("extract", "script"),
-        ("select", "hypotheses"),
-        ("select", "mock_table"),
-        ("nli-score", "hypotheses"),
-        ("nli-score", "mock_table"),
-        ("llm-classify", "hypotheses"),
-        ("llm-classify", "script"),
-    ],
-)
-def test_bad_input_file_exits_2_before_any_workdir_write(extraction_setup, tmp_path, capsys, command, bad):
-    _, config_path, workdir = extraction_setup
-    raw = json.loads(config_path.read_text())
-    raw["corpus"]["labeled"] = raw["corpus"]["unlabeled"]
-    if command == "llm-classify":
-        assert main(["nli-score", "--config", str(config_path)]) == 0
-        assert main(["nli-label", "--config", str(config_path)]) == 0
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("{not json")
-    if bad == "hypotheses":
-        raw["hypotheses"] = {"generic": str(garbage), "domain": str(garbage), "extraction": str(garbage)}
-    elif bad == "mock_table":
-        raw["nli"]["backends"][0]["mock_table"] = str(garbage)
-    else:
-        raw["llm"]["script"] = str(garbage)
-    bad_config = tmp_path / "bad.json"
-    bad_config.write_text(json.dumps(raw))
-    before = snapshot(workdir) if workdir.exists() else None
-    capsys.readouterr()
-
-    assert main([command, "--config", str(bad_config)]) == 2
-    assert f"error: {garbage}:" in capsys.readouterr().err
-    assert (snapshot(workdir) if workdir.exists() else None) == before
 
 
 def _set_file(edit):
@@ -841,31 +678,6 @@ def test_user_file_value_of_the_wrong_json_type_exits_2_before_any_workdir_write
     assert main(["extract", "--config", str(bad_config)]) == 2
     assert capsys.readouterr().err == f"error: {user_file}: {message}\n"
     assert not workdir.exists()
-
-
-@pytest.mark.parametrize("earlier_session", [False, True], ids=["no-state", "state"])
-def test_responses_label_out_of_contract_exits_2_before_the_session(extraction_setup, tmp_path, capsys, earlier_session):
-    """A ``--responses`` label other than privacy, non_privacy or skip exits
-    2 naming the file when it is read: no annotation state is created, and
-    an existing one is left byte for byte."""
-    _, config_path, workdir = extraction_setup
-    assert main(["extract", "--config", str(config_path)]) == 0
-    ids = [json.loads(line)["id"] for line in (workdir / EXTRACTED_FILE).read_text().splitlines()]
-    if earlier_session:
-        first = tmp_path / "first.json"
-        first.write_text(json.dumps({"lead": dict.fromkeys(ids[:2], "privacy")}))
-        assert main(["annotate", "--config", str(config_path), "--responses", str(first)]) == 0
-        assert (workdir / ANNOTATION_STATE_FILE).exists()
-    before = snapshot(workdir)
-    responses = tmp_path / "responses.json"
-    responses.write_text(json.dumps({"lead": dict.fromkeys(ids, "privacy"), "ann-b": {ids[0]: "yes"}}))
-    capsys.readouterr()
-
-    assert main(["annotate", "--config", str(config_path), "--responses", str(responses)]) == 2
-    message = f"the label of 'ann-b' for {ids[0]!r} must be privacy, non_privacy or skip, not 'yes'"
-    assert capsys.readouterr().err == f"error: {responses}: {message}\n"
-    assert snapshot(workdir) == before
-    assert (workdir / ANNOTATION_STATE_FILE).exists() == earlier_session
 
 
 @pytest.mark.parametrize("flag, backend", [("--nli-endpoint", "mock-nli-a"), ("--llm-endpoint", "mock-llm")])
@@ -1005,39 +817,6 @@ def test_relative_workdir_flag_is_taken_from_the_current_directory(extraction_se
     assert not (cwd / "keyed").exists()
 
 
-@pytest.mark.parametrize("case", ["extract", "ingest", "select", "ingest-with-labeled-present"])
-def test_missing_corpus_exits_2_and_creates_no_workdir(extraction_setup, tmp_path, capsys, case):
-    _, config_path, workdir = extraction_setup
-    raw = json.loads(config_path.read_text())
-    missing = tmp_path / "missing.csv"
-    present = raw["corpus"]["unlabeled"]
-    raw["corpus"] = {"labeled": str(missing), "unlabeled": str(missing)}
-    if case == "ingest-with-labeled-present":  # ingest reads the labeled corpus first, yet writes nothing
-        raw["corpus"]["labeled"] = present
-    command = case.split("-")[0]
-    config_path.write_text(json.dumps(raw))
-
-    assert main([command, "--config", str(config_path)]) == 2
-    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
-    assert not workdir.exists()
-
-
-@pytest.mark.parametrize("command", ["extract", "ingest", "nli-score"])
-def test_corpus_that_does_not_match_the_schema_exits_2_naming_a_rejected_line_and_creates_no_workdir(extraction_setup, tmp_path, capsys, command):
-    _, config_path, workdir = extraction_setup
-    raw = json.loads(config_path.read_text())
-    corpus = tmp_path / "bad.csv"
-    corpus.write_text("id,app,store,rating,text\na,app,other,9,rated nine\nb,app,other,1,fine\nc,app,other,,no rating\n")
-    raw["corpus"] = {"unlabeled": str(corpus)}
-    config_path.write_text(json.dumps(raw))
-
-    assert main([command, "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {corpus}: 2 of 3 records rejected, the first on line 2: ")
-    assert err.endswith("; file does not match the schema\n")
-    assert not workdir.exists()
-
-
 def test_relative_hypotheses_flag_is_taken_from_the_current_directory(extraction_setup, tmp_path, monkeypatch):
     _, config_path, workdir = extraction_setup
     cwd = tmp_path / "cwd"
@@ -1051,20 +830,6 @@ def test_relative_hypotheses_flag_is_taken_from_the_current_directory(extraction
     # A builtin: reference is not a path and stays as it is.
     assert main(["extract", "--config", str(config_path), "--hypotheses", "builtin:domain-mh"]) == 0
     assert json.loads((workdir / MANIFEST_FILE).read_text())["hypothesis_set"] == from_cwd["hypothesis_set"]
-
-
-@pytest.mark.parametrize(
-    "command, ref",
-    [(command, "builtin:nope") for command in ("extract", "nli-score", "nli-label", "llm-classify")]
-    + [("extract", "builtin:domain_mh")],  # once a second name of builtin:domain-mh, which digested differently
-)
-def test_unknown_builtin_set_exits_2_before_any_workdir_write(extraction_setup, capsys, command, ref):
-    _, config_path, workdir = extraction_setup
-    (config_path.parent / ref).write_text("{}")  # a builtin: reference is never a path
-    assert main([command, "--config", str(config_path), "--hypotheses", ref]) == 2
-    known = "builtin:generic and builtin:domain-mh"
-    assert capsys.readouterr().err == f"error: unknown hypothesis set '{ref}'; the built-in sets are {known}\n"
-    assert not workdir.exists()
 
 
 def test_backend_failure_without_progress_exits_3(extraction_setup, capsys):
@@ -1182,18 +947,333 @@ def test_extract_resumes_through_wire_faults_to_the_outputs_of_a_clean_run(extra
         assert answered["/nli"] <= clean_answers["/nli"] + 4 * 2 * max_inflight * 21
 
 
-def test_export_requires_prior_stages(extraction_setup, capsys):
-    _, config_path, _ = extraction_setup
-    assert main(["export", "--config", str(config_path), "--output", "out.csv"]) == 2
+# Every command reads and checks all its inputs before its first write: one
+# row per command and input it reads (corpus, cache, vote log, annotation
+# state, pseudo-labels, set file, mock table, script, responses, and the
+# workdir files annotate and export read), missing, damaged or mismatched.
 
 
-def test_annotate_before_extract_exits_2_and_writes_nothing(extraction_setup, tmp_path, capsys):
-    _, config_path, workdir = extraction_setup
-    responses = tmp_path / "responses.json"
-    responses.write_text("{}")
-    assert main(["annotate", "--config", str(config_path), "--responses", str(responses)]) == 2
-    assert capsys.readouterr().err == f"error: no extracted reviews at {workdir / EXTRACTED_FILE}; run extraction first\n"
-    assert not workdir.exists()
+class Prepared:
+    """The fixture of one row: a config over a synthetic corpus (``extraction`` or ``selection``) in
+    ``tmp_path``, and the commands that make its workdir, each of which must succeed."""
+
+    def __init__(self, tmp_path, kind):
+        self.tmp_path, self.workdir = tmp_path, tmp_path / "run"
+        self.config_path = make_extraction(tmp_path)[1] if kind == "extraction" else make_selection(tmp_path)
+
+    def run(self, command, *args):
+        assert main([command, "--config", str(self.config_path), *args]) == 0
+
+    def edit(self, change):
+        """Apply ``change`` to the config file's JSON."""
+        raw = json.loads(self.config_path.read_text())
+        change(raw)
+        self.config_path.write_text(json.dumps(raw))
+
+    def responses(self, script=None):
+        """A ``--responses`` file of ``script``, by default every annotator saying privacy to every extracted review."""
+        if script is None:
+            ids = [json.loads(line)["id"] for line in lines_of(self.workdir / EXTRACTED_FILE)]
+            script = {annotator: dict.fromkeys(ids, "privacy") for annotator in ("lead", "ann-b", "ann-c", "ann-d")}
+        path = self.tmp_path / "responses.json"
+        path.write_text(json.dumps(script))
+        return path
+
+
+def lines_of(path):
+    return path.read_text().splitlines(keepends=True)
+
+
+def garbage_line(path, number):
+    """Replace line ``number`` (from 1) of ``path`` with one that is not JSON."""
+    lines = lines_of(path)
+    lines[number - 1] = "{garbage\n"
+    path.write_text("".join(lines))
+
+
+def cut(path, n=20):
+    """Cut the last ``n`` bytes off ``path``, as an outside edit or a copy cut short would."""
+    path.write_bytes(path.read_bytes()[:-n])
+
+
+def corrupt_line(path):
+    """What stderr names for the last line of ``path``, which :func:`cut` left without its end."""
+    return f"error: {path}:" + (f"{len(lines_of(path))}: corrupt line" if path.suffix == ".jsonl" else "")
+
+
+BAD_INPUTS = []
+
+
+def rows(kind, *variants):
+    """Add one row of the table per variant (a string, or a tuple of the arguments after the fixture), or one
+    row with no variant; ``prepare(fixture, *variant)`` returns the command's arguments, the path (or key) its
+    stderr names, and the message."""
+
+    def register(prepare):
+        for variant in [(v,) if isinstance(v, str) else v for v in variants] or [()]:
+            BAD_INPUTS.append(pytest.param(kind, prepare, variant, id="-".join([prepare.__name__, *variant])))
+        return prepare
+
+    return register
+
+
+@rows("extraction", "extract", "ingest", "select", "ingest-with-labeled-present")
+def missing_corpus(w, case):
+    missing = w.tmp_path / "missing.csv"
+
+    def change(raw):
+        present = raw["corpus"]["unlabeled"]
+        raw["corpus"] = {"labeled": str(missing), "unlabeled": str(missing)}
+        if case == "ingest-with-labeled-present":  # ingest reads the labeled corpus first, yet writes nothing
+            raw["corpus"]["labeled"] = present
+
+    w.edit(change)
+    return [case.split("-")[0]], missing, f"error: no such file: {missing}\n"
+
+
+@rows("extraction", "extract", "ingest", "nli-score")
+def corpus_not_matching_the_schema(w, command):
+    corpus = w.tmp_path / "bad.csv"
+    corpus.write_text("id,app,store,rating,text\na,app,other,9,rated nine\nb,app,other,1,fine\nc,app,other,,no rating\n")
+    w.edit(lambda raw: raw.update(corpus={"unlabeled": str(corpus)}))
+    reason = "rating 9 outside [1, 5]"
+    return [command], corpus, f"error: {corpus}: 2 of 3 records rejected, the first on line 2: {reason}; file does not match the schema\n"
+
+
+@rows("extraction", "ingest", "extract", "select", "evaluate")
+def no_corpus_path(w, command):
+    """The config names no corpus that the command reads (the extraction config names no labeled one)."""
+    w.edit(lambda raw: raw["corpus"].pop("unlabeled"))
+    key = {"ingest": "corpus.labeled or corpus.unlabeled", "extract": "corpus.unlabeled"}.get(command, "corpus.labeled")
+    return [command], key, f"error: config has no {key} path\n"
+
+
+@rows(
+    "extraction",
+    *[(command, bad) for command in ("extract", "select", "nli-score") for bad in ("hypotheses", "mock_table")],
+    ("extract", "script"), ("llm-classify", "hypotheses"), ("llm-classify", "script"),
+)
+def input_file_not_json(w, command, bad):
+    """A set file, mock table or LLM script that is not JSON."""
+    if command == "llm-classify":
+        w.run("nli-score")
+        w.run("nli-label")
+    garbage = w.tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+
+    def change(raw):
+        raw["corpus"]["labeled"] = raw["corpus"]["unlabeled"]
+        if bad == "hypotheses":
+            raw["hypotheses"] = {"generic": str(garbage), "domain": str(garbage), "extraction": str(garbage)}
+        elif bad == "mock_table":
+            raw["nli"]["backends"][0]["mock_table"] = str(garbage)
+        else:
+            raw["llm"]["script"] = str(garbage)
+
+    w.edit(change)
+    return [command], garbage, f"error: {garbage}:"
+
+
+@rows(
+    "extraction",
+    *[(command, "builtin:nope") for command in ("extract", "nli-score", "nli-label", "llm-classify")],
+    ("extract", "builtin:domain_mh"),  # once a second name of builtin:domain-mh, which digested differently
+)
+def unknown_builtin_set(w, command, ref):
+    (w.tmp_path / ref).write_text("{}")  # a builtin: reference is never a path
+    known = "builtin:generic and builtin:domain-mh"
+    return [command, "--hypotheses", ref], ref, f"error: unknown hypothesis set '{ref}'; the built-in sets are {known}\n"
+
+
+@rows("extraction", "nothing", "extract", "extract-without-rejects")
+def nli_label_with_an_uncached_cell(w, before):
+    cache = w.workdir / NLI_CACHE_FILE
+    if before == "nothing":  # no cache: nli-label stops before it reads the corpus
+        return ["nli-label"], cache, f"error: no NLI scores at {cache}; run nli-score first\n"
+    w.run("extract")
+    w.run("nli-label")
+    lines = lines_of(cache)
+    cache.write_text("".join(lines[:-1]))  # the last review's row is lost
+    if before == "extract-without-rejects":  # a deleted report stays deleted
+        (w.workdir / "rejects_unlabeled.jsonl").unlink()
+    review_id, set_hash = json.loads(lines[-1])["review_id"], json.loads(lines[0])["set_hash"]
+    return ["nli-label"], cache, f"error: {cache}: no mock-nli-a score of review {review_id!r} on set {set_hash}; run nli-score first\n"
+
+
+@rows("extraction", "extract", "nli-score")
+@rows("selection", "select")
+def corrupt_cache_line(w, command):
+    """A damaged cache line, read before the rejects report (or anything else) is written."""
+    w.run("select" if command == "select" else "extract")
+    if command == "nli-score":
+        w.run("nli-label")
+        (w.workdir / "rejects_unlabeled.jsonl").unlink()
+    cache = w.workdir / NLI_CACHE_FILE
+    garbage_line(cache, 2)
+    return [command], cache, f"{cache}:2: corrupt log line"
+
+
+@rows("extraction")
+def corrupt_vote_line_behind_a_short_cache(w):
+    """The vote log is read before the rows that the cache lost are scored again."""
+    w.run("extract")
+    cache, votes = w.workdir / NLI_CACHE_FILE, w.workdir / VOTES_FILE
+    cache.write_text("".join(lines_of(cache)[:5]))
+    garbage_line(votes, 2)
+    return ["extract"], votes, f"{votes}:2: corrupt log line"
+
+
+@rows("extraction")
+def corrupt_annotation_state_line(w):
+    """extract reads the annotation state before its first write, to keep the human counts."""
+    w.run("extract")
+    w.run("annotate", "--responses", str(w.responses()))
+    state = w.workdir / ANNOTATION_STATE_FILE
+    garbage_line(state, 2)
+    return ["extract"], state, f"{state}:2: corrupt log line"
+
+
+@rows("extraction", "missing", "other-reviews", "cut")
+def llm_classify_pseudo_labels(w, damage):
+    pseudo = w.workdir / PSEUDO_LABELS_FILE
+    if damage == "missing":
+        return ["llm-classify"], pseudo, f"error: no pseudo-labels at {pseudo}; run nli-label first\n"
+    w.run("extract")
+    w.run("nli-label")
+    if damage == "cut":
+        cut(pseudo)
+        return ["llm-classify"], pseudo, corrupt_line(pseudo)
+    records = [json.loads(line) for line in lines_of(pseudo)]
+    pseudo.write_text("".join(json.dumps(dict(r, review_id="other-" + r["review_id"])) + "\n" for r in records))
+    (w.workdir / "rejects_unlabeled.jsonl").unlink()
+    return ["llm-classify"], pseudo, f"labels none of the {len(records)} unlabeled reviews"
+
+
+@rows("extraction")
+def annotate_before_extract(w):
+    extracted = w.workdir / EXTRACTED_FILE
+    return ["annotate", "--responses", str(w.responses({}))], extracted, f"error: no extracted reviews at {extracted}; run extraction first\n"
+
+
+@rows("extraction", MANIFEST_FILE, EXTRACTED_FILE, (EXTRACTED_FILE, "without-manifest"), "responses")
+def annotate_cut_input(w, name, without_manifest=None):
+    w.run("extract")
+    responses = w.responses()
+    if without_manifest:
+        (w.workdir / MANIFEST_FILE).unlink()
+    path = responses if name == "responses" else w.workdir / name
+    cut(path)
+    return ["annotate", "--responses", str(responses)], path, corrupt_line(path)
+
+
+@rows("extraction")
+def annotate_queue_short_of_the_manifest(w):
+    w.run("extract")
+    responses, queue = w.responses(), w.workdir / EXTRACTED_FILE
+    lines = lines_of(queue)
+    queue.write_text("".join(lines[:-1]))  # well-formed, one review short
+    return ["annotate", "--responses", str(responses)], queue, f"{queue} holds {len(lines) - 1} reviews but {w.workdir / MANIFEST_FILE} counts {len(lines)}"
+
+
+@rows("extraction", "no-state", "state")
+def annotate_response_label_out_of_contract(w, earlier):
+    """A label other than privacy, non_privacy or skip is refused when the file is read: no annotation state is
+    created, and an existing one is left as it is."""
+    w.run("extract")
+    ids = [json.loads(line)["id"] for line in lines_of(w.workdir / EXTRACTED_FILE)]
+    if earlier == "state":
+        w.run("annotate", "--responses", str(w.responses({"lead": dict.fromkeys(ids[:2], "privacy")})))
+        assert (w.workdir / ANNOTATION_STATE_FILE).exists()
+    responses = w.responses({"lead": dict.fromkeys(ids, "privacy"), "ann-b": {ids[0]: "yes"}})
+    message = f"the label of 'ann-b' for {ids[0]!r} must be privacy, non_privacy or skip, not 'yes'"
+    return ["annotate", "--responses", str(responses)], responses, f"error: {responses}: {message}\n"
+
+
+@rows("extraction")
+def export_before_extract(w):
+    extracted = w.workdir / EXTRACTED_FILE
+    return ["export", "--output", str(w.tmp_path / "out.csv")], extracted, f"error: no extracted reviews at {extracted}; run extraction first\n"
+
+
+@rows("extraction", EXTRACTED_FILE, ANNOTATION_REPORT_FILE)
+def export_cut_input(w, name):
+    w.run("extract")
+    w.run("annotate", "--responses", str(w.responses()))
+    cut(w.workdir / name)
+    return ["export", "--output", str(w.tmp_path / "export.csv")], w.workdir / name, corrupt_line(w.workdir / name)
+
+
+@rows("extraction", "csv", "jsonl")
+def export_into_a_missing_directory(w, fmt):
+    w.run("extract")
+    w.run("annotate", "--responses", str(w.responses()))
+    out = w.tmp_path / "nodir" / f"x.{fmt}"
+    return ["export", "--output", str(out), "--format", fmt], out, f"error: cannot write {out}: no directory {out.parent}\n"
+
+
+@rows("selection", "pseudo-missing", "votes-missing", "pseudo-review-id-list", "pseudo-review-id-number")
+def evaluate_named_file(w, case):
+    """A file named on the command line must exist, and a pseudo-label in it must name its review by a string."""
+    w.run("select")
+    w.run("evaluate")
+    named = w.tmp_path / "named.jsonl"
+    flag = "--votes" if case.startswith("votes") else "--pseudo"
+    review_id = {"pseudo-review-id-list": ["x"], "pseudo-review-id-number": 5}.get(case)
+    if review_id is None:
+        return ["evaluate", flag, str(named)], named, f"error: {named}:"
+    named.write_text(json.dumps({"review_id": review_id, "label": "maybe-not-privacy"}) + "\n")
+    return ["evaluate", flag, str(named)], named, f"error: {named}:1: corrupt line: review_id must be a string, not {review_id!r}\n"
+
+
+@rows("selection")
+def evaluate_pseudo_labels_missing_a_gold_review(w):
+    w.run("select")
+    lines = lines_of(w.workdir / PSEUDO_LABELS_FILE)
+    named = w.tmp_path / "named.jsonl"
+    named.write_text("".join(lines[:3] + lines[4:]))
+    missing = json.loads(lines[3])["review_id"]
+    return ["evaluate", "--pseudo", str(named)], named, f"error: {named}: no pseudo-label of gold review {missing!r}\n"
+
+
+@rows("selection")
+def evaluate_torn_vote_file(w):
+    """evaluate reads a vote log strictly, as a whole file: a torn last line is damage, and is not repaired."""
+    w.run("select")
+    w.run("llm-classify", "--role", "labeled")
+    votes = w.tmp_path / "votes_copy.jsonl"
+    votes.write_bytes((w.workdir / VOTES_FILE).read_bytes()[:-15])
+    return ["evaluate", "--votes", str(votes)], votes, f"error: {votes}:{len(lines_of(votes))}: corrupt line"
+
+
+def tree(root):
+    """The bytes of every file under ``root`` and the modification time of every entry, ``root`` included."""
+    return {p: (p.read_bytes() if p.is_file() else None, p.stat().st_mtime_ns) for p in [root, *sorted(root.rglob("*"))]}
+
+
+@pytest.mark.parametrize("kind, prepare, variant", BAD_INPUTS)
+def test_a_command_reads_and_checks_every_input_before_its_first_write(tmp_path, capsys, monkeypatch, kind, prepare, variant):
+    """The command of each row exits 2 naming its bad input, calls no backend, and leaves every file and
+    directory under ``tmp_path`` as it was, bytes and modification times: the workdir stays absent, or
+    unchanged. A message that ends with a newline is the whole of stderr; any other is a part of it."""
+    w = Prepared(tmp_path, kind)
+    argv, named, expected = prepare(w, *variant)
+    calls = Counter()
+    for cls, method in ((MockNliBackend, "score_row"), (MockLlmBackend, "complete")):
+
+        def counted(self, *args, _call=getattr(cls, method), _name=f"{cls.__name__}.{method}", **kwargs):
+            calls[_name] += 1
+            return _call(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+    before = tree(tmp_path)
+    capsys.readouterr()
+
+    assert main([argv[0], "--config", str(w.config_path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert str(named) in err
+    assert err == expected if expected.endswith("\n") else expected in err
+    assert tree(tmp_path) == before
+    assert not calls
 
 
 def test_console_script_entry_point():

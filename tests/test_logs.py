@@ -534,54 +534,6 @@ def snapshot(workdir):
     return {p.relative_to(workdir): p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
-def cut(path, n=20):
-    """Cut the last ``n`` bytes off ``path``, as an outside edit or a copy
-    cut short would."""
-    path.write_bytes(path.read_bytes()[:-n])
-
-
-@pytest.mark.parametrize(
-    "damaged, command, drop_manifest",
-    [
-        (PSEUDO_LABELS_FILE, "llm-classify", False),
-        (MANIFEST_FILE, "annotate", False),
-        (EXTRACTED_FILE, "annotate", False),
-        (EXTRACTED_FILE, "annotate", True),
-        ("responses", "annotate", False),
-        (EXTRACTED_FILE, "export", False),
-        (ANNOTATION_REPORT_FILE, "export", False),
-    ],
-)
-def test_damaged_file_exits_2_and_changes_nothing(extraction, tmp_path, capsys, damaged, command, drop_manifest):
-    config_path, responses_path = extraction
-    workdir = tmp_path / "run"
-    common = ["--config", str(config_path), "--workdir", str(workdir)]
-    assert main(["extract", *common]) == 0
-    if command == "llm-classify":
-        assert main(["nli-label", *common]) == 0
-    if command == "export":
-        assert main(["annotate", *common, "--responses", str(responses_path)]) == 0
-    if drop_manifest:
-        (workdir / MANIFEST_FILE).unlink()
-    path = responses_path if damaged == "responses" else workdir / damaged
-    cut(path)
-    before = snapshot(workdir)
-    capsys.readouterr()
-
-    extra = {
-        "annotate": ["--responses", str(responses_path)],
-        "export": ["--output", str(tmp_path / "export.csv")],
-    }.get(command, [])
-    assert main([command, *common, *extra]) == 2  # an uncaught error would propagate out of main
-    err = capsys.readouterr().err
-    assert f"error: {path}:" in err
-    if path.suffix == ".jsonl":
-        last_line = len(path.read_bytes().splitlines())
-        assert f"{path}:{last_line}: corrupt line" in err
-    assert snapshot(workdir) == before
-    assert not (tmp_path / "export.csv").exists()
-
-
 @pytest.mark.parametrize(
     "load, content",
     [
@@ -596,20 +548,3 @@ def test_unreadable_user_input_names_path(tmp_path, load, content):
         path.write_text(content)
     with pytest.raises(ValidationError, match=str(path)):
         load(path)
-
-
-def test_queue_not_matching_manifest_exits_2_and_changes_nothing(extraction, tmp_path, capsys):
-    config_path, responses_path = extraction
-    workdir = tmp_path / "run"
-    common = ["--config", str(config_path), "--workdir", str(workdir)]
-    assert main(["extract", *common]) == 0
-    queue = workdir / EXTRACTED_FILE
-    lines = queue.read_text().splitlines(keepends=True)
-    queue.write_text("".join(lines[:-1]))  # well-formed, one review short
-    before = snapshot(workdir)
-    capsys.readouterr()
-
-    assert main(["annotate", *common, "--responses", str(responses_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{queue} holds {len(lines) - 1} reviews but {workdir / MANIFEST_FILE} counts {len(lines)}" in err
-    assert snapshot(workdir) == before
