@@ -12,9 +12,10 @@ The three append-only logs (entailment cache, vote log, annotation state) are ea
 once, then each committed record is appended, with no space after ``,`` and ``:`` (a reader takes either
 spacing), and flushed through one handle, which one process holds at a time.
 A process killed mid-append can leave a final line without its newline; the
-next read drops that torn line with a warning and truncates the file back to
-the last newline, so the rerun appends onto a clean line and redoes only
-that record. A malformed line or record anywhere else is corruption, not an
+next read skips that torn line with a warning, and reading never writes: the
+reading :class:`Log`'s next ``with`` cuts the line under the lock, before its
+first append, so the rerun appends onto a clean line and redoes only that
+record. A malformed line or record anywhere else is corruption, not an
 interrupted write, and raises as in a whole-file output. The model logs name
 their context (backend, set hash, hypothesis ids, sampling) only where it
 changes, so a line means something only in its file (see :class:`Log`).
@@ -29,7 +30,7 @@ import os
 from contextlib import contextmanager
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ValidationError
 
@@ -136,20 +137,22 @@ class Log:
 
     A record names each ``context`` key only where its value changes: a read fills in a key a
     record leaves out from the nearest earlier record that names it, and an append leaves out
-    each key whose value the file's last record holds. ``with`` opens the file for appending,
-    creating it if needed, under an exclusive advisory lock: a second writer raises
-    :class:`ValidationError`. If the file's size or modification time changed since this
-    object last read or wrote it, the next append names its context in full.
+    each key whose value the file's last record holds. Reading never writes. ``with`` opens the
+    file for appending, creating it if needed, under an exclusive advisory lock: a second writer
+    raises :class:`ValidationError`. If the file's size or modification time changed since this
+    object last read or wrote it, the next append names its context in full; if not, ``with``
+    first cuts the torn last line that this object's read skipped, once.
     """
 
     def __init__(self, path: Path, context: Sequence[str] = ()):
         self.path = path
         self._last = dict.fromkeys(context, _UNNAMED)  # each key's value in the file's last record
         self._stamp = None  # the file's (size, mtime) when this object last read or wrote it
+        self._torn = 0  # the bytes of the torn last line that this object's read skipped and no session has cut
 
     def read(self, parse: Callable[[dict], T] = _identity, *, log: bool = True) -> Iterator[T]:
         """:func:`read_jsonl` of the file with its context filled in (``log`` unset: read as a whole-file output)."""
-        yield from read_jsonl(self.path, parse, log=log, context=self._last)
+        self._torn = yield from read_jsonl(self.path, parse, log=log, context=self._last)
         self._stamp = _STAMP(os.stat(self.path)) if self.path.exists() else None
 
     def __enter__(self) -> "Log":
@@ -160,8 +163,12 @@ class Log:
         except BlockingIOError:
             self._handle.close()
             raise ValidationError(f"{self.path}: another process is appending to this log") from None
-        if _STAMP(os.fstat(self._handle.fileno())) != self._stamp:
+        stamp = _STAMP(os.fstat(self._handle.fileno()))
+        if stamp != self._stamp:
             self._last = dict.fromkeys(self._last, _UNNAMED)
+        elif self._torn:  # the file ends as this object read it: with the torn line
+            os.ftruncate(self._handle.fileno(), stamp[0] - self._torn)
+        self._torn = 0  # cut once: a later session's file ends with its own whole lines
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -178,19 +185,20 @@ class Log:
         self._handle.flush()
 
 
-def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool = False, context: dict | None = None) -> Iterator[T]:
-    """Yield ``parse(record)`` for each record in order, skipping blank lines.
+def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool = False, context: dict | None = None) -> Generator[T, None, int]:
+    """Yield ``parse(record)`` for each record in order, skipping blank lines, and return the
+    length in bytes of the torn last line skipped (0 if none).
 
     A line that is not JSON, or a record ``parse`` cannot read (a missing
     field, a wrong type), raises :class:`ValidationError` naming
     ``path:line``. Unless ``log`` is set, the file must exist and end with a
     newline; with ``log`` set, a missing file yields nothing and a torn final
-    line is repaired as described above. A ``context`` dict, each key's value
+    line is skipped with a warning, the file left as it is. A ``context`` dict, each key's value
     ``_UNNAMED`` until a record names it, fills in a key a record leaves out; unless
     ``log`` is set, a key that neither the record nor an earlier one names raises.
     """
     if log and not path.exists():
-        return
+        return 0
     what = "log line" if log else "line"
     torn = b""
     try:
@@ -219,4 +227,4 @@ def read_jsonl(path: Path, parse: Callable[[dict], T] = _identity, *, log: bool 
             yield record
     if torn:
         logger.warning("%s:%d: dropping torn last line (%d bytes) from an interrupted write", path, line_no, len(torn))
-        os.truncate(path, path.stat().st_size - len(torn))
+    return len(torn)

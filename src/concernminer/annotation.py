@@ -141,7 +141,7 @@ def run_annotation(
     reviews = {r.id: r for r in queue}
     tasks = assign_tasks([r.id for r in queue], roster)
     state = Log(state_path) if state_path else None  # no path: the labels are kept in memory only
-    labels = read_state(state_path) if state_path else {}
+    labels = dict(state.read(_state_label)) if state else {}  # read through the Log that appends, which cuts a torn tail
 
     with state or nullcontext():
 

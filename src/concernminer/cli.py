@@ -126,7 +126,8 @@ def cmd_llm_classify(args) -> int:
     votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
     logged = read_votes(votes, backend.name, hset.version_hash, config.sampling.digest)
     save_rejects(config, args.role, corpus)  # the first write: every input is read
-    records, failures = llm_classify(config, backend, maybe, hset, votes, logged)
+    with votes:  # the stage leaves a vote log, even with nothing to classify
+        records, failures = llm_classify(config, backend, maybe, hset, votes, logged)
     yes = sum(1 for r in records if r.decision is BinaryLabel.YES)
     print(f"classified {len(maybe)} maybe-privacy reviews: yes={yes} no={len(records) - yes} failed={len(failures)}")
     return 0

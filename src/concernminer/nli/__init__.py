@@ -7,12 +7,11 @@ from .backends import (
     MockNliBackend,
     load_trigger_table,
 )
-from .labeling import apply_heuristics, explain_labels, n_above
+from .labeling import apply_heuristics, explain_labels
 from .scoring import (
     EntailmentMatrix,
     EntailmentScore,
     ScoreCache,
-    load_matrix,
     save_matrix,
     score_corpus,
 )
@@ -27,9 +26,7 @@ __all__ = [
     "ScoreCache",
     "apply_heuristics",
     "explain_labels",
-    "load_matrix",
     "load_trigger_table",
-    "n_above",
     "save_matrix",
     "score_corpus",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, repeat
-from typing import Iterable
 
 from ..errors import ValidationError
 from ..hypotheses import HeuristicRuleSet
@@ -14,18 +13,6 @@ from .scoring import EntailmentMatrix
 # "Above a threshold" is read as strictly greater. Flip this single
 # comparator to ``operator.ge`` to change the boundary convention everywhere.
 EXCEEDS = operator.gt
-
-
-def n_above(row: Iterable[float], threshold: float) -> int:
-    """Count scores in ``row`` strictly above ``threshold`` (antitone in it).
-
-    Comparisons happen in float64: grids are stored float32, and demoting
-    the threshold to float32 would silently move the rule boundary
-    (float32(0.85) > 0.85 must hold).
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold {threshold} outside (0, 1)")
-    return sum(map(EXCEEDS, map(float, row), repeat(threshold)))
 
 
 def explain_labels(
@@ -38,7 +25,9 @@ def explain_labels(
     the threshold of its first satisfied clause and the hypothesis ids
     scoring above it; any other row has ``(None, ())``. Deterministic: the
     same matrix and rules always produce the same output. A float32 cell
-    reads as an exact float64, so it is compared in float64 (see :func:`n_above`).
+    reads as an exact float64, so it is compared in float64: demoting a
+    threshold to float32 would move the rule boundary (float32(0.85) > 0.85
+    must hold).
     """
     (n, k), negative = matrix.shape, rules.negative_threshold
     if rules.max_count() > k:

@@ -117,25 +117,6 @@ def _little_endian(grid: array) -> array:
     return grid
 
 
-def load_matrix(path: str | Path) -> EntailmentMatrix:
-    blob = Path(path).read_bytes()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise ValidationError(f"{path}: missing matrix header line")
-    try:
-        header = json.loads(blob[:newline].decode("utf-8"))
-        review_ids = tuple(checked("review id", "str", r) for r in checked("reviews", "list", header["reviews"]))
-        hypothesis_ids = tuple(checked("hypothesis id", "int", h) for h in checked("hypotheses", "list", header["hypotheses"]))
-        backend, set_hash = (checked(key, "str", header[key]) for key in ("backend", "set_hash"))
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise ValidationError(f"{path}: malformed matrix header: {exc}") from None
-    body = blob[newline + 1 :]
-    expected = 4 * len(review_ids) * len(hypothesis_ids)
-    if len(body) != expected:
-        raise ValidationError(f"{path}: expected {expected} grid bytes, found {len(body)}")
-    return EntailmentMatrix(review_ids, hypothesis_ids, set_hash, backend, _checked(_little_endian(Grid("f", body))))
-
-
 class ScoreCache:
     """The entailment cache file at ``path`` as it was when opened, one JSONL record per
     scored row, ``{backend, set_hash, review_id, hypotheses, f32}``: ``f32`` is the base64 of

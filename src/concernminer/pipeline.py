@@ -233,17 +233,16 @@ def llm_classify(
     config: PipelineConfig, backend, maybe_reviews: list[Review], hset: HypothesisSet, votes: Log, logged: dict[str, VoteRecord]
 ) -> tuple[list[VoteRecord], list[tuple[str, str]]]:
     """Classify the maybe-privacy reviews with the LLM ``backend``, reusing the ``logged`` records that its caller
-    read from the vote log ``votes`` with :func:`read_votes` and appending each new record to ``votes`` as it is
-    committed. Writes the ``(review_id, reason)`` failures to ``llm_failures.jsonl`` and returns them with the
-    records, in ``maybe_reviews`` order."""
+    read from the vote log ``votes`` with :func:`read_votes` and appending each new record to ``votes``, inside the
+    ``with`` its caller holds, as it is committed. Writes the ``(review_id, reason)`` failures to
+    ``llm_failures.jsonl`` and returns them with the records, in ``maybe_reviews`` order."""
     maybe_ids = {r.id for r in maybe_reviews}
     records = {rid: rec for rid, rec in logged.items() if rid in maybe_ids}
     todo = [r for r in maybe_reviews if r.id not in records]
-    with votes:  # the stage leaves a vote log, even with nothing to classify
-        new_records, failures = classify_corpus(
-            backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight,
-            on_record=lambda record: append_votes(votes, [record]),
-        )
+    new_records, failures = classify_corpus(
+        backend, todo, hset, config.sampling, max_inflight=config.llm_backend.max_inflight,
+        on_record=lambda record: append_votes(votes, [record]),
+    )
     records.update((rec.review_id, rec) for rec in new_records)
     write_jsonl(
         config.workdir / LLM_FAILURES_FILE,
@@ -347,17 +346,19 @@ def run_extraction(config: PipelineConfig) -> ExtractionResult:
     corpus, filtered, normalized = prepare_corpus(config, "unlabeled")
     laps.append(time.perf_counter())
 
-    with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:
-        votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
-        logged = read_votes(votes, llm_backend.name, hset.version_hash, config.sampling.digest)
-        given = read_state(config.workdir / ANNOTATION_STATE_FILE) if len(config.annotators) >= 2 else {}  # a rerun keeps them
-        save_rejects(config, "unlabeled", corpus)  # the first write: every input is read
-        rows = nli_stage(cache, nli_backend, backend_cfg, normalized, hset)
-    maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
-    maybe_reviews = [r for r in normalized if r.id in maybe_ids]
-    laps.append(time.perf_counter())
+    cache = ScoreCache(config.workdir / NLI_CACHE_FILE)
+    votes = Log(config.workdir / VOTES_FILE, VOTE_CONTEXT)
+    logged = read_votes(votes, llm_backend.name, hset.version_hash, config.sampling.digest)
+    given = read_state(config.workdir / ANNOTATION_STATE_FILE) if len(config.annotators) >= 2 else {}  # a rerun keeps them
+    save_rejects(config, "unlabeled", corpus)  # the first write: every input is read
+    with votes:  # locked before the first backend call, held through the LLM stage; the run leaves a vote log
+        with cache:
+            rows = nli_stage(cache, nli_backend, backend_cfg, normalized, hset)
+        maybe_ids = {review_id for review_id, label, _, _ in rows if label is PseudoLabel.MAYBE_PRIVACY}
+        maybe_reviews = [r for r in normalized if r.id in maybe_ids]
+        laps.append(time.perf_counter())
 
-    records, failures = llm_classify(config, llm_backend, maybe_reviews, hset, votes, logged)
+        records, failures = llm_classify(config, llm_backend, maybe_reviews, hset, votes, logged)
     laps.append(time.perf_counter())
 
     yes_votes = {rec.review_id: rec for rec in records if rec.decision is BinaryLabel.YES}

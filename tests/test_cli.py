@@ -16,10 +16,9 @@ import pytest
 from concernminer._jsonl import Log
 from concernminer.cli import main
 from concernminer.config import load_config
-from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, resolve_hypothesis_set, save_hypothesis_set
 from concernminer.llm import MockLlmBackend
-from concernminer.nli import MockNliBackend, ScoreCache, load_matrix, save_matrix, score_corpus
+from concernminer.nli import MockNliBackend, ScoreCache, score_corpus
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,
@@ -120,22 +119,14 @@ def test_nli_label_after_extract_alone_labels_from_the_cache_with_no_backend(ext
 
 
 @pytest.mark.parametrize("cell", [1.5, float("nan")], ids=["above-1", "nan"])
-def test_score_cell_outside_0_1_exits_2(extraction_setup, tmp_path, capsys, cell):
+def test_score_cell_outside_0_1_exits_2(extraction_setup, capsys, cell):
     _, config_path, workdir = extraction_setup
     assert main(["nli-score", "--config", str(config_path)]) == 0
-    path = tmp_path / "matrix.bin"
-    save_matrix(cached_matrix(config_path, workdir), path)
-    blob = path.read_bytes()
-    at = blob.index(b"\n") + 1 + 4 * 3  # the fourth cell: min and max pass over a NaN after the first
-    path.write_bytes(blob[:at] + struct.pack("<f", cell) + blob[at + 4 :])
-    with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
-        load_matrix(path)
-
-    # The same cell in the cache, which nli-label reads.
     cache = workdir / NLI_CACHE_FILE
     first, *rest = cache.read_text().splitlines(keepends=True)
     record = json.loads(first)
     cells = b64decode(record["f32"])
+    # The fourth cell: min and max pass over a NaN after the first.
     record["f32"] = b64encode(cells[:12] + struct.pack("<f", cell) + cells[16:]).decode("ascii")
     cache.write_text(json.dumps(record, sort_keys=True) + "\n" + "".join(rest))
     capsys.readouterr()
@@ -1085,7 +1076,7 @@ def unknown_builtin_set(w, command, ref):
     return [command, "--hypotheses", ref], ref, f"error: unknown hypothesis set '{ref}'; the built-in sets are {known}\n"
 
 
-@rows("extraction", "nothing", "extract", "extract-without-rejects")
+@rows("extraction", "nothing", "extract", "extract-without-rejects", "torn")
 def nli_label_with_an_uncached_cell(w, before):
     cache = w.workdir / NLI_CACHE_FILE
     if before == "nothing":  # no cache: nli-label stops before it reads the corpus
@@ -1093,11 +1084,15 @@ def nli_label_with_an_uncached_cell(w, before):
     w.run("extract")
     w.run("nli-label")
     lines = lines_of(cache)
-    cache.write_text("".join(lines[:-1]))  # the last review's row is lost
+    if before == "torn":  # the last review's row is torn: skipped with a warning, and left as it is
+        cut(cache, 10)
+    else:
+        cache.write_text("".join(lines[:-1]))  # the last review's row is lost
     if before == "extract-without-rejects":  # a deleted report stays deleted
         (w.workdir / "rejects_unlabeled.jsonl").unlink()
     review_id, set_hash = json.loads(lines[-1])["review_id"], json.loads(lines[0])["set_hash"]
-    return ["nli-label"], cache, f"error: {cache}: no mock-nli-a score of review {review_id!r} on set {set_hash}; run nli-score first\n"
+    message = f"error: {cache}: no mock-nli-a score of review {review_id!r} on set {set_hash}; run nli-score first"
+    return ["nli-label"], cache, message if before == "torn" else message + "\n"  # the warning comes first
 
 
 @rows("extraction", "extract", "nli-score")
@@ -1124,11 +1119,15 @@ def corrupt_vote_line_behind_a_short_cache(w):
 
 
 @rows("extraction")
-def corrupt_annotation_state_line(w):
-    """extract reads the annotation state before its first write, to keep the human counts."""
+@rows("extraction", "torn-votes")
+def corrupt_annotation_state_line(w, votes=None):
+    """extract reads the annotation state before its first write, to keep the human counts; the torn last line
+    of a vote log read before it is left as it is."""
     w.run("extract")
     w.run("annotate", "--responses", str(w.responses()))
     state = w.workdir / ANNOTATION_STATE_FILE
+    if votes:
+        cut(w.workdir / VOTES_FILE, 10)
     garbage_line(state, 2)
     return ["extract"], state, f"{state}:2: corrupt log line"
 

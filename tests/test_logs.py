@@ -61,11 +61,35 @@ class TestReadLog:
     def test_torn_last_line_dropped_and_truncated(self, tmp_path, caplog, tail):
         path = tmp_path / "log.jsonl"
         write_lines(path, ['{"a": 1}\n', '{"a": 2}\n', tail])
+        torn = path.read_bytes()
+        log = Log(path)
         with caplog.at_level(logging.WARNING):
-            assert list(Log(path).read()) == [{"a": 1}, {"a": 2}]
+            assert list(log.read()) == [{"a": 1}, {"a": 2}]
         assert f"{path}:3: dropping torn last line" in caplog.text
-        assert path.read_bytes() == b'{"a": 1}\n{"a": 2}\n'
-        with Log(path) as log:
+        assert path.read_bytes() == torn  # reading never writes
+        with log:  # the reading Log's session cuts the torn line under the lock, before its first append
+            assert path.read_bytes() == b'{"a": 1}\n{"a": 2}\n'
+            log.append([{"a": 3}])
+        assert list(Log(path).read()) == [{"a": 1}, {"a": 2}, {"a": 3}]
+
+    def test_a_torn_tail_is_cut_once_however_many_sessions_follow_the_read(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, ['{"a": 1}\n', '{"a": 2'])
+        log = Log(path)
+        assert list(log.read()) == [{"a": 1}]
+        with log:
+            log.append([{"a": 2}])
+        with log:  # the file ends with whole lines now: nothing is cut
+            log.append([{"a": 3}])
+        assert path.read_bytes() == b'{"a": 1}\n{"a":2}\n{"a":3}\n'
+
+    def test_a_torn_tail_is_left_when_the_file_changed_since_the_read(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_lines(path, ['{"a": 1}\n', '{"a": 2'])
+        log = Log(path)
+        assert list(log.read()) == [{"a": 1}]
+        write_lines(path, ['{"a": 1}\n', '{"a": 2}\n'])  # another writer mends the line
+        with log:
             log.append([{"a": 3}])
         assert list(Log(path).read()) == [{"a": 1}, {"a": 2}, {"a": 3}]
 
@@ -336,18 +360,23 @@ def test_annotation_state_value_out_of_contract_exits_2_and_keeps_the_report(ext
 
 
 @pytest.mark.parametrize("log_name", [NLI_CACHE_FILE, VOTES_FILE])
-def test_a_model_log_another_writer_holds_exits_2(extraction, tmp_path, capsys, log_name):
+def test_a_model_log_another_writer_holds_exits_2(extraction, tmp_path, capsys, monkeypatch, log_name):
+    """extract takes both logs' locks before its first backend call: a cache cut to 5 rows is not scored again."""
     config_path, _ = extraction
     common = ["--config", str(config_path), "--workdir", str(tmp_path / "run")]
     assert main(["extract", *common]) == 0
-    log = tmp_path / "run" / log_name
-    before = log.read_bytes()
+    cache, log = tmp_path / "run" / NLI_CACHE_FILE, tmp_path / "run" / log_name
+    cache.write_bytes(b"".join(cache.read_bytes().splitlines(keepends=True)[:5]))
+    before = {path: path.read_bytes() for path in (cache, log)}
+    calls = []
+    monkeypatch.setattr(MockNliBackend, "score_row", lambda self, *args: calls.append(args) or iter(()))
     capsys.readouterr()
 
     with Log(log):  # as another command appending to the same workdir would
         assert main(["extract", *common]) == 2
     assert f"{log}: another process is appending to this log" in capsys.readouterr().err
-    assert log.read_bytes() == before
+    assert {path: path.read_bytes() for path in before} == before
+    assert not calls
 
 
 def f32_field(cells):
