@@ -945,6 +945,30 @@ class TestScoreCorpus:
         assert peak <= bound
         assert np.array_equal(matrix.scores, score_corpus(MockNliBackend(name="recording", seed=0), reviews, DOMAIN, max_inflight=8).scores)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("review_id", 7, "review_id must be a string, not 7"),
+            ("hypotheses", "12", "hypotheses must be a list, not '12'"),
+            ("hypotheses", [1.9, 2], "hypothesis id must be an integer, not 1.9"),
+            ("hypotheses", [True, 2], "hypothesis id must be an integer, not True"),
+            ("backend", 5, "TypeError("),
+            ("set_hash", None, "TypeError("),
+            ("f32", f32_field([0.25]), "ValueError('row of 1 cells does not match its 2 hypotheses')"),
+            ("f32", "not base64!", "Error("),
+        ],
+    )
+    def test_cache_record_values_are_checked_not_cast(self, tmp_path, field, value, message):
+        """A cache record whose value is of the wrong type or size makes the cache unreadable,
+        naming its line; no value is cast to fit."""
+        path = tmp_path / "cache.jsonl"
+        good = {"backend": "mock", "set_hash": "h", "review_id": "r0", "hypotheses": [1, 2], "f32": f32_field([0.25, 0.5])}
+        bad = {**good, "review_id": "r1", field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValidationError) as raised:
+            ScoreCache(path)
+        assert str(raised.value).startswith(f"{path}:2: corrupt log line: {message}")
+
 
 class TestMatrixFile:
     def test_on_disk_layout(self, tmp_path):
