@@ -167,7 +167,7 @@ def cmd_select(args) -> int:
         marker = "*" if row.candidate_id == result.hypothesis_table.winner_id else " "
         ratio = f" ({row.improvement:.2f}x)" if row.improvement is not None else ""
         print(f" {marker} {row.candidate_id}: F1={row.report.f1:.3f}{ratio}")
-    print(f"best: {result.best_model} + {result.best_set_id}")
+    print(f"best: {result.model_table.winner_id} + {result.hypothesis_table.winner_id}")
     return 0
 
 

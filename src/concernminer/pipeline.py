@@ -255,54 +255,40 @@ def llm_classify(
 class SelectionResult:
     model_table: ComparisonTable
     hypothesis_table: ComparisonTable
-    best_model: str
-    best_set_id: str
     pseudo_labels: list[LabelRow]
 
 
 def run_selection(config: PipelineConfig) -> SelectionResult:
-    """Evaluate every configured NLI backend on the generic set, pick the
-    best by F1, re-evaluate it on the domain set, pick the winning set, and
-    emit the pseudo-labeled corpus from the winning pair. Each pass scores
-    through the workdir's entailment cache and keeps its matrix in memory:
-    it writes no matrix file."""
+    """Evaluate every configured NLI backend on the generic set, pick the best by F1, re-evaluate it on the
+    domain set, pick the winning set, and emit the pseudo-labeled corpus from the winning pair. Each table is
+    one :func:`select_best` over the ``(report, rows)`` of its passes, keyed by backend name or by set id: a
+    domain set with the generic set's content is not scored again, so its table has the one candidate, and two
+    sets that differ under one ``set_id`` exit 2 before any write. Each pass scores through the workdir's
+    entailment cache and keeps its matrix in memory: it writes no matrix file."""
     generic = resolve_hypothesis_set(config.hypothesis_refs["generic"], config.base_dir)
     domain = resolve_hypothesis_set(config.hypothesis_refs["domain"], config.base_dir)
-    backends = {cfg.name: make_nli_backend(cfg, config.seed, config.base_dir) for cfg in config.nli_backends}
+    if domain.set_id == generic.set_id and domain.version_hash != generic.version_hash:
+        refs = config.hypothesis_refs
+        raise ValidationError(f"hypothesis sets {refs['generic']} and {refs['domain']} differ but share the set id {generic.set_id!r}")
+    backends = {cfg.name: (make_nli_backend(cfg, config.seed, config.base_dir), cfg) for cfg in config.nli_backends}
     labeled = normalize_corpus(gold_corpus(config))
     gold = {r.id: r.gold_label for r in labeled}
 
-    def evaluate(backend_cfg: NliBackendConfig, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
-        rows = nli_stage(cache, backends[backend_cfg.name], backend_cfg, labeled, hset)
+    def evaluate(name: str, hset: HypothesisSet) -> tuple[MetricsReport, list[LabelRow]]:
+        rows = nli_stage(cache, *backends[name], labeled, hset)
         report = metrics(confusion_from_nli(gold, {review_id: label for review_id, label, _, _ in rows}))
-        logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", backend_cfg.name, hset.set_id, report.precision, report.recall, report.f1)
+        logger.info("%s on %s: P=%.3f R=%.3f F1=%.3f", name, hset.set_id, report.precision, report.recall, report.f1)
         return report, rows
 
-    candidates: list[tuple[str, MetricsReport]] = []
-    rows_by_model: dict[str, list[LabelRow]] = {}
     with ScoreCache(config.workdir / NLI_CACHE_FILE) as cache:  # each pass scores a (backend, set) pair no other pass does
         save_rejects(config, "labeled", labeled)  # the first write: every input is read
-        for backend_cfg in config.nli_backends:
-            report, rows_by_model[backend_cfg.name] = evaluate(backend_cfg, generic)
-            candidates.append((backend_cfg.name, report))
-
-        model_table = select_best(candidates)
-        best_model = model_table.winner_id
-        best_cfg = next(b for b in config.nli_backends if b.name == best_model)
-        best_generic_report = model_table.winner().report
-
-        if domain.version_hash == generic.version_hash:
-            hypothesis_table = select_best([(generic.set_id, best_generic_report)], baseline_id=generic.set_id)
-            winning_rows = rows_by_model[best_model]
-            best_set_id = generic.set_id
-        else:
-            domain_report, domain_rows = evaluate(best_cfg, domain)
-            hypothesis_table = select_best(
-                [(generic.set_id, best_generic_report), (domain.set_id, domain_report)],
-                baseline_id=generic.set_id,
-            )
-            best_set_id = hypothesis_table.winner_id
-            winning_rows = domain_rows if best_set_id == domain.set_id else rows_by_model[best_model]
+        by_model = {name: evaluate(name, generic) for name in backends}
+        model_table = select_best([(name, report) for name, (report, _) in by_model.items()])
+        by_set = {generic.set_id: by_model[model_table.winner_id]}
+        if domain.version_hash != generic.version_hash:
+            by_set[domain.set_id] = evaluate(model_table.winner_id, domain)
+        hypothesis_table = select_best([(set_id, report) for set_id, (report, _) in by_set.items()], baseline_id=generic.set_id)
+    winning_rows = by_set[hypothesis_table.winner_id][1]
 
     write_pseudo_labels(config.workdir / PSEUDO_LABELS_FILE, winning_rows)
     write_json(
@@ -310,11 +296,11 @@ def run_selection(config: PipelineConfig) -> SelectionResult:
         {
             "models": model_table.to_dict(),
             "hypothesis_sets": hypothesis_table.to_dict(),
-            "best_model": best_model,
-            "best_hypothesis_set": best_set_id,
+            "best_model": model_table.winner_id,
+            "best_hypothesis_set": hypothesis_table.winner_id,
         },
     )
-    return SelectionResult(model_table, hypothesis_table, best_model, best_set_id, winning_rows)
+    return SelectionResult(model_table, hypothesis_table, winning_rows)
 
 
 def _extracted_record(review: Review, threshold: float | None, triggered: tuple[int, ...], vote: VoteRecord) -> dict:

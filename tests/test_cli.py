@@ -16,7 +16,13 @@ import pytest
 from concernminer._jsonl import Log
 from concernminer.cli import main
 from concernminer.config import load_config
-from concernminer.hypotheses import builtin_domain_mh, hypothesis_set_to_dict, resolve_hypothesis_set, save_hypothesis_set
+from concernminer.hypotheses import (
+    builtin_domain_mh,
+    builtin_generic,
+    hypothesis_set_to_dict,
+    resolve_hypothesis_set,
+    save_hypothesis_set,
+)
 from concernminer.llm import MockLlmBackend
 from concernminer.nli import MockNliBackend, ScoreCache, score_corpus
 from concernminer.pipeline import (
@@ -177,6 +183,26 @@ def test_llm_classify_refuses_pseudo_labels_of_the_other_corpus(extraction_setup
 
     assert main(["llm-classify", "--config", str(config_path), "--role", "labeled"]) == 0
     assert f"classified {ledger.maybe_privacy} maybe-privacy reviews" in capsys.readouterr().out
+
+
+def test_llm_classify_over_pseudo_labels_of_some_reviews_classifies_only_those(extraction_setup, capsys, caplog):
+    """A pseudo-label file that labels only some reviews of the role is used, with a warning that counts the
+    labeled ones: only their maybe-privacy reviews are classified."""
+    ledger, config_path, workdir = extraction_setup
+    for command in ("nli-score", "nli-label"):
+        assert main([command, "--config", str(config_path)]) == 0
+    pseudo_path = workdir / PSEUDO_LABELS_FILE
+    kept = [json.loads(line) for line in lines_of(pseudo_path)[::2]]  # every other review
+    pseudo_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+    maybe = [record["review_id"] for record in kept if record["label"] == "maybe-privacy"]
+    assert 0 < len(maybe) < ledger.maybe_privacy
+    capsys.readouterr()
+
+    with caplog.at_level(logging.WARNING):
+        assert main(["llm-classify", "--config", str(config_path)]) == 0
+    assert f"{pseudo_path} labels {len(kept)} of the {ledger.rating_filtered} unlabeled reviews" in caplog.text
+    assert f"classified {len(maybe)} maybe-privacy reviews" in capsys.readouterr().out
+    assert [json.loads(line)["review_id"] for line in lines_of(workdir / VOTES_FILE)] == maybe
 
 
 @pytest.mark.parametrize(
@@ -1242,6 +1268,82 @@ def evaluate_torn_vote_file(w):
     votes = w.tmp_path / "votes_copy.jsonl"
     votes.write_bytes((w.workdir / VOTES_FILE).read_bytes()[:-15])
     return ["evaluate", "--votes", str(votes)], votes, f"error: {votes}:{len(lines_of(votes))}: corrupt line"
+
+
+@rows("extraction")
+def export_before_annotate(w):
+    w.run("extract")
+    report = w.workdir / ANNOTATION_REPORT_FILE
+    return ["export", "--output", str(w.tmp_path / "out.csv")], report, f"error: no annotation report at {report}; run annotation first\n"
+
+
+@rows("extraction")
+def annotate_with_a_one_name_roster(w):
+    w.run("extract")
+    responses = w.responses()
+    w.edit(lambda raw: raw.update(annotators=["lead"]))
+    return ["annotate", "--responses", str(responses)], "annotators", "error: config must list at least two annotators\n"
+
+
+@rows("extraction")
+def annotate_manifest_missing_a_stage_count(w):
+    w.run("extract")
+    responses, manifest = w.responses(), w.workdir / MANIFEST_FILE
+    raw = json.loads(manifest.read_text())
+    del raw["counts"]["human_rejected"]
+    manifest.write_text(json.dumps(raw))
+    return ["annotate", "--responses", str(responses)], manifest, f"error: {manifest}: manifest missing stage counts: ['human_rejected']\n"
+
+
+@rows("selection", "select", "evaluate")
+def labeled_corpus_without_a_gold_label(w, command):
+    corpus = w.tmp_path / "ungraded.csv"
+    corpus.write_text("id,app,store,rating,text\na,app,other,1,they sold my personal information\nb,app,other,2,fine\n")
+    w.edit(lambda raw: raw["corpus"].update(labeled=str(corpus)))
+    return [command], "labeled corpus", "error: labeled corpus contains no gold labels\n"
+
+
+@rows("extraction")
+def csv_without_an_id_column(w):
+    corpus = w.tmp_path / "no_id.csv"
+    corpus.write_text("app,store,rating,text\napp,other,1,no id\n")
+    w.edit(lambda raw: raw.update(corpus={"unlabeled": str(corpus)}))
+    return ["extract"], corpus, f"error: {corpus}: missing CSV header with an 'id' column\n"
+
+
+@rows("extraction", "negative-rule-above-1", "no-hypotheses")
+def set_file_value_out_of_range(w, case):
+    """A set file whose values have the right JSON types but no meaning."""
+    edit, message = {
+        "negative-rule-above-1": (lambda raw: raw["heuristics"].update(negative_rule=[1.5]), "negative threshold 1.5 outside (0, 1)"),
+        "no-hypotheses": (lambda raw: raw.update(hypotheses=[]), "hypothesis set must not be empty"),
+    }[case]
+    path = w.tmp_path / "set.json"
+    path.write_text(json.dumps(_set_file(edit)))
+    return ["extract", "--hypotheses", str(path)], path, f"error: {path}: {message}\n"
+
+
+@rows("extraction", "empty-phrase", "score-above-1")
+def mock_table_row_out_of_range(w, case):
+    row = {"empty-phrase": ["", [14], 0.9], "score-above-1": ["data trackers", [14], 1.5]}[case]
+    table = w.tmp_path / "table.json"
+    table.write_text(json.dumps([row]))
+    w.edit(lambda raw: raw["nli"]["backends"][0].update(mock_table=str(table)))
+    return ["extract"], table, f"error: {table}: bad trigger row ({row[0]!r}, {row[2]})\n"
+
+
+@rows("selection", "fresh", "after-select")
+def domain_set_sharing_the_generic_set_id(w, before):
+    """Two different sets under one set id would make the hypothesis table ambiguous: select refuses them."""
+    if before == "after-select":
+        w.run("select")
+    raw = hypothesis_set_to_dict(builtin_generic())
+    raw["heuristics"]["positive_rules"] = [[0.99, 1]]
+    domain = w.tmp_path / "domain.json"
+    domain.write_text(json.dumps(raw))
+    w.edit(lambda config: config["hypotheses"].update(domain=str(domain)))
+    message = f"error: hypothesis sets builtin:generic and {domain} differ but share the set id 'generic-31'\n"
+    return ["select"], "'generic-31'", message
 
 
 def tree(root):

@@ -25,6 +25,7 @@ from concernminer.corpus import (
     parse_record,
     partition_gold,
     write_corpus,
+    write_rejects,
 )
 from concernminer.errors import SchemaMismatchError, ValidationError
 
@@ -173,6 +174,25 @@ class TestIngest:
         corpus = ingest_reviews(path)
         assert len(corpus) == 1
         assert "duplicate" in corpus.provenance.rejects[0]["reason"]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"id": "b", "app": "x", "store": "other", "rating": "abc", "text": "two"}', "rating 'abc' is not an integer"),
+            ('{"id": "b", "app": "x", "store": "other", "rating": 1, "text": "two", "label": 2}', "label 2 is not 0/1"),
+            ('{"id": "b", "app": "x", "store": "other", "rating": 1, "text": "two", "label": "yes"}', "label 'yes' is not 0/1"),
+            ("[1, 2]", "record is not a JSON object"),
+        ],
+        ids=["rating-not-an-integer", "label-2", "label-yes", "not-an-object"],
+    )
+    def test_reject_reason_in_the_rejects_report(self, tmp_path, line, reason):
+        path = tmp_path / "reviews.jsonl"
+        good = [json.dumps({"id": i, "app": "x", "store": "other", "rating": 1, "text": "fine"}) for i in ("a", "c")]
+        path.write_text("\n".join([good[0], line, good[1]]) + "\n")
+        corpus = ingest_reviews(path)
+        assert [r.id for r in corpus] == ["a", "c"]
+        write_rejects(tmp_path / "rejects_labeled.jsonl", corpus.provenance.rejects)
+        assert (tmp_path / "rejects_labeled.jsonl").read_text() == json.dumps({"line_no": 2, "reason": reason}, sort_keys=True) + "\n"
 
     def test_date_parsed_and_bad_date_rejected(self, tmp_path):
         path = tmp_path / "reviews.csv"

@@ -20,7 +20,7 @@ from concernminer.config import LlmBackendConfig, NliBackendConfig, load_config,
 from concernminer.corpus import ingest_reviews
 from concernminer.errors import ValidationError
 from concernminer.evaluation import ConfusionMatrix, metrics
-from concernminer.hypotheses import builtin_domain_mh
+from concernminer.hypotheses import builtin_domain_mh, builtin_generic, hypothesis_set_to_dict
 from concernminer.labels import PseudoLabel
 from concernminer.llm import SamplingSettings, VoteRecord
 from concernminer.pipeline import (
@@ -72,8 +72,7 @@ def selection_run(tmp_path_factory):
 class TestSelection:
     def test_winner_model_and_set(self, selection_run):
         ledger, config, result = selection_run
-        assert result.best_model == "mock-nli-a"
-        assert result.best_set_id == "mh-domain-21"
+        assert result.model_table.winner_id == "mock-nli-a"
         assert result.hypothesis_table.winner_id == "mh-domain-21"
 
     def test_metrics_match_ledger(self, selection_run):
@@ -142,6 +141,19 @@ class TestSelection:
         assert len(result.hypothesis_table.rows) == 1
         assert result.hypothesis_table.winner().improvement == 1.0
         assert len(result.pseudo_labels) == 40
+
+    @pytest.mark.parametrize("set_id", ["generic-31", "generic-copy"])
+    def test_a_domain_set_with_the_generic_sets_content_is_not_a_second_candidate(self, tmp_path, set_id):
+        build_labeled_fixture(tmp_path / "small.csv", n_pos_strong=6, n_pos_benign=3, n_neg_strong=3, n_neg_weak=0, n_neg_benign=12)
+        domain = tmp_path / "domain.json"
+        domain.write_text(json.dumps(dict(hypothesis_set_to_dict(builtin_generic()), set_id=set_id)))
+        raw = selection_config(tmp_path / "small.csv", tmp_path / "run", write_weak_table(tmp_path / "weak.json"))
+        raw["hypotheses"]["domain"] = str(domain)
+        result = run_selection(config_from_dict(raw, tmp_path))
+        assert [row.candidate_id for row in result.hypothesis_table.rows] == ["generic-31"]
+        assert result.hypothesis_table.winner().improvement == 1.0
+        with ScoreCache(tmp_path / "run" / NLI_CACHE_FILE) as cache:
+            assert len(cache) == 24 * 31 * 2  # both models on the generic set, and no domain pass
 
     def test_select_reruns_warm_over_a_cache_with_its_two_backends_interleaved(self, tmp_path):
         build_labeled_fixture(tmp_path / "small.csv", n_pos_strong=6, n_pos_benign=3, n_neg_strong=3, n_neg_weak=0, n_neg_benign=12)

@@ -9,6 +9,7 @@ import pytest
 
 from concernminer._window import run_ordered
 from concernminer.corpus import Review, Store
+from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh
 from concernminer.llm import MockLlmBackend, SamplingSettings, classify_corpus
 from concernminer.nli import MockNliBackend, score_corpus
@@ -137,3 +138,25 @@ def test_max_inflight_1_runs_both_stages_on_the_calling_thread():
     assert len(calls) == 6 * 21 + 6 * 5 and len(records) == 6
     assert set(calls) == {threading.get_ident()}
     assert seen <= before  # no thread was started
+
+
+def test_max_inflight_0_is_refused_before_any_job_thread_or_backend_call():
+    calls = []
+
+    def jobs():
+        calls.append("job drawn")
+        yield 1
+
+    class RecordingLlm(MockLlmBackend):
+        def complete(self, prompt, settings, *, tag=None):
+            calls.append("complete")
+            return super().complete(prompt, settings, tag=tag)
+
+    reviews = [Review("r0", "app", Store.OTHER, 1, "review text").normalized()]
+    before = set(threading.enumerate())
+    with pytest.raises(ValidationError, match="max_inflight must be >= 1"):
+        run_ordered(lambda job, stop: calls.append("work"), jobs(), lambda *args: calls.append("commit"), 0)
+    with pytest.raises(ValidationError, match="max_inflight must be >= 1"):
+        classify_corpus(RecordingLlm(), reviews, DOMAIN, SamplingSettings(), max_inflight=0)
+    assert calls == []
+    assert set(threading.enumerate()) == before  # no thread was started
