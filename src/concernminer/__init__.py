@@ -6,41 +6,3 @@ into pseudo-labels with threshold heuristics, classify the surviving
 candidates with a majority-voted LLM prompt, and confirm the results in a
 terminal annotation session with inter-annotator agreement.
 """
-
-from .corpus import (
-    Review,
-    ReviewCorpus,
-    Store,
-    filter_by_rating,
-    ingest_reviews,
-    normalize_corpus,
-    normalize_text,
-    partition_gold,
-)
-from .errors import BackendError, ConcernMinerError, SchemaMismatchError, ValidationError
-from .evaluation import (
-    ComparisonTable,
-    ConfusionMatrix,
-    KappaReport,
-    MetricsReport,
-    cohen_kappa,
-    confusion_from_llm,
-    confusion_from_nli,
-    f1_score,
-    metrics,
-    random_baseline,
-    select_best,
-)
-from .hypotheses import (
-    HeuristicRuleSet,
-    Hypothesis,
-    HypothesisSet,
-    ThresholdRule,
-    builtin_domain_mh,
-    builtin_generic,
-    load_hypothesis_set,
-    save_hypothesis_set,
-)
-from .labels import BinaryLabel, PseudoLabel, Vote
-
-__version__ = "0.1.0"

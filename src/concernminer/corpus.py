@@ -16,7 +16,7 @@ from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
-from ._jsonl import write_csv, write_jsonl
+from ._jsonl import write_jsonl
 from .errors import SchemaMismatchError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -299,12 +299,6 @@ def review_to_record(review: Review) -> dict:
     }
 
 
-def write_corpus(corpus: ReviewCorpus, path: str | Path, fmt: str = "jsonl") -> None:
-    """Write a corpus back out in the ingestion schema (csv or jsonl)."""
-    path = Path(path)
-    if fmt == "jsonl":
-        write_jsonl(path, (review_to_record(review) for review in corpus))
-    elif fmt == "csv":
-        write_csv(path, CSV_COLUMNS, (review_to_record(review) for review in corpus))
-    else:
-        raise ValidationError(f"unknown format {fmt!r} (expected csv or jsonl)")
+def write_corpus(corpus: ReviewCorpus, path: str | Path) -> None:
+    """Write a corpus back out as JSONL in the ingestion schema."""
+    write_jsonl(Path(path), (review_to_record(review) for review in corpus))

@@ -28,10 +28,6 @@ class ConfusionMatrix:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValidationError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -108,7 +104,6 @@ class KappaReport:
     kappa: float
     p_o: float
     p_e: float
-    disagreements: int
 
 
 def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaReport:
@@ -133,7 +128,7 @@ def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaReport:
         kappa = 1.0  # both raters constant and identical
     else:
         kappa = (p_o - p_e) / (1.0 - p_e)
-    return KappaReport(kappa, p_o, p_e, disagreements)
+    return KappaReport(kappa, p_o, p_e)
 
 
 @dataclass(frozen=True)
@@ -148,12 +143,6 @@ class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
     winner_id: str
     baseline_id: str | None
-
-    def winner(self) -> ComparisonRow:
-        for row in self.rows:
-            if row.candidate_id == self.winner_id:
-                return row
-        raise KeyError(self.winner_id)
 
     def to_dict(self) -> dict:
         return {

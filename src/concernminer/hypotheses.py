@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from ._jsonl import checked, read_json, write_json
+from ._jsonl import checked, read_json
 from .errors import ValidationError
 from .labels import PseudoLabel
 
@@ -112,15 +112,6 @@ class HypothesisSet:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def __len__(self) -> int:
-        return len(self.hypotheses)
-
-    def by_id(self, hypothesis_id: int) -> Hypothesis:
-        for h in self.hypotheses:
-            if h.id == hypothesis_id:
-                return h
-        raise KeyError(hypothesis_id)
-
 
 # The built-in sets in the schema of a set file, one hypothesis per line.
 _GENERIC = {
@@ -213,10 +204,6 @@ def hypothesis_set_to_dict(hset: HypothesisSet) -> dict:
             "default_label": rules.default_label.value,
         },
     }
-
-
-def save_hypothesis_set(hset: HypothesisSet, path: str | Path) -> None:
-    write_json(Path(path), hypothesis_set_to_dict(hset))
 
 
 def _rule(field: str, value, shape: str, length: int) -> list:

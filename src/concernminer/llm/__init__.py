@@ -1,32 +1,1 @@
 """LLM classification stage: prompts, voting, and chat-completions backends."""
-
-from ..labels import BinaryLabel, Vote
-from .backends import HttpLlmBackend, MockLlmBackend, load_llm_script
-from .classify import (
-    PROMPT_TEMPLATE_VERSION,
-    PromptMessages,
-    SamplingSettings,
-    VoteRecord,
-    build_prompt,
-    classify_corpus,
-    classify_review,
-    majority_vote,
-    parse_response,
-)
-
-__all__ = [
-    "BinaryLabel",
-    "HttpLlmBackend",
-    "MockLlmBackend",
-    "PROMPT_TEMPLATE_VERSION",
-    "PromptMessages",
-    "SamplingSettings",
-    "Vote",
-    "VoteRecord",
-    "build_prompt",
-    "classify_corpus",
-    "classify_review",
-    "load_llm_script",
-    "majority_vote",
-    "parse_response",
-]

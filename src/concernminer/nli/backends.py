@@ -1,8 +1,9 @@
 """NLI inference backends: the HTTP wire client and a deterministic mock.
 
 In-process contract: a backend has a ``name``, and ``score_row(premise, hypotheses)`` yields
-one entailment per hypothesis, in their order; a backend that fails part-way raises after
-the cells it yielded, which ``score_corpus`` keeps.
+one entailment in [0, 1] per hypothesis, in their order; a backend that fails part-way raises
+after the cells it yielded, which ``score_corpus`` keeps. ``score_corpus`` refuses a row with
+a cell outside [0, 1] or NaN, or with more or fewer cells than hypotheses, and keeps none of it.
 
 Wire contract: POST ``{"premise": ..., "hypothesis": ...}`` to the endpoint,
 expect ``{"entailment": p, "neutral": p, "contradiction": p}``, each ``p`` a
@@ -16,13 +17,12 @@ from __future__ import annotations
 import hashlib
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .._http import HttpBackend, post_json
 from .._jsonl import checked, read_json
 from ..errors import BackendError, ValidationError
 from ..hypotheses import Hypothesis
-from .scoring import EntailmentScore
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import NliBackendConfig
@@ -32,6 +32,15 @@ DEFAULT_RESPONSE_FIELDS = {
     "neutral": "neutral",
     "contradiction": "contradiction",
 }
+
+
+class EntailmentScore(NamedTuple):
+    """Probability mass over entailment / neutral / contradiction; only ``entail``
+    goes on, to the matrix and the cache."""
+
+    entail: float
+    neutral: float | None = None
+    contradict: float | None = None
 
 
 class HttpNliBackend(HttpBackend):
@@ -44,12 +53,19 @@ class HttpNliBackend(HttpBackend):
     def score_pair(self, premise: str, hypothesis: Hypothesis) -> EntailmentScore:
         body = post_json(self, {"premise": premise, "hypothesis": hypothesis.text})
         fields = self.response_fields
-        try:  # each score a JSON number, not a bool or a string; neutral and contradiction may be absent
+        try:  # each score a JSON number in [0, 1], not a bool or a string; neutral and contradiction may be absent
             entail = checked(fields["entailment"], "float", body[fields["entailment"]])
             neutral, contradict = (
                 checked(fields[name], "float", body[fields[name]]) if fields[name] in body else None
                 for name in ("neutral", "contradiction")
             )
+            others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
+            if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per score; the loop names the value
+                for name, value in (("entail", entail), ("neutral", neutral), ("contradict", contradict)):
+                    if value is not None and not 0.0 <= value <= 1.0:
+                        raise ValidationError(f"{name} probability {value} outside [0, 1]")
+            if neutral is not None and contradict is not None and not 0.99 <= (total := entail + neutral + contradict) <= 1.01:
+                raise ValidationError(f"score distribution sums to {total:.4f}, expected ~1")
             return EntailmentScore(entail, neutral, contradict)
         except (KeyError, ValidationError) as exc:
             raise BackendError(f"{self.name}: malformed backend response {body!r}: {exc}") from None

@@ -49,8 +49,3 @@ def explain_labels(
             if negative is not None and any(map(EXCEEDS, row, repeat(negative))):
                 out[i] = (rules.default_label, None, ())
     return out
-
-
-def apply_heuristics(matrix: EntailmentMatrix, rules: HeuristicRuleSet) -> list[PseudoLabel]:
-    """One pseudo-label per matrix row: the labels of :func:`explain_labels`."""
-    return [label for label, _, _ in explain_labels(matrix, rules)]

@@ -1,4 +1,4 @@
-"""Entailment score types, the review × hypothesis matrix, caching, and scoring.
+"""The review × hypothesis entailment matrix, its cache, and scoring.
 
 A review's row is the unit of scoring work, of cache record, and of what the cache holds
 in memory: its hypothesis ids and a float32 ``array``; cells are keyed by (backend name,
@@ -40,31 +40,6 @@ class Grid(array):
 
 
 @dataclass(frozen=True)
-class EntailmentScore:
-    """Probability mass over entailment / neutral / contradiction, built
-    where a backend response enters, which checks it.
-
-    Only ``entail`` goes on, to the matrix and the cache; the other two are
-    checked when the backend reports them, then dropped.
-    """
-
-    entail: float
-    neutral: float | None = None
-    contradict: float | None = None
-
-    def __post_init__(self) -> None:
-        """Each given probability in [0, 1], and a full distribution summing to ~1."""
-        entail, neutral, contradict = self.entail, self.neutral, self.contradict
-        others_in_range = (neutral is None or 0.0 <= neutral <= 1.0) and (contradict is None or 0.0 <= contradict <= 1.0)
-        if not (0.0 <= entail <= 1.0 and others_in_range):  # one test per score; the loop names the value
-            for name, value in (("entail", entail), ("neutral", neutral), ("contradict", contradict)):
-                if value is not None and not 0.0 <= value <= 1.0:
-                    raise ValidationError(f"{name} probability {value} outside [0, 1]")
-        if neutral is not None and contradict is not None and not 0.99 <= (total := entail + neutral + contradict) <= 1.01:
-            raise ValidationError(f"score distribution sums to {total:.4f}, expected ~1")
-
-
-@dataclass(frozen=True)
 class EntailmentMatrix:
     review_ids: tuple[str, ...]
     hypothesis_ids: tuple[int, ...]
@@ -88,10 +63,14 @@ class EntailmentMatrix:
         return self.scores[i * k : (i + 1) * k]
 
 
+def _out_of_range(cells) -> bool:
+    """Whether a cell is outside [0, 1]. ``min`` and ``max`` can pass over a NaN; ``sum`` carries it."""
+    return bool(cells) and (isnan(sum(cells)) or min(cells) < 0.0 or max(cells) > 1.0)
+
+
 def _checked(grid):
-    """``grid`` (or a cache record's entailments), once every cell is in [0, 1]. ``min`` and
-    ``max`` can pass over a NaN; ``sum`` carries it."""
-    if grid and (isnan(sum(grid)) or min(grid) < 0.0 or max(grid) > 1.0):
+    """``grid`` (or a cache record's entailments), once every cell is in [0, 1]."""
+    if _out_of_range(grid):
         raise ValidationError("score grid contains values outside [0, 1]")
     return grid
 
@@ -196,6 +175,8 @@ def score_corpus(
     float32 bytes (see :class:`ScoreCache`), so a killed run loses at most the rows in flight; without
     a ``cache`` it reads and writes nothing. On backend failure the raised :class:`BackendError` carries
     the completed-cell count; every cell the failing row yielded is committed too, in the file for the rerun.
+    A malformed row, one with a cell outside [0, 1] or NaN, or one that ends without an error after more
+    or fewer cells than it was asked for, commits none of them and raises :class:`BackendError`.
     ``backend`` may be a backend's name alone, with a ``cache``: then the pass scores and writes nothing,
     and a non-empty review whose cells the cache lacks raises :class:`ValidationError` naming it.
     """
@@ -232,6 +213,10 @@ def score_corpus(
         def commit(job, _, error: Exception | None) -> None:
             nonlocal completed
             i, review, columns, scores = job  # the cells scored before an error are committed too
+            if _out_of_range(scores):  # a malformed row commits none of its cells
+                raise BackendError(f"{name}: an entailment of review {review.id!r} is outside [0, 1]")
+            if error is None and len(scores) != len(columns):
+                raise BackendError(f"{name}: {len(scores)} entailments of review {review.id!r} for {len(columns)} hypotheses")
             for j, entail in zip(columns, scores):
                 grid[i * k + j] = entail
             append_row(i, review.id, columns[: len(scores)])

@@ -217,7 +217,7 @@ def gold_corpus(config: PipelineConfig) -> ReviewCorpus:
     """The reviews of the labeled corpus that carry a gold label (see :func:`ingest_corpus`)."""
     labeled, _ = partition_gold(ingest_corpus(config, "labeled"))
     if not len(labeled):
-        raise ValidationError("labeled corpus contains no gold labels")
+        raise ValidationError(f"{config.labeled_path}: labeled corpus contains no gold labels")
     return labeled
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from concernminer.llm import VoteRecord
+from concernminer.llm.classify import VoteRecord
 
 # Phrases from the default mock trigger table (concernminer.nli.backends).
 # STRONG scores ~0.92 on hypothesis ids 14/17: maybe-privacy under both

@@ -131,7 +131,7 @@ class TestSession:
         }
         report = run_annotation(queue, roster, scripted_responder(script))
         assert report.kappa.kappa == pytest.approx(0.0, abs=1e-9)
-        assert report.kappa.disagreements == 2
+        assert (report.kappa.p_o, report.tiebreak_ids) == (0.5, ("r1", "r3"))  # the two disagreements
 
     def test_resume_does_not_reask(self, tmp_path):
         queue = make_queue(4)

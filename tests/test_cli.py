@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from concernminer._jsonl import Log
+from concernminer._jsonl import Log, write_json
 from concernminer.cli import main
 from concernminer.config import load_config
 from concernminer.hypotheses import (
@@ -21,10 +21,10 @@ from concernminer.hypotheses import (
     builtin_generic,
     hypothesis_set_to_dict,
     resolve_hypothesis_set,
-    save_hypothesis_set,
 )
-from concernminer.llm import MockLlmBackend
-from concernminer.nli import MockNliBackend, ScoreCache, score_corpus
+from concernminer.llm.backends import MockLlmBackend
+from concernminer.nli.backends import MockNliBackend
+from concernminer.nli.scoring import ScoreCache, score_corpus
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,
@@ -801,7 +801,7 @@ def test_manifest_names_what_the_outputs_depend_on(extraction_setup, tmp_path, m
     rating.write_text(json.dumps(dict(raw, corpus=dict(raw["corpus"], rating_max=3))))
     assert load_config(rating).digest != digest
     # A set file named by the flag from the config's directory digests as the same file named in the config.
-    save_hypothesis_set(builtin_domain_mh(), tmp_path / "x.json")
+    write_json(tmp_path / "x.json", hypothesis_set_to_dict(builtin_domain_mh()))
     keyed = tmp_path / "keyed.json"
     keyed.write_text(json.dumps(dict(raw, hypotheses={"extraction": "x.json"})))
     monkeypatch.chdir(tmp_path)
@@ -838,7 +838,7 @@ def test_relative_hypotheses_flag_is_taken_from_the_current_directory(extraction
     _, config_path, workdir = extraction_setup
     cwd = tmp_path / "cwd"
     cwd.mkdir()
-    save_hypothesis_set(builtin_domain_mh(), cwd / "myset.json")
+    write_json(cwd / "myset.json", hypothesis_set_to_dict(builtin_domain_mh()))
     (config_path.parent / "myset.json").write_text("not a hypothesis set")  # the config's directory is not read
     monkeypatch.chdir(cwd)
     assert main(["extract", "--config", str(config_path), "--hypotheses", "myset.json"]) == 0
@@ -1300,7 +1300,7 @@ def labeled_corpus_without_a_gold_label(w, command):
     corpus = w.tmp_path / "ungraded.csv"
     corpus.write_text("id,app,store,rating,text\na,app,other,1,they sold my personal information\nb,app,other,2,fine\n")
     w.edit(lambda raw: raw["corpus"].update(labeled=str(corpus)))
-    return [command], "labeled corpus", "error: labeled corpus contains no gold labels\n"
+    return [command], corpus, f"error: {corpus}: labeled corpus contains no gold labels\n"
 
 
 @rows("extraction")

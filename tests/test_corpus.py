@@ -282,14 +282,13 @@ class TestIngest:
         original = make_corpus(
             [make_review("a", 1, "first", label=1), make_review("b", 3, "second, with comma")]
         )
-        for fmt in ("csv", "jsonl"):
-            out = tmp_path / f"out.{fmt if fmt == 'csv' else 'jsonl'}"
-            write_corpus(original, out, fmt)
-            back = ingest_reviews(out)
-            assert [(r.id, r.rating, r.text_raw, r.gold_label) for r in back] == [
-                ("a", 1, "first", 1),
-                ("b", 3, "second, with comma", None),
-            ]
+        out = tmp_path / "out.jsonl"
+        write_corpus(original, out)
+        back = ingest_reviews(out)
+        assert [(r.id, r.rating, r.text_raw, r.gold_label) for r in back] == [
+            ("a", 1, "first", 1),
+            ("b", 3, "second, with comma", None),
+        ]
 
 
 class TestFilterAndPartition:

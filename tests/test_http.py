@@ -15,14 +15,15 @@ from concernminer import _http
 from concernminer.config import LlmBackendConfig, NliBackendConfig
 from concernminer.errors import BackendError
 from concernminer.hypotheses import builtin_domain_mh
-from concernminer.llm import HttpLlmBackend, PromptMessages, SamplingSettings
-from concernminer.nli import HttpNliBackend
+from concernminer.llm.backends import HttpLlmBackend
+from concernminer.llm.classify import PromptMessages, SamplingSettings
+from concernminer.nli.backends import HttpNliBackend
 
 from httpserver import KeepAliveHandler, RawHandler, SilentCloseHandler, serve
 
 NLI = (
     HttpNliBackend,
-    lambda backend: backend.score_pair("p", builtin_domain_mh().by_id(1)),
+    lambda backend: backend.score_pair("p", builtin_domain_mh().hypotheses[0]),
     {"entailment": 0.4, "neutral": 0.4, "contradiction": 0.2},
 )
 LLM = (

@@ -7,6 +7,7 @@ import logging
 
 import pytest
 
+from concernminer._jsonl import write_json
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import (
     HeuristicRuleSet,
@@ -19,17 +20,16 @@ from concernminer.hypotheses import (
     hypothesis_set_to_dict,
     load_hypothesis_set,
     resolve_hypothesis_set,
-    save_hypothesis_set,
 )
 from concernminer.labels import PseudoLabel
 
 
 class TestBuiltinGeneric:
-    def test_size(self):
-        assert len(builtin_generic()) == 31
+    def test_size(self):  # ids 1..31 in order, so hypothesis i is ``hypotheses[i - 1]``
+        assert [h.id for h in builtin_generic().hypotheses] == list(range(1, 32))
 
     def test_hypothesis_20_text(self):
-        assert builtin_generic().by_id(20).text == "Too much personal data is collected."
+        assert builtin_generic().hypotheses[19].text == "Too much personal data is collected."
 
     def test_rule_list(self):
         rules = builtin_generic().heuristics
@@ -44,19 +44,19 @@ class TestBuiltinGeneric:
 
     def test_sources_by_section(self):
         hset = builtin_generic()
-        assert hset.by_id(1).source is HypothesisSource.SOLOVE
-        assert hset.by_id(16).source is HypothesisSource.SOLOVE
-        assert hset.by_id(17).source is HypothesisSource.WANG_KOBSA
-        assert hset.by_id(24).source is HypothesisSource.WANG_KOBSA
-        assert hset.by_id(25).source is HypothesisSource.GENERIC
+        assert hset.hypotheses[0].source is HypothesisSource.SOLOVE
+        assert hset.hypotheses[15].source is HypothesisSource.SOLOVE
+        assert hset.hypotheses[16].source is HypothesisSource.WANG_KOBSA
+        assert hset.hypotheses[23].source is HypothesisSource.WANG_KOBSA
+        assert hset.hypotheses[24].source is HypothesisSource.GENERIC
 
 
 class TestBuiltinDomain:
-    def test_size(self):
-        assert len(builtin_domain_mh()) == 21
+    def test_size(self):  # ids 1..21 in order, so hypothesis i is ``hypotheses[i - 1]``
+        assert [h.id for h in builtin_domain_mh().hypotheses] == list(range(1, 22))
 
     def test_hypothesis_14_text(self):
-        assert builtin_domain_mh().by_id(14).text == (
+        assert builtin_domain_mh().hypotheses[13].text == (
             "The user is not aware of how and why their data is being collected, processed, stored, and shared."
         )
 
@@ -72,7 +72,7 @@ class TestBuiltinDomain:
 
     def test_known_duplicate_sentence_pair_keeps_size_21(self):
         hset = builtin_domain_mh()
-        assert hset.by_id(10).text == hset.by_id(11).text
+        assert hset.hypotheses[9].text == hset.hypotheses[10].text
         assert len({h.id for h in hset.hypotheses}) == 21
 
 
@@ -87,7 +87,7 @@ class TestVersionHash:
         for builder in (builtin_generic, builtin_domain_mh):
             original = builder()
             path = tmp_path / f"{original.set_id}.json"
-            save_hypothesis_set(original, path)
+            write_json(path, hypothesis_set_to_dict(original))
             loaded = load_hypothesis_set(path)
             assert loaded == original
             assert loaded.version_hash == original.version_hash
@@ -164,10 +164,10 @@ class TestLoadValidation:
 
     def test_duplicate_text_warns_but_loads(self, tmp_path, caplog):
         path = tmp_path / "set.json"
-        save_hypothesis_set(builtin_domain_mh(), path)
+        write_json(path, hypothesis_set_to_dict(builtin_domain_mh()))
         with caplog.at_level(logging.WARNING):
             loaded = load_hypothesis_set(path)
-        assert len(loaded) == 21
+        assert len(loaded.hypotheses) == 21
         assert any("share the same text" in record.message for record in caplog.records)
 
     def test_missing_file_and_garbage(self, tmp_path):
@@ -185,7 +185,7 @@ class TestResolve:
         assert resolve_hypothesis_set("builtin:domain-mh").set_id == "mh-domain-21"
 
     def test_path_ref_relative_to_base(self, tmp_path):
-        save_hypothesis_set(builtin_generic(), tmp_path / "custom.json")
+        write_json(tmp_path / "custom.json", hypothesis_set_to_dict(builtin_generic()))
         loaded = resolve_hypothesis_set("custom.json", base_dir=tmp_path)
         assert loaded.version_hash == builtin_generic().version_hash
 

@@ -13,9 +13,8 @@ from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic
 from concernminer.labels import BinaryLabel, Vote
-from concernminer.llm import (
-    HttpLlmBackend,
-    MockLlmBackend,
+from concernminer.llm.backends import HttpLlmBackend, MockLlmBackend
+from concernminer.llm.classify import (
     PromptMessages,
     SamplingSettings,
     VoteRecord,

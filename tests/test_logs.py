@@ -20,8 +20,8 @@ from concernminer.corpus import CSV_COLUMNS
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import load_hypothesis_set
 from concernminer.labels import PseudoLabel
-from concernminer.llm import load_llm_script
-from concernminer.nli import MockNliBackend, load_trigger_table
+from concernminer.llm.backends import load_llm_script
+from concernminer.nli.backends import MockNliBackend, load_trigger_table
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     ANNOTATION_STATE_FILE,

@@ -22,20 +22,16 @@ from concernminer.corpus import Review, Store
 from concernminer.errors import BackendError, ValidationError
 from concernminer.hypotheses import HypothesisSet, builtin_domain_mh, builtin_generic
 from concernminer.labels import PseudoLabel
-from concernminer.nli import (
+from concernminer.nli.backends import (
     DEFAULT_TRIGGER_TABLE,
-    EntailmentMatrix,
+    LOW_SCORE,
     EntailmentScore,
     HttpNliBackend,
     MockNliBackend,
-    ScoreCache,
-    apply_heuristics,
-    explain_labels,
     load_trigger_table,
-    save_matrix,
-    score_corpus,
 )
-from concernminer.nli.backends import LOW_SCORE
+from concernminer.nli.labeling import explain_labels
+from concernminer.nli.scoring import EntailmentMatrix, ScoreCache, save_matrix, score_corpus
 
 from httpserver import serve
 
@@ -73,6 +69,11 @@ def oracle_clause(row, hypothesis_ids, rules) -> tuple[float | None, tuple[int, 
         if len(triggered) >= min_count:
             return threshold, triggered
     return None, ()
+
+
+def labels_of(matrix, rules):
+    """The pseudo-label of each matrix row, as :func:`explain_labels` gives it."""
+    return [label for label, _, _ in explain_labels(matrix, rules)]
 
 
 def matrix_from_rows(rows, n_cols, set_hash="testhash", backend="test"):
@@ -125,26 +126,10 @@ def make_reviews(texts):
     ]
 
 
-class TestEntailmentScore:
-    def test_ranges_enforced(self):
-        with pytest.raises(ValidationError):
-            EntailmentScore(1.2)
-        with pytest.raises(ValidationError):
-            EntailmentScore(0.5, -0.1, 0.1)
-
-    def test_full_distribution_must_sum_to_one(self):
-        EntailmentScore(0.5, 0.3, 0.2)
-        with pytest.raises(ValidationError):
-            EntailmentScore(0.5, 0.5, 0.2)
-
-    def test_partial_distribution_skips_sum_check(self):
-        EntailmentScore(0.5, 0.3, None)
-
-
 class TestMockBackend:
     def test_trigger_phrase_scores_high_on_designated_hypothesis(self):
         backend = MockNliBackend(seed=0)
-        score = backend.score_pair("this app has data trackers inside", DOMAIN.by_id(14))
+        score = backend.score_pair("this app has data trackers inside", DOMAIN.hypotheses[13])
         assert score.entail >= 0.85
 
     def test_default_premise_scores_low(self):
@@ -153,14 +138,14 @@ class TestMockBackend:
             assert backend.score_pair("great app love it", hyp).entail <= 0.2
 
     def test_deterministic_per_seed(self):
-        a = MockNliBackend(seed=5).score_pair("some premise", DOMAIN.by_id(3))
-        b = MockNliBackend(seed=5).score_pair("some premise", DOMAIN.by_id(3))
-        c = MockNliBackend(seed=6).score_pair("some premise", DOMAIN.by_id(3))
+        a = MockNliBackend(seed=5).score_pair("some premise", DOMAIN.hypotheses[2])
+        b = MockNliBackend(seed=5).score_pair("some premise", DOMAIN.hypotheses[2])
+        c = MockNliBackend(seed=6).score_pair("some premise", DOMAIN.hypotheses[2])
         assert a == b
         assert a != c
 
     def test_distribution_is_valid(self):
-        score = MockNliBackend(seed=1).score_pair("whatever text", DOMAIN.by_id(2))
+        score = MockNliBackend(seed=1).score_pair("whatever text", DOMAIN.hypotheses[1])
         assert abs(score.entail + score.neutral + score.contradict - 1.0) < 1e-6
 
     @staticmethod
@@ -206,7 +191,7 @@ class TestMockBackend:
 
     def test_a_row_of_some_hypotheses_is_those_cells_in_their_order(self):
         backend = MockNliBackend(seed=2)
-        hypotheses = [DOMAIN.by_id(17), DOMAIN.by_id(3), DOMAIN.by_id(14)]
+        hypotheses = [DOMAIN.hypotheses[16], DOMAIN.hypotheses[2], DOMAIN.hypotheses[13]]
         row = list(backend.score_row("data trackers", hypotheses))
         assert row == [backend.score_pair("data trackers", h).entail for h in hypotheses]
         assert backend.calls == 6
@@ -221,9 +206,9 @@ class TestHttpBackend:
 
         with serve(respond) as (server, url):
             backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
-            score = backend.score_pair("the premise text", DOMAIN.by_id(14))
+            score = backend.score_pair("the premise text", DOMAIN.hypotheses[13])
         assert score.entail == 0.9
-        assert server.requests[0][1]["hypothesis"] == DOMAIN.by_id(14).text
+        assert server.requests[0][1]["hypothesis"] == DOMAIN.hypotheses[13].text
 
     def test_retries_transient_failure(self):
         def respond(path, payload, n):
@@ -233,7 +218,7 @@ class TestHttpBackend:
 
         with serve(respond) as (server, url):
             backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=2), backoff=0.01)
-            score = backend.score_pair("p", DOMAIN.by_id(1))
+            score = backend.score_pair("p", DOMAIN.hypotheses[0])
         assert score.entail == 0.4
         assert len(server.requests) == 2
 
@@ -244,7 +229,7 @@ class TestHttpBackend:
         with serve(respond) as (server, url):
             backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=1), backoff=0.01)
             with pytest.raises(BackendError):
-                backend.score_pair("p", DOMAIN.by_id(1))
+                backend.score_pair("p", DOMAIN.hypotheses[0])
         assert len(server.requests) == 2
 
     @pytest.mark.parametrize("status", [400, 404, 422])
@@ -255,7 +240,7 @@ class TestHttpBackend:
         with serve(respond) as (server, url):
             backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=3), backoff=0.01)
             with pytest.raises(BackendError, match=f"HTTP {status}"):
-                backend.score_pair("p", DOMAIN.by_id(1))
+                backend.score_pair("p", DOMAIN.hypotheses[0])
         assert len(server.requests) == 1
 
     @pytest.mark.parametrize("status", [503, 429])
@@ -267,7 +252,7 @@ class TestHttpBackend:
 
         with serve(respond) as (server, url):
             backend = HttpNliBackend(NliBackendConfig("remote", url, max_retries=3), backoff=0.01)
-            assert backend.score_pair("p", DOMAIN.by_id(1)).entail == 0.4
+            assert backend.score_pair("p", DOMAIN.hypotheses[0]).entail == 0.4
         assert len(server.requests) == 2
 
     @pytest.mark.parametrize(
@@ -279,8 +264,11 @@ class TestHttpBackend:
             ({"entailment": 0.9, "neutral": 0.07, "contradiction": None}, "contradiction must be a number, not None"),
             ({"entailment": [0.9]}, r"entailment must be a number, not \[0.9\]"),
             ({"label": "entailment"}, "'entailment'"),
+            ({"entailment": 1.2}, r"entail probability 1.2 outside \[0, 1\]"),
+            ({"entailment": 0.5, "neutral": -0.1, "contradiction": 0.1}, r"neutral probability -0.1 outside \[0, 1\]"),
+            ({"entailment": 0.5, "neutral": 0.5, "contradiction": 0.2}, "score distribution sums to 1.2000, expected ~1"),
         ],
-        ids=["true", "string", "neutral-string", "contradiction-null", "list", "no-entailment"],
+        ids=["true", "string", "neutral-string", "contradiction-null", "list", "no-entailment", "entail-1.2", "neutral-below-0", "sum-1.2"],
     )
     def test_malformed_response(self, tmp_path, body, message):
         cache_path = tmp_path / "cache.jsonl"
@@ -292,10 +280,12 @@ class TestHttpBackend:
         assert cache_path.read_bytes() == b""
 
     def test_scores_may_be_integers_and_neutral_and_contradiction_absent(self):
-        with serve(lambda path, payload, n: (200, {"entailment": 1} if n == 1 else {"entailment": 0.25, "neutral": 0})) as (_, url):
+        bodies = [{"entailment": 1}, {"entailment": 0.25, "neutral": 0}, {"entailment": 0.5, "contradiction": 0.3}]
+        with serve(lambda path, payload, n: (200, bodies[n - 1])) as (_, url):  # a partial distribution skips the sum check
             backend = HttpNliBackend(NliBackendConfig("remote", url), backoff=0.01)
-            assert backend.score_pair("p", DOMAIN.by_id(1)) == EntailmentScore(1.0)
-            assert backend.score_pair("p", DOMAIN.by_id(1)) == EntailmentScore(0.25, 0.0)
+            assert backend.score_pair("p", DOMAIN.hypotheses[0]) == EntailmentScore(1.0)
+            assert backend.score_pair("p", DOMAIN.hypotheses[0]) == EntailmentScore(0.25, 0.0)
+            assert backend.score_pair("p", DOMAIN.hypotheses[0]) == EntailmentScore(0.5, None, 0.3)
 
     def test_a_row_that_fails_at_its_third_pair_yields_two_cells_and_commits_them(self, tmp_path):
         def respond(path, payload, n):  # a fresh server per row: its third request is refused
@@ -326,34 +316,34 @@ class TestHttpBackend:
         with serve(respond) as (_, url):
             fields = {"entailment": "ent", "neutral": "neu", "contradiction": "con"}
             backend = HttpNliBackend(NliBackendConfig("remote", url, response_fields=fields), backoff=0.01)
-            assert backend.score_pair("p", DOMAIN.by_id(1)).entail == 0.8
+            assert backend.score_pair("p", DOMAIN.hypotheses[0]).entail == 0.8
 
 
 class TestApplyHeuristics:
     def test_domain_single_high_score(self):
         matrix = matrix_from_rows([[0.87]], 21)
-        assert apply_heuristics(matrix, DOMAIN.heuristics) == [PseudoLabel.MAYBE_PRIVACY]
+        assert labels_of(matrix, DOMAIN.heuristics) == [PseudoLabel.MAYBE_PRIVACY]
 
     def test_generic_all_zero_row_is_negative(self):
         matrix = matrix_from_rows([[]], 31)
-        assert apply_heuristics(matrix, GENERIC.heuristics) == [PseudoLabel.MAYBE_NOT_PRIVACY]
+        assert labels_of(matrix, GENERIC.heuristics) == [PseudoLabel.MAYBE_NOT_PRIVACY]
 
     def test_domain_near_misses_fall_to_default(self):
         matrix = matrix_from_rows([[0.76, 0.74, 0.71]], 21)
-        assert apply_heuristics(matrix, DOMAIN.heuristics) == [PseudoLabel.MAYBE_NOT_PRIVACY]
+        assert labels_of(matrix, DOMAIN.heuristics) == [PseudoLabel.MAYBE_NOT_PRIVACY]
 
     def test_generic_seven_mid_scores_fire_last_clause(self):
         matrix = matrix_from_rows([[0.55] * 7], 31)
-        assert apply_heuristics(matrix, GENERIC.heuristics) == [PseudoLabel.MAYBE_PRIVACY]
+        assert labels_of(matrix, GENERIC.heuristics) == [PseudoLabel.MAYBE_PRIVACY]
 
     def test_generic_between_thresholds_is_undetermined(self):
         matrix = matrix_from_rows([[0.45]], 31)
-        assert apply_heuristics(matrix, GENERIC.heuristics) == [PseudoLabel.UNDETERMINED]
+        assert labels_of(matrix, GENERIC.heuristics) == [PseudoLabel.UNDETERMINED]
 
     def test_dimension_mismatch(self):
         matrix = matrix_from_rows([[0.5]], 5)
         with pytest.raises(ValidationError):
-            apply_heuristics(matrix, GENERIC.heuristics)  # needs >= 7 columns
+            labels_of(matrix, GENERIC.heuristics)  # needs >= 7 columns
 
     def test_matches_oracle_on_random_matrices(self):
         rng = np.random.default_rng(123)
@@ -365,7 +355,7 @@ class TestApplyHeuristics:
                 grid = rng.uniform(0, 1, size=(30, 10)).astype(np.float32)
             matrix = matrix_from_rows(list(grid), 10)
             for rules in (GENERIC.heuristics, DOMAIN.heuristics):
-                got = apply_heuristics(matrix, rules)
+                got = labels_of(matrix, rules)
                 expected = [oracle_label(row, rules) for row in rows_of(matrix)]
                 assert got == expected
                 clauses = [oracle_clause(row, matrix.hypothesis_ids, rules) for row in rows_of(matrix)]
@@ -387,7 +377,7 @@ class TestApplyHeuristics:
         rng = np.random.default_rng(99)
         matrix = matrix_from_rows(list(rng.uniform(0, 1, size=(200, 10))), 10)
         for rules in (GENERIC.heuristics, DOMAIN.heuristics):
-            labels = apply_heuristics(matrix, rules)
+            labels = labels_of(matrix, rules)
             counts = {label: labels.count(label) for label in PseudoLabel}
             assert sum(counts.values()) == 200
             if rules is DOMAIN.heuristics:
@@ -396,12 +386,12 @@ class TestApplyHeuristics:
     def test_generic_reaches_all_three_labels_domain_exactly_two(self):
         rows = [[0.9], [0.45], []]  # clear positive, between thresholds, silent
         matrix = matrix_from_rows(rows, 10)
-        assert apply_heuristics(matrix, GENERIC.heuristics) == [
+        assert labels_of(matrix, GENERIC.heuristics) == [
             PseudoLabel.MAYBE_PRIVACY,
             PseudoLabel.UNDETERMINED,
             PseudoLabel.MAYBE_NOT_PRIVACY,
         ]
-        assert apply_heuristics(matrix, DOMAIN.heuristics) == [
+        assert labels_of(matrix, DOMAIN.heuristics) == [
             PseudoLabel.MAYBE_PRIVACY,
             PseudoLabel.MAYBE_NOT_PRIVACY,
             PseudoLabel.MAYBE_NOT_PRIVACY,
@@ -410,17 +400,12 @@ class TestApplyHeuristics:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         matrix = matrix_from_rows(list(rng.uniform(0, 1, size=(50, 10))), 10)
-        assert apply_heuristics(matrix, GENERIC.heuristics) == apply_heuristics(matrix, GENERIC.heuristics)
+        assert labels_of(matrix, GENERIC.heuristics) == labels_of(matrix, GENERIC.heuristics)
 
     def test_explain_agrees_with_labels_and_names_triggers(self):
         matrix = matrix_from_rows([[0.87, 0.2], [0.1, 0.1]], 21)
         explained = explain_labels(matrix, DOMAIN.heuristics)
-        assert [label for label, _, _ in explained] == apply_heuristics(matrix, DOMAIN.heuristics)
-        label, threshold, triggered = explained[0]
-        assert label is PseudoLabel.MAYBE_PRIVACY
-        assert threshold == 0.85
-        assert triggered == (1,)
-        assert explained[1] == (PseudoLabel.MAYBE_NOT_PRIVACY, None, ())
+        assert explained == [(PseudoLabel.MAYBE_PRIVACY, 0.85, (1,)), (PseudoLabel.MAYBE_NOT_PRIVACY, None, ())]
 
 
 class TestScoreCorpus:
@@ -492,6 +477,35 @@ class TestScoreCorpus:
         assert healthy.calls == 32  # only the cells the first run did not persist
         clean = score_corpus(MockNliBackend(name="flaky", seed=0), reviews, DOMAIN, max_inflight=8)
         assert np.array_equal(matrix.scores, clean.scores)
+
+    @pytest.mark.parametrize(
+        "bend, message",
+        [
+            (lambda cells: cells[:3] + [1.5] + cells[4:], r"an entailment of review 'r1' is outside \[0, 1\]"),
+            (lambda cells: cells[:3] + [float("nan")] + cells[4:], r"an entailment of review 'r1' is outside \[0, 1\]"),
+            (lambda cells: cells[:13], "13 entailments of review 'r1' for 21 hypotheses"),
+            (lambda cells: cells + [0.5], "22 entailments of review 'r1' for 21 hypotheses"),
+        ],
+        ids=["cell-1.5", "nan-cell", "13-of-21-cells", "22-cells"],
+    )
+    def test_a_malformed_row_commits_none_of_its_cells_and_raises(self, tmp_path, bend, message):
+        class MalformedBackend:  # the mock, but the row of the second review is bent
+            name = "mock-nli"
+
+            def score_row(self, premise, hypotheses):
+                cells = list(MockNliBackend().score_row(premise, hypotheses))
+                yield from bend(cells) if premise == reviews[1].text_norm else cells
+
+        reviews = make_reviews(["great app", "they sold my personal information", "data trackers everywhere"])
+        cache_path = tmp_path / "cache.jsonl"
+        with ScoreCache(cache_path) as cache, pytest.raises(BackendError, match=f"mock-nli: {message}") as err:
+            score_corpus(MalformedBackend(), reviews, DOMAIN, cache=cache, max_inflight=2)
+        assert (err.value.completed, err.value.total) == (21, 63)  # the first row, and none of the second
+        with ScoreCache(cache_path) as cache:  # the cache loads, without the malformed row
+            assert len(cache) == 21 and cache.row("mock-nli", DOMAIN.version_hash, "r1") is None
+            matrix = score_corpus(MockNliBackend(), reviews, DOMAIN, cache=cache, max_inflight=1)
+        assert cells_and_ids(matrix) == cells_and_ids(score_corpus(MockNliBackend(), reviews, DOMAIN, max_inflight=1))
+        assert labels_of(matrix, DOMAIN.heuristics)[1] is PseudoLabel.MAYBE_PRIVACY
 
 
     def test_rows_of_every_cell_in_another_order_give_a_warm_run(self, tmp_path):
@@ -835,7 +849,7 @@ class TestScoreCorpus:
                     self.calls += 1
                     if self.calls == self.fail_at:
                         raise BackendError("synthetic outage")
-                    yield EntailmentScore(table[int(premise.split()[1])][columns[hypothesis.id]]).entail
+                    yield table[int(premise.split()[1])][columns[hypothesis.id]]
 
         reviews = make_reviews([f"review {k}" for k in range(n_rows)])
         cache_path = tmp_path / "cache.jsonl"

@@ -22,7 +22,7 @@ from concernminer.errors import ValidationError
 from concernminer.evaluation import ConfusionMatrix, metrics
 from concernminer.hypotheses import builtin_domain_mh, builtin_generic, hypothesis_set_to_dict
 from concernminer.labels import PseudoLabel
-from concernminer.llm import SamplingSettings, VoteRecord
+from concernminer.llm.classify import SamplingSettings, VoteRecord
 from concernminer.pipeline import (
     ANNOTATION_REPORT_FILE,
     EXTRACTED_FILE,
@@ -138,8 +138,8 @@ class TestSelection:
         }
         result = run_selection(config_from_dict(raw, tmp_path))
         assert len(result.model_table.rows) == 1
-        assert len(result.hypothesis_table.rows) == 1
-        assert result.hypothesis_table.winner().improvement == 1.0
+        [row] = result.hypothesis_table.rows
+        assert (row.candidate_id, row.improvement) == (result.hypothesis_table.winner_id, 1.0)
         assert len(result.pseudo_labels) == 40
 
     @pytest.mark.parametrize("set_id", ["generic-31", "generic-copy"])
@@ -150,8 +150,8 @@ class TestSelection:
         raw = selection_config(tmp_path / "small.csv", tmp_path / "run", write_weak_table(tmp_path / "weak.json"))
         raw["hypotheses"]["domain"] = str(domain)
         result = run_selection(config_from_dict(raw, tmp_path))
-        assert [row.candidate_id for row in result.hypothesis_table.rows] == ["generic-31"]
-        assert result.hypothesis_table.winner().improvement == 1.0
+        [row] = result.hypothesis_table.rows
+        assert (row.candidate_id, row.improvement, result.hypothesis_table.winner_id) == ("generic-31", 1.0, "generic-31")
         with ScoreCache(tmp_path / "run" / NLI_CACHE_FILE) as cache:
             assert len(cache) == 24 * 31 * 2  # both models on the generic set, and no domain pass
 

@@ -11,8 +11,10 @@ from concernminer._window import run_ordered
 from concernminer.corpus import Review, Store
 from concernminer.errors import ValidationError
 from concernminer.hypotheses import builtin_domain_mh
-from concernminer.llm import MockLlmBackend, SamplingSettings, classify_corpus
-from concernminer.nli import MockNliBackend, score_corpus
+from concernminer.llm.backends import MockLlmBackend
+from concernminer.llm.classify import SamplingSettings, classify_corpus
+from concernminer.nli.backends import MockNliBackend
+from concernminer.nli.scoring import score_corpus
 
 DOMAIN = builtin_domain_mh()
 
