@@ -17,7 +17,7 @@ from .nli.backends import DEFAULT_RESPONSE_FIELDS, DEFAULT_TRIGGER_TABLE, HttpNl
 
 MOCK_ENDPOINT = "mock"
 MAX_TIMEOUT_S = 86_400  # a day; a far larger socket timeout overflows the platform's time_t
-MAX_INFLIGHT = 256  # run_ordered starts max_inflight - 1 threads: a typo must not start thousands
+MAX_INFLIGHT = 256  # run_ordered starts up to max_inflight threads: a typo must not start thousands
 TRANSPORT = ("timeout", "max_inflight", "max_retries")  # how a backend is reached, not what it answers
 
 

@@ -176,7 +176,7 @@ def parse_record(raw: dict) -> Review:
 
 def _iter_csv(path: Path):
     """Each non-blank row as ``csv.DictReader`` reads it (a short row's missing cells ``None``), less cells past the header."""
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or "id" not in header:
@@ -187,7 +187,7 @@ def _iter_csv(path: Path):
 
 
 def _iter_jsonl(path: Path):
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

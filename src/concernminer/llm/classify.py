@@ -146,8 +146,9 @@ def classify_corpus(
     """Classify a batch of candidate reviews (callers pass the maybe-privacy
     subset), preserving input order.
 
-    A review is one job of :func:`run_ordered`: ``max_inflight`` workers, the
-    calling thread among them, classify at most ``2 * max_inflight`` reviews
+    A review is one job of :func:`run_ordered`: at ``max_inflight = 1`` the
+    calling thread classifies each review, and above 1 a pool of
+    ``max_inflight`` threads classifies at most ``2 * max_inflight`` reviews
     ahead of the one the calling thread commits and hands to ``on_record``.
     Returns ``(records, failures)`` where failures are ``(review_id, reason)``
     pairs for reviews whose backend calls kept failing; those are never

@@ -169,8 +169,9 @@ def score_corpus(
     """Score every (review, hypothesis) pair, consulting the cache first.
 
     Requires normalized reviews. A review's uncached cells are one job of :func:`run_ordered`, one
-    ``backend.score_row`` call: ``max_inflight`` workers, the calling thread among them, score at most
-    ``2 * max_inflight`` rows ahead of the row the calling thread commits, in review order. The pass
+    ``backend.score_row`` call: at ``max_inflight = 1`` the calling thread scores each row, and above 1
+    a pool of ``max_inflight`` threads scores at most ``2 * max_inflight`` rows ahead of the row the
+    calling thread commits; rows are committed in review order. The pass
     keeps the cache's file open and appends and flushes each row as it is committed, its cells' ids and
     float32 bytes (see :class:`ScoreCache`), so a killed run loses at most the rows in flight; without
     a ``cache`` it reads and writes nothing. On backend failure the raised :class:`BackendError` carries
@@ -213,7 +214,11 @@ def score_corpus(
         def commit(job, _, error: Exception | None) -> None:
             nonlocal completed
             i, review, columns, scores = job  # the cells scored before an error are committed too
-            if _out_of_range(scores):  # a malformed row commits none of its cells
+            try:  # a malformed row commits none of its cells
+                out_of_range = _out_of_range(scores)
+            except TypeError:
+                raise BackendError(f"{name}: an entailment of review {review.id!r} is not a number") from None
+            if out_of_range:
                 raise BackendError(f"{name}: an entailment of review {review.id!r} is outside [0, 1]")
             if error is None and len(scores) != len(columns):
                 raise BackendError(f"{name}: {len(scores)} entailments of review {review.id!r} for {len(columns)} hypotheses")

@@ -168,6 +168,29 @@ class TestIngest:
         assert corpus.reviews[1].gold_label == 1
         assert "invalid json" in corpus.provenance.rejects[0]["reason"]
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("reviews.csv", "id,app,store,rating,text\na,calm,other,1,café closed\nb,calm,other,6,too many stars\nc,calm,other,2,third\n"),
+            (
+                "reviews.jsonl",
+                '{"id": "a", "app": "calm", "store": "other", "rating": 1, "text": "café closed"}\nnot json\n'
+                '{"id": "c", "app": "calm", "store": "other", "rating": 2, "text": "third"}\n',
+            ),
+        ],
+        ids=["csv", "jsonl"],
+    )
+    def test_a_file_that_starts_with_a_bom_ingests_as_without_it(self, tmp_path, name, text):
+        plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+        for path, encoding in ((plain, "utf-8"), (marked, "utf-8-sig")):  # utf-8-sig writes the BOM
+            path.parent.mkdir()
+            path.write_text(text, encoding=encoding)
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        expected, corpus = ingest_reviews(plain), ingest_reviews(marked)
+        assert [r.id for r in expected] == ["a", "c"] and expected.reviews[0].text_raw == "café closed"
+        assert corpus.reviews == expected.reviews
+        assert corpus.provenance.rejects == expected.provenance.rejects and len(corpus.provenance.rejects) == 1
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "reviews.csv"
         path.write_text("id,app,store,rating,text\na,x,other,1,one\na,x,other,2,two\n")

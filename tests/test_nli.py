@@ -485,8 +485,10 @@ class TestScoreCorpus:
             (lambda cells: cells[:3] + [float("nan")] + cells[4:], r"an entailment of review 'r1' is outside \[0, 1\]"),
             (lambda cells: cells[:13], "13 entailments of review 'r1' for 21 hypotheses"),
             (lambda cells: cells + [0.5], "22 entailments of review 'r1' for 21 hypotheses"),
+            (lambda cells: cells[:3] + ["0.5"] + cells[4:], "an entailment of review 'r1' is not a number"),
+            (lambda cells: cells[:3] + [None] + cells[4:], "an entailment of review 'r1' is not a number"),
         ],
-        ids=["cell-1.5", "nan-cell", "13-of-21-cells", "22-cells"],
+        ids=["cell-1.5", "nan-cell", "13-of-21-cells", "22-cells", "string-cell", "none-cell"],
     )
     def test_a_malformed_row_commits_none_of_its_cells_and_raises(self, tmp_path, bend, message):
         class MalformedBackend:  # the mock, but the row of the second review is bent
@@ -506,6 +508,24 @@ class TestScoreCorpus:
             matrix = score_corpus(MockNliBackend(), reviews, DOMAIN, cache=cache, max_inflight=1)
         assert cells_and_ids(matrix) == cells_and_ids(score_corpus(MockNliBackend(), reviews, DOMAIN, max_inflight=1))
         assert labels_of(matrix, DOMAIN.heuristics)[1] is PseudoLabel.MAYBE_PRIVACY
+
+    def test_a_row_of_ints_float_subclasses_or_float32_values_is_scored(self):
+        class Score(float):
+            pass
+
+        kinds = {"great app": np.float32, "they sold my personal information": Score, "data trackers everywhere": round}
+
+        class NumberLikeBackend:  # each row's cells as another kind of number
+            name = "mock-nli"
+
+            def score_row(self, premise, hypotheses):
+                yield from map(kinds[premise], MockNliBackend().score_row(premise, hypotheses))
+
+        reviews = make_reviews(list(kinds))
+        matrix = score_corpus(NumberLikeBackend(), reviews, DOMAIN, max_inflight=1)
+        expected = score_corpus(MockNliBackend(), reviews, DOMAIN, max_inflight=1)
+        assert matrix.scores[:42] == expected.scores[:42]
+        assert list(matrix.scores[42:]) == [round(cell) for cell in expected.scores[42:]]
 
 
     def test_rows_of_every_cell_in_another_order_give_a_warm_run(self, tmp_path):

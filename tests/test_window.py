@@ -45,6 +45,31 @@ def test_at_most_max_inflight_threads_run_jobs(max_inflight):
     assert len({ident for _, ident, _ in committed}) <= max_inflight
 
 
+@pytest.mark.parametrize("max_inflight", [1, 2, 3, 8])
+def test_at_most_max_inflight_jobs_run_at_once(max_inflight):
+    lock = threading.Lock()
+    running = peak = 0
+    seen = set()
+
+    def work(k, stop):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            seen.update(threading.enumerate())
+        time.sleep(0.001)
+        with lock:
+            running -= 1
+        return k
+
+    before = set(threading.enumerate())
+    committed = collect(work, range(40), max_inflight)
+    assert committed == [(k, k, None) for k in range(40)]
+    assert 1 <= peak <= max_inflight
+    if max_inflight == 1:
+        assert seen <= before  # no thread was started
+
+
 @pytest.mark.parametrize("max_inflight", [1, 3])
 def test_a_commit_error_stops_the_window(max_inflight):
     ran, stops = [], []
